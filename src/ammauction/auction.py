@@ -31,6 +31,7 @@ serialized snapshots are safe from any thread.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -416,6 +417,58 @@ class AuctionState:
             self._pending_fee = None
             self._pending_fee_setter = None
         return events
+
+    def next_event_block(self) -> int | None:
+        """Earliest block at which anything other than rent can happen.
+
+        That is the next block while a fee request is pending or a runner-up
+        outranks the manager; otherwise the earliest of a pending bid's
+        ``active_from`` and the block at which the top bid's deposit runs
+        out. ``None`` when nothing is scheduled at all. Every block before
+        it only streams rent, which :meth:`advance_blocks` does in one step.
+        """
+        soon = self.current_block + 1
+        if self._pending_fee is not None or (
+            self.next is not None and (self.top is None or self.next.rent > self.top.rent)
+        ):
+            return soon
+        candidates = [bid.active_from for bid in self.pending]
+        if self.top is not None:
+            candidates.append(self.current_block + math.ceil(self.top.runway()))
+        return max(soon, min(candidates)) if candidates else None
+
+    def advance_blocks(self, n: int, lp_total_shares: Number | None = None) -> None:
+        """Advance ``n`` rent-only blocks in O(1), exactly.
+
+        Leaves the same state as ``n`` calls of :meth:`advance_block` (same
+        ``lp_total_shares`` rule) when all ``n`` blocks come before
+        :meth:`next_event_block`. Raises ``ValueError`` for an ``n`` that
+        would reach or cross that block, instead of stopping short.
+        """
+        if n < 0:
+            raise ValueError(f"n must be non-negative, got {n}")
+        event = self.next_event_block()
+        if event is not None and self.current_block + n >= event:
+            raise ValueError(
+                f"advancing {n} blocks from block {self.current_block} "
+                f"reaches the auction event at block {event}"
+            )
+        if n == 0:
+            return
+        self.current_block += n
+        self.block_fee = self.effective_fee
+        if self.top is not None:
+            shares = (
+                _to_fraction(lp_total_shares, "lp_total_shares")
+                if lp_total_shares is not None
+                else self.lp_registered_shares()
+            )
+            if shares <= 0:
+                shares = Fraction(1)
+            rent = n * self.top.rent
+            self.top.deposit -= rent
+            self.rent_distributed += rent
+            self.rent_per_share += rent if shares == 1 else rent / shares
 
     def _refund(self, bid: Bid) -> None:
         self.refunds += bid.deposit

@@ -3,8 +3,9 @@ equilibrium reports, simulation runs, and auction scenario replay.
 
 Outputs are plot-tool-agnostic CSV (and JSON for simulation reports). Every
 output file embeds a manifest header carrying the command, tool version,
-seed, and a hash of the effective configuration, so a run can be reproduced
-from its artifacts alone. Exit codes are a stable contract for CI:
+Python, numpy and scipy versions, seed, and a hash of the effective
+configuration, so a run can be reproduced from its artifacts alone. Exit
+codes are a stable contract for CI:
 
     0  success / validation passed
     1  validation failed (Monte Carlo vs closed form, or dominance)
@@ -22,6 +23,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
+import scipy
 
 from . import __version__, market
 from .equilibrium import BracketError, DominanceReport, dominance_report
@@ -49,11 +53,19 @@ _DEFAULTS = {
 PARAMS_SCHEMA_VERSION = 1
 
 
+# Seed-for-seed byte identity rests on numpy's Philox stream and scipy's
+# ndtri, so the manifest names the versions that produced an output.
+_PYTHON_VERSION = "{}.{}.{}".format(*sys.version_info[:3])
+
+
 def _manifest(command: str, config: dict, seed: int | None, outputs: list[str]) -> dict:
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return {
         "command": command,
         "version": __version__,
+        "python": _PYTHON_VERSION,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
         "seed": seed,
         "config_hash": hashlib.sha256(canonical.encode()).hexdigest()[:16],
         "outputs": outputs,

@@ -7,9 +7,10 @@ expectation of the per-block excess given the interblock time.
 
 Stochastic layer: block times are exponential with mean ``delta_t`` and the
 log-mispricing accumulated over a block is ``N(0, sigma^2 * tau)``. Draws use
-inverse-CDF transforms on a counter-based (Philox) uniform stream so results
-are reproducible for a given seed and can be partitioned across workers by
-counter range.
+inverse-CDF transforms on a counter-based (Philox) uniform stream, two
+uniforms per block in order, so results are reproducible for a given seed
+and a horizon drawn in chunks of any sizes from one generator is bit for bit
+the horizon drawn in one call.
 
 Units: time is measured in days, ``sigma`` per sqrt(day), ``r`` per day. Only
 the dimensionless combinations ``sigma^2 * delta_t`` and

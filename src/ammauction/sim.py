@@ -1,10 +1,19 @@
-"""Block-by-block discrete-event simulation of the managed pool.
+"""Event-segmented simulation of the managed pool.
 
 Each block: draw an interblock time and a fresh log-mispricing increment; let
 outside arbitrageurs trade the pool to the fee band (their net profit is the
 manager's forgone "excess"); let the manager, who pays no fee, correct the
 remaining gap to zero; book noise-trader fee flow; and stream one block of
 auction rent. Noise trades are pure fee flow and do not move the pool price.
+
+The auction changes only at events: an activation, a usurp, a fee change, a
+depletion. Between them it streams the same rent every block, so it advances
+in one exact step per stretch and single-steps only the event blocks. The
+pool side runs in fixed chunks of :data:`CHUNK_BLOCKS` blocks, each drawn
+from the one seeded stream and pushed through one numpy kernel on explicit
+reserve arrays; memory stays flat at any horizon. A managed pool restarts
+on-price every block, so its blocks are independent; an unmanaged stretch
+first runs the band-clamped carry of the mispricing as a scalar scan.
 
 Price normalization: value homogeneity (profits per unit pool value depend on
 the mispricing only) lets the simulator rebase the price level to 1 at every
@@ -24,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Optional, Sequence
@@ -33,13 +43,11 @@ import numpy as np
 from . import equilibrium, market
 from .auction import AuctionParams, AuctionRejection, AuctionState, Bid, _to_fraction
 from .market import MarketParams
-from .pool import (
-    PoolState,
-    arb_profit,
-    arb_trade_to_band,
-    strategic_withdrawal_values,
-    withdrawal_fee_required,
-)
+from .pool import strategic_withdrawal_values, withdrawal_fee_required
+
+# Not called here: the kernel below does the same trade on arrays. The name
+# stays importable from this module because ammbench/spans.py traces it here.
+from .pool import arb_trade_to_band  # noqa: F401
 
 __all__ = [
     "BidSpec",
@@ -56,6 +64,12 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 BLOCK_LOG_HEADER = ("block", "tau", "z", "fee", "arb_profit", "excess", "noise_fees", "rent")
+
+# Blocks per kernel chunk: large enough that numpy's per-call overhead is
+# small per block, small enough that the chunk arrays stay a few hundred kB.
+CHUNK_BLOCKS = 1024
+
+_ONE_SHARE = Fraction(1)
 
 
 class ConfigError(ValueError):
@@ -251,21 +265,13 @@ def _install_initial_bids(auc: AuctionState, specs: Sequence[BidSpec], k_delay: 
             auc.next = bid
 
 
-def run_sim(config: SimConfig, block_log: Optional[IO[str]] = None) -> SimReport:
-    """Run the block simulation; deterministic for a given config and seed.
-
-    ``block_log`` takes an optional text sink for the per-block CSV rows
-    (columns :data:`BLOCK_LOG_HEADER`).
-    """
+def _setup(config: SimConfig) -> tuple[AuctionState, float, float]:
+    """The auction with the initial bids seated, the LP liquidity and the manager's fee."""
     params = config.market
-    dt = params.delta_t
-    horizon = config.horizon_blocks
-    fee_cap = params.f_max
-
     auction = AuctionState(
         AuctionParams(
             k_delay=config.k_delay,
-            fee_cap=fee_cap,
+            fee_cap=params.f_max,
             min_increment_factor=config.min_increment_factor,
             default_fee=config.default_fee,
         )
@@ -277,7 +283,7 @@ def run_sim(config: SimConfig, block_log: Optional[IO[str]] = None) -> SimReport
     if config.lp_policy == "zero_profit":
         # enter at the rent's zero-profit level: R/dt = (ap0(0) + r) * 2L,
         # converting the per-block rent into a per-time rate
-        rent_rate = float(auction.top.rent) / dt
+        rent_rate = float(auction.top.rent) / params.delta_t
         liquidity = rent_rate / (2.0 * (market.ap0(0.0, params) + params.r))
 
     if config.manager_policy == "optimal":
@@ -288,114 +294,239 @@ def run_sim(config: SimConfig, block_log: Optional[IO[str]] = None) -> SimReport
         )
     if auction.manager is not None:
         auction.set_fee(auction.manager, policy_fee)
+    return auction, liquidity, policy_fee
 
+
+@dataclass(frozen=True)
+class _Run:
+    """Consecutive blocks under one fee and one rent payer."""
+
+    blocks: int
+    fee: float
+    rent: float  # per block
+    payer: str | None  # the manager of these blocks; None while unmanaged
+
+
+def _advance_auction(
+    auction: AuctionState, n: int, policy_fee: float, counts: Counter
+) -> list[_Run]:
+    """Advance the auction ``n`` blocks and describe them as runs.
+
+    Rent-only stretches go in one :meth:`AuctionState.advance_blocks` step;
+    only event blocks are single-stepped. A new manager sets the policy fee,
+    which takes effect from the next block.
+    """
+    runs = []
+    end = auction.current_block + n
+    while auction.current_block < end:
+        event = auction.next_event_block()
+        bulk = (end if event is None else min(end, event - 1)) - auction.current_block
+        if bulk > 0:
+            top = auction.top
+            auction.advance_blocks(bulk, _ONE_SHARE)
+            if top is None:
+                runs.append(_Run(bulk, auction.block_fee, 0.0, None))
+            else:
+                runs.append(_Run(bulk, auction.block_fee, float(top.rent), top.bidder))
+            continue
+        rent, payer = 0.0, None
+        for ev in auction.advance_block(_ONE_SHARE):
+            if ev.kind == "usurped":
+                counts["usurps"] += 1
+                auction.set_fee(ev.bidder, policy_fee)
+            elif ev.kind == "depleted":
+                counts["depletions"] += 1
+            elif ev.kind == "rent":
+                rent += float(ev.amount)
+                payer = ev.bidder
+        runs.append(_Run(1, auction.block_fee, rent, payer))
+    return runs
+
+
+def _carry_scan(
+    eps: np.ndarray, fee: np.ndarray, managed: np.ndarray, carry: float
+) -> tuple[np.ndarray, float]:
+    """Pre-trade mispricing of each block when some blocks are unmanaged.
+
+    Nobody corrects an unmanaged pool, so its mispricing carries into the
+    next block, clamped to the fee band where arbitrageurs traded: the
+    recurrence of the ``mc_rates`` chain. A managed block ends on-price.
+    Returns the mispricings and the carry out of the last block.
+    """
+    z = []
+    for e, f, m in zip(eps.tolist(), fee.tolist(), managed.tolist()):
+        zi = carry + e
+        z.append(zi)
+        carry = 0.0 if m else min(max(zi, -f), f)
+    return np.array(z), carry
+
+
+def _pool_kernel(z: np.ndarray, fee: np.ndarray, managed: np.ndarray, liquidity: float):
+    """Each block's trades on explicit reserve arrays, one block per element.
+
+    The true price is rebased to 1 and the pool opens at price ``e^{-z}``.
+    Outside arbitrageurs trade to the fee band's edge, the numeraire leg
+    fee-grossed (the log-space convention of :func:`arb_trade_to_band`);
+    on managed blocks the manager then closes the rest of the gap for free.
+    Profits, fees and the pool's loss all come from reserve changes, and the
+    end mispricing from the end reserves.
+
+    Returns ``(traded, excess, arb_fee, mgr_arb, adverse, z_end)``.
+    """
+    sqrt_p = np.sqrt(np.exp(-z))
+    x0 = liquidity / sqrt_p
+    y0 = liquidity * sqrt_p
+    z0 = np.log(1.0 / (y0 / x0))
+    buy = z0 > fee
+    sell = z0 < -fee
+    traded = buy | sell
+    edge = np.sqrt(np.exp(np.where(buy, -fee, fee)))
+    liq0 = np.sqrt(x0 * y0)
+    x1 = np.where(traded, liq0 / edge, x0)
+    y1 = np.where(traded, liq0 * edge, y0)
+    arb_fee = np.where(
+        buy, np.expm1(fee) * (y1 - y0), np.where(sell, -np.expm1(-fee) * (y0 - y1), 0.0)
+    )
+    excess = (x0 - x1) + (y0 - y1) - arb_fee
+
+    correct = managed & (np.log(1.0 / (y1 / x1)) != 0.0)
+    liq1 = np.sqrt(x1 * y1)
+    x2 = np.where(correct, liq1, x1)
+    y2 = np.where(correct, liq1, y1)
+    mgr_arb = (x1 - x2) + (y1 - y2)
+    adverse = (x0 + y0) - (x2 + y2)
+    z_end = -np.log(y2 / x2)
+    return traded, excess, arb_fee, mgr_arb, adverse, z_end
+
+
+class _Moments:
+    """Running mean and sample standard deviation, fed one array at a time and
+    merged with the pairwise update of Chan, Golub and LeVeque."""
+
+    def __init__(self) -> None:
+        self.n = 0
+        self.mean = 0.0
+        self.m2 = 0.0  # sum of squared deviations from the mean
+
+    def add(self, x: np.ndarray) -> None:
+        n_x = x.size
+        mean_x = float(x.mean())
+        m2_x = float(np.square(x - mean_x).sum())
+        n = self.n + n_x
+        delta = mean_x - self.mean
+        self.mean += delta * n_x / n
+        self.m2 += m2_x + delta * delta * self.n * n_x / n
+        self.n = n
+
+    def std(self) -> float:
+        return math.sqrt(self.m2 / (self.n - 1)) if self.n > 1 else math.nan
+
+
+def _format_blocks(first: int, *columns: np.ndarray) -> str:
+    """CSV rows for consecutive blocks from ``first`` on, floats as ``repr``."""
+    return "".join(
+        f"{b},{tau!r},{z!r},{fee!r},{mgr!r},{exc!r},{nf!r},{rent!r}\n"
+        for b, tau, z, fee, mgr, exc, nf, rent in zip(
+            range(first, first + len(columns[0])), *(c.tolist() for c in columns)
+        )
+    )
+
+
+def run_sim(config: SimConfig, block_log: Optional[IO[str]] = None) -> SimReport:
+    """Run the block simulation; deterministic for a given config and seed.
+
+    ``block_log`` takes an optional text sink for the per-block CSV rows
+    (columns :data:`BLOCK_LOG_HEADER`).
+    """
+    params = config.market
+    dt = params.delta_t
+    horizon = config.horizon_blocks
+    auction, liquidity, policy_fee = _setup(config)
     rng = market.block_rng(config.seed)
-    taus, zs = market.sample_blocks(params, horizon, rng)
 
     value_scale = 2.0 * liquidity  # pool value at the (rebased) true price of 1
-    excess_frac = np.zeros(horizon)
-    adverse_frac = np.zeros(horizon)
+    excess_frac = _Moments()
+    adverse_frac = _Moments()
 
     mgr_noise = mgr_arbfee = mgr_arb_total = mgr_rent = 0.0
     lp_rent = lp_fees = lp_adverse = lp_capital = 0.0
     noise_volume_total = noise_fees_paid = ext_profit = 0.0
-    usurps = depletions = no_trade = unmanaged_blocks = 0
+    no_trade = unmanaged_blocks = 0
+    counts: Counter = Counter()
     drift = 0.0
     max_resid = 0.0
     max_end_z = 0.0
     fee_sum = 0.0
     pnl: dict[str, float] = {"lp": 0.0, "external_arb": 0.0, "noise_traders": 0.0}
-    noise_rate_cache: dict[float, float] = {}
-    z_carry = 0.0
+    carry = 0.0  # mispricing an unmanaged block leaves to the next
 
     if block_log is not None:
         block_log.write(",".join(BLOCK_LOG_HEADER) + "\n")
 
-    one_share = Fraction(1)
-    for b in range(horizon):
-        events = auction.advance_block(one_share)
-        rent_amount = 0.0
-        manager = None  # whoever pays this block's rent manages this block
-        for ev in events:
-            if ev.kind == "usurped":
-                usurps += 1
-                auction.set_fee(ev.bidder, policy_fee)
-            elif ev.kind == "depleted":
-                depletions += 1
-            elif ev.kind == "rent":
-                rent_amount += float(ev.amount)
-                manager = ev.bidder
-        fee = auction.block_fee
-        fee_sum += fee
-
-        tau = float(taus[b])
-        z = z_carry + float(zs[b])
-        pool = PoolState.from_price(
-            liquidity, math.exp(-z), swap_fee=min(fee, fee_cap), fee_cap=fee_cap
+    for start in range(0, horizon, CHUNK_BLOCKS):
+        n = min(CHUNK_BLOCKS, horizon - start)
+        runs = _advance_auction(auction, n, policy_fee, counts)
+        lengths = [run.blocks for run in runs]
+        fee = np.repeat([run.fee for run in runs], lengths)
+        rent = np.repeat([run.rent for run in runs], lengths)
+        rate = np.repeat(
+            [market.noise_volume(run.fee, liquidity, params) for run in runs], lengths
         )
-        start_value = pool.reserve_x + pool.reserve_y  # true price is 1
+        managed = np.repeat([run.payer is not None for run in runs], lengths)
 
-        excess = arb_fee = mgr_arb = 0.0
-        trade = arb_trade_to_band(pool, 1.0, fee)
-        if trade is None:
-            no_trade += 1
+        tau, eps = market.sample_blocks(params, n, rng)
+        if carry == 0.0 and managed.all():
+            z = 0.0 + eps  # adds the zero carry as the scan does: a -0.0 draw reads 0.0
         else:
-            excess = arb_profit(pool, trade, 1.0)
-            arb_fee = trade.fee_paid
-            pool = trade.new_pool
-        if manager is not None:
-            correction = arb_trade_to_band(pool, 1.0, 0.0)
-            if correction is not None:
-                mgr_arb = arb_profit(pool, correction, 1.0)
-                pool = correction.new_pool
-        else:
-            unmanaged_blocks += 1
-
-        end_value = pool.reserve_x + pool.reserve_y
-        adverse = start_value - end_value
+            z, carry = _carry_scan(eps, fee, managed, carry)
+        traded, excess, arb_fee, mgr_arb, adverse, z_end = _pool_kernel(
+            z, fee, managed, liquidity
+        )
         residual = mgr_arb + arb_fee + excess - adverse
-        drift += residual
-        max_resid = max(max_resid, abs(residual))
-        z_end = -math.log(pool.spot_price)
-        if manager is not None:
-            max_end_z = max(max_end_z, abs(z_end))
-            z_carry = 0.0
-        else:
-            z_carry = z_end
-
-        rate = noise_rate_cache.get(fee)
-        if rate is None:
-            rate = market.noise_volume(fee, liquidity, params)
-            noise_rate_cache[fee] = rate
         noise_vol = rate * tau
         noise_fee = fee * noise_vol
+        unmanaged = ~managed
+        lp_swap_fees = float(noise_fee[unmanaged].sum() + arb_fee[unmanaged].sum())
+        rent_paid = float(rent.sum())  # only managed blocks pay rent
+        excess_paid = float(excess.sum())
+        noise_fees = float(noise_fee.sum())
 
-        excess_frac[b] = excess / value_scale
-        adverse_frac[b] = adverse / value_scale
+        fee_sum += float(fee.sum())
+        no_trade += n - int(traded.sum())
+        unmanaged_blocks += int(unmanaged.sum())
+        drift += float(residual.sum())
+        max_resid = max(max_resid, float(np.abs(residual).max()))
+        if managed.any():
+            max_end_z = max(max_end_z, float(np.abs(z_end[managed]).max()))
+        excess_frac.add(excess / value_scale)
+        adverse_frac.add(adverse / value_scale)
 
-        noise_volume_total += noise_vol
-        noise_fees_paid += noise_fee
-        ext_profit += excess
-        lp_adverse += adverse
-        lp_capital += params.r * value_scale * tau
-        lp_rent += rent_amount
-        pnl["lp"] += rent_amount - adverse
-        pnl["external_arb"] += excess
-        pnl["noise_traders"] -= noise_fee
-        if manager is not None:
-            mgr_noise += noise_fee
-            mgr_arbfee += arb_fee
-            mgr_arb_total += mgr_arb
-            mgr_rent += rent_amount
-            pnl[manager] = pnl.get(manager, 0.0) + noise_fee + arb_fee + mgr_arb - rent_amount
-        else:
-            lp_fees += noise_fee + arb_fee
-            pnl["lp"] += noise_fee + arb_fee
+        noise_volume_total += float(noise_vol.sum())
+        noise_fees_paid += noise_fees
+        ext_profit += excess_paid
+        lp_adverse += float(adverse.sum())
+        lp_capital += float((params.r * value_scale * tau).sum())
+        lp_rent += rent_paid
+        lp_fees += lp_swap_fees
+        mgr_rent += rent_paid
+        mgr_noise += float(noise_fee[managed].sum())
+        mgr_arbfee += float(arb_fee[managed].sum())
+        mgr_arb_total += float(mgr_arb.sum())  # zero on unmanaged blocks
+        pnl["lp"] += float((rent - adverse).sum()) + lp_swap_fees
+        pnl["external_arb"] += excess_paid
+        pnl["noise_traders"] -= noise_fees
+        manager_gain = noise_fee + arb_fee + mgr_arb - rent
+        lo = 0
+        for run in runs:
+            if run.payer is not None:
+                pnl[run.payer] = pnl.get(run.payer, 0.0) + float(
+                    manager_gain[lo : lo + run.blocks].sum()
+                )
+            lo += run.blocks
 
         if block_log is not None:
             block_log.write(
-                f"{b + 1},{tau!r},{z!r},{fee!r},{mgr_arb!r},{excess!r},"
-                f"{noise_fee!r},{rent_amount!r}\n"
+                _format_blocks(start + 1, tau, z, fee, mgr_arb, excess, noise_fee, rent)
             )
 
     n = float(horizon)
@@ -403,10 +534,10 @@ def run_sim(config: SimConfig, block_log: Optional[IO[str]] = None) -> SimReport
         horizon_blocks=horizon,
         seed=config.seed,
         fee_effective_mean=fee_sum / n,
-        ap0_hat=float(adverse_frac.mean()) / dt,
-        ap0_se=float(adverse_frac.std(ddof=1)) / math.sqrt(n) / dt,
-        ae0_hat=float(excess_frac.mean()) / dt,
-        ae0_se=float(excess_frac.std(ddof=1)) / math.sqrt(n) / dt,
+        ap0_hat=adverse_frac.mean / dt,
+        ap0_se=adverse_frac.std() / math.sqrt(n) / dt,
+        ae0_hat=excess_frac.mean / dt,
+        ae0_se=excess_frac.std() / math.sqrt(n) / dt,
         manager_noise_fees=mgr_noise,
         manager_arb_fees=mgr_arbfee,
         manager_arb_profit=mgr_arb_total,
@@ -418,8 +549,8 @@ def run_sim(config: SimConfig, block_log: Optional[IO[str]] = None) -> SimReport
         noise_volume_total=noise_volume_total,
         noise_fees_paid=noise_fees_paid,
         external_arb_profit=ext_profit,
-        usurps=usurps,
-        depletions=depletions,
+        usurps=counts["usurps"],
+        depletions=counts["depletions"],
         no_trade_blocks=no_trade,
         unmanaged_blocks=unmanaged_blocks,
         accounting_drift=drift,

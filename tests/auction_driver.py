@@ -3,7 +3,8 @@
 Shared by the unit tests and the acceptance suite: generates a mixed stream
 of valid and invalid actions, applies them, and checks the safety invariants
 after every single step (exact conservation, fee cap, deposit multiples,
-action-time coverage, lock-in of the manager identity).
+action-time coverage, lock-in of the manager identity). Streams with
+multi-block jumps exercise the bulk advance between auction events.
 """
 
 import random
@@ -84,6 +85,81 @@ def check_safety(state: AuctionState) -> None:
         assert state.next.rent < state.top.rent, "runner-up outranks the manager"
 
 
+def random_jump_events(rng: random.Random, n: int) -> list[dict]:
+    """:func:`random_events` with long runways and multi-block jumps.
+
+    Deposits cover up to a few thousand blocks and half of the single-block
+    advances become jumps of up to 3,000 blocks, so jumps cross
+    activations, usurps and depletions.
+    """
+    events = []
+    for ev in random_events(rng, n):
+        if ev["op"] == "submit":
+            ev["deposit"] = ev["rent"] * rng.randint(K_DELAY, 3_000)
+        elif ev["op"] == "advance" and rng.random() < 0.5:
+            ev = {"op": "jump", "blocks": rng.choice([2, K_DELAY, 40, 400, 3_000])}
+        events.append(ev)
+    return events
+
+
+def jump(state: AuctionState, blocks: int) -> None:
+    """Advance ``blocks`` blocks: rent-only stretches in bulk, events one by one."""
+    end = state.current_block + blocks
+    while state.current_block < end:
+        event = state.next_event_block()
+        bulk = (end if event is None else min(end, event - 1)) - state.current_block
+        if bulk > 0:
+            state.advance_blocks(bulk, TOTAL_SHARES)
+        else:
+            state.advance_block(TOTAL_SHARES)
+
+
+def apply_event(state: AuctionState, ev: dict, single_step: bool = False) -> None:
+    """Apply one generated action; the rules' rejections are absorbed.
+
+    A ``jump`` advances in bulk via :func:`jump`, or block by block with
+    ``single_step``.
+    """
+    op = ev["op"]
+    try:
+        if op == "advance":
+            state.advance_block(TOTAL_SHARES)
+        elif op == "jump":
+            if single_step:
+                for _ in range(ev["blocks"]):
+                    state.advance_block(TOTAL_SHARES)
+            else:
+                jump(state, ev["blocks"])
+        elif op == "submit":
+            state.submit_bid(ev["bidder"], ev["rent"], ev["deposit"])
+        elif op == "reduce":
+            _, slot = state._find_bid(ev["bidder"])
+            state.reduce_deposit(ev["bidder"], ev["amount"])
+            # action-time coverage: an accepted reduction of the runner-up
+            # must leave the combined runway at K whenever the top cannot
+            # cover K alone (rent decay alone may sink the combined runway,
+            # which is why this binds on the action, not the state)
+            if (
+                slot == "next"
+                and state.top is not None
+                and state.next is not None
+                and state.top.runway() < K_DELAY
+            ):
+                assert state.top.runway() + state.next.runway() >= K_DELAY
+        elif op == "top_up":
+            state.top_up_deposit(ev["bidder"], ev["amount"])
+        elif op == "set_fee":
+            state.set_fee(ev["bidder"], ev["fee"])
+        elif op == "register_lp":
+            state.register_lp(ev["lp"], ev["shares"])
+        elif op == "claim":
+            state.claim_rent(ev["lp"])
+        else:  # pragma: no cover - generator bug
+            raise AssertionError(f"unknown op {op!r}")
+    except AuctionRejection:
+        pass
+
+
 def apply_events(events, collect_managers: bool = False):
     """Apply an event stream, asserting invariants after every step.
 
@@ -94,45 +170,14 @@ def apply_events(events, collect_managers: bool = False):
     state = make_state()
     manager_log = []
     for ev in events:
-        op = ev["op"]
-        try:
-            if op == "advance":
-                state.advance_block(TOTAL_SHARES)
-                if collect_managers:
-                    top = state.top
-                    manager_log.append(
-                        (state.current_block, None, None)
-                        if top is None
-                        else (state.current_block, top.bidder, top.submitted_at)
-                    )
-            elif op == "submit":
-                state.submit_bid(ev["bidder"], ev["rent"], ev["deposit"])
-            elif op == "reduce":
-                _, slot = state._find_bid(ev["bidder"])
-                state.reduce_deposit(ev["bidder"], ev["amount"])
-                # action-time coverage: an accepted reduction of the runner-up
-                # must leave the combined runway at K whenever the top cannot
-                # cover K alone (rent decay alone may sink the combined runway,
-                # which is why this binds on the action, not the state)
-                if (
-                    slot == "next"
-                    and state.top is not None
-                    and state.next is not None
-                    and state.top.runway() < K_DELAY
-                ):
-                    assert state.top.runway() + state.next.runway() >= K_DELAY
-            elif op == "top_up":
-                state.top_up_deposit(ev["bidder"], ev["amount"])
-            elif op == "set_fee":
-                state.set_fee(ev["bidder"], ev["fee"])
-            elif op == "register_lp":
-                state.register_lp(ev["lp"], ev["shares"])
-            elif op == "claim":
-                state.claim_rent(ev["lp"])
-            else:  # pragma: no cover - generator bug
-                raise AssertionError(f"unknown op {op!r}")
-        except AuctionRejection:
-            pass
+        apply_event(state, ev)
+        if collect_managers and ev["op"] == "advance":
+            top = state.top
+            manager_log.append(
+                (state.current_block, None, None)
+                if top is None
+                else (state.current_block, top.bidder, top.submitted_at)
+            )
         check_safety(state)
     return state, manager_log
 

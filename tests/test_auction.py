@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -11,7 +12,14 @@ from ammauction.auction import (
 )
 
 import auction_driver
-from auction_driver import apply_events, check_lock_in, random_events
+from auction_driver import (
+    apply_event,
+    apply_events,
+    check_lock_in,
+    check_safety,
+    random_events,
+    random_jump_events,
+)
 
 
 def make_state(k_delay=5, increment=1.10, fee_cap=0.05, default_fee=None):
@@ -303,6 +311,78 @@ class TestRandomizedInvariants:
             replay_state, replay_log = apply_events(filtered, collect_managers=True)
             assert replay_log[-1][0] == cut_block
             assert replay_log[-1][1] == baseline
+
+
+class TestBulkAdvance:
+    def test_next_event_block_cases(self):
+        state = make_state(k_delay=5)
+        assert state.next_event_block() is None  # nothing can ever happen
+        state.submit_bid("a", 10, 200)
+        assert state.next_event_block() == 5  # activation
+        for _ in range(5):
+            state.advance_block(1)
+        # 20 blocks of deposit, the first paid at activation: empty at block 24
+        assert state.next_event_block() == 24
+        state.set_fee("a", 0.01)
+        assert state.next_event_block() == 6  # the fee takes effect next block
+        state.advance_block(1)
+        state.submit_bid("b", 20, 100)
+        assert state.next_event_block() == 6 + 5  # b activates before a depletes
+
+    def test_bulk_rent_is_exact(self):
+        state = seat_manager(make_state(), rent=Fraction(1, 3), deposit=Fraction(200, 3))
+        state.register_lp("lp", 7)
+        start = state.current_block
+        state.advance_blocks(150)
+        assert state.current_block == start + 150
+        assert state.top.deposit == Fraction(200 - 1 - 150, 3)  # one block at activation
+        assert state.claim_rent("lp") == 50
+        assert state.conservation_gap() == 0
+
+    def test_random_jumps_match_single_steps(self):
+        crossed = 0
+        for seed in range(6):
+            bulk, single = auction_driver.make_state(), auction_driver.make_state()
+            for ev in random_jump_events(random.Random(seed), 400):
+                if ev["op"] == "jump":
+                    event = bulk.next_event_block()
+                    crossed += event is not None and event <= bulk.current_block + ev["blocks"]
+                apply_event(bulk, ev)
+                apply_event(single, ev, single_step=True)
+                check_safety(bulk)  # exact conservation after every jump
+                assert bulk.to_json() == single.to_json()
+                assert bulk.block_fee == single.block_fee
+        assert crossed > 50  # the jumps do run through auction events
+
+    def test_only_rent_before_the_next_event(self):
+        for seed in range(4):
+            state = auction_driver.make_state()
+            for ev in random_jump_events(random.Random(100 + seed), 200):
+                apply_event(state, ev)
+                event = state.next_event_block()
+                if event is None:
+                    continue
+                probe = copy.deepcopy(state)
+                for _ in range(min(event - 1 - state.current_block, 500)):
+                    kinds = {e.kind for e in probe.advance_block(auction_driver.TOTAL_SHARES)}
+                    assert kinds <= {"rent"}, kinds
+
+    def test_refuses_to_cross_an_event(self):
+        refused = 0
+        for seed in range(4):
+            state = auction_driver.make_state()
+            for ev in random_jump_events(random.Random(200 + seed), 200):
+                apply_event(state, ev)
+                event = state.next_event_block()
+                if event is None:
+                    continue
+                before = state.to_json()
+                for n in (event - state.current_block, event - state.current_block + 1_000):
+                    with pytest.raises(ValueError, match="reaches the auction event"):
+                        state.advance_blocks(n, auction_driver.TOTAL_SHARES)
+                    assert state.to_json() == before  # raised, did not clamp
+                    refused += 1
+        assert refused > 100
 
 
 class TestSerialization:

@@ -2,8 +2,11 @@ import csv
 import json
 import math
 import pathlib
+import sys
 
+import numpy as np
 import pytest
+import scipy
 
 from ammauction.cli import main
 
@@ -175,8 +178,17 @@ class TestSimulate:
         assert main(["simulate", str(path), "--out", str(tmp_path / "run")]) == 0
         capsys.readouterr()
         payload = json.loads((tmp_path / "run" / "report.json").read_text())
-        assert payload["manifest"]["command"] == "simulate"
-        assert payload["manifest"]["seed"] == 21
+        manifest = payload["manifest"]
+        assert sorted(manifest) == [
+            "command", "config_hash", "numpy", "outputs", "python", "scipy", "seed", "version"
+        ]
+        assert manifest["command"] == "simulate"
+        assert manifest["seed"] == 21
+        # byte identity rests on numpy's Philox and scipy's ndtri
+        assert manifest["python"] == "{}.{}.{}".format(*sys.version_info[:3])
+        assert manifest["numpy"] == np.__version__
+        assert manifest["scipy"] == scipy.__version__
+        assert read_csv(tmp_path / "run" / "blocks.csv")[0] == manifest
         assert payload["report"]["horizon_blocks"] == 500
 
     def test_seed_override_changes_stream(self, tmp_path, capsys):

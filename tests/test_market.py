@@ -210,6 +210,15 @@ class TestSampling:
         assert tau == pytest.approx([s.tau for s in scalars], rel=1e-15)
         assert z == pytest.approx([s.z for s in scalars], rel=1e-15)
 
+    def test_uneven_chunks_match_one_call(self):
+        # the simulator draws its horizon in chunks from one generator
+        n = 10_000
+        tau, z = sample_blocks(REF, n, block_rng(77))
+        rng = block_rng(77)
+        parts = [sample_blocks(REF, size, rng) for size in (1_000, 3, 4_096, n - 5_099)]
+        assert np.concatenate([p[0] for p in parts]).tobytes() == tau.tobytes()
+        assert np.concatenate([p[1] for p in parts]).tobytes() == z.tobytes()
+
     def test_tau_mean(self):
         n = 400_000
         tau, _ = sample_blocks(REF, n, block_rng(2))
