@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 Number = Union[int, float, str, Fraction]
 
@@ -437,13 +437,18 @@ class AuctionState:
             candidates.append(self.current_block + math.ceil(self.top.runway()))
         return max(soon, min(candidates)) if candidates else None
 
-    def advance_blocks(self, n: int, lp_total_shares: Number | None = None) -> None:
+    def advance_blocks(
+        self, n: int, lp_total_shares: Number | None = None
+    ) -> list[AuctionEvent]:
         """Advance ``n`` rent-only blocks in O(1), exactly.
 
         Leaves the same state as ``n`` calls of :meth:`advance_block` (same
         ``lp_total_shares`` rule) when all ``n`` blocks come before
         :meth:`next_event_block`. Raises ``ValueError`` for an ``n`` that
         would reach or cross that block, instead of stopping short.
+
+        Returns one ``rent`` event for the whole stretch, dated its last
+        block and carrying the total paid, or no event while unmanaged.
         """
         if n < 0:
             raise ValueError(f"n must be non-negative, got {n}")
@@ -454,21 +459,45 @@ class AuctionState:
                 f"reaches the auction event at block {event}"
             )
         if n == 0:
-            return
+            return []
         self.current_block += n
         self.block_fee = self.effective_fee
-        if self.top is not None:
-            shares = (
-                _to_fraction(lp_total_shares, "lp_total_shares")
-                if lp_total_shares is not None
-                else self.lp_registered_shares()
-            )
-            if shares <= 0:
-                shares = Fraction(1)
-            rent = n * self.top.rent
-            self.top.deposit -= rent
-            self.rent_distributed += rent
-            self.rent_per_share += rent if shares == 1 else rent / shares
+        if self.top is None:
+            return []
+        shares = (
+            _to_fraction(lp_total_shares, "lp_total_shares")
+            if lp_total_shares is not None
+            else self.lp_registered_shares()
+        )
+        if shares <= 0:
+            shares = Fraction(1)
+        rent = n * self.top.rent
+        self.top.deposit -= rent
+        self.rent_distributed += rent
+        self.rent_per_share += rent if shares == 1 else rent / shares
+        return [AuctionEvent(self.current_block, "rent", self.top.bidder, rent)]
+
+    def advance_to(
+        self, block: int, lp_total_shares: Number | None = None
+    ) -> Iterator[tuple[int, list[AuctionEvent]]]:
+        """Advance to ``block``, one step per rent-only stretch or event block.
+
+        Each rent-only stretch before :meth:`next_event_block` goes in one
+        :meth:`advance_blocks` step; each event block goes through
+        :meth:`advance_block`. Yields ``(blocks, events)`` after each step:
+        the step's length and its events, dated and ordered as the block
+        rules emit them (a stretch reports one ``rent`` event for its total).
+        The state advances only as the steps are consumed, so a caller may
+        act on the auction between steps, for example set a new manager's
+        fee, and the next step sees it.
+        """
+        while self.current_block < block:
+            event = self.next_event_block()
+            bulk = (block if event is None else min(block, event - 1)) - self.current_block
+            if bulk > 0:
+                yield bulk, self.advance_blocks(bulk, lp_total_shares)
+            else:
+                yield 1, self.advance_block(lp_total_shares)
 
     def _refund(self, bid: Bid) -> None:
         self.refunds += bid.deposit

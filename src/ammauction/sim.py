@@ -310,36 +310,21 @@ class _Run:
 def _advance_auction(
     auction: AuctionState, n: int, policy_fee: float, counts: Counter
 ) -> list[_Run]:
-    """Advance the auction ``n`` blocks and describe them as runs.
-
-    Rent-only stretches go in one :meth:`AuctionState.advance_blocks` step;
-    only event blocks are single-stepped. A new manager sets the policy fee,
-    which takes effect from the next block.
-    """
+    """Advance the auction ``n`` blocks and describe them as runs, one per
+    :meth:`AuctionState.advance_to` step. A new manager sets the policy fee,
+    which takes effect from the next block."""
     runs = []
-    end = auction.current_block + n
-    while auction.current_block < end:
-        event = auction.next_event_block()
-        bulk = (end if event is None else min(end, event - 1)) - auction.current_block
-        if bulk > 0:
-            top = auction.top
-            auction.advance_blocks(bulk, _ONE_SHARE)
-            if top is None:
-                runs.append(_Run(bulk, auction.block_fee, 0.0, None))
-            else:
-                runs.append(_Run(bulk, auction.block_fee, float(top.rent), top.bidder))
-            continue
+    for blocks, events in auction.advance_to(auction.current_block + n, _ONE_SHARE):
         rent, payer = 0.0, None
-        for ev in auction.advance_block(_ONE_SHARE):
+        for ev in events:
             if ev.kind == "usurped":
                 counts["usurps"] += 1
                 auction.set_fee(ev.bidder, policy_fee)
             elif ev.kind == "depleted":
                 counts["depletions"] += 1
             elif ev.kind == "rent":
-                rent += float(ev.amount)
-                payer = ev.bidder
-        runs.append(_Run(1, auction.block_fee, rent, payer))
+                rent, payer = float(ev.amount / blocks), ev.bidder
+        runs.append(_Run(blocks, auction.block_fee, rent, payer))
     return runs
 
 
@@ -684,22 +669,18 @@ def _trace_row(**kw) -> dict:
     return row
 
 
-def replay_auction(scenario_path: str) -> ReplayTrace:
-    """Replay a line-delimited JSON auction scenario into an event trace.
-
-    The first line configures the auction (``k_delay``, ``fee_cap``,
-    optionally ``min_increment_factor``, ``default_fee``,
-    ``lp_total_shares``). Every following line is an action at a block height:
-    invalid actions are recorded in the trace with their rejection code
-    rather than aborting the replay; malformed lines raise
-    :class:`ReplayParseError` with the line number.
-    """
+def _parse_scenario(
+    scenario_path: str,
+) -> tuple[AuctionParams, Fraction | None, list[tuple[int, dict]]]:
+    """The auction params, the ``lp_total_shares`` override and the
+    ``(line number, action)`` pairs of a scenario file, all validated."""
     with open(scenario_path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
 
     header = None
     header_no = 0
-    events: list[tuple[int, dict]] = []
+    actions: list[tuple[int, dict]] = []
+    block = 0
     for no, text in enumerate(lines, start=1):
         if not text.strip():
             continue
@@ -717,9 +698,12 @@ def replay_auction(scenario_path: str) -> ReplayTrace:
             continue
         if "action" not in obj or obj["action"] not in _REPLAY_ACTIONS:
             raise ReplayParseError(no, f"unknown action {obj.get('action')!r}")
-        if "block" not in obj or not isinstance(obj["block"], int):
+        if not isinstance(obj.get("block"), int) or isinstance(obj["block"], bool):
             raise ReplayParseError(no, "missing integer 'block'")
-        events.append((no, obj))
+        if obj["block"] < block:
+            raise ReplayParseError(no, f"block {obj['block']} precedes current block {block}")
+        block = obj["block"]
+        actions.append((no, obj))
 
     if header is None:
         raise ReplayParseError(1, "empty scenario: missing header line")
@@ -733,77 +717,97 @@ def replay_auction(scenario_path: str) -> ReplayTrace:
     except (TypeError, ValueError) as exc:
         raise ReplayParseError(header_no, f"bad auction params: {exc}")
     shares = header.get("lp_total_shares")
+    if shares is not None:
+        try:
+            shares = _to_fraction(shares, "lp_total_shares")
+        except AuctionRejection as exc:
+            raise ReplayParseError(header_no, str(exc))
+    return params, shares, actions
 
+
+def _require(obj: dict, line_no: int, *keys: str) -> list:
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise ReplayParseError(line_no, f"action {obj['action']!r} needs {missing}")
+    return [obj[k] for k in keys]
+
+
+def _apply_action(auction: AuctionState, line_no: int, obj: dict) -> dict:
+    """Apply one scenario action at the current block; its trace row."""
+    action = obj["action"]
+    status, detail = "ok", ""
+    try:
+        if action == "submit_bid":
+            bidder, rent, deposit = _require(obj, line_no, "bidder", "rent", "deposit")
+            auction.submit_bid(bidder, rent, deposit)
+        elif action == "reduce_deposit":
+            bidder, amount = _require(obj, line_no, "bidder", "amount")
+            auction.reduce_deposit(bidder, amount)
+        elif action == "top_up":
+            bidder, amount = _require(obj, line_no, "bidder", "amount")
+            auction.top_up_deposit(bidder, amount)
+        elif action == "set_fee":
+            bidder, fee = _require(obj, line_no, "bidder", "fee")
+            auction.set_fee(bidder, fee)
+        elif action == "register_lp":
+            lp, lp_shares = _require(obj, line_no, "lp", "shares")
+            auction.register_lp(lp, lp_shares)
+        elif action == "claim_rent":
+            (lp,) = _require(obj, line_no, "lp")
+            detail = str(auction.claim_rent(lp))
+        # "advance" has no payload: the clock already stands at its block
+    except AuctionRejection as exc:
+        status, detail = f"rejected:{exc.code}", str(exc)
+    return _trace_row(
+        line=line_no,
+        block=obj["block"],
+        origin="scenario",
+        action=action,
+        bidder=obj.get("bidder", obj.get("lp")),
+        rent=obj.get("rent"),
+        deposit=obj.get("deposit"),
+        fee=obj.get("fee"),
+        amount=obj.get("amount"),
+        shares=obj.get("shares"),
+        status=status,
+        detail=detail,
+    )
+
+
+def replay_auction(scenario_path: str) -> ReplayTrace:
+    """Replay a line-delimited JSON auction scenario into an event trace.
+
+    The first line configures the auction (``k_delay``, ``fee_cap``,
+    optionally ``min_increment_factor``, ``default_fee``,
+    ``lp_total_shares``). Every following line is an action at a block height:
+    invalid actions are recorded in the trace with their rejection code
+    rather than aborting the replay; malformed lines raise
+    :class:`ReplayParseError` with the line number.
+
+    The clock jumps to each action's block through
+    :meth:`AuctionState.advance_to`, so the cost grows with the number of
+    auction events, not with block heights. Each rent-only stretch leaves one
+    ``rent`` row: its last block, payer and total, its span in ``detail`` as
+    ``first-last``; an event block's rent row spans that one block.
+    """
+    params, shares, actions = _parse_scenario(scenario_path)
     auction = AuctionState(params)
     rows: list[dict] = []
-
-    def advance_to(block: int, line_no: int) -> None:
-        if block < auction.current_block:
-            raise ReplayParseError(
-                line_no, f"block {block} precedes current block {auction.current_block}"
-            )
-        while auction.current_block < block:
-            for ev in auction.advance_block(shares):
-                rows.append(
-                    _trace_row(
-                        line=line_no,
-                        block=ev.block,
-                        origin="auction",
-                        action=ev.kind,
-                        bidder=ev.bidder,
-                        amount=None if ev.amount is None else str(ev.amount),
-                        detail=ev.reason,
-                        status="event",
-                    )
+    for line_no, obj in actions:
+        for blocks, events in auction.advance_to(obj["block"], shares):
+            first = auction.current_block - blocks + 1
+            rows.extend(
+                _trace_row(
+                    line=line_no,
+                    block=ev.block,
+                    origin="auction",
+                    action=ev.kind,
+                    bidder=ev.bidder,
+                    amount=None if ev.amount is None else str(ev.amount),
+                    detail=f"{first}-{ev.block}" if ev.kind == "rent" else ev.reason,
+                    status="event",
                 )
-
-    def require(obj: dict, line_no: int, *keys: str) -> list:
-        missing = [k for k in keys if k not in obj]
-        if missing:
-            raise ReplayParseError(line_no, f"action {obj['action']!r} needs {missing}")
-        return [obj[k] for k in keys]
-
-    for line_no, obj in events:
-        advance_to(obj["block"], line_no)
-        action = obj["action"]
-        status, detail = "ok", ""
-        try:
-            if action == "submit_bid":
-                bidder, rent, deposit = require(obj, line_no, "bidder", "rent", "deposit")
-                auction.submit_bid(bidder, rent, deposit)
-            elif action == "reduce_deposit":
-                bidder, amount = require(obj, line_no, "bidder", "amount")
-                auction.reduce_deposit(bidder, amount)
-            elif action == "top_up":
-                bidder, amount = require(obj, line_no, "bidder", "amount")
-                auction.top_up_deposit(bidder, amount)
-            elif action == "set_fee":
-                bidder, fee = require(obj, line_no, "bidder", "fee")
-                auction.set_fee(bidder, fee)
-            elif action == "register_lp":
-                lp, lp_shares = require(obj, line_no, "lp", "shares")
-                auction.register_lp(lp, lp_shares)
-            elif action == "claim_rent":
-                (lp,) = require(obj, line_no, "lp")
-                detail = str(auction.claim_rent(lp))
-            # "advance" has no payload: advance_to already ran
-        except AuctionRejection as exc:
-            status, detail = f"rejected:{exc.code}", str(exc)
-        rows.append(
-            _trace_row(
-                line=line_no,
-                block=obj["block"],
-                origin="scenario",
-                action=action,
-                bidder=obj.get("bidder", obj.get("lp")),
-                rent=obj.get("rent"),
-                deposit=obj.get("deposit"),
-                fee=obj.get("fee"),
-                amount=obj.get("amount"),
-                shares=obj.get("shares"),
-                status=status,
-                detail=detail,
+                for ev in events
             )
-        )
-
+        rows.append(_apply_action(auction, line_no, obj))
     return ReplayTrace(rows=tuple(rows), final_state_json=auction.to_json())

@@ -104,14 +104,8 @@ def random_jump_events(rng: random.Random, n: int) -> list[dict]:
 
 def jump(state: AuctionState, blocks: int) -> None:
     """Advance ``blocks`` blocks: rent-only stretches in bulk, events one by one."""
-    end = state.current_block + blocks
-    while state.current_block < end:
-        event = state.next_event_block()
-        bulk = (end if event is None else min(end, event - 1)) - state.current_block
-        if bulk > 0:
-            state.advance_blocks(bulk, TOTAL_SHARES)
-        else:
-            state.advance_block(TOTAL_SHARES)
+    for _ in state.advance_to(state.current_block + blocks, TOTAL_SHARES):
+        pass
 
 
 def apply_event(state: AuctionState, ev: dict, single_step: bool = False) -> None:

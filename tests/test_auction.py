@@ -339,6 +339,22 @@ class TestBulkAdvance:
         assert state.claim_rent("lp") == 50
         assert state.conservation_gap() == 0
 
+    def test_advance_to_steps_over_stretches_and_events(self):
+        state = make_state(k_delay=5)
+        state.submit_bid("a", 10, 200)
+        steps = [
+            (blocks, [(e.block, e.kind, e.amount) for e in events])
+            for blocks, events in state.advance_to(30, 1)
+        ]
+        assert steps == [
+            (4, []),  # unmanaged until the activation
+            (1, [(5, "activated", 200), (5, "usurped", None), (5, "rent", 10)]),
+            (18, [(23, "rent", 180)]),  # blocks 6-23 in one step
+            (1, [(24, "rent", 10), (24, "depleted", None)]),
+            (6, []),
+        ]
+        assert state.current_block == 30 and state.rent_distributed == 200
+
     def test_random_jumps_match_single_steps(self):
         crossed = 0
         for seed in range(6):

@@ -257,3 +257,42 @@ class TestReplay:
         )
         with pytest.raises(ReplayParseError, match="precedes"):
             replay_auction(str(path))
+
+    def test_boolean_block_rejected(self, tmp_path):
+        path = tmp_path / "bool.jsonl"
+        path.write_text(
+            '{"k_delay": 2, "fee_cap": 0.05}\n'
+            '{"block": true, "action": "advance"}\n'
+        )
+        with pytest.raises(ReplayParseError, match="line 2: missing integer 'block'"):
+            replay_auction(str(path))
+
+    @pytest.mark.parametrize("shares", ['"x"', "true", "[1]"])
+    def test_lp_total_shares_checked_in_header(self, tmp_path, shares):
+        # no bid ever pays rent here, so the value would never be read
+        path = tmp_path / "shares.jsonl"
+        path.write_text(
+            "\n"
+            f'{{"k_delay": 2, "fee_cap": 0.05, "lp_total_shares": {shares}}}\n'
+            '{"block": 3, "action": "advance"}\n'
+        )
+        with pytest.raises(ReplayParseError, match="line 2: .*lp_total_shares"):
+            replay_auction(str(path))
+
+    def test_rent_rows_state_their_span(self):
+        # alice is seated at 4 and pays through 12; the actions at 10 and 11
+        # end stretches; bob outbids her at 13 and pays to the end at 16
+        trace = replay_auction(str(DATA / "k_delay.jsonl"))
+        rent = [
+            (r["line"], r["block"], r["bidder"], r["amount"], r["detail"])
+            for r in trace.rows
+            if r["action"] == "rent"
+        ]
+        assert rent == [
+            (3, 4, "alice", "10", "4-4"),
+            (3, 10, "alice", "60", "5-10"),
+            (4, 11, "alice", "10", "11-11"),
+            (5, 12, "alice", "10", "12-12"),
+            (5, 13, "bob", "20", "13-13"),
+            (5, 16, "bob", "60", "14-16"),
+        ]
