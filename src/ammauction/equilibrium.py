@@ -5,14 +5,19 @@ liquidity solves ``G(L) = f*H0(f,L) - ap0(f) - r = 0``; for the
 auction-managed pool, substituting the manager's zero-profit rent into the
 LP condition gives ``G_am(L) = max_f {f*H0(f,L) - ae0(f)} - r = 0``. Both
 maps are continuous and strictly decreasing in ``L`` (demand per unit value
-falls in ``L``), diverge as ``L -> 0`` and go negative as ``L -> infinity``,
-so a sign-change bracket plus bisection (geometric, since L spans decades)
-pins the unique root.
+falls in ``L``), diverge as ``L -> 0`` and go negative as ``L -> infinity``.
 
-The inner fee maximization is a dense-grid scan refined by golden-section
-search; the objective is not guaranteed concave, and ties break toward the
-smaller fee. All rates are per unit time at a reference price (default 1);
-price enters only through the pool value ``V(L) = 2 sqrt(P) L``.
+The fixed-fee ``G`` is a power law in ``L`` with a closed-form root,
+evaluated for one fee or a whole fee grid at once. ``G_am`` has a fee
+maximization inside, so its root is pinned by a sign-change bracket plus
+bisection (geometric, since L spans decades).
+
+The inner fee maximization is a dense-grid scan, one evaluation of the
+objective on the fee array (the :mod:`market` rates take arrays), refined
+by golden-section search on floats; the objective is not guaranteed
+concave, and ties break toward the smaller fee. All rates are per unit time
+at a reference price (default 1); price enters only through the pool value
+``V(L) = 2 sqrt(P) L``.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 
 from . import market
 from .market import MarketParams
-from .pool import pool_value
+from .pool import array_module, pool_value
 
 __all__ = [
     "SolverConfig",
@@ -101,14 +106,6 @@ class AMEquilibrium:
     mgr_residual: float
 
 
-def _rates_on_grid(fees: np.ndarray, params: MarketParams) -> tuple[np.ndarray, np.ndarray]:
-    # Vectorized ap0/ae0; must mirror market.ap0 / market.ae0 exactly.
-    denom = 1.0 - params.sigma**2 * params.delta_t / 8.0
-    k = fees / (params.sigma * math.sqrt(params.delta_t / 2.0))
-    base = params.sigma**2 / 8.0 * np.cosh(0.5 * fees) / denom
-    return base / (1.0 + k), base * np.exp(-k)
-
-
 def _h0_factor(liquidity: float, params: MarketParams, price: float) -> float:
     # H0(f, L) = _h0_factor * e^{-c1 f}
     return params.c0 * liquidity ** (params.alpha - 1.0) / (2.0 * math.sqrt(price))
@@ -155,22 +152,21 @@ def _golden_max(fn, a: float, b: float, tol: float = 1e-13) -> tuple[float, floa
     return (c, yc) if yc >= yd else (d, yd)
 
 
-def _max_over_fees(objective_grid, objective_scalar, params: MarketParams,
-                   cfg: SolverConfig) -> tuple[float, float]:
+def _max_over_fees(objective, params: MarketParams, cfg: SolverConfig) -> tuple[float, float]:
     """Maximize a fee objective on [0, f_max]: dense grid, then refinement.
 
-    ``objective_grid`` maps a fee array to values; ``objective_scalar`` a
-    single fee. Returns (argmax fee, max value); ties go to the smaller fee.
+    ``objective`` maps a fee array to values and a float fee to a float.
+    Returns (argmax fee, max value); ties go to the smaller fee.
     """
     if params.f_max == 0.0:
-        return 0.0, objective_scalar(0.0)
+        return 0.0, objective(0.0)
     fees = np.linspace(0.0, params.f_max, cfg.fee_grid)
-    vals = objective_grid(fees)
+    vals = objective(fees)
     i = int(np.argmax(vals))  # first occurrence: smallest fee on ties
     best_f, best_v = float(fees[i]), float(vals[i])
     lo = float(fees[max(i - 1, 0)])
     hi = float(fees[min(i + 1, len(fees) - 1)])
-    f_ref, v_ref = _golden_max(objective_scalar, lo, hi)
+    f_ref, v_ref = _golden_max(objective, lo, hi)
     if v_ref > best_v or (v_ref == best_v and f_ref < best_f):
         best_f, best_v = f_ref, v_ref
     return best_f, best_v
@@ -218,19 +214,38 @@ def _bracket_and_bisect(g, cfg: SolverConfig, what: str) -> tuple[float, float]:
     return root, abs(g(root))
 
 
-def solve_ff_liquidity(
-    fee: float,
-    params: MarketParams,
-    solver: SolverConfig | None = None,
-    price: float = 1.0,
-) -> FFEquilibrium:
+def _ff_liquidity(fee, params: MarketParams, price: float):
+    """The closed-form root of :func:`solve_ff_liquidity` and ``|G(root)|``
+    at positive fees, a float or an array; raises :class:`BracketError`
+    where a root is not positive and finite."""
+    revenue = fee * params.c0 * array_module(fee).exp(-params.c1 * fee) / (2.0 * math.sqrt(price))
+    target = market.ap0(fee, params) + params.r
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        try:
+            root = (revenue / target) ** (1.0 / (1.0 - params.alpha))
+        except (ZeroDivisionError, OverflowError):  # floats raise where arrays give inf
+            root = math.inf
+        bad = np.logical_not(np.isfinite(root) & (root > 0.0))
+        if np.any(bad):
+            raise BracketError(
+                f"ff equilibrium at fee {np.extract(bad, fee)[0]:g}: no positive finite "
+                "root; the fee revenue vanishes, or so does ap0 + r (no price motion "
+                "and no capital charge)"
+            )
+        return root, abs(revenue * root ** (params.alpha - 1.0) - target)
+
+
+def solve_ff_liquidity(fee: float, params: MarketParams, price: float = 1.0) -> FFEquilibrium:
     """Zero-profit liquidity of a fixed-fee pool at the given fee.
 
-    Bisects ``G(L) = f*H0(f,L) - ap0(f) - r``; uniqueness is backed by a
-    strict-monotonicity spot check around the root. At fee zero there is no
-    revenue and the boundary equilibrium ``L = 0`` is reported instead.
+    ``G(L) = f*H0(f,L) - ap0(f) - r`` is a strictly decreasing power law in
+    L, so the root is the closed form
+    ``L = (f c0 e^{-c1 f} / (2 sqrt(P) (ap0(f) + r)))^{1/(1-alpha)}`` and
+    ``residual`` is ``|G(L)|``. At fee zero there is no revenue and the
+    boundary equilibrium ``L = 0`` is reported instead. Raises
+    :class:`BracketError` when the revenue underflows to zero or
+    ``ap0(f) + r`` is zero (no price motion and no capital charge).
     """
-    cfg = solver or SolverConfig()
     if fee < 0.0:
         raise ValueError(f"fee must be non-negative, got {fee}")
     if fee == 0.0:
@@ -240,18 +255,7 @@ def solve_ff_liquidity(
             residual=market.ap0(0.0, params) + params.r,
             boundary=True,
         )
-    target = market.ap0(fee, params) + params.r
-    revenue = fee * params.c0 * math.exp(-params.c1 * fee) / (2.0 * math.sqrt(price))
-
-    def g(L: float) -> float:
-        return revenue * L ** (params.alpha - 1.0) - target
-
-    root, residual = _bracket_and_bisect(g, cfg, f"ff equilibrium at fee {fee:g}")
-    probes = [g(root * s) for s in (0.1, 0.5, 1.0, 2.0, 10.0)]
-    if not all(a > b for a, b in zip(probes, probes[1:])):
-        raise BracketError(
-            f"ff equilibrium at fee {fee:g}: G is not strictly decreasing near the root"
-        )
+    root, residual = _ff_liquidity(fee, params, price)
     return FFEquilibrium(fee=fee, liquidity=root, residual=residual)
 
 
@@ -262,14 +266,10 @@ def _best_manager_fee(
     constant fee-free arb income."""
     h0 = _h0_factor(liquidity, params, price)
 
-    def grid(fees: np.ndarray) -> np.ndarray:
-        _, ae = _rates_on_grid(fees, params)
-        return fees * h0 * np.exp(-params.c1 * fees) - ae
+    def objective(fee):
+        return fee * h0 * array_module(fee).exp(-params.c1 * fee) - market.ae0(fee, params)
 
-    def scalar(fee: float) -> float:
-        return fee * h0 * math.exp(-params.c1 * fee) - market.ae0(fee, params)
-
-    return _max_over_fees(grid, scalar, params, cfg)
+    return _max_over_fees(objective, params, cfg)
 
 
 def manager_optimal_fee(
@@ -324,13 +324,10 @@ def revenue_optimal_fee(
     cfg = solver or SolverConfig()
     h0 = _h0_factor(liquidity, params, price)
 
-    def grid(fees: np.ndarray) -> np.ndarray:
-        return fees * h0 * np.exp(-params.c1 * fees)
+    def objective(fee):
+        return fee * h0 * array_module(fee).exp(-params.c1 * fee)
 
-    def scalar(fee: float) -> float:
-        return fee * h0 * math.exp(-params.c1 * fee)
-
-    fee, _ = _max_over_fees(grid, scalar, params, cfg)
+    fee, _ = _max_over_fees(objective, params, cfg)
     return fee
 
 
@@ -339,14 +336,12 @@ def _max_ff_liquidity(
 ) -> tuple[float, float]:
     """Maximize L_ff(f) over (0, f_max]: the best the fixed-fee design can do."""
     fees = np.linspace(params.f_max / cfg.fee_grid, params.f_max, cfg.fee_grid)
-    liqs = [solve_ff_liquidity(float(f), params, cfg, price).liquidity for f in fees]
+    liqs, _ = _ff_liquidity(fees, params, price)
     i = int(np.argmax(liqs))
     best_f, best_l = float(fees[i]), float(liqs[i])
     lo = float(fees[max(i - 1, 0)])
     hi = float(fees[min(i + 1, len(fees) - 1)])
-    f_ref, l_ref = _golden_max(
-        lambda f: solve_ff_liquidity(f, params, cfg, price).liquidity, lo, hi, tol=1e-12
-    )
+    f_ref, l_ref = _golden_max(lambda f: _ff_liquidity(f, params, price)[0], lo, hi, tol=1e-12)
     if l_ref > best_l:
         best_f, best_l = f_ref, l_ref
     return best_f, best_l
@@ -455,7 +450,7 @@ def dominance_report(
     fees = np.linspace(0.0, params.f_max, n_grid)
     rows = []
     for f in map(float, fees):
-        eq = solve_ff_liquidity(f, params, cfg, price)
+        eq = solve_ff_liquidity(f, params, price)
         margin = (market.ap0(f, params) - market.ae0(f, params)) * v_max
         rows.append(
             DominanceRow(

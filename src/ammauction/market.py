@@ -12,6 +12,9 @@ uniforms per block in order, so results are reproducible for a given seed
 and a horizon drawn in chunks of any sizes from one generator is bit for bit
 the horizon drawn in one call.
 
+:func:`kappa`, :func:`ap0`, :func:`ae0` and :func:`excess_ratio` take a fee
+that is a float or an ndarray (see :func:`pool.array_module`).
+
 Units: time is measured in days, ``sigma`` per sqrt(day), ``r`` per day. Only
 the dimensionless combinations ``sigma^2 * delta_t`` and
 ``f / (sigma * sqrt(delta_t))`` enter the formulas. The closed forms require
@@ -27,11 +30,10 @@ from typing import Literal
 import numpy as np
 from scipy.special import ndtri
 
-from .pool import pool_value
+from .pool import array_module, excess_fraction, pool_value, where
 
 __all__ = [
     "MarketParams",
-    "MispricingSample",
     "MCRates",
     "ap0",
     "ae0",
@@ -41,7 +43,6 @@ __all__ = [
     "noise_volume_per_value",
     "conditional_excess",
     "block_rng",
-    "sample_block",
     "sample_blocks",
     "mc_rates",
 ]
@@ -87,14 +88,6 @@ class MarketParams:
 
 
 @dataclass(frozen=True)
-class MispricingSample:
-    """One block draw: interblock time and accumulated log-mispricing."""
-
-    tau: float
-    z: float
-
-
-@dataclass(frozen=True)
 class MCRates:
     """Monte-Carlo rate estimates with standard errors, per unit value per day."""
 
@@ -106,8 +99,12 @@ class MCRates:
     ae0_se: float
 
 
-def _check_fee(fee: float) -> None:
-    if not (fee >= 0.0 and math.isfinite(fee)):
+def _check_fee(fee) -> None:
+    if isinstance(fee, np.ndarray):
+        ok = bool(np.all((fee >= 0.0) & np.isfinite(fee)))
+    else:
+        ok = fee >= 0.0 and math.isfinite(fee)
+    if not ok:
         raise ValueError(f"fee must be non-negative, got {fee}")
 
 
@@ -118,15 +115,15 @@ def _denominator(params: MarketParams) -> float:
     return denom
 
 
-def kappa(fee: float, params: MarketParams) -> float:
+def kappa(fee, params: MarketParams):
     """Dimensionless fee scale ``f / (sigma * sqrt(delta_t / 2))``."""
     scale = params.sigma * math.sqrt(params.delta_t / 2.0)
     if scale == 0.0:
-        return math.inf if fee > 0.0 else 0.0
+        return where(fee > 0.0, math.inf, 0.0)
     return fee / scale
 
 
-def ap0(fee: float, params: MarketParams) -> float:
+def ap0(fee, params: MarketParams):
     """Arbitrage-profit rate per unit pool value per unit time at a fixed fee.
 
     sigma^2/8 (the continuous-time rebalancing-loss rate) times the
@@ -136,18 +133,18 @@ def ap0(fee: float, params: MarketParams) -> float:
     """
     _check_fee(fee)
     if params.sigma == 0.0:
-        return 0.0  # no price motion, no arbitrage
+        return 0.0 * fee  # no price motion, no arbitrage
     k = kappa(fee, params)
     return (
         params.sigma**2
         / 8.0
         * (1.0 / (1.0 + k))
-        * math.cosh(0.5 * fee)
+        * array_module(fee).cosh(0.5 * fee)
         / _denominator(params)
     )
 
 
-def ae0(fee: float, params: MarketParams) -> float:
+def ae0(fee, params: MarketParams):
     """Arbitrage profit forgone to outsiders, per unit pool value per unit time.
 
     Same conditional profit factor as :func:`ap0` but with escape probability
@@ -157,20 +154,19 @@ def ae0(fee: float, params: MarketParams) -> float:
     """
     _check_fee(fee)
     if params.sigma == 0.0:
-        return 0.0
+        return 0.0 * fee
     k = kappa(fee, params)
-    return (
-        params.sigma**2 / 8.0 * math.exp(-k) * math.cosh(0.5 * fee) / _denominator(params)
-    )
+    xp = array_module(fee)
+    return params.sigma**2 / 8.0 * xp.exp(-k) * xp.cosh(0.5 * fee) / _denominator(params)
 
 
-def excess_ratio(fee: float, params: MarketParams) -> float:
+def excess_ratio(fee, params: MarketParams):
     """``ae0 / ap0 = (1 + kappa) * e^{-kappa}``, exponentially vanishing in kappa."""
     _check_fee(fee)
     k = kappa(fee, params)
-    if math.isinf(k):
-        return 0.0
-    return (1.0 + k) * math.exp(-k)
+    xp = array_module(fee)
+    with np.errstate(invalid="ignore"):  # inf * 0 where kappa is infinite
+        return where(xp.isinf(k), 0.0, (1.0 + k) * xp.exp(-k))
 
 
 def noise_volume(fee: float, liquidity: float, params: MarketParams) -> float:
@@ -237,24 +233,13 @@ def block_rng(seed: int) -> np.random.Generator:
 _U_FLOOR = np.finfo(float).tiny
 
 
-def sample_block(params: MarketParams, rng: np.random.Generator) -> MispricingSample:
-    """Draw one block: tau ~ Exp(mean delta_t), z ~ N(0, sigma^2 tau).
-
-    Consumes exactly two uniforms via inverse CDF, so the stream position
-    determines the draw regardless of how batches are sliced.
-    """
-    u = np.maximum(rng.random(2), _U_FLOOR)
-    tau = -params.delta_t * math.log1p(-u[0])
-    z = float(ndtri(u[1])) * params.sigma * math.sqrt(tau)
-    return MispricingSample(tau=tau, z=z)
-
-
 def sample_blocks(
     params: MarketParams, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`sample_block`: returns ``(tau, z)`` arrays of length n.
+    """Draw n blocks as ``(tau, z)`` arrays: tau ~ Exp(mean delta_t), z ~ N(0, sigma^2 tau).
 
-    Row-major uniform consumption matches n sequential scalar draws.
+    Each block consumes exactly two uniforms via inverse CDF, in order, so the
+    stream position determines the draw regardless of how batches are sliced.
     """
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
@@ -262,17 +247,6 @@ def sample_blocks(
     tau = -params.delta_t * np.log1p(-u[:, 0])
     z = ndtri(u[:, 1]) * params.sigma * np.sqrt(tau)
     return tau, z
-
-
-def _excess_fraction_vec(z: np.ndarray, fee: float) -> np.ndarray:
-    # Vectorized pool.excess_fraction: profit per unit value outside the band.
-    gap = np.abs(z) - fee
-    active = gap > 0.0
-    out = np.zeros_like(z)
-    if np.any(active):
-        scale = np.exp(np.sign(z[active]) * 0.5 * fee)
-        out[active] = scale * 2.0 * np.sinh(0.25 * gap[active]) ** 2
-    return out
 
 
 def mc_rates(
@@ -306,7 +280,7 @@ def mc_rates(
 
     # Excess: i.i.d. per-block draws.
     _, z = sample_blocks(params, n_samples, rng)
-    vals = _excess_fraction_vec(z, fee)
+    vals = excess_fraction(z, fee)
     ae0_hat = float(vals.mean()) / dt
     ae0_se = float(vals.std(ddof=1)) / math.sqrt(n_samples) / dt
 
@@ -319,11 +293,9 @@ def mc_rates(
     z_state = np.zeros(chains)
     totals = np.zeros(chains)
     for i in range(warmup + steps):
-        u = np.maximum(rng.random((chains, 2)), _U_FLOOR)
-        tau = -dt * np.log1p(-u[:, 0])
-        eps = ndtri(u[:, 1]) * params.sigma * np.sqrt(tau)
+        _, eps = sample_blocks(params, chains, rng)
         if i >= warmup:
-            totals += _excess_fraction_vec(z_state, fee)
+            totals += excess_fraction(z_state, fee)
         z_state = np.clip(z_state, -fee, fee) + eps
     means = totals / steps / dt
     ap0_hat = float(means.mean())

@@ -24,9 +24,25 @@ import math
 from dataclasses import dataclass
 from typing import Literal, Optional
 
+import numpy as np
+
 Side = Literal["buy_x", "sell_x"]
 
 _LIQ_RTOL = 1e-12
+
+
+def array_module(x):
+    """``numpy`` for an ndarray, else ``math``: a formula written once against it
+    runs element-wise on an array, and on a float in its written order with
+    the C library, returning a built-in float."""
+    return np if isinstance(x, np.ndarray) else math
+
+
+def where(cond, a, b):
+    """``a if cond else b``, element-wise when ``cond`` is an array."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
 
 
 @dataclass(frozen=True)
@@ -205,24 +221,23 @@ def arb_profit(pool_before: PoolState, trade: TradeResult, true_price: float) ->
     return true_price * dx + dy - trade.fee_paid
 
 
-def _band_gap_value(gap: float) -> float:
-    # e^{gap/2} - 2 + e^{-gap/2}, written to avoid cancellation near gap = 0
-    return 4.0 * math.sinh(0.25 * gap) ** 2
-
-
-def excess_fraction(z: float, fee: float) -> float:
+def excess_fraction(z, fee: float):
     """Outside-arbitrageur profit per unit pool value at mispricing ``z``.
 
     Zero inside the band ``|z| <= fee``; otherwise the profit from trading
-    the pool to the band edge, with the numeraire leg fee-grossed.
+    the pool to the band edge, with the numeraire leg fee-grossed:
+    ``e^{sign(z) f/2} (e^{g/2} - 2 + e^{-g/2}) / 2`` with ``g = |z| - f``, in
+    ``sinh`` form against cancellation. ``z`` is a float or an array.
     """
     if fee < 0.0:
         raise ValueError(f"fee must be non-negative, got {fee}")
-    if z > fee:
-        return 0.5 * math.exp(0.5 * fee) * _band_gap_value(z - fee)
-    if z < -fee:
-        return 0.5 * math.exp(-0.5 * fee) * _band_gap_value(z + fee)
-    return 0.0
+    xp = array_module(z)
+    gap = abs(z) - fee
+    outside = gap > 0.0
+    # inside the band both factors' arguments are 0: e^0 * 2 sinh(0)^2 = 0
+    half_fee = where(outside, xp.copysign(0.5 * fee, z), 0.0)
+    gap = where(outside, gap, 0.0)
+    return xp.exp(half_fee) * 2.0 * xp.sinh(0.25 * gap) ** 2
 
 
 def correction_fraction(z: float) -> float:

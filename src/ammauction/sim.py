@@ -707,14 +707,26 @@ def _parse_scenario(
 
     if header is None:
         raise ReplayParseError(1, "empty scenario: missing header line")
+
+    def number(key: str, default=None, integer: bool = False):
+        value = header.get(key, default)  # JSON true/false arrive as bool, an int
+        bad = isinstance(value, bool) or not isinstance(value, int if integer else (int, float))
+        if bad or isinstance(value, float) and not math.isfinite(value):
+            what = "an integer" if integer else "a finite number"
+            raise ReplayParseError(header_no, f"{key} must be {what}, got {value!r}")
+        return value
+
+    k_delay, fee_cap = number("k_delay", integer=True), number("fee_cap")
+    increment = number("min_increment_factor", 1.10)
+    default_fee = None if header.get("default_fee") is None else number("default_fee")
     try:
         params = AuctionParams(
-            k_delay=int(header["k_delay"]),
-            fee_cap=float(header["fee_cap"]),
-            min_increment_factor=float(header.get("min_increment_factor", 1.10)),
-            default_fee=header.get("default_fee"),
+            k_delay=k_delay,
+            fee_cap=float(fee_cap),
+            min_increment_factor=float(increment),
+            default_fee=default_fee,
         )
-    except (TypeError, ValueError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise ReplayParseError(header_no, f"bad auction params: {exc}")
     shares = header.get("lp_total_shares")
     if shares is not None:
@@ -722,6 +734,8 @@ def _parse_scenario(
             shares = _to_fraction(shares, "lp_total_shares")
         except AuctionRejection as exc:
             raise ReplayParseError(header_no, str(exc))
+        if shares <= 0:
+            raise ReplayParseError(header_no, f"lp_total_shares must be positive, got {shares}")
     return params, shares, actions
 
 

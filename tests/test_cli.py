@@ -1,7 +1,9 @@
 import csv
 import json
 import math
+import os
 import pathlib
+import subprocess
 import sys
 
 import numpy as np
@@ -242,3 +244,18 @@ class TestParser:
             main(["--version"])
         assert exc.value.code == 0
         assert "ammauction" in capsys.readouterr().out
+
+
+class TestTracerHooks:
+    def test_benchmark_tracer_finds_every_wrapped_name(self):
+        # ammbench/spans.py rebinds package functions by name; a refactor that
+        # drops one of those module attributes must fail here
+        root = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root)])
+        code = "import ammbench.spans as s, ammauction.cli as c; s.install(s.Tracer(), c)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], cwd=root, env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr

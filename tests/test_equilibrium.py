@@ -7,7 +7,6 @@ from ammauction import market
 from ammauction.equilibrium import (
     BracketError,
     SolverConfig,
-    _rates_on_grid,
     dominance_report,
     lp_pnl_am,
     lp_pnl_ff,
@@ -23,23 +22,39 @@ from ammauction.pool import pool_value
 from conftest import REF
 
 
+# the acceptance suite's parameter sets: sigma x delta_t
+ACCEPTANCE_SETS = [
+    MarketParams(sigma=sigma, delta_t=delta_t, r=1e-4, f_max=0.05)
+    for sigma in (0.02, 0.05)
+    for delta_t in (0.005, 0.01)
+]
+
+
+def bisect_ff_root(fee: float, params: MarketParams) -> float:
+    """Independent zero-profit liquidity: geometric bisection of G to 1e-14."""
+    revenue = fee * params.c0 * math.exp(-params.c1 * fee) / 2.0
+    target = market.ap0(fee, params) + params.r
+
+    def g(L):
+        return revenue * L ** (params.alpha - 1.0) - target
+
+    lo, hi = 1e-12, 1e24
+    assert g(lo) > 0.0 > g(hi)
+    while hi / lo - 1.0 > 1e-14:
+        mid = math.sqrt(lo * hi)
+        if g(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return math.sqrt(lo * hi)
+
+
 def grid_scan_ff_root(fee: float, params: MarketParams, n_points: int = 1_000_000) -> float:
     """Independent zero-profit liquidity: argmin |G| over a dense log grid."""
     grid = np.logspace(-6.0, 12.0, n_points)
     revenue = fee * params.c0 * math.exp(-params.c1 * fee) / 2.0
     g = revenue * grid ** (params.alpha - 1.0) - (market.ap0(fee, params) + params.r)
     return float(grid[np.argmin(np.abs(g))])
-
-
-class TestVectorizedRates:
-    def test_grid_rates_match_scalar_forms(self):
-        # the solver's vectorized rate evaluation must track the public
-        # scalar functions bit-for-bit in spirit (1 ulp-scale tolerance)
-        fees = np.linspace(0.0, REF.f_max, 257)
-        ap_grid, ae_grid = _rates_on_grid(fees, REF)
-        for i, f in enumerate(map(float, fees)):
-            assert ap_grid[i] == pytest.approx(market.ap0(f, REF), rel=1e-14)
-            assert ae_grid[i] == pytest.approx(market.ae0(f, REF), rel=1e-14)
 
 
 class TestLpPnlFF:
@@ -105,13 +120,26 @@ class TestSolveFFLiquidity:
         assert abs(scan - eq.liquidity) / eq.liquidity < 1e-4  # 4 significant digits
         assert eq.liquidity == pytest.approx(9455.645061135823, rel=1e-9)
 
-    def test_bracket_start_robustness(self):
-        # moving the initial bracket by 10x either way must not move the root
-        base = solve_ff_liquidity(0.003, REF, SolverConfig()).liquidity
-        lo = solve_ff_liquidity(0.003, REF, SolverConfig(bracket_start=0.1)).liquidity
-        hi = solve_ff_liquidity(0.003, REF, SolverConfig(bracket_start=10.0)).liquidity
-        assert abs(lo - base) / base < 1e-9
-        assert abs(hi - base) / base < 1e-9
+    @pytest.mark.parametrize(
+        "params", ACCEPTANCE_SETS, ids=lambda p: f"sigma{p.sigma}-dt{p.delta_t}"
+    )
+    def test_closed_form_matches_bisection(self, params):
+        for fee in np.linspace(params.f_max / 50, params.f_max, 50):
+            eq = solve_ff_liquidity(float(fee), params)
+            root = bisect_ff_root(float(fee), params)
+            assert abs(eq.liquidity - root) <= 1e-10 * root
+
+    def test_zero_target_raises(self):
+        # no price motion and no capital charge: nothing bounds the liquidity
+        params = MarketParams(sigma=0.0, delta_t=0.01, r=0.0, f_max=0.05)
+        with pytest.raises(BracketError, match="no positive finite root"):
+            solve_ff_liquidity(0.003, params)
+
+    def test_underflowing_revenue_raises(self):
+        # e^{-c1 f} = e^{-5000} is 0.0: no revenue to balance the loss
+        params = MarketParams(sigma=0.05, delta_t=0.01, r=1e-4, f_max=0.05, c1=1e5)
+        with pytest.raises(BracketError, match="no positive finite root"):
+            solve_ff_liquidity(0.05, params)
 
     def test_negative_fee_rejected(self):
         with pytest.raises(ValueError):
@@ -139,7 +167,7 @@ class TestManagerProblem:
         L = 1e4
         _, fee = mgr_pnl_am(0.0, L, REF)
         fees = np.linspace(0.0, REF.f_max, 2048)
-        ap, ae = _rates_on_grid(fees, REF)
+        ae = market.ae0(fees, REF)
         h0 = market.noise_volume_per_value(0.0, L, REF)
         obj = fees * h0 * np.exp(-REF.c1 * fees) - ae
         cell = REF.f_max / 2047
@@ -209,7 +237,7 @@ class TestAmEquilibrium:
         fees = np.linspace(0.0, 2.0 / REF.c1, 101)
         revenue = fees * np.exp(-REF.c1 * fees)
         assert np.all(np.diff(revenue, 2) < 1e-12)
-        _, ae = _rates_on_grid(np.linspace(0.0, REF.f_max, 101), REF)
+        ae = market.ae0(np.linspace(0.0, REF.f_max, 101), REF)
         assert np.all(np.diff(ae, 2) > -1e-15)
         eq = solve_am_equilibrium(REF)
         assert eq.f_opt <= eq.f_star

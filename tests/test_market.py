@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import ndtri
 
 from ammauction.market import (
     MarketParams,
@@ -15,7 +16,6 @@ from ammauction.market import (
     mc_rates,
     noise_volume,
     noise_volume_per_value,
-    sample_block,
     sample_blocks,
 )
 from ammauction.pool import excess_fraction
@@ -146,6 +146,39 @@ class TestClosedFormRates:
         assert excess_ratio(0.01, params) == 0.0
 
 
+class TestVectorizedRates:
+    SIGMA_ZERO = MarketParams(sigma=0.0, delta_t=0.01, r=1e-4, f_max=0.05)
+
+    @pytest.mark.parametrize("params", [REF, SIGMA_ZERO], ids=["ref", "sigma0"])
+    def test_grid_rates_match_scalar_forms(self, params):
+        # one formula body serves floats and arrays; the two must agree
+        fees = np.linspace(0.0, params.f_max, 257)
+        z = np.linspace(-4.0 * params.f_max, 4.0 * params.f_max, 257)
+        for fn in (ap0, ae0, kappa, excess_ratio):
+            grid = fn(fees, params)
+            for got, f in zip(grid, map(float, fees)):
+                assert got == pytest.approx(fn(f, params), rel=1e-14, abs=0.0)
+        for fee in (0.0, 0.003, params.f_max):
+            grid = excess_fraction(z, fee)
+            for got, zi in zip(grid, map(float, z)):
+                assert got == pytest.approx(excess_fraction(zi, fee), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("params", [REF, SIGMA_ZERO], ids=["ref", "sigma0"])
+    def test_float_in_float_out(self, params):
+        # outputs are written with repr: numpy 2 would write np.float64(...)
+        for f in (0.0, 0.003):
+            for fn in (ap0, ae0, kappa, excess_ratio):
+                assert type(fn(f, params)) is float
+            assert type(excess_fraction(0.01, f)) is float
+            assert type(excess_fraction(-0.001, f)) is float
+
+    def test_negative_fee_in_array_rejected(self):
+        fees = np.array([0.0, 0.003, -0.001])
+        for fn in (ap0, ae0, excess_ratio):
+            with pytest.raises(ValueError, match="non-negative"):
+                fn(fees, REF)
+
+
 class TestConditionalExcess:
     CASES = [
         (0.05, 0.01, 0.003),
@@ -193,29 +226,39 @@ class TestConditionalExcess:
 
 
 class TestSampling:
+    @staticmethod
+    def scalar_draws(params, n, rng):
+        """Reference: one block at a time, two uniforms each, by inverse CDF."""
+        out = []
+        for _ in range(n):
+            u = np.maximum(rng.random(2), np.finfo(float).tiny)
+            tau = -params.delta_t * math.log1p(-u[0])
+            out.append((tau, float(ndtri(u[1])) * params.sigma * math.sqrt(tau)))
+        return out
+
     def test_same_seed_same_stream(self):
-        a = [sample_block(REF, block_rng(123)) for _ in range(1)]
-        b = [sample_block(REF, block_rng(123)) for _ in range(1)]
-        assert a == b
+        a = sample_blocks(REF, 1, block_rng(123))
+        b = sample_blocks(REF, 1, block_rng(123))
+        assert np.array_equal(a, b)
         rng = block_rng(9)
-        first = [sample_block(REF, rng) for _ in range(5)]
+        first = [sample_blocks(REF, 1, rng) for _ in range(5)]
         rng = block_rng(9)
-        second = [sample_block(REF, rng) for _ in range(5)]
-        assert first == second
+        second = [sample_blocks(REF, 1, rng) for _ in range(5)]
+        assert np.array_equal(first, second)
 
     def test_vector_path_matches_scalar_path(self):
         tau, z = sample_blocks(REF, 4, block_rng(55))
-        rng = block_rng(55)
-        scalars = [sample_block(REF, rng) for _ in range(4)]
-        assert tau == pytest.approx([s.tau for s in scalars], rel=1e-15)
-        assert z == pytest.approx([s.z for s in scalars], rel=1e-15)
+        scalars = self.scalar_draws(REF, 4, block_rng(55))
+        assert tau == pytest.approx([s[0] for s in scalars], rel=1e-15)
+        assert z == pytest.approx([s[1] for s in scalars], rel=1e-15)
 
     def test_uneven_chunks_match_one_call(self):
         # the simulator draws its horizon in chunks from one generator
         n = 10_000
         tau, z = sample_blocks(REF, n, block_rng(77))
         rng = block_rng(77)
-        parts = [sample_blocks(REF, size, rng) for size in (1_000, 3, 4_096, n - 5_099)]
+        sizes = (1, 1_000, 3, 1, 1, 4_096, n - 5_102)
+        parts = [sample_blocks(REF, size, rng) for size in sizes]
         assert np.concatenate([p[0] for p in parts]).tobytes() == tau.tobytes()
         assert np.concatenate([p[1] for p in parts]).tobytes() == z.tobytes()
 
@@ -247,6 +290,14 @@ class TestMCRates:
         a = mc_rates(0.003, REF, 20_000, seed=5)
         b = mc_rates(0.003, REF, 20_000, seed=5)
         assert a == b
+
+    def test_pinned_output(self):
+        # exact bits: a change to the chain's draws or the excess kernel shows here
+        est = mc_rates(0.003, REF, 20_000, seed=5)
+        assert est.ap0_hat.hex() == "0x1.6d37a2b41a5c7p-13"
+        assert est.ap0_se.hex() == "0x1.254a85d0fb919p-18"
+        assert est.ae0_hat.hex() == "0x1.10f0ccf67f3ccp-13"
+        assert est.ae0_se.hex() == "0x1.ad31a1f89c650p-19"
 
     def test_zero_fee_estimators_agree(self):
         est = mc_rates(0.0, REF, 200_000, seed=1)

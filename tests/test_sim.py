@@ -267,7 +267,7 @@ class TestReplay:
         with pytest.raises(ReplayParseError, match="line 2: missing integer 'block'"):
             replay_auction(str(path))
 
-    @pytest.mark.parametrize("shares", ['"x"', "true", "[1]"])
+    @pytest.mark.parametrize("shares", ['"x"', "true", "[1]", "0", "-3"])
     def test_lp_total_shares_checked_in_header(self, tmp_path, shares):
         # no bid ever pays rent here, so the value would never be read
         path = tmp_path / "shares.jsonl"
@@ -277,6 +277,33 @@ class TestReplay:
             '{"block": 3, "action": "advance"}\n'
         )
         with pytest.raises(ReplayParseError, match="line 2: .*lp_total_shares"):
+            replay_auction(str(path))
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            '"k_delay": 2.7, "fee_cap": 0.05',
+            '"k_delay": true, "fee_cap": 0.05',
+            '"k_delay": "2", "fee_cap": 0.05',
+            '"k_delay": 2, "fee_cap": true',
+            '"k_delay": 2, "fee_cap": "0.05"',
+            '"k_delay": 2, "fee_cap": NaN',
+            '"k_delay": 2, "fee_cap": Infinity',
+            '"k_delay": 2, "fee_cap": 0.05, "min_increment_factor": true',
+            '"k_delay": 2, "fee_cap": 0.05, "min_increment_factor": null',
+            '"k_delay": 2, "fee_cap": 0.05, "default_fee": false',
+            '"k_delay": 2, "fee_cap": 0.05, "default_fee": [0.01]',
+        ],
+    )
+    def test_auction_params_checked_in_header(self, tmp_path, header):
+        # no value may be coerced (2.7 to 2, true to 1) or passed through
+        path = tmp_path / "params.jsonl"
+        path.write_text(
+            "\n"
+            f"{{{header}}}\n"
+            '{"block": 3, "action": "advance"}\n'
+        )
+        with pytest.raises(ReplayParseError, match="line 2: .*must be a"):
             replay_auction(str(path))
 
     def test_rent_rows_state_their_span(self):
