@@ -131,6 +131,8 @@ def _parse_fees(args: argparse.Namespace, params: MarketParams) -> list[float]:
             raise ConfigError("--fees must list non-negative fees")
         return fees
     n = args.grid
+    if n < 2:  # the grid spans [0, f_max] end to end
+        raise ConfigError(f"--grid must be at least 2, got {n}")
     return [params.f_max * i / (n - 1) for i in range(n)]
 
 

@@ -10,7 +10,9 @@ log-mispricing accumulated over a block is ``N(0, sigma^2 * tau)``. Draws use
 inverse-CDF transforms on a counter-based (Philox) uniform stream, two
 uniforms per block in order, so results are reproducible for a given seed
 and a horizon drawn in chunks of any sizes from one generator is bit for bit
-the horizon drawn in one call.
+the horizon drawn in one call. :func:`mc_rates` relies on this: its profit
+chain draws blocks of about :data:`CHAIN_BLOCKS` chain blocks at a time and
+is bit for bit the chain drawn one step at a time.
 
 :func:`kappa`, :func:`ap0`, :func:`ae0` and :func:`excess_ratio` take a fee
 that is a float or an ndarray (see :func:`pool.array_module`).
@@ -24,7 +26,9 @@ the dimensionless combinations ``sigma^2 * delta_t`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
+from numbers import Real
 from typing import Literal
 
 import numpy as np
@@ -48,6 +52,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -57,6 +62,8 @@ class MarketParams:
     ``alpha`` must lie strictly inside (0, 1): demand per unit pool value is
     then strictly decreasing in liquidity, unbounded as L -> 0 and vanishing
     as L -> infinity, which the equilibrium solvers rely on for bracketing.
+    Every field must be a finite real number; booleans and strings are
+    rejected rather than coerced.
     """
 
     sigma: float
@@ -68,14 +75,23 @@ class MarketParams:
     alpha: float = 0.5
 
     def __post_init__(self) -> None:
-        if not (self.sigma >= 0.0 and math.isfinite(self.sigma)):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            # abs() <= the largest float: false for NaN and inf, and safe on a huge int
+            real = isinstance(value, Real) and not isinstance(value, bool)
+            if not (real and abs(value) <= _FLOAT_MAX):
+                raise ValueError(f"{field.name} must be a finite real number, got {value!r}")
+        if self.sigma < 0.0:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
-        if not (self.delta_t > 0.0 and math.isfinite(self.delta_t)):
+        if self.delta_t <= 0.0:
             raise ValueError(f"delta_t must be positive, got {self.delta_t}")
-        if self.sigma**2 * self.delta_t >= 8.0:
+        try:
+            spread = self.sigma**2 * self.delta_t
+        except OverflowError:  # float ** 2 raises instead of returning inf
+            spread = math.inf
+        if spread >= 8.0:
             raise ValueError(
-                f"sigma^2 * delta_t = {self.sigma ** 2 * self.delta_t} "
-                "violates the validity condition (< 8)"
+                f"sigma^2 * delta_t = {spread} violates the validity condition (< 8)"
             )
         if self.r < 0.0:
             raise ValueError(f"r must be non-negative, got {self.r}")
@@ -232,6 +248,12 @@ def block_rng(seed: int) -> np.random.Generator:
 # ndtri(0) = -inf, whose product is NaN
 _U_FLOOR = np.finfo(float).tiny
 
+# Chain blocks per draw in the profit chain of :func:`mc_rates`: large enough
+# that numpy's per-call overhead is small per step, small enough that the
+# block's arrays stay about a megabyte whatever ``n_samples`` (a block is one
+# step when ``chains`` exceeds it).
+CHAIN_BLOCKS = 1 << 16
+
 
 def sample_blocks(
     params: MarketParams, n: int, rng: np.random.Generator
@@ -268,7 +290,16 @@ def mc_rates(
     arbitrageurs trade. It runs ``chains`` independent replicas after a
     warmup proportional to the band-crossing time, and reports the standard
     error across replica means (the within-chain samples are autocorrelated).
-    At fee zero the two estimators sample the same law.
+    Each replica averages ``ceil(n_samples / chains)`` steps after warmup, so
+    the chain uses ``ceil(n_samples / chains) * chains`` draws, not exactly
+    ``n_samples``. At fee zero the two estimators sample the same law.
+
+    The chain is drawn from the one stream in blocks of about
+    :data:`CHAIN_BLOCKS` chain blocks, one ``sample_blocks`` and one
+    ``excess_fraction`` call per block, and its per-replica sums are taken in
+    step order: every result is bit for bit the chain drawn one step at a
+    time. The chain holds about :data:`CHAIN_BLOCKS` draws at a time (one
+    step's when ``chains`` is larger), whatever ``n_samples``.
     """
     _check_fee(fee)
     if n_samples < 10_000:
@@ -284,19 +315,34 @@ def mc_rates(
     ae0_hat = float(vals.mean()) / dt
     ae0_se = float(vals.std(ddof=1)) / math.sqrt(n_samples) / dt
 
-    # Profit: stationary band-clamped chain, vectorized across replicas.
+    # Profit: stationary band-clamped chain, vectorized across replicas and
+    # drawn in blocks of about CHAIN_BLOCKS chain blocks. Row 0 of ``path``
+    # carries the state between blocks; row j is the state at step start + j.
     steps = -(-n_samples // chains)
     k = kappa(fee, params)
     # warmup covers ~40 band-crossing times; capped because for very wide
     # bands trades are so rare that the start state cannot bias the mean
     warmup = max(512, min(20_000, int(40.0 * k * k) + 1)) if math.isfinite(k) else 512
-    z_state = np.zeros(chains)
+    total_steps = warmup + steps
+    block = max(1, CHAIN_BLOCKS // chains)
+    path = np.zeros((min(block, total_steps) + 1, chains))
     totals = np.zeros(chains)
-    for i in range(warmup + steps):
-        _, eps = sample_blocks(params, chains, rng)
-        if i >= warmup:
-            totals += excess_fraction(z_state, fee)
-        z_state = np.clip(z_state, -fee, fee) + eps
+    for start in range(0, total_steps, block):
+        m = min(block, total_steps - start)
+        _, eps = sample_blocks(params, m * chains, rng)
+        eps = eps.reshape(m, chains)
+        for j in range(m):
+            path[j].clip(-fee, fee, out=path[j + 1])
+            path[j + 1] += eps[j]
+        skip = max(0, warmup - start)
+        if skip < m:
+            # running totals first, then the rows in step order: the same
+            # left-to-right sum as adding one step at a time
+            acc = np.empty((m - skip + 1, chains))
+            acc[0] = totals
+            acc[1:] = excess_fraction(path[skip:m], fee)
+            totals = np.add.reduce(acc, axis=0)
+        path[0] = path[m]
     means = totals / steps / dt
     ap0_hat = float(means.mean())
     ap0_se = float(means.std(ddof=1)) / math.sqrt(chains)

@@ -98,6 +98,66 @@ class TestFormulas:
         assert "sgima" in capsys.readouterr().err
 
 
+def assert_one_line_error(capsys, needle):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert needle in err
+
+
+class TestGridFloor:
+    @pytest.mark.parametrize("argv", [["formulas"], ["mc-validate", "--samples", "20000"]])
+    @pytest.mark.parametrize("grid", ["1", "0", "-3"])
+    def test_grid_below_two_exit_2(self, argv, grid, capsys):
+        assert main(argv + ["--grid", grid]) == 2
+        assert_one_line_error(capsys, "--grid must be at least 2")
+
+    def test_fees_override_grid(self, capsys):
+        assert main(["formulas", "--grid", "0", "--fees", "0.003"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+
+    def test_two_point_grid_spans_the_range(self, capsys):
+        assert main(["formulas", "--grid", "2", "--f-max", "0.04"]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert [float(row.split(",")[0]) for row in rows] == [0.0, 0.04]
+
+
+class TestBadMarketParams:
+    @pytest.mark.parametrize(
+        "raw, key",
+        [
+            ({"sigma": "0.05"}, "sigma"),
+            ({"sigma": True}, "sigma"),
+            ({"delta_t": False}, "delta_t"),
+            ({"r": math.nan}, "r"),
+            ({"c0": math.nan}, "c0"),
+            ({"alpha": None}, "alpha"),
+            ({"f_max": math.inf}, "f_max"),
+        ],
+    )
+    def test_config_file_values_exit_2(self, raw, key, tmp_path, capsys):
+        cfg = tmp_path / "params.json"
+        cfg.write_text(json.dumps({"schema_version": 1, **raw}))  # NaN/Infinity literals
+        assert main(["formulas", "--config", str(cfg), "--fees", "0"]) == 2
+        assert_one_line_error(capsys, f"{key} must be a finite real number")
+
+    @pytest.mark.parametrize("flag", ["--r", "--c0", "--sigma", "--f-max"])
+    def test_nan_flag_exit_2(self, flag, capsys):
+        assert main(["formulas", flag, "nan", "--fees", "0"]) == 2
+        assert_one_line_error(capsys, "must be a finite real number")
+
+    def test_overflowing_sigma_exit_2(self, capsys):
+        assert main(["formulas", "--sigma", "1e300", "--fees", "0"]) == 2
+        assert_one_line_error(capsys, "validity condition")
+
+    def test_simulate_market_section_exit_2(self, tmp_path, capsys):
+        raw = sim_config_dict()
+        raw["market"]["sigma"] = True
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert main(["simulate", str(path)]) == 2
+        assert_one_line_error(capsys, "sigma must be a finite real number")
+
+
 class TestMCValidate:
     def test_sample_floor_is_usage_error(self, capsys):
         assert main(["mc-validate", "--samples", "5000"]) == 2

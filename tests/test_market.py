@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 from scipy.special import ndtri
 
+from ammauction import market
 from ammauction.market import (
     MarketParams,
     ae0,
@@ -21,6 +22,7 @@ from ammauction.market import (
 from ammauction.pool import excess_fraction
 
 from conftest import REF
+from mc_reference import chain_warmup, reference_mc_rates
 
 
 def quadrature_excess(sigma, tau, fee, side):
@@ -53,6 +55,26 @@ class TestMarketParams:
             MarketParams(sigma=0.05, delta_t=0.01, r=-1e-4, f_max=0.05)
         with pytest.raises(ValueError):
             MarketParams(sigma=0.05, delta_t=0.01, r=1e-4, f_max=0.05, c0=0.0)
+
+    @pytest.mark.parametrize("name", ["sigma", "delta_t", "r", "f_max", "c0", "c1", "alpha"])
+    @pytest.mark.parametrize(
+        "value", ["0.05", True, False, np.bool_(True), None, math.nan, math.inf, -math.inf, 10**400]
+    )
+    def test_every_field_is_a_finite_real(self, name, value):
+        fields = dict(sigma=0.05, delta_t=0.01, r=1e-4, f_max=0.05)
+        fields[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be a finite real number"):
+            MarketParams(**fields)
+
+    def test_real_numbers_of_any_type_accepted(self):
+        params = MarketParams(sigma=np.float64(0.05), delta_t=0.01, r=0, f_max=0.05, c0=25)
+        assert params.c0 == 25 and params.r == 0
+
+    def test_overflowing_validity_product_rejected(self):
+        # sigma**2 overflows a float: the validity check reads it as infinite
+        for sigma in (1e300, 10**300):
+            with pytest.raises(ValueError, match="validity"):
+                MarketParams(sigma=sigma, delta_t=0.01, r=1e-4, f_max=0.05)
 
 
 class TestNoiseDemand:
@@ -314,3 +336,60 @@ class TestMCRates:
         est = mc_rates(0.003, REF, 200_000, seed=0)
         assert abs(est.ap0_hat - ap0(0.003, REF)) <= 3.0 * est.ap0_se
         assert abs(est.ae0_hat - ae0(0.003, REF)) <= 3.0 * est.ae0_se
+
+
+class TestBlockedChain:
+    """``mc_rates`` draws its chain in blocks; the per-step loop is the oracle."""
+
+    @staticmethod
+    def assert_same(fee, params, n_samples, seed=5, chains=250):
+        got = mc_rates(fee, params, n_samples, seed=seed, chains=chains)
+        want = reference_mc_rates(fee, params, n_samples, seed=seed, chains=chains)
+        assert (got.fee, got.n_samples) == (want.fee, want.n_samples)
+        for name in ("ap0_hat", "ap0_se", "ae0_hat", "ae0_se"):
+            assert getattr(got, name).hex() == getattr(want, name).hex(), name
+
+    @staticmethod
+    def block(chains):
+        return max(1, market.CHAIN_BLOCKS // chains)
+
+    @pytest.mark.parametrize("chains", [2, 7, 1000])  # 250: the warmup tests below
+    def test_chains_match_reference(self, chains):
+        self.assert_same(0.003, REF, 20_000, chains=chains)
+
+    def test_more_chains_than_chain_blocks(self, monkeypatch):
+        # one step per block; a smaller constant keeps the case cheap
+        monkeypatch.setattr(market, "CHAIN_BLOCKS", 64)
+        assert self.block(100) == 1
+        self.assert_same(0.003, REF, 20_000, chains=100)
+
+    @pytest.mark.parametrize("chain_blocks", [1, 3, 500, 2**20])
+    def test_any_block_size_matches_reference(self, chain_blocks, monkeypatch):
+        monkeypatch.setattr(market, "CHAIN_BLOCKS", chain_blocks)
+        self.assert_same(0.003, REF, 10_000, chains=3)
+
+    def test_samples_not_a_multiple_of_chains(self):
+        assert 20_001 % 7 != 0
+        self.assert_same(0.003, REF, 20_001, chains=7)
+
+    def test_warmup_ends_inside_a_block(self):
+        assert chain_warmup(0.003, REF) % self.block(250) != 0
+        self.assert_same(0.003, REF, 20_000, chains=250)
+
+    def test_warmup_ends_on_a_block_boundary(self):
+        chains = market.CHAIN_BLOCKS // chain_warmup(0.003, REF)
+        assert chain_warmup(0.003, REF) % self.block(chains) == 0
+        self.assert_same(0.003, REF, 20_000, chains=chains)
+
+    def test_warmup_cap(self):
+        fee = 25.0 * REF.sigma * math.sqrt(REF.delta_t / 2.0)  # kappa = 25
+        assert chain_warmup(fee, REF) == 20_000
+        self.assert_same(fee, REF, 10_000, chains=250)
+
+    def test_zero_fee(self):
+        self.assert_same(0.0, REF, 20_000, chains=250)
+
+    @pytest.mark.parametrize("fee", [0.0, 0.003])
+    def test_zero_sigma(self, fee):
+        params = MarketParams(sigma=0.0, delta_t=0.01, r=1e-4, f_max=0.05)
+        self.assert_same(fee, params, 20_000, chains=250)
