@@ -147,8 +147,8 @@ def _out_dir(args: argparse.Namespace) -> Path | None:
 def cmd_formulas(args: argparse.Namespace) -> int:
     params = _load_params(args)
     fees = _parse_fees(args, params)
-    if args.liquidity <= 0.0:
-        raise ConfigError(f"--liquidity must be positive, got {args.liquidity}")
+    if not (args.liquidity > 0.0 and math.isfinite(args.liquidity)):
+        raise ConfigError(f"--liquidity must be positive and finite, got {args.liquidity}")
     rows = []
     for f in fees:
         rows.append(

@@ -10,9 +10,10 @@ log-mispricing accumulated over a block is ``N(0, sigma^2 * tau)``. Draws use
 inverse-CDF transforms on a counter-based (Philox) uniform stream, two
 uniforms per block in order, so results are reproducible for a given seed
 and a horizon drawn in chunks of any sizes from one generator is bit for bit
-the horizon drawn in one call. :func:`mc_rates` relies on this: its profit
-chain draws blocks of about :data:`CHAIN_BLOCKS` chain blocks at a time and
-is bit for bit the chain drawn one step at a time.
+the horizon drawn in one call. :func:`mc_rates` relies on this: both its
+estimators draw from the one stream in blocks of about :data:`CHAIN_BLOCKS`
+draws, bit for bit the one-call i.i.d. draw and the chain drawn one step at
+a time, so its memory is one float64 per i.i.d. sample plus a bounded block.
 
 :func:`kappa`, :func:`ap0`, :func:`ae0` and :func:`excess_ratio` take a fee
 that is a float or an ndarray (see :func:`pool.array_module`).
@@ -248,9 +249,9 @@ def block_rng(seed: int) -> np.random.Generator:
 # ndtri(0) = -inf, whose product is NaN
 _U_FLOOR = np.finfo(float).tiny
 
-# Chain blocks per draw in the profit chain of :func:`mc_rates`: large enough
-# that numpy's per-call overhead is small per step, small enough that the
-# block's arrays stay about a megabyte whatever ``n_samples`` (a block is one
+# Draws per block in both estimators of :func:`mc_rates`: large enough that
+# numpy's per-call overhead is small per draw, small enough that a block's
+# arrays stay about a megabyte whatever ``n_samples`` (a chain block is one
 # step when ``chains`` exceeds it).
 CHAIN_BLOCKS = 1 << 16
 
@@ -261,13 +262,21 @@ def sample_blocks(
     """Draw n blocks as ``(tau, z)`` arrays: tau ~ Exp(mean delta_t), z ~ N(0, sigma^2 tau).
 
     Each block consumes exactly two uniforms via inverse CDF, in order, so the
-    stream position determines the draw regardless of how batches are sliced.
+    stream position determines the draw regardless of how batches are sliced:
+    :func:`mc_rates` draws in blocks of about :data:`CHAIN_BLOCKS` and gets the
+    bits of one call. The transforms run in place: a call holds the
+    ``(n, 2)`` uniforms, the two outputs and one ``n``-sized temporary.
     """
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
-    u = np.maximum(rng.random((n, 2)), _U_FLOOR)
-    tau = -params.delta_t * np.log1p(-u[:, 0])
-    z = ndtri(u[:, 1]) * params.sigma * np.sqrt(tau)
+    u = rng.random((n, 2))
+    np.maximum(u, _U_FLOOR, out=u)
+    tau = np.negative(u[:, 0])
+    np.log1p(tau, out=tau)
+    tau *= -params.delta_t
+    z = ndtri(u[:, 1])
+    z *= params.sigma
+    z *= np.sqrt(tau)
     return tau, z
 
 
@@ -283,7 +292,10 @@ def mc_rates(
     The excess estimator draws i.i.d. blocks: the pool starts each block
     on-price (the manager corrects it for free), so the pre-trade mispricing
     is exactly N(0, sigma^2 tau) and the per-block excess is averaged
-    directly.
+    directly. It draws :data:`CHAIN_BLOCKS` blocks at a time into one float64
+    buffer of per-block excesses, whose mean and standard deviation are taken
+    once at the end: bit for bit the one-call draw, at one float64 per sample
+    (two while the standard deviation is taken) plus a bounded block.
 
     The profit estimator simulates the fixed-fee pool in stationarity: the
     mispricing carries over between blocks, clamped to the fee band whenever
@@ -294,11 +306,11 @@ def mc_rates(
     the chain uses ``ceil(n_samples / chains) * chains`` draws, not exactly
     ``n_samples``. At fee zero the two estimators sample the same law.
 
-    The chain is drawn from the one stream in blocks of about
-    :data:`CHAIN_BLOCKS` chain blocks, one ``sample_blocks`` and one
-    ``excess_fraction`` call per block, and its per-replica sums are taken in
-    step order: every result is bit for bit the chain drawn one step at a
-    time. The chain holds about :data:`CHAIN_BLOCKS` draws at a time (one
+    The chain is drawn from the same stream, after the i.i.d. draws, in
+    blocks of about :data:`CHAIN_BLOCKS` chain blocks, one ``sample_blocks``
+    and one ``excess_fraction`` call per block, and its per-replica sums are
+    taken in step order: every result is bit for bit the chain drawn one step
+    at a time. The chain holds about :data:`CHAIN_BLOCKS` draws at a time (one
     step's when ``chains`` is larger), whatever ``n_samples``.
     """
     _check_fee(fee)
@@ -309,9 +321,13 @@ def mc_rates(
     rng = block_rng(seed)
     dt = params.delta_t
 
-    # Excess: i.i.d. per-block draws.
-    _, z = sample_blocks(params, n_samples, rng)
-    vals = excess_fraction(z, fee)
+    # Excess: i.i.d. per-block draws, CHAIN_BLOCKS at a time; both steps are
+    # element-wise in stream order, so ``vals`` holds the one-call bits.
+    vals = np.empty(n_samples)
+    for start in range(0, n_samples, CHAIN_BLOCKS):
+        stop = min(start + CHAIN_BLOCKS, n_samples)
+        _, z = sample_blocks(params, stop - start, rng)
+        vals[start:stop] = excess_fraction(z, fee)
     ae0_hat = float(vals.mean()) / dt
     ae0_se = float(vals.std(ddof=1)) / math.sqrt(n_samples) / dt
 
@@ -332,7 +348,7 @@ def mc_rates(
         _, eps = sample_blocks(params, m * chains, rng)
         eps = eps.reshape(m, chains)
         for j in range(m):
-            path[j].clip(-fee, fee, out=path[j + 1])
+            np.minimum(np.maximum(path[j], -fee, out=path[j + 1]), fee, out=path[j + 1])
             path[j + 1] += eps[j]
         skip = max(0, warmup - start)
         if skip < m:

@@ -149,6 +149,11 @@ class TestBadMarketParams:
         assert main(["formulas", "--sigma", "1e300", "--fees", "0"]) == 2
         assert_one_line_error(capsys, "validity condition")
 
+    @pytest.mark.parametrize("liquidity", ["nan", "inf", "-1"])
+    def test_bad_liquidity_exit_2(self, liquidity, capsys):
+        assert main(["formulas", "--liquidity", liquidity, "--fees", "0.003"]) == 2
+        assert_one_line_error(capsys, "--liquidity must be positive and finite")
+
     def test_simulate_market_section_exit_2(self, tmp_path, capsys):
         raw = sim_config_dict()
         raw["market"]["sigma"] = True

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -337,6 +338,18 @@ class TestMCRates:
         assert abs(est.ap0_hat - ap0(0.003, REF)) <= 3.0 * est.ap0_se
         assert abs(est.ae0_hat - ae0(0.003, REF)) <= 3.0 * est.ae0_se
 
+    def test_memory_is_one_float_per_sample(self):
+        # the i.i.d. estimator keeps one float64 per sample (and std's one
+        # same-sized temporary); drawing all samples in one call costs ~57 B
+        n = 2_000_000
+        tracemalloc.start()
+        try:
+            mc_rates(0.003, REF, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 17 * n + 8e6, peak
+
 
 class TestBlockedChain:
     """``mc_rates`` draws its chain in blocks; the per-step loop is the oracle."""
@@ -388,6 +401,17 @@ class TestBlockedChain:
 
     def test_zero_fee(self):
         self.assert_same(0.0, REF, 20_000, chains=250)
+
+    @pytest.mark.parametrize(
+        "n_samples, chain_blocks",
+        [(20_000, 2_000), (20_001, 2_000), (20_000, 30_000)],
+        ids=["multiple", "multiple-plus-one", "within-one-block"],
+    )
+    def test_iid_blocks_match_reference(self, n_samples, chain_blocks, monkeypatch):
+        # the i.i.d. excess draws fill the last block exactly, spill one
+        # sample into a new block, or never fill the first
+        monkeypatch.setattr(market, "CHAIN_BLOCKS", chain_blocks)
+        self.assert_same(0.003, REF, n_samples, chains=250)
 
     @pytest.mark.parametrize("fee", [0.0, 0.003])
     def test_zero_sigma(self, fee):
