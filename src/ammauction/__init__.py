@@ -14,7 +14,6 @@ from .equilibrium import (
     BracketError,
     DominanceReport,
     FFEquilibrium,
-    SolverConfig,
     dominance_report,
     solve_am_equilibrium,
     solve_ff_liquidity,

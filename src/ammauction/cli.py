@@ -10,7 +10,7 @@ codes are a stable contract for CI:
     0  success / validation passed
     1  validation failed (Monte Carlo vs closed form, or dominance)
     2  usage, config, or parse error
-    3  solver bracket failure
+    3  no positive finite equilibrium
 """
 
 from __future__ import annotations
@@ -289,7 +289,9 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     trace = replay_auction(args.scenario_path)
-    manifest = _manifest("replay", {"scenario": str(args.scenario_path)}, None, ["trace.csv"])
+    # the scenario's content, not its path: a copy elsewhere hashes the same
+    scenario = hashlib.sha256(Path(args.scenario_path).read_bytes()).hexdigest()
+    manifest = _manifest("replay", {"scenario_sha256": scenario}, None, ["trace.csv"])
     out = _out_dir(args)
     if out is None:
         _print_csv(manifest, TRACE_HEADER, trace.to_csv_rows())

@@ -15,8 +15,9 @@ estimators draw from the one stream in blocks of about :data:`CHAIN_BLOCKS`
 draws, bit for bit the one-call i.i.d. draw and the chain drawn one step at
 a time, so its memory is one float64 per i.i.d. sample plus a bounded block.
 
-:func:`kappa`, :func:`ap0`, :func:`ae0` and :func:`excess_ratio` take a fee
-that is a float or an ndarray (see :func:`pool.array_module`).
+:func:`kappa`, :func:`ap0`, :func:`ae0`, their slopes :func:`ap0_slope` and
+:func:`ae0_slope`, and :func:`excess_ratio` take a fee that is a float or an
+ndarray (see :func:`pool.array_module`).
 
 Units: time is measured in days, ``sigma`` per sqrt(day), ``r`` per day. Only
 the dimensionless combinations ``sigma^2 * delta_t`` and
@@ -41,7 +42,9 @@ __all__ = [
     "MarketParams",
     "MCRates",
     "ap0",
+    "ap0_slope",
     "ae0",
+    "ae0_slope",
     "excess_ratio",
     "kappa",
     "noise_volume",
@@ -56,13 +59,20 @@ _SQRT2 = math.sqrt(2.0)
 _FLOAT_MAX = sys.float_info.max
 
 
+def _finite_real(value) -> bool:
+    """A finite real number, not a boolean: the check for numbers read from JSON."""
+    # abs() <= the largest float: false for NaN and inf, and safe on a huge int
+    return isinstance(value, Real) and not isinstance(value, bool) and abs(value) <= _FLOAT_MAX
+
+
 @dataclass(frozen=True)
 class MarketParams:
     """Model constants. Validated once at construction.
 
     ``alpha`` must lie strictly inside (0, 1): demand per unit pool value is
     then strictly decreasing in liquidity, unbounded as L -> 0 and vanishing
-    as L -> infinity, which the equilibrium solvers rely on for bracketing.
+    as L -> infinity, so every fee has one zero-profit liquidity in closed
+    form, which the equilibrium solvers rely on.
     Every field must be a finite real number; booleans and strings are
     rejected rather than coerced.
     """
@@ -78,9 +88,7 @@ class MarketParams:
     def __post_init__(self) -> None:
         for field in fields(self):
             value = getattr(self, field.name)
-            # abs() <= the largest float: false for NaN and inf, and safe on a huge int
-            real = isinstance(value, Real) and not isinstance(value, bool)
-            if not (real and abs(value) <= _FLOAT_MAX):
+            if not _finite_real(value):
                 raise ValueError(f"{field.name} must be a finite real number, got {value!r}")
         if self.sigma < 0.0:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
@@ -161,6 +169,24 @@ def ap0(fee, params: MarketParams):
     )
 
 
+def ap0_slope(fee, params: MarketParams):
+    """``d ap0 / d fee``: the profit rate's factor ``cosh(f/2) / (1 + kappa)``
+    has slope ``(sinh(f/2)/2 - cosh(f/2) kappa'(f) / (1 + kappa)) / (1 + kappa)``,
+    with ``kappa'(f) = kappa(1)``."""
+    _check_fee(fee)
+    if params.sigma == 0.0:
+        return 0.0 * fee
+    k = kappa(fee, params)
+    xp = array_module(fee)
+    return (
+        params.sigma**2
+        / 8.0
+        / (1.0 + k)
+        * (0.5 * xp.sinh(0.5 * fee) - kappa(1.0, params) * xp.cosh(0.5 * fee) / (1.0 + k))
+        / _denominator(params)
+    )
+
+
 def ae0(fee, params: MarketParams):
     """Arbitrage profit forgone to outsiders, per unit pool value per unit time.
 
@@ -175,6 +201,23 @@ def ae0(fee, params: MarketParams):
     k = kappa(fee, params)
     xp = array_module(fee)
     return params.sigma**2 / 8.0 * xp.exp(-k) * xp.cosh(0.5 * fee) / _denominator(params)
+
+
+def ae0_slope(fee, params: MarketParams):
+    """``d ae0 / d fee``: the excess rate's factor ``e^{-kappa} cosh(f/2)`` has
+    slope ``e^{-kappa} (sinh(f/2)/2 - cosh(f/2) kappa'(f))``."""
+    _check_fee(fee)
+    if params.sigma == 0.0:
+        return 0.0 * fee
+    k = kappa(fee, params)
+    xp = array_module(fee)
+    return (
+        params.sigma**2
+        / 8.0
+        * xp.exp(-k)
+        * (0.5 * xp.sinh(0.5 * fee) - kappa(1.0, params) * xp.cosh(0.5 * fee))
+        / _denominator(params)
+    )
 
 
 def excess_ratio(fee, params: MarketParams):

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import equilibrium, market
 from .auction import AuctionParams, AuctionRejection, AuctionState, Bid, _to_fraction
-from .market import MarketParams
+from .market import MarketParams, _finite_real
 from .pool import strategic_withdrawal_values, withdrawal_fee_required
 
 # Not called here: the kernel below does the same trade on arrays. The name
@@ -70,6 +70,13 @@ BLOCK_LOG_HEADER = ("block", "tau", "z", "fee", "arb_profit", "excess", "noise_f
 CHUNK_BLOCKS = 1024
 
 _ONE_SHARE = Fraction(1)
+
+# Config fields that must be JSON numbers: integers exact, the others finite.
+# Booleans are neither, though Python counts them as ints.
+_INTEGER_KEYS = ("horizon_blocks", "seed", "k_delay")
+_REAL_KEYS = ("min_increment_factor", "initial_liquidity", "default_fee", "withdrawal_fee",
+              "manager_fee")
+_NULLABLE_KEYS = ("default_fee", "withdrawal_fee", "manager_fee")
 
 
 class ConfigError(ValueError):
@@ -141,29 +148,38 @@ class SimConfig:
             raise ConfigError("config is missing the 'market' section")
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad market params: {exc}")
+        raw_bids = raw.get("initial_bids", [])
+        if not isinstance(raw_bids, list):
+            raise ConfigError(f"initial_bids must be a list, got {raw_bids!r}")
+        for i, b in enumerate(raw_bids):
+            if not (isinstance(b, dict) and {"bidder", "rent", "deposit"} <= b.keys()):
+                raise ConfigError(
+                    f"initial_bids[{i}] must be an object with bidder, rent and deposit, "
+                    f"got {b!r}"
+                )
+            for key in ("rent", "deposit"):
+                if not _finite_real(b[key]):
+                    raise ConfigError(
+                        f"initial_bids[{i}].{key} must be a finite number, got {b[key]!r}"
+                    )
         bids = tuple(
             BidSpec(bidder=str(b["bidder"]), rent=float(b["rent"]), deposit=float(b["deposit"]))
-            for b in raw.get("initial_bids", ())
+            for b in raw_bids
         )
-        known = {
-            "horizon_blocks",
-            "seed",
-            "k_delay",
-            "min_increment_factor",
-            "default_fee",
-            "withdrawal_fee",
-            "manager_policy",
-            "manager_fee",
-            "lp_policy",
-            "initial_liquidity",
-        }
+        known = {*_INTEGER_KEYS, *_REAL_KEYS, "manager_policy", "lp_policy"}
         extra = set(raw) - known - {"schema_version", "market", "initial_bids"}
         if extra:
             raise ConfigError(f"unknown config keys: {sorted(extra)}")
+        for key, value in raw.items():
+            if key in _INTEGER_KEYS and (not isinstance(value, int) or isinstance(value, bool)):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+            nullable = value is None and key in _NULLABLE_KEYS
+            if key in _REAL_KEYS and not (_finite_real(value) or nullable):
+                raise ConfigError(f"{key} must be a finite number, got {value!r}")
         try:
             return cls(
-                horizon_blocks=int(raw["horizon_blocks"]),
-                seed=int(raw.get("seed", 0)),
+                horizon_blocks=raw["horizon_blocks"],
+                seed=raw.get("seed", 0),
                 market=mkt,
                 initial_bids=bids,
                 **{k: raw[k] for k in known - {"horizon_blocks", "seed"} if k in raw},

@@ -163,6 +163,43 @@ class TestBadMarketParams:
         assert_one_line_error(capsys, "sigma must be a finite real number")
 
 
+class TestBadSimConfig:
+    @pytest.mark.parametrize(
+        "patch, needle",
+        [
+            ({"initial_bids": [{"bidder": "mgr", "deposit": 0.01}]}, "initial_bids[0] must be"),
+            ({"initial_bids": ["mgr"]}, "initial_bids[0] must be"),
+            ({"initial_bids": {"bidder": "mgr"}}, "initial_bids must be a list"),
+            ({"initial_bids": [{"bidder": "m", "rent": True, "deposit": 1}]},
+             "initial_bids[0].rent must be a finite number"),
+            ({"initial_bids": [{"bidder": "m", "rent": 1e-6, "deposit": "0.01"}]},
+             "initial_bids[0].deposit must be a finite number"),
+            ({"default_fee": "0.01"}, "default_fee must be a finite number"),
+            ({"manager_fee": math.inf}, "manager_fee must be a finite number"),
+            ({"initial_liquidity": math.nan}, "initial_liquidity must be a finite number"),
+            ({"initial_liquidity": None}, "initial_liquidity must be a finite number"),
+            ({"min_increment_factor": False}, "min_increment_factor must be a finite number"),
+            ({"horizon_blocks": 2.7}, "horizon_blocks must be an integer"),
+            ({"horizon_blocks": True}, "horizon_blocks must be an integer"),
+            ({"seed": "7"}, "seed must be an integer"),
+            ({"k_delay": 5.0}, "k_delay must be an integer"),
+        ],
+    )
+    def test_field_values_exit_2(self, patch, needle, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**sim_config_dict(), **patch}))  # NaN/Infinity literals
+        assert main(["simulate", str(path)]) == 2
+        assert_one_line_error(capsys, needle)
+
+    def test_integer_amounts_and_null_fees_parse(self, tmp_path, capsys):
+        raw = sim_config_dict(horizon=50)
+        raw.update(initial_liquidity=2, default_fee=None, withdrawal_fee=None,
+                   initial_bids=[{"bidder": "mgr", "rent": 1, "deposit": 100}])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert main(["simulate", str(path)]) == 0
+
+
 class TestMCValidate:
     def test_sample_floor_is_usage_error(self, capsys):
         assert main(["mc-validate", "--samples", "5000"]) == 2
@@ -206,9 +243,12 @@ class TestEquilibrium:
         assert header == ["f", "L_ff", "L_star", "R_star", "f_star", "f_opt", "margin"]
         assert len(rows) == 16
 
-    def test_bracket_failure_exit_3(self, capsys):
-        assert main(["equilibrium", "--f-max", "0"]) == 3
-        assert "solver failure" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flags", [["--f-max", "0"], ["--sigma", "0", "--r", "0"]], ids=["no-fee", "no-cost"]
+    )
+    def test_no_equilibrium_exit_3(self, flags, capsys):
+        assert main(["equilibrium", *flags]) == 3
+        assert "no positive finite root" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -297,6 +337,28 @@ class TestReplay:
         assert main(["replay", "/nope/scenario.jsonl"]) == 2
         assert "/nope/scenario.jsonl" in capsys.readouterr().err
 
+    def test_config_hash_follows_content_not_path(self, tmp_path, capsys):
+        text = (DATA / "k_delay.jsonl").read_text()
+        traces = []
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "scenario.jsonl").write_text(text)
+            assert main(["replay", str(tmp_path / name / "scenario.jsonl"),
+                         "--out", str(tmp_path / name / "out")]) == 0
+            traces.append((tmp_path / name / "out" / "trace.csv").read_bytes())
+        assert traces[0] == traces[1]
+        lines = text.splitlines(keepends=True)
+        action = json.loads(lines[1])
+        action["block"] += 1
+        lines[1] = json.dumps(action) + "\n"
+        (tmp_path / "a" / "scenario.jsonl").write_text("".join(lines))
+        assert main(["replay", str(tmp_path / "a" / "scenario.jsonl"),
+                     "--out", str(tmp_path / "a" / "edited")]) == 0
+        capsys.readouterr()
+        hashes = [read_csv(tmp_path / "a" / d / "trace.csv")[0]["config_hash"]
+                  for d in ("out", "edited")]
+        assert hashes[0] != hashes[1]
+
 
 class TestParser:
     def test_usage_error_exit_2(self):
@@ -309,6 +371,20 @@ class TestParser:
             main(["--version"])
         assert exc.value.code == 0
         assert "ammauction" in capsys.readouterr().out
+
+
+class TestImportCost:
+    def test_cli_import_leaves_out_scipy_optimize(self):
+        # scipy.optimize alone costs a few tenths of a second per interpreter
+        root = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(root / "src")
+        code = "import sys, ammauction.cli; print('scipy.optimize' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 class TestTracerHooks:

@@ -6,7 +6,6 @@ import pytest
 from ammauction import market
 from ammauction.equilibrium import (
     BracketError,
-    SolverConfig,
     dominance_report,
     lp_pnl_am,
     lp_pnl_ff,
@@ -55,6 +54,32 @@ def grid_scan_ff_root(fee: float, params: MarketParams, n_points: int = 1_000_00
     revenue = fee * params.c0 * math.exp(-params.c1 * fee) / 2.0
     g = revenue * grid ** (params.alpha - 1.0) - (market.ap0(fee, params) + params.r)
     return float(grid[np.argmin(np.abs(g))])
+
+
+def bisect_am_foc(params: MarketParams) -> float:
+    """Independent managed fee: bisection of ``d/df ln L_ae(f)`` to adjacent floats,
+    ``1/f - c1 - ae0'(f)/(ae0(f) + r)``, with ae0 and the slope of its log
+    written out from the raw formula."""
+    scale = params.sigma * math.sqrt(params.delta_t / 2.0)
+
+    def ae0(f):
+        if scale == 0.0:
+            return 0.0
+        spread = 1.0 - params.sigma**2 * params.delta_t / 8.0
+        return params.sigma**2 / 8.0 * math.exp(-f / scale) * math.cosh(f / 2) / spread
+
+    def foc(f):
+        log_slope = 0.5 * math.tanh(f / 2) - (1.0 / scale if scale else 0.0)
+        return 1.0 / f - params.c1 - ae0(f) * log_slope / (ae0(f) + params.r)
+
+    lo, hi = 1e-9, params.f_max
+    assert foc(lo) > 0.0 > foc(hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if foc(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 class TestLpPnlFF:
@@ -201,13 +226,28 @@ class TestRevenueOptimalFee:
         params = MarketParams(sigma=0.05, delta_t=0.01, r=1e-4, f_max=0.05, c1=10.0)
         assert revenue_optimal_fee(10.0, params) == pytest.approx(0.05, rel=1e-9)
 
-    def test_matches_closed_form_within_grid_cell(self):
-        for c1 in (60.0, 120.0, 400.0):
+    def test_equals_closed_form(self):
+        for c1 in (10.0, 60.0, 120.0, 400.0):
             params = MarketParams(sigma=0.05, delta_t=0.01, r=1e-4, f_max=0.05, c1=c1)
-            closed = min(1.0 / c1, params.f_max)
-            assert revenue_optimal_fee(3.0, params) == pytest.approx(
-                closed, abs=params.f_max / 2047
-            )
+            assert revenue_optimal_fee(3.0, params) == min(1.0 / c1, params.f_max)
+
+
+class TestRateSlopes:
+    @pytest.mark.parametrize("rate, slope", [(market.ap0, market.ap0_slope),
+                                             (market.ae0, market.ae0_slope)])
+    @pytest.mark.parametrize(
+        "params", ACCEPTANCE_SETS, ids=lambda p: f"sigma{p.sigma}-dt{p.delta_t}"
+    )
+    def test_matches_central_difference(self, rate, slope, params):
+        h = 1e-7
+        for fee in (0.001, 0.003, 0.01, 0.03):
+            numeric = (rate(fee + h, params) - rate(fee - h, params)) / (2.0 * h)
+            assert slope(fee, params) == pytest.approx(numeric, rel=1e-6)
+
+    @pytest.mark.parametrize("slope", [market.ap0_slope, market.ae0_slope])
+    def test_flat_without_price_motion(self, slope):
+        params = MarketParams(sigma=0.0, delta_t=0.01, r=1e-4, f_max=0.05)
+        assert slope(0.003, params) == 0.0
 
 
 class TestAmEquilibrium:
@@ -242,16 +282,24 @@ class TestAmEquilibrium:
         eq = solve_am_equilibrium(REF)
         assert eq.f_opt <= eq.f_star
 
-    def test_bracket_start_robustness(self):
-        base = solve_am_equilibrium(REF, SolverConfig()).L_star
-        moved = solve_am_equilibrium(REF, SolverConfig(bracket_start=10.0)).L_star
-        assert abs(moved - base) / base < 1e-9
-
     def test_bracket_failure_diagnostics(self):
-        # a zero fee cap leaves the manager objective negative for every L
+        # a zero fee cap leaves no fee that earns revenue
         params = MarketParams(sigma=0.05, delta_t=0.01, r=1e-4, f_max=0.0)
-        with pytest.raises(BracketError, match="no sign change"):
+        with pytest.raises(BracketError, match="at fee 0: the fee revenue vanishes"):
             solve_am_equilibrium(params)
+
+    @pytest.mark.parametrize(
+        "params",
+        ACCEPTANCE_SETS + [MarketParams(sigma=0.0, delta_t=0.01, r=1e-4, f_max=0.05)],
+        ids=lambda p: f"sigma{p.sigma}-dt{p.delta_t}",
+    )
+    def test_fee_is_first_order_root(self, params):
+        root = bisect_am_foc(params)
+        eq = solve_am_equilibrium(params)
+        assert abs(eq.f_star - root) <= 1e-13 * root
+        # the manager's own fee problem at L* has the same root
+        assert manager_optimal_fee(eq.L_star, params) == pytest.approx(eq.f_star, rel=1e-15)
+        assert eq.f_opt == min(1.0 / params.c1, params.f_max)
 
 
 class TestDominanceReport:
