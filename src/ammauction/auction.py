@@ -24,6 +24,10 @@ holds exactly, not merely to rounding. Rent streams to LPs through a
 monotone rent-per-share accumulator: a holder's claim is
 ``shares * (accumulator_now - accumulator_at_snapshot)``, settled lazily.
 
+Block clock: ``advance_block`` runs an event block through every rule, and
+``advance_to`` pays each rent-only stretch between events in one step; both
+pay rent through the same rent step, so a stretch equals its single blocks.
+
 Mutations must be serialized by the caller (single writer); reads of
 serialized snapshots are safe from any thread.
 """
@@ -128,15 +132,6 @@ class AuctionEvent:
     amount: Fraction | None = None
     reason: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "block": self.block,
-            "kind": self.kind,
-            "bidder": self.bidder,
-            "amount": None if self.amount is None else str(self.amount),
-            "reason": self.reason,
-        }
-
 
 @dataclass
 class _LPAccount:
@@ -146,16 +141,15 @@ class _LPAccount:
 
 
 class AuctionState:
-    def __init__(self, params: AuctionParams, start_block: int = 0):
+    def __init__(self, params: AuctionParams):
         self.params = params
-        self.current_block = start_block
+        self.current_block = 0
         self.top: Optional[Bid] = None
         self.next: Optional[Bid] = None
         self.pending: list[Bid] = []
         self.effective_fee: float = params.default_fee
         self.block_fee: float = params.default_fee  # fee in force for the last-advanced block
         self._pending_fee: float | None = None
-        self._pending_fee_setter: str | None = None
         self.rent_per_share = Fraction(0)
         # conservation ledger
         self.deposits_posted = Fraction(0)
@@ -301,7 +295,6 @@ class AuctionState:
                 "fee-above-cap", f"fee {fee} outside [0, {self.params.fee_cap}]"
             )
         self._pending_fee = float(fee)
-        self._pending_fee_setter = bidder
 
     # -- LP rent accounting ---------------------------------------------------
 
@@ -375,32 +368,18 @@ class AuctionState:
             if old_top is not None:
                 events.append(AuctionEvent(block, "demoted", old_top.bidder, old_top.deposit))
             self._pending_fee = None  # a dethroned manager's request dies with it
-            self._pending_fee_setter = None
 
-        # 3. fee set last block takes effect now, if the setter still manages
+        # 3. the (still seated) manager's fee set last block takes effect now
         if self._pending_fee is not None:
-            if self._pending_fee_setter == self.manager:
-                self.effective_fee = self._pending_fee
+            self.effective_fee = self._pending_fee
             self._pending_fee = None
-            self._pending_fee_setter = None
         # a depletion below hands over only from the next block on, so the
         # fee ruling *this* block is pinned here
         self.block_fee = self.effective_fee
 
         # 4. rent streams from the manager's deposit to LP shares
         if self.top is not None:
-            shares = (
-                _to_fraction(lp_total_shares, "lp_total_shares")
-                if lp_total_shares is not None
-                else self.lp_registered_shares()
-            )
-            if shares <= 0:
-                shares = Fraction(1)
-            rent = self.top.rent
-            self.top.deposit -= rent
-            self.rent_distributed += rent
-            self.rent_per_share += rent if shares == 1 else rent / shares
-            events.append(AuctionEvent(block, "rent", self.top.bidder, rent))
+            events.append(self._stream_rent(1, lp_total_shares))
 
             # 5. depletion promotes the (already activated) next bid
             if self.top.deposit == 0:
@@ -414,8 +393,6 @@ class AuctionState:
 
         if self.top is None:
             self.effective_fee = self.params.default_fee
-            self._pending_fee = None
-            self._pending_fee_setter = None
         return events
 
     def next_event_block(self) -> int | None:
@@ -425,7 +402,7 @@ class AuctionState:
         outranks the manager; otherwise the earliest of a pending bid's
         ``active_from`` and the block at which the top bid's deposit runs
         out. ``None`` when nothing is scheduled at all. Every block before
-        it only streams rent, which :meth:`advance_blocks` does in one step.
+        it only streams rent, which :meth:`advance_to` pays in one step.
         """
         soon = self.current_block + 1
         if self._pending_fee is not None or (
@@ -437,33 +414,34 @@ class AuctionState:
             candidates.append(self.current_block + math.ceil(self.top.runway()))
         return max(soon, min(candidates)) if candidates else None
 
-    def advance_blocks(
-        self, n: int, lp_total_shares: Number | None = None
-    ) -> list[AuctionEvent]:
-        """Advance ``n`` rent-only blocks in O(1), exactly.
+    def advance_to(
+        self, block: int, lp_total_shares: Number | None = None
+    ) -> Iterator[tuple[int, list[AuctionEvent]]]:
+        """Advance to ``block``, one step per rent-only stretch or event block.
 
-        Leaves the same state as ``n`` calls of :meth:`advance_block` (same
-        ``lp_total_shares`` rule) when all ``n`` blocks come before
-        :meth:`next_event_block`. Raises ``ValueError`` for an ``n`` that
-        would reach or cross that block, instead of stopping short.
-
-        Returns one ``rent`` event for the whole stretch, dated its last
-        block and carrying the total paid, or no event while unmanaged.
+        Each rent-only stretch before :meth:`next_event_block` is one exact
+        step, the same as that many :meth:`advance_block` calls; each event
+        block is one :meth:`advance_block`. Yields ``(blocks, events)`` after
+        each step: the step's length and its events, dated and ordered as the
+        block rules emit them (a stretch has one ``rent`` event for its total,
+        none while unmanaged).
+        The state advances only as the steps are consumed, so a caller may
+        act on the auction between steps, for example set a new manager's
+        fee, and the next step sees it.
         """
-        if n < 0:
-            raise ValueError(f"n must be non-negative, got {n}")
-        event = self.next_event_block()
-        if event is not None and self.current_block + n >= event:
-            raise ValueError(
-                f"advancing {n} blocks from block {self.current_block} "
-                f"reaches the auction event at block {event}"
-            )
-        if n == 0:
-            return []
-        self.current_block += n
-        self.block_fee = self.effective_fee
-        if self.top is None:
-            return []
+        while self.current_block < block:
+            event = self.next_event_block()
+            bulk = (block if event is None else min(block, event - 1)) - self.current_block
+            if bulk > 0:
+                self.current_block += bulk
+                self.block_fee = self.effective_fee
+                yield bulk, [self._stream_rent(bulk, lp_total_shares)] if self.top else []
+            else:
+                yield 1, self.advance_block(lp_total_shares)
+
+    def _stream_rent(self, n: int, lp_total_shares: Number | None) -> AuctionEvent:
+        """Pay ``n`` blocks of the top's rent, ending at the current block, to
+        ``lp_total_shares``, else the registered shares, else one share."""
         shares = (
             _to_fraction(lp_total_shares, "lp_total_shares")
             if lp_total_shares is not None
@@ -475,29 +453,7 @@ class AuctionState:
         self.top.deposit -= rent
         self.rent_distributed += rent
         self.rent_per_share += rent if shares == 1 else rent / shares
-        return [AuctionEvent(self.current_block, "rent", self.top.bidder, rent)]
-
-    def advance_to(
-        self, block: int, lp_total_shares: Number | None = None
-    ) -> Iterator[tuple[int, list[AuctionEvent]]]:
-        """Advance to ``block``, one step per rent-only stretch or event block.
-
-        Each rent-only stretch before :meth:`next_event_block` goes in one
-        :meth:`advance_blocks` step; each event block goes through
-        :meth:`advance_block`. Yields ``(blocks, events)`` after each step:
-        the step's length and its events, dated and ordered as the block
-        rules emit them (a stretch reports one ``rent`` event for its total).
-        The state advances only as the steps are consumed, so a caller may
-        act on the auction between steps, for example set a new manager's
-        fee, and the next step sees it.
-        """
-        while self.current_block < block:
-            event = self.next_event_block()
-            bulk = (block if event is None else min(block, event - 1)) - self.current_block
-            if bulk > 0:
-                yield bulk, self.advance_blocks(bulk, lp_total_shares)
-            else:
-                yield 1, self.advance_block(lp_total_shares)
+        return AuctionEvent(self.current_block, "rent", self.top.bidder, rent)
 
     def _refund(self, bid: Bid) -> None:
         self.refunds += bid.deposit

@@ -20,9 +20,10 @@ import hashlib
 import json
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 import scipy
@@ -76,19 +77,26 @@ def _fmt(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _write_csv(path: Path, manifest: dict, header: Sequence[str], rows: Iterable[tuple]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# manifest " + json.dumps(manifest, sort_keys=True) + "\n")
+def _write_manifest(fh: TextIO, manifest: dict) -> None:
+    fh.write("# manifest " + json.dumps(manifest, sort_keys=True) + "\n")
+
+
+def _emit_csv(
+    out: Path | None, name: str, manifest: dict, header: Sequence[str], rows: Iterable[tuple]
+) -> Path | None:
+    """Write a CSV under its manifest line to ``out / name``, or to stdout when
+    ``out`` is None; the path written, if any."""
+    path = None if out is None else out / name
+    with (
+        nullcontext(sys.stdout)
+        if path is None
+        else open(path, "w", encoding="utf-8", newline="\n")
+    ) as fh:
+        _write_manifest(fh, manifest)
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _print_csv(manifest: dict, header: Sequence[str], rows: Iterable[tuple]) -> None:
-    sys.stdout.write("# manifest " + json.dumps(manifest, sort_keys=True) + "\n")
-    sys.stdout.write(",".join(header) + "\n")
-    for row in rows:
-        sys.stdout.write(",".join(_fmt(v) for v in row) + "\n")
+    return path
 
 
 def _add_params_options(parser: argparse.ArgumentParser) -> None:
@@ -167,12 +175,9 @@ def cmd_formulas(args: argparse.Namespace) -> int:
         None,
         ["formulas.csv"],
     )
-    out = _out_dir(args)
-    if out is None:
-        _print_csv(manifest, header, rows)
-    else:
-        _write_csv(out / "formulas.csv", manifest, header, rows)
-        print(f"wrote {out / 'formulas.csv'}")
+    path = _emit_csv(_out_dir(args), "formulas.csv", manifest, header, rows)
+    if path is not None:
+        print(f"wrote {path}")
     return 0
 
 
@@ -216,7 +221,7 @@ def cmd_mc_validate(args: argparse.Namespace) -> int:
     )
     out = _out_dir(args)
     if out is not None:
-        _write_csv(out / "mc_validate.csv", manifest, header, rows)
+        _emit_csv(out, "mc_validate.csv", manifest, header, rows)
     print("validation:", "pass" if all_pass else "FAIL")
     return 0 if all_pass else 1
 
@@ -227,12 +232,10 @@ def cmd_equilibrium(args: argparse.Namespace) -> int:
     manifest = _manifest(
         "equilibrium", {"params": params.__dict__, "grid": args.grid}, None, ["equilibrium.csv"]
     )
-    out = _out_dir(args)
-    rows = report.to_csv_rows()
-    if out is None:
-        _print_csv(manifest, DominanceReport.CSV_HEADER, rows)
-    else:
-        _write_csv(out / "equilibrium.csv", manifest, DominanceReport.CSV_HEADER, rows)
+    _emit_csv(
+        _out_dir(args), "equilibrium.csv", manifest, DominanceReport.CSV_HEADER,
+        report.to_csv_rows(),
+    )
     am = report.am
     print(
         f"L_star={am.L_star!r} R_star={am.R_star!r} f_star={am.f_star!r} "
@@ -260,7 +263,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return 0
     blocks_path = out / "blocks.csv"
     with open(blocks_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# manifest " + json.dumps(manifest, sort_keys=True) + "\n")
+        _write_manifest(fh, manifest)
         report = run_sim(config, block_log=fh)
     payload = {"manifest": manifest, "report": report.to_dict()}
     (out / "report.json").write_text(
@@ -275,11 +278,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
     config = SimConfig.from_dict(raw)
     report = run_strategic_withdrawal_attack(config)
     manifest = _manifest("attack", config.to_dict(), config.seed, ["attack.csv"])
-    out = _out_dir(args)
-    if out is None:
-        _print_csv(manifest, report.CSV_HEADER, report.to_csv_rows())
-    else:
-        _write_csv(out / "attack.csv", manifest, report.CSV_HEADER, report.to_csv_rows())
+    _emit_csv(_out_dir(args), "attack.csv", manifest, report.CSV_HEADER, report.to_csv_rows())
     print(
         f"withdrawal_fee={report.fee_rate!r} max_net_gain={report.max_net_gain!r} "
         f"gain_at_cap={report.gain_at_cap!r}"
@@ -293,12 +292,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
     scenario = hashlib.sha256(Path(args.scenario_path).read_bytes()).hexdigest()
     manifest = _manifest("replay", {"scenario_sha256": scenario}, None, ["trace.csv"])
     out = _out_dir(args)
-    if out is None:
-        _print_csv(manifest, TRACE_HEADER, trace.to_csv_rows())
-    else:
-        _write_csv(out / "trace.csv", manifest, TRACE_HEADER, trace.to_csv_rows())
+    path = _emit_csv(out, "trace.csv", manifest, TRACE_HEADER, trace.to_csv_rows())
+    if path is not None:
         (out / "final_state.json").write_text(trace.final_state_json + "\n", encoding="utf-8")
-        print(f"wrote {out / 'trace.csv'}")
+        print(f"wrote {path}")
     return 0
 
 

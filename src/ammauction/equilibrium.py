@@ -34,7 +34,7 @@ import numpy as np
 
 from . import market
 from .market import MarketParams
-from .pool import array_module, pool_value
+from .pool import array_module, pool_value, where
 
 __all__ = [
     "FEE_GRID",
@@ -65,9 +65,10 @@ class BracketError(RuntimeError):
 class FFEquilibrium:
     """Zero-profit liquidity for a fixed-fee pool.
 
-    ``boundary`` marks the degenerate zero-fee case: with no fee revenue the
-    only equilibrium is no liquidity, and ``residual`` then reports the
-    (constant) profit gap ``ap0(0) + r`` instead of a root residual.
+    ``boundary`` marks the degenerate cases, fee zero and a fee whose root
+    underflows to 0.0: with no fee revenue the only equilibrium is no
+    liquidity, and ``residual`` then reports the (constant) profit gap
+    ``ap0(f) + r`` instead of a root residual.
     """
 
     fee: float
@@ -140,8 +141,13 @@ def _argmax_fee(fees: np.ndarray, values: np.ndarray, slope) -> float:
 
 def _zero_profit_liquidity(fee, rate, params: MarketParams):
     """The liquidity at which ``f*H0(f,L) = rate(f) + r``, in closed form, and
-    ``|f*H0 - rate - r|`` there, at positive fees, a float or an array;
-    raises :class:`BracketError` where it is not positive and finite."""
+    ``|f*H0 - rate - r|`` there, at positive fees, a float or an array.
+
+    A root that underflows to 0.0 (the revenue, or the root itself, is below
+    the smallest double) is zero liquidity, with the profit gap
+    ``rate(f) + r`` as its residual. Raises :class:`BracketError` where the
+    root is infinite or undefined.
+    """
     revenue = fee * params.c0 * array_module(fee).exp(-params.c1 * fee) / 2.0
     target = rate(fee, params) + params.r
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -149,14 +155,16 @@ def _zero_profit_liquidity(fee, rate, params: MarketParams):
             root = (revenue / target) ** (1.0 / (1.0 - params.alpha))
         except (ZeroDivisionError, OverflowError):  # floats raise where arrays give inf
             root = math.inf
-        bad = np.logical_not(np.isfinite(root) & (root > 0.0))
+        bad = np.logical_not(np.isfinite(root))
         if np.any(bad):
             raise BracketError(
                 f"no positive finite root at fee {np.extract(bad, fee)[0]:g}: the fee "
                 "revenue vanishes, or so does the arbitrage rate plus r (no price "
                 "motion and no capital charge)"
             )
-        return root, abs(revenue * root ** (params.alpha - 1.0) - target)
+        positive = root > 0.0
+        safe = where(positive, root, 1.0)  # 0.0 ** (alpha - 1) divides by zero
+        return root, where(positive, abs(revenue * safe ** (params.alpha - 1.0) - target), target)
 
 
 def _most_liquid_fee(rate, rate_slope, params: MarketParams) -> tuple[float, float]:
@@ -168,6 +176,11 @@ def _most_liquid_fee(rate, rate_slope, params: MarketParams) -> tuple[float, flo
     """
     fees = np.linspace(params.f_max / FEE_GRID, params.f_max, FEE_GRID)
     liquidity, _ = _zero_profit_liquidity(fees, rate, params)
+    if not liquidity.max() > 0.0:
+        raise BracketError(
+            f"no positive finite root at fee {fees[0]:g}: the fee revenue vanishes at "
+            f"every fee up to f_max = {params.f_max:g}"
+        )
 
     def log_slope(fee: float) -> float:
         return 1.0 / fee - params.c1 - rate_slope(fee, params) / (rate(fee, params) + params.r)
@@ -182,10 +195,10 @@ def solve_ff_liquidity(fee: float, params: MarketParams) -> FFEquilibrium:
     ``G(L) = f*H0(f,L) - ap0(f) - r`` is a strictly decreasing power law in
     L, so the root is the closed form
     ``L = (f c0 e^{-c1 f} / (2 (ap0(f) + r)))^{1/(1-alpha)}`` and
-    ``residual`` is ``|G(L)|``. At fee zero there is no revenue and the
-    boundary equilibrium ``L = 0`` is reported instead. Raises
-    :class:`BracketError` when the revenue underflows to zero or
-    ``ap0(f) + r`` is zero (no price motion and no capital charge).
+    ``residual`` is ``|G(L)|``. At fee zero there is no revenue, and where
+    the root underflows to 0.0 none that a double can show: the boundary
+    equilibrium ``L = 0`` is reported instead. Raises :class:`BracketError`
+    when ``ap0(f) + r`` is zero (no price motion and no capital charge).
     """
     if fee < 0.0:
         raise ValueError(f"fee must be non-negative, got {fee}")
@@ -197,7 +210,7 @@ def solve_ff_liquidity(fee: float, params: MarketParams) -> FFEquilibrium:
             boundary=True,
         )
     root, residual = _zero_profit_liquidity(fee, market.ap0, params)
-    return FFEquilibrium(fee=fee, liquidity=root, residual=residual)
+    return FFEquilibrium(fee=fee, liquidity=root, residual=residual, boundary=root == 0.0)
 
 
 def _best_manager_fee(liquidity: float, params: MarketParams) -> tuple[float, float]:
@@ -324,8 +337,9 @@ class DominanceReport:
 def dominance_report(params: MarketParams, n_grid: int = 64) -> DominanceReport:
     """Tabulate L_ff(f) across a fee grid against the managed equilibrium.
 
-    Each row carries the dominance margin at its fee; the zero-fee row is the
-    boundary equilibrium (no liquidity) and is trivially dominated.
+    Each row carries the dominance margin at its fee; the zero-fee row, and
+    any row whose liquidity underflows to 0.0, is the boundary equilibrium
+    (no liquidity) and is trivially dominated.
     """
     if n_grid < 16:
         raise ValueError(f"n_grid must be at least 16, got {n_grid}")

@@ -725,9 +725,8 @@ def _parse_scenario(
         raise ReplayParseError(1, "empty scenario: missing header line")
 
     def number(key: str, default=None, integer: bool = False):
-        value = header.get(key, default)  # JSON true/false arrive as bool, an int
-        bad = isinstance(value, bool) or not isinstance(value, int if integer else (int, float))
-        if bad or isinstance(value, float) and not math.isfinite(value):
+        value = header.get(key, default)
+        if not _finite_real(value) or integer and not isinstance(value, int):
             what = "an integer" if integer else "a finite number"
             raise ReplayParseError(header_no, f"{key} must be {what}, got {value!r}")
         return value

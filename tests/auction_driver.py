@@ -102,28 +102,31 @@ def random_jump_events(rng: random.Random, n: int) -> list[dict]:
     return events
 
 
-def jump(state: AuctionState, blocks: int) -> None:
+def jump(state: AuctionState, blocks: int, shares=TOTAL_SHARES) -> None:
     """Advance ``blocks`` blocks: rent-only stretches in bulk, events one by one."""
-    for _ in state.advance_to(state.current_block + blocks, TOTAL_SHARES):
+    for _ in state.advance_to(state.current_block + blocks, shares):
         pass
 
 
-def apply_event(state: AuctionState, ev: dict, single_step: bool = False) -> None:
+def apply_event(
+    state: AuctionState, ev: dict, single_step: bool = False, shares=TOTAL_SHARES
+) -> None:
     """Apply one generated action; the rules' rejections are absorbed.
 
     A ``jump`` advances in bulk via :func:`jump`, or block by block with
-    ``single_step``.
+    ``single_step``. Blocks advance with ``lp_total_shares=shares``; ``None``
+    pays rent to the registered shares, or to one synthetic share.
     """
     op = ev["op"]
     try:
         if op == "advance":
-            state.advance_block(TOTAL_SHARES)
+            state.advance_block(shares)
         elif op == "jump":
             if single_step:
                 for _ in range(ev["blocks"]):
-                    state.advance_block(TOTAL_SHARES)
+                    state.advance_block(shares)
             else:
-                jump(state, ev["blocks"])
+                jump(state, ev["blocks"], shares)
         elif op == "submit":
             state.submit_bid(ev["bidder"], ev["rent"], ev["deposit"])
         elif op == "reduce":

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ import pytest
 import scipy
 
 from ammauction.cli import main
+from ammauction.equilibrium import FEE_GRID
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -249,6 +251,17 @@ class TestEquilibrium:
     def test_no_equilibrium_exit_3(self, flags, capsys):
         assert main(["equilibrium", *flags]) == 3
         assert "no positive finite root" in capsys.readouterr().err
+
+    def test_underflowing_fees_hold_no_liquidity(self, tmp_path, capsys):
+        # at c1 = 1e4 the liquidity of fees from about 0.038 up is below the
+        # smallest double; the best fee is near 1/c1
+        assert main(["equilibrium", "--c1", "1e4", "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "dominated=True" in out
+        f_star = float(re.search(r"\bf_star=(\S+)", out).group(1))
+        assert abs(f_star - 1e-4) <= 0.05 / FEE_GRID
+        _, _, rows = read_csv(tmp_path / "equilibrium.csv")
+        assert float(rows[-1][0]) == 0.05 and float(rows[-1][1]) == 0.0
 
 
 class TestSimulate:

@@ -6,6 +6,7 @@ import pytest
 from ammauction import market
 from ammauction.equilibrium import (
     BracketError,
+    FFEquilibrium,
     dominance_report,
     lp_pnl_am,
     lp_pnl_ff,
@@ -160,11 +161,18 @@ class TestSolveFFLiquidity:
         with pytest.raises(BracketError, match="no positive finite root"):
             solve_ff_liquidity(0.003, params)
 
-    def test_underflowing_revenue_raises(self):
-        # e^{-c1 f} = e^{-5000} is 0.0: no revenue to balance the loss
-        params = MarketParams(sigma=0.05, delta_t=0.01, r=1e-4, f_max=0.05, c1=1e5)
-        with pytest.raises(BracketError, match="no positive finite root"):
-            solve_ff_liquidity(0.05, params)
+    @pytest.mark.parametrize(
+        "c1, fee",
+        # e^{-5000} is 0.0: no revenue; e^{-400} leaves a revenue whose root,
+        # its square over ap0 + r, is below the smallest double
+        [(1e5, 0.05), (1e4, 0.04)],
+        ids=["revenue", "root"],
+    )
+    def test_underflowing_revenue_is_the_boundary(self, c1, fee):
+        params = MarketParams(sigma=0.05, delta_t=0.01, r=1e-4, f_max=0.05, c1=c1)
+        assert solve_ff_liquidity(fee, params) == FFEquilibrium(
+            fee=fee, liquidity=0.0, residual=market.ap0(fee, params) + params.r, boundary=True
+        )
 
     def test_negative_fee_rejected(self):
         with pytest.raises(ValueError):

@@ -289,6 +289,8 @@ class TestReplay:
             '"k_delay": 2, "fee_cap": "0.05"',
             '"k_delay": 2, "fee_cap": NaN',
             '"k_delay": 2, "fee_cap": Infinity',
+            # an integer past the largest double
+            pytest.param(f'"k_delay": 2, "fee_cap": {10**400}', id="fee_cap-10^400"),
             '"k_delay": 2, "fee_cap": 0.05, "min_increment_factor": true',
             '"k_delay": 2, "fee_cap": 0.05, "min_increment_factor": null',
             '"k_delay": 2, "fee_cap": 0.05, "default_fee": false',
