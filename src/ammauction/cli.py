@@ -36,6 +36,7 @@ from .sim import (
     ReplayParseError,
     SimConfig,
     TRACE_HEADER,
+    check_seed,
     replay_auction,
     run_sim,
     run_strategic_withdrawal_attack,
@@ -131,12 +132,16 @@ def _load_params(args: argparse.Namespace) -> MarketParams:
 
 def _parse_fees(args: argparse.Namespace, params: MarketParams) -> list[float]:
     if args.fees:
+        tokens = [tok.strip() for tok in args.fees.split(",") if tok.strip()]
         try:
-            fees = [float(tok) for tok in args.fees.split(",") if tok.strip()]
+            fees = [float(tok) for tok in tokens]
         except ValueError:
             raise ConfigError(f"--fees must be a comma-separated float list, got {args.fees!r}")
-        if not fees or any(f < 0.0 for f in fees):
-            raise ConfigError("--fees must list non-negative fees")
+        if not fees:
+            raise ConfigError(f"--fees must list at least one fee, got {args.fees!r}")
+        for tok, f in zip(tokens, fees):
+            if not (math.isfinite(f) and f >= 0.0):
+                raise ConfigError(f"--fees must list finite non-negative fees, got {tok}")
         return fees
     n = args.grid
     if n < 2:  # the grid spans [0, f_max] end to end
@@ -192,23 +197,26 @@ def cmd_mc_validate(args: argparse.Namespace) -> int:
     if args.samples < 10_000:
         raise ConfigError(f"--samples must be at least 10000, got {args.samples}")
     fees = _parse_fees(args, params)
+    check_seed(args.seed)
     closed = params
     if args.corrupt_closed_form:  # negative-control hook: skews the reference only
         closed = replace(params, sigma=params.sigma * 1.5)
     header = ("f", "ap0_hat", "ap0_se", "ap0_ref", "z_ap0", "ae0_hat", "ae0_se", "ae0_ref", "z_ae0", "pass")
+    # one call for every fee; .tolist() gives built-in floats, which _fmt
+    # writes as repr
+    est = market.mc_rates(np.array(fees), params, args.samples, seed=args.seed, chains=args.chains)
+    estimates = zip(fees, est.ap0_hat.tolist(), est.ap0_se.tolist(), est.ae0_hat.tolist(),
+                    est.ae0_se.tolist())
     rows = []
     all_pass = True
-    for f in fees:
-        est = market.mc_rates(f, params, args.samples, seed=args.seed, chains=args.chains)
+    for f, ap_hat, ap_se, ae_hat, ae_se in estimates:
         ap_ref = market.ap0(f, closed)
         ae_ref = market.ae0(f, closed)
-        z_ap = _zscore(est.ap0_hat, ap_ref, est.ap0_se)
-        z_ae = _zscore(est.ae0_hat, ae_ref, est.ae0_se)
+        z_ap = _zscore(ap_hat, ap_ref, ap_se)
+        z_ae = _zscore(ae_hat, ae_ref, ae_se)
         ok = abs(z_ap) <= 3.0 and abs(z_ae) <= 3.0
         all_pass = all_pass and ok
-        rows.append(
-            (f, est.ap0_hat, est.ap0_se, ap_ref, z_ap, est.ae0_hat, est.ae0_se, ae_ref, z_ae, int(ok))
-        )
+        rows.append((f, ap_hat, ap_se, ap_ref, z_ap, ae_hat, ae_se, ae_ref, z_ae, int(ok)))
         print(
             f"f={f:<8g} z_ap0={z_ap:+6.2f} z_ae0={z_ae:+6.2f} "
             f"[{'pass' if ok else 'FAIL'}]"

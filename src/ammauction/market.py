@@ -13,11 +13,11 @@ and a horizon drawn in chunks of any sizes from one generator is bit for bit
 the horizon drawn in one call. :func:`mc_rates` relies on this: both its
 estimators draw from the one stream in blocks of about :data:`CHAIN_BLOCKS`
 draws, bit for bit the one-call i.i.d. draw and the chain drawn one step at
-a time, so its memory is one float64 per i.i.d. sample plus a bounded block.
+a time, so its memory is two float64 per i.i.d. sample plus a bounded block.
 
 :func:`kappa`, :func:`ap0`, :func:`ae0`, their slopes :func:`ap0_slope` and
-:func:`ae0_slope`, and :func:`excess_ratio` take a fee that is a float or an
-ndarray (see :func:`pool.array_module`).
+:func:`ae0_slope`, :func:`excess_ratio` and :func:`mc_rates` take a fee that
+is a float or an ndarray (see :func:`pool.array_module`).
 
 Units: time is measured in days, ``sigma`` per sqrt(day), ``r`` per day. Only
 the dimensionless combinations ``sigma^2 * delta_t`` and
@@ -114,14 +114,18 @@ class MarketParams:
 
 @dataclass(frozen=True)
 class MCRates:
-    """Monte-Carlo rate estimates with standard errors, per unit value per day."""
+    """Monte-Carlo rate estimates with standard errors, per unit value per day.
 
-    fee: float
+    From a fee array, ``fee`` and the four rate fields are arrays in fee
+    order; ``n_samples`` is the count per fee either way.
+    """
+
+    fee: float | np.ndarray
     n_samples: int
-    ap0_hat: float
-    ap0_se: float
-    ae0_hat: float
-    ae0_se: float
+    ap0_hat: float | np.ndarray
+    ap0_se: float | np.ndarray
+    ae0_hat: float | np.ndarray
+    ae0_se: float | np.ndarray
 
 
 def _check_fee(fee) -> None:
@@ -324,21 +328,29 @@ def sample_blocks(
 
 
 def mc_rates(
-    fee: float,
+    fee,
     params: MarketParams,
     n_samples: int,
     seed: int = 0,
     chains: int = 250,
 ) -> MCRates:
-    """Monte-Carlo estimates of the profit and excess rates at a given fee.
+    """Monte-Carlo estimates of the profit and excess rates at a fee or fees.
+
+    ``fee`` is a float, giving an :class:`MCRates` of built-in floats, or a
+    1-D ndarray, giving one :class:`MCRates` whose rate fields are arrays in
+    fee order; ``n_samples`` is the sample count per fee. One stream serves
+    every fee of a call: each fee's estimates are bit for bit those of a call
+    at that fee alone, and the fees share common random numbers, so their
+    errors are correlated.
 
     The excess estimator draws i.i.d. blocks: the pool starts each block
     on-price (the manager corrects it for free), so the pre-trade mispricing
     is exactly N(0, sigma^2 tau) and the per-block excess is averaged
-    directly. It draws :data:`CHAIN_BLOCKS` blocks at a time into one float64
-    buffer of per-block excesses, whose mean and standard deviation are taken
-    once at the end: bit for bit the one-call draw, at one float64 per sample
-    (two while the standard deviation is taken) plus a bounded block.
+    directly. It draws the ``n_samples`` mispricings :data:`CHAIN_BLOCKS` at a
+    time into one float64 buffer, then for each fee fills a second buffer
+    with the per-block excesses and takes their mean and standard deviation,
+    the latter in place: bit for bit the one-call draw and ``numpy``'s
+    ``mean``/``std``, at two float64 per sample whatever the number of fees.
 
     The profit estimator simulates the fixed-fee pool in stationarity: the
     mispricing carries over between blocks, clamped to the fee band whenever
@@ -351,66 +363,91 @@ def mc_rates(
 
     The chain is drawn from the same stream, after the i.i.d. draws, in
     blocks of about :data:`CHAIN_BLOCKS` chain blocks, one ``sample_blocks``
-    and one ``excess_fraction`` call per block, and its per-replica sums are
-    taken in step order: every result is bit for bit the chain drawn one step
-    at a time. The chain holds about :data:`CHAIN_BLOCKS` draws at a time (one
+    call per block shared by every fee's chain, which runs to the longest
+    warmup. Each fee sums its own window after its warmup, with one
+    ``excess_fraction`` call per block and its per-replica sums in step
+    order: every result is bit for bit the chain drawn one step at a time.
+    The chain holds about :data:`CHAIN_BLOCKS` states per fee at a time (one
     step's when ``chains`` is larger), whatever ``n_samples``.
     """
     _check_fee(fee)
+    vector = isinstance(fee, np.ndarray)
+    if vector and (fee.ndim != 1 or fee.size == 0):
+        raise ValueError(f"fee array must be 1-D and non-empty, got shape {fee.shape}")
     if n_samples < 10_000:
         raise ValueError(f"n_samples must be at least 10^4, got {n_samples}")
     if chains < 2:
         raise ValueError(f"chains must be at least 2, got {chains}")
+    fees = np.array(fee, dtype=float, ndmin=1)
+    fee_list = fees.tolist()
     rng = block_rng(seed)
     dt = params.delta_t
+    ap0_hat, ap0_se, ae0_hat, ae0_se = np.empty((4, len(fees)))
 
-    # Excess: i.i.d. per-block draws, CHAIN_BLOCKS at a time; both steps are
-    # element-wise in stream order, so ``vals`` holds the one-call bits.
-    vals = np.empty(n_samples)
+    # Excess: i.i.d. per-block draws, CHAIN_BLOCKS at a time; every step is
+    # element-wise in stream order, so ``z`` and ``vals`` hold the one-call
+    # bits. ``vals`` is filled in eighths of a draw block so that the
+    # kernel's temporaries stay small beside the two buffers.
+    z = np.empty(n_samples)
     for start in range(0, n_samples, CHAIN_BLOCKS):
         stop = min(start + CHAIN_BLOCKS, n_samples)
-        _, z = sample_blocks(params, stop - start, rng)
-        vals[start:stop] = excess_fraction(z, fee)
-    ae0_hat = float(vals.mean()) / dt
-    ae0_se = float(vals.std(ddof=1)) / math.sqrt(n_samples) / dt
+        z[start:stop] = sample_blocks(params, stop - start, rng)[1]
+    vals = np.empty(n_samples)
+    sub = max(1, CHAIN_BLOCKS // 8)
+    for i, f in enumerate(fee_list):
+        for start in range(0, n_samples, sub):
+            vals[start : start + sub] = excess_fraction(z[start : start + sub], f)
+        mean = vals.mean()
+        ae0_hat[i] = float(mean) / dt
+        # vals.std(ddof=1)'s steps, in place of its n-sized temporary
+        vals -= mean
+        vals *= vals
+        std = math.sqrt(float(np.add.reduce(vals)) / (n_samples - 1))
+        ae0_se[i] = std / math.sqrt(n_samples) / dt
+    del z, vals
 
-    # Profit: stationary band-clamped chain, vectorized across replicas and
-    # drawn in blocks of about CHAIN_BLOCKS chain blocks. Row 0 of ``path``
-    # carries the state between blocks; row j is the state at step start + j.
+    # Profit: stationary band-clamped chains, vectorized across fees and
+    # replicas and drawn in blocks of about CHAIN_BLOCKS chain blocks.
+    # ``path[i, 0]`` carries fee i's state between blocks; ``path[i, j]`` is
+    # its state at step start + j.
     steps = -(-n_samples // chains)
-    k = kappa(fee, params)
-    # warmup covers ~40 band-crossing times; capped because for very wide
-    # bands trades are so rare that the start state cannot bias the mean
-    warmup = max(512, min(20_000, int(40.0 * k * k) + 1)) if math.isfinite(k) else 512
-    total_steps = warmup + steps
+    warmups = []
+    for f in fee_list:
+        k = kappa(f, params)
+        # warmup covers ~40 band-crossing times; capped because for very wide
+        # bands trades are so rare that the start state cannot bias the mean
+        warmups.append(max(512, min(20_000, int(40.0 * k * k) + 1)) if math.isfinite(k) else 512)
+    total_steps = max(warmups) + steps
     block = max(1, CHAIN_BLOCKS // chains)
-    path = np.zeros((min(block, total_steps) + 1, chains))
-    totals = np.zeros(chains)
+    upper = fees[:, None]
+    lower = -upper
+    path = np.zeros((len(fees), min(block, total_steps) + 1, chains))
+    totals = np.zeros((len(fees), chains))
     for start in range(0, total_steps, block):
         m = min(block, total_steps - start)
         _, eps = sample_blocks(params, m * chains, rng)
         eps = eps.reshape(m, chains)
         for j in range(m):
-            np.minimum(np.maximum(path[j], -fee, out=path[j + 1]), fee, out=path[j + 1])
-            path[j + 1] += eps[j]
-        skip = max(0, warmup - start)
-        if skip < m:
-            # running totals first, then the rows in step order: the same
-            # left-to-right sum as adding one step at a time
-            acc = np.empty((m - skip + 1, chains))
-            acc[0] = totals
-            acc[1:] = excess_fraction(path[skip:m], fee)
-            totals = np.add.reduce(acc, axis=0)
-        path[0] = path[m]
-    means = totals / steps / dt
-    ap0_hat = float(means.mean())
-    ap0_se = float(means.std(ddof=1)) / math.sqrt(chains)
+            row = path[:, j + 1]
+            np.minimum(np.maximum(path[:, j], lower, out=row), upper, out=row)
+            row += eps[j]
+        for i, (f, warmup) in enumerate(zip(fee_list, warmups)):
+            first = max(0, warmup - start)
+            last = min(m, warmup + steps - start)
+            if first < last:
+                # running totals first, then the rows in step order: the
+                # same left-to-right sum as adding one step at a time
+                acc = np.empty((last - first + 1, chains))
+                acc[0] = totals[i]
+                acc[1:] = excess_fraction(path[i, first:last], f)
+                totals[i] = np.add.reduce(acc, axis=0)
+        path[:, 0] = path[:, m]
+    for i, row in enumerate(totals):
+        means = row / steps / dt
+        ap0_hat[i] = float(means.mean())
+        ap0_se[i] = float(means.std(ddof=1)) / math.sqrt(chains)
 
-    return MCRates(
-        fee=fee,
-        n_samples=n_samples,
-        ap0_hat=ap0_hat,
-        ap0_se=ap0_se,
-        ae0_hat=ae0_hat,
-        ae0_se=ae0_se,
-    )
+    rates = (ap0_hat, ap0_se, ae0_hat, ae0_se)
+    if vector:
+        return MCRates(fees, n_samples, *rates)
+    return MCRates(fee, n_samples, *(float(x[0]) for x in rates))

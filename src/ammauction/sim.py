@@ -56,6 +56,7 @@ __all__ = [
     "ConfigError",
     "ReplayParseError",
     "WithdrawalAttackReport",
+    "check_seed",
     "run_sim",
     "run_strategic_withdrawal_attack",
     "replay_auction",
@@ -81,6 +82,12 @@ _NULLABLE_KEYS = ("default_fee", "withdrawal_fee", "manager_fee")
 
 class ConfigError(ValueError):
     """A simulation config failed validation."""
+
+
+def check_seed(seed: int) -> None:
+    """Refuse a seed that cannot key the Philox stream: an integer in [0, 2**128)."""
+    if not 0 <= seed < 2**128:
+        raise ConfigError(f"seed must be in [0, 2**128), got {seed}")
 
 
 class ReplayParseError(ValueError):
@@ -114,6 +121,7 @@ class SimConfig:
     initial_bids: tuple[BidSpec, ...] = ()
 
     def __post_init__(self) -> None:
+        check_seed(self.seed)
         if self.horizon_blocks < 1:
             raise ConfigError(f"horizon_blocks must be >= 1, got {self.horizon_blocks}")
         if self.manager_policy not in ("fixed", "optimal"):

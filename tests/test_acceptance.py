@@ -37,11 +37,12 @@ def test_criterion_1_monte_carlo_matches_closed_forms():
     for sigma in SIGMAS:
         for delta_t in DELTA_TS:
             params = MarketParams(sigma=sigma, delta_t=delta_t, r=1e-4, f_max=0.05)
-            for fee in FEES:
-                est = mc_rates(fee, params, 1_000_000, seed=0)
-                z_ap = abs(est.ap0_hat - ap0(fee, params)) / est.ap0_se
-                z_ae = abs(est.ae0_hat - ae0(fee, params)) / est.ae0_se
-                worst = max(worst, z_ap, z_ae)
+            # one stream for the four fees: each is bit for bit its own call
+            fees = np.array(FEES)
+            est = mc_rates(fees, params, 1_000_000, seed=0)
+            z_ap = abs(est.ap0_hat - ap0(fees, params)) / est.ap0_se
+            z_ae = abs(est.ae0_hat - ae0(fees, params)) / est.ae0_se
+            worst = max(worst, float(z_ap.max()), float(z_ae.max()))
     report(
         1,
         "monte carlo vs closed forms",

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy
 
+from ammauction import market
 from ammauction.cli import main
 from ammauction.equilibrium import FEE_GRID
 
@@ -123,6 +124,28 @@ class TestGridFloor:
         assert [float(row.split(",")[0]) for row in rows] == [0.0, 0.04]
 
 
+class TestBadFees:
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400", "-0.001"])
+    def test_formulas_exit_2(self, token, capsys):
+        assert main(["formulas", "--fees", f"0.003,{token}"]) == 2
+        assert_one_line_error(capsys, f"--fees must list finite non-negative fees, got {token}")
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "1e400"])
+    def test_mc_validate_exit_2_before_any_work(self, token, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("mc_rates ran")
+
+        monkeypatch.setattr(market, "mc_rates", no_work)
+        assert main(["mc-validate", "--samples", "20000", "--fees", f"0.003,{token}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --fees must list finite non-negative fees, got {token}\n"
+
+    def test_empty_list_exit_2(self, capsys):
+        assert main(["formulas", "--fees", " , "]) == 2
+        assert_one_line_error(capsys, "--fees must list at least one fee")
+
+
 class TestBadMarketParams:
     @pytest.mark.parametrize(
         "raw, key",
@@ -193,6 +216,29 @@ class TestBadSimConfig:
         assert main(["simulate", str(path)]) == 2
         assert_one_line_error(capsys, needle)
 
+    @pytest.mark.parametrize("seed", [-3, 2**128])
+    def test_seed_out_of_range_writes_nothing(self, seed, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**sim_config_dict(), "seed": seed}))
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--out", str(out)]) == 2
+        assert_one_line_error(capsys, f"seed must be in [0, 2**128), got {seed}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**128)])
+    def test_seed_override_out_of_range_writes_nothing(self, seed, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(sim_config_dict()))
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--seed", seed, "--out", str(out)]) == 2
+        assert_one_line_error(capsys, f"seed must be in [0, 2**128), got {seed}")
+        assert not out.exists()
+
+    def test_largest_seed_accepted(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**sim_config_dict(horizon=50), "seed": 2**128 - 1}))
+        assert main(["simulate", str(path)]) == 0
+
     def test_integer_amounts_and_null_fees_parse(self, tmp_path, capsys):
         raw = sim_config_dict(horizon=50)
         raw.update(initial_liquidity=2, default_fee=None, withdrawal_fee=None,
@@ -234,6 +280,31 @@ class TestMCValidate:
         assert manifest["command"] == "mc_validate"
         assert header[0] == "f" and header[-1] == "pass"
         assert len(rows) == 1
+
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**128)])
+    def test_seed_out_of_range_exit_2(self, seed, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["mc-validate", "--samples", "20000", "--fees", "0", "--seed", seed]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert_one_line_error(capsys, f"seed must be in [0, 2**128), got {seed}")
+        assert not out.exists()
+
+    def test_fee_rows_match_single_fee_runs(self, tmp_path, capsys):
+        # one Monte-Carlo call serves every fee, with the bits of a run per fee
+        argv = ["mc-validate", "--samples", "20000", "--seed", "3"]
+        assert main(argv + ["--fees", "0.01,0,0.003", "--out", str(tmp_path / "all")]) == 0
+        _, header, rows = read_csv(tmp_path / "all" / "mc_validate.csv")
+        singles = []
+        for i, fee in enumerate(("0.01", "0", "0.003")):
+            out = tmp_path / f"one{i}"
+            assert main(argv + ["--fees", fee, "--out", str(out)]) == 0
+            one_header, one_rows = read_csv(out / "mc_validate.csv")[1:]
+            assert one_header == header and len(one_rows) == 1
+            singles.append(one_rows[0])
+        capsys.readouterr()
+        assert rows == singles
+        assert not any("np.float64(" in cell for row in rows for cell in row)
 
 
 class TestEquilibrium:

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -24,6 +25,13 @@ from ammauction.pool import excess_fraction
 
 from conftest import REF
 from mc_reference import chain_warmup, reference_mc_rates
+
+
+@functools.lru_cache(maxsize=None)
+def cached_reference(fee, params, n_samples, seed, chains):
+    """The per-step oracle; it does not depend on ``CHAIN_BLOCKS``, so the
+    block-size cases share it."""
+    return reference_mc_rates(fee, params, n_samples, seed=seed, chains=chains)
 
 
 def quadrature_excess(sigma, tau, fee, side):
@@ -339,16 +347,38 @@ class TestMCRates:
         assert abs(est.ae0_hat - ae0(0.003, REF)) <= 3.0 * est.ae0_se
 
     def test_memory_is_one_float_per_sample(self):
-        # the i.i.d. estimator keeps one float64 per sample (and std's one
-        # same-sized temporary); drawing all samples in one call costs ~57 B
+        # the i.i.d. estimator keeps two float64 per sample, the draws and
+        # one fee's excesses, whose standard deviation is taken in place; the
+        # fees share both buffers. Drawing all samples in one call costs ~57 B
         n = 2_000_000
-        tracemalloc.start()
-        try:
-            mc_rates(0.003, REF, n)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 17 * n + 8e6, peak
+        for fee in (0.003, np.array([0.0, 0.001, 0.003, 0.01])):
+            tracemalloc.start()
+            try:
+                mc_rates(fee, REF, n)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 17 * n + 8e6, (fee, peak)
+
+    def test_float_fee_gives_floats_and_array_gives_arrays(self):
+        one = mc_rates(0.003, REF, 10_000)
+        assert type(one.fee) is float and type(one.n_samples) is int
+        for name in ("ap0_hat", "ap0_se", "ae0_hat", "ae0_se"):
+            assert type(getattr(one, name)) is float, name
+        fees = np.array([0.003, 0.0])
+        many = mc_rates(fees, REF, 10_000)
+        assert np.array_equal(many.fee, fees) and type(many.n_samples) is int
+        for name in ("ap0_hat", "ap0_se", "ae0_hat", "ae0_se"):
+            value = getattr(many, name)
+            assert isinstance(value, np.ndarray) and value.shape == (2,), name
+            assert value[0] == getattr(one, name), name
+
+    @pytest.mark.parametrize("fee", [np.array([]), np.array(0.003), np.zeros((2, 2)),
+                                     np.array([0.003, -0.001]), np.array([0.003, np.nan])],
+                             ids=["empty", "0-d", "2-d", "negative", "nan"])
+    def test_bad_fee_array_rejected(self, fee):
+        with pytest.raises(ValueError, match="fee"):
+            mc_rates(fee, REF, 10_000)
 
 
 class TestBlockedChain:
@@ -365,6 +395,20 @@ class TestBlockedChain:
     @staticmethod
     def block(chains):
         return max(1, market.CHAIN_BLOCKS // chains)
+
+    # unsorted, with zero, a duplicate and a fee at the warmup cap (kappa 25
+    # at REF): the fees' chains end on different steps of the shared stream
+    VECTOR_FEES = (0.01, 0.0, 0.003, 0.003, 25.0 * REF.sigma * math.sqrt(REF.delta_t / 2.0))
+
+    @classmethod
+    def assert_vector_same(cls, params, n_samples, seed=5, chains=250):
+        got = mc_rates(np.array(cls.VECTOR_FEES), params, n_samples, seed=seed, chains=chains)
+        assert got.n_samples == n_samples
+        assert got.fee.tolist() == list(cls.VECTOR_FEES)
+        for i, fee in enumerate(cls.VECTOR_FEES):
+            want = cached_reference(fee, params, n_samples, seed, chains)
+            for name in ("ap0_hat", "ap0_se", "ae0_hat", "ae0_se"):
+                assert float(getattr(got, name)[i]).hex() == getattr(want, name).hex(), (fee, name)
 
     @pytest.mark.parametrize("chains", [2, 7, 1000])  # 250: the warmup tests below
     def test_chains_match_reference(self, chains):
@@ -417,3 +461,24 @@ class TestBlockedChain:
     def test_zero_sigma(self, fee):
         params = MarketParams(sigma=0.0, delta_t=0.01, r=1e-4, f_max=0.05)
         self.assert_same(fee, params, 20_000, chains=250)
+
+    def test_vector_warmups_differ(self):
+        assert {chain_warmup(fee, REF) for fee in self.VECTOR_FEES} == {512, 20_000}
+
+    @pytest.mark.parametrize("chains", [7, 1000])
+    def test_fee_vector_matches_reference(self, chains):
+        self.assert_vector_same(REF, 20_000, chains=chains)
+
+    @pytest.mark.parametrize("chain_blocks", [1, 3, 2**20])
+    def test_fee_vector_any_block_size(self, chain_blocks, monkeypatch):
+        monkeypatch.setattr(market, "CHAIN_BLOCKS", chain_blocks)
+        self.assert_vector_same(REF, 10_000, chains=3)
+
+    def test_fee_vector_more_chains_than_chain_blocks(self, monkeypatch):
+        monkeypatch.setattr(market, "CHAIN_BLOCKS", 64)
+        assert self.block(100) == 1
+        self.assert_vector_same(REF, 20_000, chains=100)
+
+    def test_fee_vector_zero_sigma(self):
+        params = MarketParams(sigma=0.0, delta_t=0.01, r=1e-4, f_max=0.05)
+        self.assert_vector_same(params, 20_000, chains=250)
