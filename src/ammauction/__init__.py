@@ -26,7 +26,6 @@ from .pool import (
     arb_trade_to_band,
     pool_holdings,
     pool_value,
-    swap_exact_in,
     withdrawal_fee_required,
 )
 from .sim import (

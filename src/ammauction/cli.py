@@ -9,7 +9,7 @@ codes are a stable contract for CI:
 
     0  success / validation passed
     1  validation failed (Monte Carlo vs closed form, or dominance)
-    2  usage, config, or parse error
+    2  usage, config, or parse error, or an unusable path
     3  no positive finite equilibrium
 """
 
@@ -236,6 +236,8 @@ def cmd_mc_validate(args: argparse.Namespace) -> int:
 
 def cmd_equilibrium(args: argparse.Namespace) -> int:
     params = _load_params(args)
+    if args.grid < 16:  # the floor of dominance_report's fee grid
+        raise ConfigError(f"--grid must be at least 16, got {args.grid}")
     report = dominance_report(params, n_grid=args.grid)
     manifest = _manifest(
         "equilibrium", {"params": params.__dict__, "grid": args.grid}, None, ["equilibrium.csv"]
@@ -369,6 +371,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a directory for a file, an --out that is a file, ...
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)

@@ -5,14 +5,12 @@ the numeraire: the spot price of the risky asset ``x`` is ``y / x`` and the
 value of the reserves at an external price ``P`` is ``2 * sqrt(P) * L``.
 
 Swap fees accrue to a fee recipient *outside* the curve (normally the pool
-manager), so no trade ever changes ``L``. Two fee conventions coexist:
-
-* :func:`swap_exact_in` charges a proportional fee on the input side; only
-  the net input is traded against the curve.
-* :func:`arb_trade_to_band` uses the symmetric log-space convention: the
-  numeraire leg is scaled by ``e^{+f}`` on buys and ``e^{-f}`` on sells.
-  The two conventions agree to O(f^2); the closed-form arbitrage accounting
-  in :func:`arb_excess_instant` is exact under the log-space one.
+manager), so no trade ever changes ``L``. The fee is log-space: arbitrageurs
+trade the pool to the edge of the band ``|ln(P / spot)| <= f``, with the
+numeraire leg scaled by ``e^{+f}`` on buys and ``e^{-f}`` on sells (the
+fee-band model of Milionis et al., arXiv 2305.14604). Under it the profit of
+:func:`arb_trade_to_band` equals the closed form of :func:`arb_excess_instant`
+exactly; a zero fee is the fee-free correction to the true price.
 
 All operations are pure: they take and return immutable values and are safe
 to call from any number of threads.
@@ -22,13 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Optional
 
 import numpy as np
-
-Side = Literal["buy_x", "sell_x"]
-
-_LIQ_RTOL = 1e-12
 
 
 def array_module(x):
@@ -47,53 +41,35 @@ def where(cond, a, b):
 
 @dataclass(frozen=True)
 class PoolState:
-    """Immutable snapshot of a constant-product pool.
-
-    ``liquidity`` is derived from the reserves when omitted; when supplied it
-    must match ``sqrt(reserve_x * reserve_y)`` to within 1e-12 relative.
-    """
+    """Immutable snapshot of a constant-product pool's reserves."""
 
     reserve_x: float
     reserve_y: float
-    swap_fee: float = 0.0
-    fee_cap: float = 0.05
-    withdrawal_fee: float = 0.0
-    liquidity: float | None = None
 
     def __post_init__(self) -> None:
         if not (self.reserve_x > 0.0 and math.isfinite(self.reserve_x)):
             raise ValueError(f"reserve_x must be positive, got {self.reserve_x}")
         if not (self.reserve_y > 0.0 and math.isfinite(self.reserve_y)):
             raise ValueError(f"reserve_y must be positive, got {self.reserve_y}")
-        if not 0.0 <= self.swap_fee <= self.fee_cap:
-            raise ValueError(
-                f"swap_fee {self.swap_fee} outside [0, fee_cap={self.fee_cap}]"
-            )
-        if not 0.0 <= self.withdrawal_fee < 1.0:
-            raise ValueError(f"withdrawal_fee {self.withdrawal_fee} outside [0, 1)")
-        derived = math.sqrt(self.reserve_x * self.reserve_y)
-        if self.liquidity is None:
-            object.__setattr__(self, "liquidity", derived)
-        elif abs(self.liquidity - derived) > _LIQ_RTOL * derived:
-            raise ValueError(
-                f"liquidity {self.liquidity} inconsistent with reserves "
-                f"(sqrt(x*y) = {derived})"
-            )
+
+    @property
+    def liquidity(self) -> float:
+        return math.sqrt(self.reserve_x * self.reserve_y)
 
     @property
     def spot_price(self) -> float:
         return self.reserve_y / self.reserve_x
 
     @classmethod
-    def from_price(cls, liquidity: float, price: float, **kwargs) -> "PoolState":
+    def from_price(cls, liquidity: float, price: float) -> "PoolState":
         """Pool holding ``liquidity`` with its implied price at ``price``."""
         x, y = pool_holdings(liquidity, price)
-        return cls(reserve_x=x, reserve_y=y, **kwargs)
+        return cls(reserve_x=x, reserve_y=y)
 
 
 @dataclass(frozen=True)
 class TradeResult:
-    """Outcome of a single swap.
+    """Outcome of one arbitrage trade.
 
     ``amount_in``/``amount_out`` are what the trader pays and receives
     (input-asset and output-asset units). ``fee_paid`` is the numeraire value
@@ -126,49 +102,8 @@ def pool_holdings(liquidity: float, price: float) -> tuple[float, float]:
     return liquidity / sqrt_p, liquidity * sqrt_p
 
 
-def swap_exact_in(
-    pool: PoolState, side: Side, amount_in: float, fee: float | None = None
-) -> TradeResult:
-    """Swap a fixed input against the curve, charging the fee on the input.
-
-    ``buy_x`` pays numeraire in and takes the risky asset out; ``sell_x`` is
-    the reverse. The fee is measured in numeraire value (sell-side input is
-    valued at the pre-trade spot price) and withheld from the curve, so the
-    reserves move by the net input only and liquidity is preserved.
-    """
-    if fee is None:
-        fee = pool.swap_fee
-    if not 0.0 <= fee <= pool.fee_cap:
-        raise ValueError(f"fee {fee} outside [0, fee_cap={pool.fee_cap}]")
-    if not (amount_in > 0.0 and math.isfinite(amount_in)):
-        raise ValueError(f"amount_in must be positive and finite, got {amount_in}")
-
-    net = amount_in * (1.0 - fee)
-    if side == "buy_x":
-        new_y = pool.reserve_y + net
-        new_x = pool.reserve_x * pool.reserve_y / new_y
-        amount_out = pool.reserve_x - new_x
-        fee_paid = fee * amount_in
-        exhausts = not (0.0 < new_x < pool.reserve_x)
-    elif side == "sell_x":
-        new_x = pool.reserve_x + net
-        new_y = pool.reserve_x * pool.reserve_y / new_x
-        amount_out = pool.reserve_y - new_y
-        fee_paid = fee * amount_in * pool.spot_price
-        exhausts = not (0.0 < new_y < pool.reserve_y)
-    else:
-        raise ValueError(f"side must be 'buy_x' or 'sell_x', got {side!r}")
-    if exhausts or not math.isfinite(amount_out):
-        raise ValueError("trade would exhaust a reserve")
-
-    new_pool = PoolState(
-        new_x, new_y, pool.swap_fee, pool.fee_cap, pool.withdrawal_fee
-    )
-    return TradeResult(amount_in, amount_out, fee_paid, new_pool)
-
-
 def arb_trade_to_band(
-    pool: PoolState, true_price: float, fee: float | None = None
+    pool: PoolState, true_price: float, fee: float
 ) -> Optional[TradeResult]:
     """Arbitrage the pool until the log-mispricing equals the fee.
 
@@ -182,8 +117,6 @@ def arb_trade_to_band(
     """
     if not (true_price > 0.0 and math.isfinite(true_price)):
         raise ValueError(f"true_price must be positive, got {true_price}")
-    if fee is None:
-        fee = pool.swap_fee
     if fee < 0.0:
         raise ValueError(f"fee must be non-negative, got {fee}")
 
@@ -208,10 +141,7 @@ def arb_trade_to_band(
         amount_in = new_x - pool.reserve_x
         amount_out = curve_out - fee_paid
 
-    new_pool = PoolState(
-        new_x, new_y, pool.swap_fee, pool.fee_cap, pool.withdrawal_fee
-    )
-    return TradeResult(amount_in, amount_out, fee_paid, new_pool)
+    return TradeResult(amount_in, amount_out, fee_paid, PoolState(new_x, new_y))
 
 
 def arb_profit(pool_before: PoolState, trade: TradeResult, true_price: float) -> float:
@@ -227,7 +157,9 @@ def excess_fraction(z, fee: float):
     Zero inside the band ``|z| <= fee``; otherwise the profit from trading
     the pool to the band edge, with the numeraire leg fee-grossed:
     ``e^{sign(z) f/2} (e^{g/2} - 2 + e^{-g/2}) / 2`` with ``g = |z| - f``, in
-    ``sinh`` form against cancellation. ``z`` is a float or an array.
+    ``sinh`` form against cancellation. At ``fee = 0`` this is the fee-free
+    correction's ``cosh(z/2) - 1``, the hedged value the pool loses to the
+    correcting trader. ``z`` is a float or an array.
     """
     if fee < 0.0:
         raise ValueError(f"fee must be non-negative, got {fee}")
@@ -238,15 +170,6 @@ def excess_fraction(z, fee: float):
     half_fee = where(outside, xp.copysign(0.5 * fee, z), 0.0)
     gap = where(outside, gap, 0.0)
     return xp.exp(half_fee) * 2.0 * xp.sinh(0.25 * gap) ** 2
-
-
-def correction_fraction(z: float) -> float:
-    """Fee-free profit per unit pool value from correcting mispricing ``z`` to zero.
-
-    Equals ``cosh(z/2) - 1``; this is also the hedged value the pool loses to
-    the correcting trader.
-    """
-    return 2.0 * math.sinh(0.25 * z) ** 2
 
 
 def arb_excess_instant(liquidity: float, price: float, z: float, fee: float) -> float:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Optional, Sequence
@@ -140,8 +140,33 @@ class SimConfig:
             )
         if len(self.initial_bids) > 2:
             raise ConfigError("at most two initial bids are supported (top and runner-up)")
-        if self.lp_policy == "zero_profit" and not self.initial_bids:
-            raise ConfigError("zero_profit lp_policy needs an initial bid to price rent")
+        if self.lp_policy == "zero_profit":
+            if not self.initial_bids:
+                raise ConfigError("zero_profit lp_policy needs an initial bid to price rent")
+            if not market.ap0(0.0, self.market) + self.market.r > 0.0:
+                raise ConfigError(
+                    "zero_profit lp_policy needs ap0(0) + r > 0 to price liquidity: "
+                    "price motion or a capital charge"
+                )
+        try:
+            self.auction_params()
+        except ValueError as exc:
+            raise ConfigError(str(exc))
+        for spec in self.initial_bids:
+            if spec.bidder in ("lp", "external_arb", "noise_traders"):
+                raise ConfigError(f"bidder name {spec.bidder!r} is an agent of pnl_by_agent")
+            rent = _to_fraction(spec.rent, "rent")
+            deposit = _to_fraction(spec.deposit, "deposit")
+            if rent <= 0 or deposit < rent * self.k_delay or (deposit / rent).denominator != 1:
+                raise ConfigError(f"initial bid for {spec.bidder!r} violates the deposit rules")
+
+    def auction_params(self) -> AuctionParams:
+        return AuctionParams(
+            k_delay=self.k_delay,
+            fee_cap=self.market.f_max,
+            min_increment_factor=self.min_increment_factor,
+            default_fee=self.default_fee,
+        )
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SimConfig":
@@ -266,15 +291,12 @@ class SimReport:
 
 
 def _install_initial_bids(auc: AuctionState, specs: Sequence[BidSpec], k_delay: int) -> None:
-    # Bootstrap bids as if submitted K blocks before the start, already active.
+    # Bootstrap bids as if submitted K blocks before the start, already active;
+    # SimConfig has checked them against the deposit rules.
     ordered = sorted(specs, key=lambda s: -_to_fraction(s.rent, "rent"))
     for i, spec in enumerate(ordered):
         rent = _to_fraction(spec.rent, "rent")
         deposit = _to_fraction(spec.deposit, "deposit")
-        if rent <= 0 or deposit < rent * k_delay or (deposit / rent).denominator != 1:
-            raise ConfigError(
-                f"initial bid for {spec.bidder!r} violates the deposit rules"
-            )
         bid = Bid(
             bidder=spec.bidder,
             rent=rent,
@@ -292,14 +314,7 @@ def _install_initial_bids(auc: AuctionState, specs: Sequence[BidSpec], k_delay: 
 def _setup(config: SimConfig) -> tuple[AuctionState, float, float]:
     """The auction with the initial bids seated, the LP liquidity and the manager's fee."""
     params = config.market
-    auction = AuctionState(
-        AuctionParams(
-            k_delay=config.k_delay,
-            fee_cap=params.f_max,
-            min_increment_factor=config.min_increment_factor,
-            default_fee=config.default_fee,
-        )
-    )
+    auction = AuctionState(config.auction_params())
     _install_initial_bids(auction, config.initial_bids, config.k_delay)
     auction.register_lp("lp", 1)
 
@@ -457,16 +472,11 @@ def run_sim(config: SimConfig, block_log: Optional[IO[str]] = None) -> SimReport
     excess_frac = _Moments()
     adverse_frac = _Moments()
 
-    mgr_noise = mgr_arbfee = mgr_arb_total = mgr_rent = 0.0
-    lp_rent = lp_fees = lp_adverse = lp_capital = 0.0
-    noise_volume_total = noise_fees_paid = ext_profit = 0.0
-    no_trade = unmanaged_blocks = 0
-    counts: Counter = Counter()
-    drift = 0.0
-    max_resid = 0.0
-    max_end_z = 0.0
-    fee_sum = 0.0
-    pnl: dict[str, float] = {"lp": 0.0, "external_arb": 0.0, "noise_traders": 0.0}
+    # each SimReport field that sums a per-block column, booked once per chunk
+    sums: defaultdict[str, float] = defaultdict(float)
+    counts = Counter(usurps=0, depletions=0, no_trade_blocks=0, unmanaged_blocks=0)
+    max_resid = max_end_z = 0.0
+    pnl: dict[str, float] = {"lp": 0.0}  # and one entry per manager
     carry = 0.0  # mispricing an unmanaged block leaves to the next
 
     if block_log is not None:
@@ -496,34 +506,31 @@ def run_sim(config: SimConfig, block_log: Optional[IO[str]] = None) -> SimReport
         noise_fee = fee * noise_vol
         unmanaged = ~managed
         lp_swap_fees = float(noise_fee[unmanaged].sum() + arb_fee[unmanaged].sum())
-        rent_paid = float(rent.sum())  # only managed blocks pay rent
-        excess_paid = float(excess.sum())
-        noise_fees = float(noise_fee.sum())
 
-        fee_sum += float(fee.sum())
-        no_trade += n - int(traded.sum())
-        unmanaged_blocks += int(unmanaged.sum())
-        drift += float(residual.sum())
+        for field, total in (
+            ("fee_effective_mean", fee.sum()),  # divided by the horizon below
+            ("manager_noise_fees", noise_fee[managed].sum()),
+            ("manager_arb_fees", arb_fee[managed].sum()),
+            ("manager_arb_profit", mgr_arb.sum()),  # zero on unmanaged blocks
+            ("lp_rent_received", rent.sum()),  # only managed blocks pay rent
+            ("lp_fee_revenue", lp_swap_fees),
+            ("lp_adverse_selection", adverse.sum()),
+            ("lp_capital_charge", (params.r * value_scale * tau).sum()),
+            ("noise_volume_total", noise_vol.sum()),
+            ("noise_fees_paid", noise_fee.sum()),
+            ("external_arb_profit", excess.sum()),
+            ("accounting_drift", residual.sum()),
+        ):
+            sums[field] += float(total)
+        counts["no_trade_blocks"] += n - int(traded.sum())
+        counts["unmanaged_blocks"] += int(unmanaged.sum())
         max_resid = max(max_resid, float(np.abs(residual).max()))
         if managed.any():
             max_end_z = max(max_end_z, float(np.abs(z_end[managed]).max()))
         excess_frac.add(excess / value_scale)
         adverse_frac.add(adverse / value_scale)
 
-        noise_volume_total += float(noise_vol.sum())
-        noise_fees_paid += noise_fees
-        ext_profit += excess_paid
-        lp_adverse += float(adverse.sum())
-        lp_capital += float((params.r * value_scale * tau).sum())
-        lp_rent += rent_paid
-        lp_fees += lp_swap_fees
-        mgr_rent += rent_paid
-        mgr_noise += float(noise_fee[managed].sum())
-        mgr_arbfee += float(arb_fee[managed].sum())
-        mgr_arb_total += float(mgr_arb.sum())  # zero on unmanaged blocks
         pnl["lp"] += float((rent - adverse).sum()) + lp_swap_fees
-        pnl["external_arb"] += excess_paid
-        pnl["noise_traders"] -= noise_fees
         manager_gain = noise_fee + arb_fee + mgr_arb - rent
         lo = 0
         for run in runs:
@@ -539,33 +546,22 @@ def run_sim(config: SimConfig, block_log: Optional[IO[str]] = None) -> SimReport
             )
 
     n = float(horizon)
+    sums["fee_effective_mean"] /= n
+    pnl["external_arb"] = sums["external_arb_profit"]
+    pnl["noise_traders"] = 0.0 - sums["noise_fees_paid"]  # +0.0 when no fee is paid
     return SimReport(
         horizon_blocks=horizon,
         seed=config.seed,
-        fee_effective_mean=fee_sum / n,
         ap0_hat=adverse_frac.mean / dt,
         ap0_se=adverse_frac.std() / math.sqrt(n) / dt,
         ae0_hat=excess_frac.mean / dt,
         ae0_se=excess_frac.std() / math.sqrt(n) / dt,
-        manager_noise_fees=mgr_noise,
-        manager_arb_fees=mgr_arbfee,
-        manager_arb_profit=mgr_arb_total,
-        manager_rent_paid=mgr_rent,
-        lp_rent_received=lp_rent,
-        lp_fee_revenue=lp_fees,
-        lp_adverse_selection=lp_adverse,
-        lp_capital_charge=lp_capital,
-        noise_volume_total=noise_volume_total,
-        noise_fees_paid=noise_fees_paid,
-        external_arb_profit=ext_profit,
-        usurps=counts["usurps"],
-        depletions=counts["depletions"],
-        no_trade_blocks=no_trade,
-        unmanaged_blocks=unmanaged_blocks,
-        accounting_drift=drift,
+        manager_rent_paid=sums["lp_rent_received"],
         max_block_residual=max_resid,
         max_end_mispricing=max_end_z,
         pnl_by_agent=pnl,
+        **sums,
+        **counts,
     )
 
 

@@ -19,7 +19,6 @@ def reference_sim(config, block_log=None) -> SimReport:
     params = config.market
     dt = params.delta_t
     horizon = config.horizon_blocks
-    fee_cap = params.f_max
     auction, liquidity, policy_fee = _setup(config)
 
     rng = market.block_rng(config.seed)
@@ -57,9 +56,7 @@ def reference_sim(config, block_log=None) -> SimReport:
 
         tau = float(taus[b])
         z = z_carry + float(zs[b])
-        pool = PoolState.from_price(
-            liquidity, math.exp(-z), swap_fee=min(fee, fee_cap), fee_cap=fee_cap
-        )
+        pool = PoolState.from_price(liquidity, math.exp(-z))
         start_value = pool.reserve_x + pool.reserve_y  # true price is 1
 
         excess = arb_fee = mgr_arb = 0.0

@@ -114,6 +114,11 @@ class TestGridFloor:
         assert main(argv + ["--grid", grid]) == 2
         assert_one_line_error(capsys, "--grid must be at least 2")
 
+    @pytest.mark.parametrize("grid", ["15", "5", "1"])
+    def test_equilibrium_grid_below_sixteen_exit_2(self, grid, capsys):
+        assert main(["equilibrium", "--grid", grid]) == 2
+        assert_one_line_error(capsys, f"--grid must be at least 16, got {grid}")
+
     def test_fees_override_grid(self, capsys):
         assert main(["formulas", "--grid", "0", "--fees", "0.003"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 3
@@ -208,6 +213,8 @@ class TestBadSimConfig:
             ({"horizon_blocks": True}, "horizon_blocks must be an integer"),
             ({"seed": "7"}, "seed must be an integer"),
             ({"k_delay": 5.0}, "k_delay must be an integer"),
+            ({"initial_bids": [{"bidder": "lp", "rent": 1e-6, "deposit": 0.01}]},
+             "bidder name 'lp' is an agent of pnl_by_agent"),
         ],
     )
     def test_field_values_exit_2(self, patch, needle, tmp_path, capsys):
@@ -223,6 +230,29 @@ class TestBadSimConfig:
         out = tmp_path / "out"
         assert main(["simulate", str(path), "--out", str(out)]) == 2
         assert_one_line_error(capsys, f"seed must be in [0, 2**128), got {seed}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "patch, needle",
+        [
+            ({"k_delay": 0}, "k_delay must be >= 1, got 0"),
+            ({"min_increment_factor": 0.9}, "min_increment_factor must be >= 1, got 0.9"),
+            ({"default_fee": 0.5}, "default_fee 0.5 outside [0, 0.05]"),
+            ({"initial_bids": [{"bidder": "mgr", "rent": 3e-6, "deposit": 0.01}]},
+             "initial bid for 'mgr' violates the deposit rules"),
+            ({"lp_policy": "zero_profit",
+              "market": {**sim_config_dict()["market"], "sigma": 0.0, "r": 0.0}},
+             "zero_profit lp_policy needs ap0(0) + r > 0"),
+        ],
+        ids=["k_delay", "increment", "default_fee", "deposit", "zero_profit"],
+    )
+    def test_setup_checks_write_nothing(self, patch, needle, tmp_path, capsys):
+        # checked when the config is built, before --out is created
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**sim_config_dict(), **patch}))
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--out", str(out)]) == 2
+        assert_one_line_error(capsys, needle)
         assert not out.exists()
 
     @pytest.mark.parametrize("seed", ["-1", str(2**128)])
@@ -442,6 +472,22 @@ class TestReplay:
         hashes = [read_csv(tmp_path / "a" / d / "trace.csv")[0]["config_hash"]
                   for d in ("out", "edited")]
         assert hashes[0] != hashes[1]
+
+
+class TestUnusablePaths:
+    @pytest.mark.parametrize(
+        "argv", [["simulate", "{dir}"], ["replay", "{dir}"], ["formulas", "--config", "{dir}"]]
+    )
+    def test_directory_for_a_file_exit_2(self, argv, tmp_path, capsys):
+        assert main([a.format(dir=tmp_path) for a in argv]) == 2
+        assert_one_line_error(capsys, "Is a directory")
+
+    def test_out_is_an_existing_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "taken"
+        path.write_text("keep\n")
+        assert main(["formulas", "--fees", "0.003", "--out", str(path)]) == 2
+        assert_one_line_error(capsys, "File exists")
+        assert path.read_text() == "keep\n"
 
 
 class TestParser:

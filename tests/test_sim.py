@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import pathlib
@@ -164,6 +165,103 @@ class TestRunSim:
         assert report.fee_effective_mean == pytest.approx(
             manager_optimal_fee(config.initial_liquidity, REF), rel=1e-12
         )
+
+
+    # exact bits of every report field and a hash of the block log; a change to
+    # the draws, the kernel, the sum order or the auction clock shows here
+    PINNED = {
+        "managed": (
+            managed_config(horizon=3_000),
+            {
+                "floats": {
+                    "fee_effective_mean": "0x1.89374bc6a7efbp-9",
+                    "ap0_hat": "0x1.6300a0ac24199p-12",
+                    "ap0_se": "0x1.cedb057900230p-17",
+                    "ae0_hat": "0x1.3dc710317e2b5p-13",
+                    "ae0_se": "0x1.40a48d78c7390p-17",
+                    "manager_noise_fees": "0x1.9914368000452p+0",
+                    "manager_arb_fees": "0x1.dada1567fa3ecp-8",
+                    "manager_arb_profit": "0x1.049306c0bd100p-8",
+                    "manager_rent_paid": "0x1.89374bc6a7efbp-9",
+                    "lp_rent_received": "0x1.89374bc6a7efbp-9",
+                    "lp_fee_revenue": "0x0.0p+0",
+                    "lp_adverse_selection": "0x1.4cd096a161d80p-6",
+                    "lp_capital_charge": "0x1.904732d44185ap-8",
+                    "noise_volume_total": "0x1.0a53d37b55825p+9",
+                    "noise_fees_paid": "0x1.9914368000452p+0",
+                    "external_arb_profit": "0x1.29ea9f2e6648ap-7",
+                    "accounting_drift": "-0x1.c000000000000p-47",
+                    "max_block_residual": "0x1.0000000000000p-52",
+                    "max_end_mispricing": "0x0.0p+0",
+                },
+                "pnl_by_agent": {
+                    "external_arb": "0x1.29ea9f2e6648ap-7",
+                    "lp": "-0x1.1ba9ad288cda2p-6",
+                    "mgr": "0x1.9b2f07f645a86p+0",
+                    "noise_traders": "-0x1.9914368000452p+0",
+                },
+                "counts": (3_000, 11, 0, 0, 1_690, 0),
+                "blocks_sha256": "57cdbd6b21e5b6acc0fed929e358e3aa52a8248ddffc35fd70f485b18ffe6f58",
+            },
+        ),
+        # the top depletes at 700, the runner-up at 1,600, unmanaged after
+        "depleting": (
+            managed_config(
+                horizon=3_000,
+                seed=12,
+                default_fee=0.01,
+                initial_bids=(
+                    BidSpec("short", micro(3), micro(3 * 700)),
+                    BidSpec("backup", micro(1), micro(900)),
+                ),
+            ),
+            {
+                "floats": {
+                    "fee_effective_mean": "0x1.9ab138636571cp-8",
+                    "ap0_hat": "0x1.4344f040e49ddp-12",
+                    "ap0_se": "0x1.f91c0d0eebdb9p-17",
+                    "ae0_hat": "0x1.c24e156ac0859p-14",
+                    "ae0_se": "0x1.015deecf239dep-17",
+                    "manager_noise_fees": "0x1.a55bcd437dbf2p-1",
+                    "manager_arb_fees": "0x1.dcab66ba8b0c2p-9",
+                    "manager_arb_profit": "0x1.10967904eab00p-9",
+                    "manager_rent_paid": "0x1.89374bc6a7ef9p-9",
+                    "lp_rent_received": "0x1.89374bc6a7ef9p-9",
+                    "lp_fee_revenue": "0x1.1265bd4fae794p+0",
+                    "lp_adverse_selection": "0x1.2f10a13cd6540p-6",
+                    "lp_capital_charge": "0x1.879f5d55c5eddp-8",
+                    "noise_volume_total": "0x1.7cdfe1e52cdb8p+8",
+                    "noise_fees_paid": "0x1.e3742b906dc8ep+0",
+                    "external_arb_profit": "0x1.a6293414147d3p-8",
+                    "accounting_drift": "0x1.7e00000000000p-46",
+                    "max_block_residual": "0x1.0000000000000p-51",
+                    "max_end_mispricing": "0x0.0p+0",
+                },
+                "pnl_by_agent": {
+                    "backup": "0x1.e32a29ef3897dp-2",
+                    "external_arb": "0x1.a6293414147d3p-8",
+                    "lp": "0x1.0e6e16709e73ep+0",
+                    "noise_traders": "-0x1.e3742b906dc8ep+0",
+                    "short": "0x1.6a5585bfb481fp-2",
+                },
+                "counts": (3_000, 12, 1, 2, 1_962, 1_400),
+                "blocks_sha256": "f1a8485078f96fb33dd9baeed99587749756f12ec32c5dcdd4436d971bd71533",
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_output(self, name):
+        config, want = self.PINNED[name]
+        log = io.StringIO()
+        report = run_sim(config, block_log=log)
+        counts = (report.horizon_blocks, report.seed, report.usurps, report.depletions,
+                  report.no_trade_blocks, report.unmanaged_blocks)
+        assert counts == want["counts"]
+        floats = {k: v.hex() for k, v in report.to_dict().items() if isinstance(v, float)}
+        assert floats == want["floats"]
+        assert {k: v.hex() for k, v in report.pnl_by_agent.items()} == want["pnl_by_agent"]
+        assert hashlib.sha256(log.getvalue().encode()).hexdigest() == want["blocks_sha256"]
 
 
 class TestWithdrawalAttack:
