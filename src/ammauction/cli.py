@@ -193,6 +193,8 @@ def _zscore(estimate: float, reference: float, se: float) -> float:
 
 
 def cmd_mc_validate(args: argparse.Namespace) -> int:
+    import scipy.special  # noqa: F401  -- the sampler's; see cmd_simulate
+
     params = _load_params(args)
     if args.samples < 10_000:
         raise ConfigError(f"--samples must be at least 10000, got {args.samples}")
@@ -201,6 +203,7 @@ def cmd_mc_validate(args: argparse.Namespace) -> int:
     closed = params
     if args.corrupt_closed_form:  # negative-control hook: skews the reference only
         closed = replace(params, sigma=params.sigma * 1.5)
+    out = _out_dir(args)  # an unusable --out fails here, before the estimate
     header = ("f", "ap0_hat", "ap0_se", "ap0_ref", "z_ap0", "ae0_hat", "ae0_se", "ae0_ref", "z_ae0", "pass")
     # one call for every fee; .tolist() gives built-in floats, which _fmt
     # writes as repr
@@ -227,7 +230,6 @@ def cmd_mc_validate(args: argparse.Namespace) -> int:
         args.seed,
         ["mc_validate.csv"],
     )
-    out = _out_dir(args)
     if out is not None:
         _emit_csv(out, "mc_validate.csv", manifest, header, rows)
     print("validation:", "pass" if all_pass else "FAIL")
@@ -258,6 +260,11 @@ def cmd_equilibrium(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    # market.sample_blocks imports scipy.special (for ndtri) when it first
+    # runs; the two commands that sample load it here, in set-up, so that no
+    # other command pays its few tenths of a second
+    import scipy.special  # noqa: F401
+
     raw = json.loads(Path(args.config_path).read_text(encoding="utf-8"))
     config = SimConfig.from_dict(raw)
     if args.seed is not None:

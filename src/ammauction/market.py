@@ -34,7 +34,6 @@ from numbers import Real
 from typing import Literal
 
 import numpy as np
-from scipy.special import ndtri
 
 from .pool import array_module, excess_fraction, pool_value, where
 
@@ -314,6 +313,10 @@ def sample_blocks(
     bits of one call. The transforms run in place: a call holds the
     ``(n, 2)`` uniforms, the two outputs and one ``n``-sized temporary.
     """
+    # imported here, not at module level: scipy.special costs a few tenths of
+    # a second, and only the sampling commands need it (see cli.cmd_simulate)
+    from scipy.special import ndtri
+
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
     u = rng.random((n, 2))

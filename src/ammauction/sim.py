@@ -79,6 +79,13 @@ _REAL_KEYS = ("min_increment_factor", "initial_liquidity", "default_fee", "withd
               "manager_fee")
 _NULLABLE_KEYS = ("default_fee", "withdrawal_fee", "manager_fee")
 
+# The LPs' liquidity L, as given or as zero_profit derives it. The pool kernel
+# forms the product of the two reserves, about L^2, and the pool value is
+# about 2L: this range keeps both finite and normal, with decades to spare
+# for the price factor, where the float limits would make the report NaN or
+# silently wrong.
+LIQUIDITY_RANGE = (1e-150, 1e150)
+
 
 class ConfigError(ValueError):
     """A simulation config failed validation."""
@@ -128,9 +135,10 @@ class SimConfig:
             raise ConfigError(f"unknown manager_policy {self.manager_policy!r}")
         if self.lp_policy not in ("static", "zero_profit"):
             raise ConfigError(f"unknown lp_policy {self.lp_policy!r}")
-        if self.initial_liquidity <= 0.0:
+        lo, hi = LIQUIDITY_RANGE
+        if not lo <= self.initial_liquidity <= hi:
             raise ConfigError(
-                f"initial_liquidity must be positive, got {self.initial_liquidity}"
+                f"initial_liquidity must lie in [{lo:g}, {hi:g}], got {self.initial_liquidity}"
             )
         if self.manager_fee is not None and not (
             0.0 <= self.manager_fee <= self.market.f_max
@@ -159,6 +167,24 @@ class SimConfig:
             deposit = _to_fraction(spec.deposit, "deposit")
             if rent <= 0 or deposit < rent * self.k_delay or (deposit / rent).denominator != 1:
                 raise ConfigError(f"initial bid for {spec.bidder!r} violates the deposit rules")
+        if self.lp_policy == "zero_profit":
+            liquidity = self.lp_liquidity()
+            if not lo <= liquidity <= hi:
+                raise ConfigError(
+                    f"zero_profit liquidity must lie in [{lo:g}, {hi:g}], got {liquidity} "
+                    "from the top bid's rent"
+                )
+
+    def lp_liquidity(self) -> float:
+        """The LPs' liquidity: ``initial_liquidity``, or under the zero_profit
+        policy the level at which the top bid's rent breaks even."""
+        if self.lp_policy != "zero_profit":
+            return self.initial_liquidity
+        # R/dt = (ap0(0) + r) * 2L, converting the per-block rent into a
+        # per-time rate
+        rent = max(_to_fraction(spec.rent, "rent") for spec in self.initial_bids)
+        rent_rate = float(rent) / self.market.delta_t
+        return rent_rate / (2.0 * (market.ap0(0.0, self.market) + self.market.r))
 
     def auction_params(self) -> AuctionParams:
         return AuctionParams(
@@ -318,13 +344,7 @@ def _setup(config: SimConfig) -> tuple[AuctionState, float, float]:
     _install_initial_bids(auction, config.initial_bids, config.k_delay)
     auction.register_lp("lp", 1)
 
-    liquidity = config.initial_liquidity
-    if config.lp_policy == "zero_profit":
-        # enter at the rent's zero-profit level: R/dt = (ap0(0) + r) * 2L,
-        # converting the per-block rent into a per-time rate
-        rent_rate = float(auction.top.rent) / params.delta_t
-        liquidity = rent_rate / (2.0 * (market.ap0(0.0, params) + params.r))
-
+    liquidity = config.lp_liquidity()
     if config.manager_policy == "optimal":
         policy_fee = equilibrium.manager_optimal_fee(liquidity, params)
     else:
@@ -456,6 +476,13 @@ def _format_blocks(first: int, *columns: np.ndarray) -> str:
     )
 
 
+def _abs_max(running: float, x: np.ndarray) -> float:
+    """The larger of ``running`` and the largest ``|x|``; NaN once either
+    holds a NaN, which the built-in ``max`` would drop when its comparison
+    with the NaN came out false."""
+    return float(np.maximum(running, np.abs(x).max()))
+
+
 def run_sim(config: SimConfig, block_log: Optional[IO[str]] = None) -> SimReport:
     """Run the block simulation; deterministic for a given config and seed.
 
@@ -524,9 +551,9 @@ def run_sim(config: SimConfig, block_log: Optional[IO[str]] = None) -> SimReport
             sums[field] += float(total)
         counts["no_trade_blocks"] += n - int(traded.sum())
         counts["unmanaged_blocks"] += int(unmanaged.sum())
-        max_resid = max(max_resid, float(np.abs(residual).max()))
+        max_resid = _abs_max(max_resid, residual)
         if managed.any():
-            max_end_z = max(max_end_z, float(np.abs(z_end[managed]).max()))
+            max_end_z = _abs_max(max_end_z, z_end[managed])
         excess_frac.add(excess / value_scale)
         adverse_frac.add(adverse / value_scale)
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -255,6 +256,26 @@ class TestBadSimConfig:
         assert_one_line_error(capsys, needle)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "patch, needle",
+        [
+            ({"initial_liquidity": 1e308}, "initial_liquidity must lie in [1e-150, 1e+150]"),
+            ({"initial_liquidity": 1e-320}, "initial_liquidity must lie in [1e-150, 1e+150]"),
+            ({"lp_policy": "zero_profit",
+              "initial_bids": [{"bidder": "mgr", "rent": 1e-300, "deposit": 5e-300}]},
+             "zero_profit liquidity must lie in [1e-150, 1e+150]"),
+        ],
+        ids=["huge", "subnormal", "zero_profit"],
+    )
+    def test_liquidity_out_of_range_writes_nothing(self, patch, needle, tmp_path, capsys):
+        # at the float limits the run would overflow to NaN or lose its digits
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**sim_config_dict(), **patch}))
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--out", str(out)]) == 2
+        assert_one_line_error(capsys, needle)
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed", ["-1", str(2**128)])
     def test_seed_override_out_of_range_writes_nothing(self, seed, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -319,6 +340,16 @@ class TestMCValidate:
         assert main(argv + ["--out", str(out)]) == 2
         assert_one_line_error(capsys, f"seed must be in [0, 2**128), got {seed}")
         assert not out.exists()
+
+    def test_out_is_an_existing_file_exit_2_before_any_work(self, tmp_path, capsys):
+        path = tmp_path / "taken"
+        path.write_text("keep\n")
+        argv = ["mc-validate", "--samples", "10000", "--fees", "0,0.003", "--out", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "f=" not in captured.out
+        assert captured.err.startswith("error: ") and "File exists" in captured.err
+        assert path.read_text() == "keep\n"
 
     def test_fee_rows_match_single_fee_runs(self, tmp_path, capsys):
         # one Monte-Carlo call serves every fee, with the bits of a run per fee
@@ -503,18 +534,96 @@ class TestParser:
         assert "ammauction" in capsys.readouterr().out
 
 
+def run_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter on the package source; its stdout."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(root / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 class TestImportCost:
     def test_cli_import_leaves_out_scipy_optimize(self):
         # scipy.optimize alone costs a few tenths of a second per interpreter
-        root = pathlib.Path(__file__).resolve().parent.parent
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(root / "src")
         code = "import sys, ammauction.cli; print('scipy.optimize' in sys.modules)"
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        assert run_python(code).strip() == "False"
+
+    def test_cli_import_leaves_out_scipy_special(self):
+        # so does scipy.special; only simulate and mc-validate need it (ndtri)
+        code = "import sys, ammauction.cli; print('scipy.special' in sys.modules)"
+        assert run_python(code).strip() == "False"
+
+    def test_commands_that_do_not_sample_leave_out_scipy_special(self, tmp_path):
+        (tmp_path / "config.json").write_text(json.dumps(sim_config_dict(horizon=10)))
+        argvs = [
+            ["replay", str(DATA / "depletion.jsonl")],
+            ["formulas"],
+            ["equilibrium", "--grid", "16"],
+            ["attack", str(tmp_path / "config.json")],
+        ]
+        code = (
+            "import contextlib, io, sys\n"
+            "from ammauction.cli import main\n"
+            f"for argv in {argvs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "print('scipy.special' in sys.modules)\n"
         )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
+        assert run_python(code).strip() == "False"
+
+    @pytest.mark.parametrize(
+        "argv", [["simulate", "{config}"], ["mc-validate", "--samples", "10000", "--fees", "0"]],
+        ids=["simulate", "mc-validate"],
+    )
+    def test_sampling_commands_load_scipy_special_before_the_work(self, argv, tmp_path):
+        # in set-up: the import's time must not count as the run's
+        (tmp_path / "config.json").write_text(json.dumps(sim_config_dict(horizon=10)))
+        argv = [a.format(config=tmp_path / "config.json") for a in argv]
+        code = (
+            "import contextlib, io, sys\n"
+            "import ammauction.cli as cli\n"
+            "seen = []\n"
+            "def probe(fn):\n"
+            "    def probed(*args, **kwargs):\n"
+            "        seen.append('scipy.special' in sys.modules)\n"
+            "        return fn(*args, **kwargs)\n"
+            "    return probed\n"
+            "cli.run_sim = probe(cli.run_sim)\n"
+            "cli.market.mc_rates = probe(cli.market.mc_rates)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({argv!r}) == 0\n"
+            "print(seen)\n"
+        )
+        assert run_python(code).strip() == "[True]"
+
+    def test_sampling_commands_keep_their_bytes(self, tmp_path, capsys):
+        # outputs of the commands that load scipy.special, pinned: the
+        # manifest line aside, which names the installed versions
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(sim_config_dict()))
+        assert main(["simulate", str(path), "--out", str(tmp_path / "sim")]) == 0
+        argv = ["mc-validate", "--samples", "20000", "--fees", "0,0.003", "--seed", "5"]
+        assert main(argv + ["--out", str(tmp_path / "mc")]) == 0
+        capsys.readouterr()
+        want = {
+            "sim/blocks.csv": "332bb036236b3033e143004291f9eb80be621098b04a3bfe3ec65d303ffdc912",
+            "mc/mc_validate.csv": "85fe96d2f9496a54f189762e6fc1b8b757c41d67f4c26654896a9ea8a7513fcf",
+        }
+        for name, digest in want.items():
+            body = (tmp_path / name).read_bytes().split(b"\n", 1)[1]
+            assert hashlib.sha256(body).hexdigest() == digest, name
+        payload = json.loads((tmp_path / "sim" / "report.json").read_text())
+        report = json.dumps(payload["report"], sort_keys=True, indent=2).encode()
+        assert hashlib.sha256(report).hexdigest() == (
+            "6f84ef05818125f8660817c3cafdb46f3b8214500d08f37c55d04698c31473f3"
+        )
+        hashes = [payload["manifest"]["config_hash"],
+                  read_csv(tmp_path / "mc" / "mc_validate.csv")[0]["config_hash"]]
+        assert hashes == ["490a054fee752c13", "ff47fc316938ebb5"]
 
 
 class TestTracerHooks:

@@ -3,16 +3,19 @@ import io
 import math
 import pathlib
 
+import numpy as np
 import pytest
 
 from ammauction import market
 from ammauction.market import MarketParams
 from ammauction.pool import withdrawal_fee_required
 from ammauction.sim import (
+    LIQUIDITY_RANGE,
     BidSpec,
     ConfigError,
     ReplayParseError,
     SimConfig,
+    _abs_max,
     replay_auction,
     run_sim,
     run_strategic_withdrawal_attack,
@@ -62,6 +65,34 @@ class TestConfig:
     def test_fee_cap_enforced(self):
         with pytest.raises(ConfigError):
             managed_config(fee=REF.f_max + 0.001)
+
+    def test_liquidity_range_ends_accepted(self):
+        for liquidity in LIQUIDITY_RANGE:
+            config = managed_config(horizon=10, initial_liquidity=liquidity)
+            assert config.lp_liquidity() == liquidity
+
+    @pytest.mark.parametrize("liquidity", [1e-320, 1e-151, 1e151, 1e308])
+    def test_liquidity_out_of_range_rejected(self, liquidity):
+        with pytest.raises(ConfigError, match="initial_liquidity must lie in"):
+            managed_config(horizon=10, initial_liquidity=liquidity)
+
+    @pytest.mark.parametrize("rent", [1e-300, 1e150])
+    def test_zero_profit_liquidity_out_of_range_rejected(self, rent):
+        with pytest.raises(ConfigError, match="zero_profit liquidity must lie in"):
+            managed_config(
+                horizon=10, lp_policy="zero_profit", initial_bids=(BidSpec("mgr", rent, 5 * rent),)
+            )
+
+
+class TestAbsMax:
+    def test_largest_magnitude(self):
+        assert _abs_max(0.0, np.array([1e-16, -3e-16, 2e-16])) == 3e-16
+        assert _abs_max(1.0, np.array([0.5, -0.25])) == 1.0
+
+    def test_nan_residual_propagates(self):
+        # the built-in max(0.0, nan) is 0.0: an overflowing block would vanish
+        assert math.isnan(_abs_max(0.0, np.array([1e-16, math.nan, 2e-16])))
+        assert math.isnan(_abs_max(math.nan, np.array([1.0])))
 
 
 class TestRunSim:
