@@ -9,7 +9,9 @@ codes are a stable contract for CI:
 
     0  success / validation passed
     1  validation failed (Monte Carlo vs closed form, or dominance)
-    2  usage, config, or parse error, or an unusable path
+    2  usage, config, or parse error (``simulate`` needs ``horizon_blocks``
+       of at least 2), an unusable path, or a simulation report with a
+       non-finite field (no ``report.json`` is written)
     3  no positive finite equilibrium
 """
 
@@ -198,6 +200,8 @@ def cmd_mc_validate(args: argparse.Namespace) -> int:
     params = _load_params(args)
     if args.samples < 10_000:
         raise ConfigError(f"--samples must be at least 10000, got {args.samples}")
+    if args.chains < 2:  # the profit estimator's SE is taken across chains
+        raise ConfigError(f"--chains must be at least 2, got {args.chains}")
     fees = _parse_fees(args, params)
     check_seed(args.seed)
     closed = params
@@ -259,6 +263,18 @@ def cmd_equilibrium(args: argparse.Namespace) -> int:
     return 0 if report.dominated else 1
 
 
+def _report_json(manifest: dict, report) -> str:
+    """``simulate``'s JSON payload; a non-finite report field is an error
+    naming the field, as strict JSON has no NaN or infinity."""
+    fields = report.to_dict()
+    values = {**fields, **{f"pnl_by_agent.{k}": v for k, v in fields["pnl_by_agent"].items()}}
+    for name, value in values.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"report field {name} is not finite: {value!r}")
+    payload = {"manifest": manifest, "report": fields}
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     # market.sample_blocks imports scipy.special (for ndtri) when it first
     # runs; the two commands that sample load it here, in set-up, so that no
@@ -269,23 +285,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = SimConfig.from_dict(raw)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
+    # SimConfig allows one block (the attack sweep builds one), but the
+    # report's standard errors divide by horizon_blocks - 1
+    if config.horizon_blocks < 2:
+        raise ConfigError(f"simulate needs horizon_blocks >= 2, got {config.horizon_blocks}")
     out = _out_dir(args)
     manifest = _manifest(
         "simulate", config.to_dict(), config.seed, ["report.json", "blocks.csv"]
     )
     if out is None:
-        report = run_sim(config)
-        payload = {"manifest": manifest, "report": report.to_dict()}
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(_report_json(manifest, run_sim(config)))
         return 0
     blocks_path = out / "blocks.csv"
     with open(blocks_path, "w", encoding="utf-8", newline="\n") as fh:
         _write_manifest(fh, manifest)
         report = run_sim(config, block_log=fh)
-    payload = {"manifest": manifest, "report": report.to_dict()}
-    (out / "report.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    (out / "report.json").write_text(_report_json(manifest, report) + "\n", encoding="utf-8")
     print(f"wrote {out / 'report.json'} and {blocks_path}")
     return 0
 

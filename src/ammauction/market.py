@@ -367,11 +367,14 @@ def mc_rates(
     The chain is drawn from the same stream, after the i.i.d. draws, in
     blocks of about :data:`CHAIN_BLOCKS` chain blocks, one ``sample_blocks``
     call per block shared by every fee's chain, which runs to the longest
-    warmup. Each fee sums its own window after its warmup, with one
-    ``excess_fraction`` call per block and its per-replica sums in step
-    order: every result is bit for bit the chain drawn one step at a time.
-    The chain holds about :data:`CHAIN_BLOCKS` states per fee at a time (one
-    step's when ``chains`` is larger), whatever ``n_samples``.
+    warmup. The states are stored step-major, one contiguous ``(fees,
+    chains)`` row per step, so a step is three element-wise calls whatever
+    the number of fees. Each fee sums its own window after its warmup, with
+    one ``excess_fraction`` call per block on a ``(steps, chains)`` view and
+    its per-replica sums in step order: every result is bit for bit the
+    chain drawn one step at a time. The chain holds about
+    :data:`CHAIN_BLOCKS` states per fee at a time (one step's when
+    ``chains`` is larger), whatever ``n_samples``.
     """
     _check_fee(fee)
     vector = isinstance(fee, np.ndarray)
@@ -410,9 +413,12 @@ def mc_rates(
     del z, vals
 
     # Profit: stationary band-clamped chains, vectorized across fees and
-    # replicas and drawn in blocks of about CHAIN_BLOCKS chain blocks.
-    # ``path[i, 0]`` carries fee i's state between blocks; ``path[i, j]`` is
-    # its state at step start + j.
+    # replicas and drawn in blocks of about CHAIN_BLOCKS chain blocks. The
+    # layout is step-major: ``path[j]`` is the ``(fees, chains)`` state at
+    # step start + j, one contiguous row, and ``path[0]`` carries the state
+    # between blocks. The clip bounds are full rows too, so a step is three
+    # element-wise calls over one contiguous row, in the one-step loop's
+    # order: maximum, minimum, add.
     steps = -(-n_samples // chains)
     warmups = []
     for f in fee_list:
@@ -422,18 +428,22 @@ def mc_rates(
         warmups.append(max(512, min(20_000, int(40.0 * k * k) + 1)) if math.isfinite(k) else 512)
     total_steps = max(warmups) + steps
     block = max(1, CHAIN_BLOCKS // chains)
-    upper = fees[:, None]
-    lower = -upper
-    path = np.zeros((len(fees), min(block, total_steps) + 1, chains))
+    # the bounds share the path's allocation: two separate 8 KB arrays move
+    # glibc's heap layout so that a later call's peak RSS rises by ~2 MB
+    rows = np.zeros((min(block, total_steps) + 3, len(fees), chains))
+    upper, lower, path = rows[0], rows[1], rows[2:]
+    upper[:] = fees[:, None]
+    np.negative(upper, out=lower)
     totals = np.zeros((len(fees), chains))
     for start in range(0, total_steps, block):
         m = min(block, total_steps - start)
         _, eps = sample_blocks(params, m * chains, rng)
         eps = eps.reshape(m, chains)
         for j in range(m):
-            row = path[:, j + 1]
-            np.minimum(np.maximum(path[:, j], lower, out=row), upper, out=row)
-            row += eps[j]
+            row = path[j + 1]
+            np.maximum(path[j], lower, out=row)
+            np.minimum(row, upper, out=row)
+            np.add(row, eps[j], out=row)
         for i, (f, warmup) in enumerate(zip(fee_list, warmups)):
             first = max(0, warmup - start)
             last = min(m, warmup + steps - start)
@@ -442,9 +452,9 @@ def mc_rates(
                 # same left-to-right sum as adding one step at a time
                 acc = np.empty((last - first + 1, chains))
                 acc[0] = totals[i]
-                acc[1:] = excess_fraction(path[i, first:last], f)
+                acc[1:] = excess_fraction(path[first:last, i], f)
                 totals[i] = np.add.reduce(acc, axis=0)
-        path[:, 0] = path[:, m]
+        path[0] = path[m]
     for i, row in enumerate(totals):
         means = row / steps / dt
         ap0_hat[i] = float(means.mean())

@@ -159,17 +159,17 @@ def excess_fraction(z, fee: float):
     ``e^{sign(z) f/2} (e^{g/2} - 2 + e^{-g/2}) / 2`` with ``g = |z| - f``, in
     ``sinh`` form against cancellation. At ``fee = 0`` this is the fee-free
     correction's ``cosh(z/2) - 1``, the hedged value the pool loses to the
-    correcting trader. ``z`` is a float or an array.
+    correcting trader. ``z`` is a float or an array; a NaN ``z`` gives NaN.
     """
     if fee < 0.0:
         raise ValueError(f"fee must be non-negative, got {fee}")
     xp = array_module(z)
+    # no branch on the band: inside it the gap clamps to 0, and
+    # e^{+-f/2} * 2 sinh(0)^2 = +0.0. ``gap`` comes first in ``max`` so that
+    # a NaN survives
     gap = abs(z) - fee
-    outside = gap > 0.0
-    # inside the band both factors' arguments are 0: e^0 * 2 sinh(0)^2 = 0
-    half_fee = where(outside, xp.copysign(0.5 * fee, z), 0.0)
-    gap = where(outside, gap, 0.0)
-    return xp.exp(half_fee) * 2.0 * xp.sinh(0.25 * gap) ** 2
+    gap = np.maximum(gap, 0.0) if xp is np else max(gap, 0.0)
+    return xp.exp(xp.copysign(0.5 * fee, z)) * 2.0 * xp.sinh(0.25 * gap) ** 2
 
 
 def arb_excess_instant(liquidity: float, price: float, z: float, fee: float) -> float:

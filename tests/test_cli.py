@@ -7,12 +7,13 @@ import pathlib
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy
 
-from ammauction import market
+from ammauction import cli, market
 from ammauction.cli import main
 from ammauction.equilibrium import FEE_GRID
 
@@ -341,6 +342,14 @@ class TestMCValidate:
         assert_one_line_error(capsys, f"seed must be in [0, 2**128), got {seed}")
         assert not out.exists()
 
+    def test_one_chain_exit_2_writes_nothing(self, tmp_path, capsys):
+        # checked beside --samples, before --out is created
+        out = tmp_path / "out"
+        argv = ["mc-validate", "--samples", "10000", "--fees", "0", "--chains", "1"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert_one_line_error(capsys, "--chains must be at least 2, got 1")
+        assert not out.exists()
+
     def test_out_is_an_existing_file_exit_2_before_any_work(self, tmp_path, capsys):
         path = tmp_path / "taken"
         path.write_text("keep\n")
@@ -442,6 +451,49 @@ class TestSimulate:
         assert manifest["scipy"] == scipy.__version__
         assert read_csv(tmp_path / "run" / "blocks.csv")[0] == manifest
         assert payload["report"]["horizon_blocks"] == 500
+
+    def test_one_block_horizon_exit_2_writes_nothing(self, tmp_path, capsys):
+        # one block has no standard error; the report would carry NaN
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(sim_config_dict(horizon=1)))
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--out", str(out)]) == 2
+        assert_one_line_error(capsys, "simulate needs horizon_blocks >= 2, got 1")
+        assert not out.exists()
+
+    def test_two_block_horizon_is_strict_json(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(sim_config_dict(horizon=2)))
+        assert main(["simulate", str(path), "--out", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+
+        def reject(token):
+            raise ValueError(token)
+
+        text = (tmp_path / "run" / "report.json").read_text()
+        assert json.loads(text, parse_constant=reject)["report"]["horizon_blocks"] == 2
+
+    @pytest.mark.parametrize(
+        "patch, field",
+        [({"ap0_se": math.nan}, "ap0_se"), ({"accounting_drift": -math.inf}, "accounting_drift"),
+         ({"pnl_by_agent": {"lp": math.inf}}, "pnl_by_agent.lp")],
+        ids=["nan", "-inf", "pnl-map"],
+    )
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+    def test_non_finite_report_field_exit_2(self, patch, field, to_file, monkeypatch,
+                                            tmp_path, capsys):
+        real = cli.run_sim
+        monkeypatch.setattr(cli, "run_sim", lambda *a, **kw: replace(real(*a, **kw), **patch))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(sim_config_dict(horizon=50)))
+        out = tmp_path / "out"
+        argv = ["simulate", str(path)] + (["--out", str(out)] if to_file else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert f"report field {field} is not finite" in captured.err
+        assert not (out / "report.json").exists()
 
     def test_seed_override_changes_stream(self, tmp_path, capsys):
         path = tmp_path / "config.json"

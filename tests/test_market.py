@@ -330,6 +330,24 @@ class TestMCRates:
         assert est.ae0_hat.hex() == "0x1.10f0ccf67f3ccp-13"
         assert est.ae0_se.hex() == "0x1.ad31a1f89c650p-19"
 
+    def test_pinned_fee_vector_output(self):
+        # exact bits of one call over four fees; the per-step reference in
+        # mc_reference.py shares excess_fraction, so a kernel change that
+        # moves both sides of the reference tests shows here
+        est = mc_rates(np.array([0.0, 0.001, 0.003, 0.01]), REF, 20_000, seed=5)
+        want = {
+            "ap0_hat": ["0x1.4e7d6d63f460ap-12", "0x1.061f281277c10p-12",
+                        "0x1.6d37a2b41a5c7p-13", "0x1.5eea2d9f4140ap-14"],
+            "ap0_se": ["0x1.74b284de75b86p-18", "0x1.528afdf6e2f2fp-18",
+                       "0x1.254a85d0fb919p-18", "0x1.c964d8efec84bp-19"],
+            "ae0_hat": ["0x1.4358b19a7b427p-12", "0x1.e5a12d38dbf9fp-13",
+                        "0x1.10f0ccf67f3ccp-13", "0x1.154c63227e6d5p-16"],
+            "ae0_se": ["0x1.3c85339431c28p-18", "0x1.17fc3fd660fecp-18",
+                       "0x1.ad31a1f89c650p-19", "0x1.321b659b57f05p-20"],
+        }
+        for name, hexes in want.items():
+            assert [v.hex() for v in getattr(est, name).tolist()] == hexes, name
+
     def test_zero_fee_estimators_agree(self):
         est = mc_rates(0.0, REF, 200_000, seed=1)
         spread = math.hypot(est.ap0_se, est.ae0_se)

@@ -225,6 +225,31 @@ class TestArbExcessInstant:
         assert excess_fraction(0.0, 0.0) == 0.0
         assert excess_fraction(z, fee=z) == 0.0
 
+    def test_nan_mispricing_gives_nan(self):
+        assert math.isnan(arb_excess_instant(1.0, 1.0, math.nan, 0.003))
+
+
+class TestExcessFraction:
+    @pytest.mark.parametrize("fee", [0.0, 0.003])
+    def test_nan_float_gives_nan(self, fee):
+        assert math.isnan(excess_fraction(math.nan, fee))
+
+    @pytest.mark.parametrize("fee", [0.0, 0.003])
+    def test_nan_element_gives_nan_and_leaves_the_others(self, fee):
+        z = np.array([0.01, -0.002, 0.0, -0.02])
+        want = excess_fraction(z, fee)
+        z_nan = np.insert(z, 2, np.nan)
+        got = excess_fraction(z_nan, fee)
+        assert math.isnan(got[2])
+        assert np.delete(got, 2).tobytes() == want.tobytes()
+
+    def test_inside_the_band_is_positive_zero(self):
+        for z in (0.003, -0.003, 0.001, -0.0, 0.0):
+            value = excess_fraction(z, 0.003)
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0, z
+        values = excess_fraction(np.array([0.003, -0.003, 0.001, -0.0]), 0.003)
+        assert not np.signbit(values).any() and not values.any()
+
 
 class TestWithdrawalFee:
     def test_no_move_no_fee(self):
