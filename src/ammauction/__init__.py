@@ -26,6 +26,7 @@ from .pool import (
     arb_trade_to_band,
     pool_holdings,
     pool_value,
+    trade_to_band,
     withdrawal_fee_required,
 )
 from .sim import (

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
@@ -115,13 +115,7 @@ class Bid:
         return self.deposit / self.rent
 
     def to_dict(self) -> dict:
-        return {
-            "bidder": self.bidder,
-            "rent": str(self.rent),
-            "deposit": str(self.deposit),
-            "submitted_at": self.submitted_at,
-            "active_from": self.active_from,
-        }
+        return {**asdict(self), "rent": str(self.rent), "deposit": str(self.deposit)}
 
 
 @dataclass(frozen=True)
@@ -464,12 +458,7 @@ class AuctionState:
     def to_dict(self) -> dict:
         return {
             "current_block": self.current_block,
-            "params": {
-                "k_delay": self.params.k_delay,
-                "fee_cap": self.params.fee_cap,
-                "min_increment_factor": self.params.min_increment_factor,
-                "default_fee": self.params.default_fee,
-            },
+            "params": asdict(self.params),
             "top": None if self.top is None else self.top.to_dict(),
             "next": None if self.next is None else self.next.to_dict(),
             "pending": [b.to_dict() for b in self.pending],
@@ -481,11 +470,7 @@ class AuctionState:
             "refunds": str(self.refunds),
             "claims_paid": str(self.claims_paid),
             "lps": {
-                lp: {
-                    "shares": str(a.shares),
-                    "snapshot": str(a.snapshot),
-                    "accrued": str(a.accrued),
-                }
+                lp: {k: str(v) for k, v in asdict(a).items()}
                 for lp, a in sorted(self._lps.items())
             },
         }

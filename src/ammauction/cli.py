@@ -18,6 +18,7 @@ codes are a stable contract for CI:
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -76,10 +77,6 @@ def _manifest(command: str, config: dict, seed: int | None, outputs: list[str]) 
     }
 
 
-def _fmt(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
-
-
 def _write_manifest(fh: TextIO, manifest: dict) -> None:
     fh.write("# manifest " + json.dumps(manifest, sort_keys=True) + "\n")
 
@@ -88,7 +85,8 @@ def _emit_csv(
     out: Path | None, name: str, manifest: dict, header: Sequence[str], rows: Iterable[tuple]
 ) -> Path | None:
     """Write a CSV under its manifest line to ``out / name``, or to stdout when
-    ``out`` is None; the path written, if any."""
+    ``out`` is None; the path written, if any. Floats are written as ``repr``,
+    and a field with a comma, quote or line feed is quoted."""
     path = None if out is None else out / name
     with (
         nullcontext(sys.stdout)
@@ -96,9 +94,9 @@ def _emit_csv(
         else open(path, "w", encoding="utf-8", newline="\n")
     ) as fh:
         _write_manifest(fh, manifest)
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
     return path
 
 
@@ -209,8 +207,8 @@ def cmd_mc_validate(args: argparse.Namespace) -> int:
         closed = replace(params, sigma=params.sigma * 1.5)
     out = _out_dir(args)  # an unusable --out fails here, before the estimate
     header = ("f", "ap0_hat", "ap0_se", "ap0_ref", "z_ap0", "ae0_hat", "ae0_se", "ae0_ref", "z_ae0", "pass")
-    # one call for every fee; .tolist() gives built-in floats, which _fmt
-    # writes as repr
+    # one call for every fee; .tolist() gives built-in floats, which the CSV
+    # writer writes as repr
     est = market.mc_rates(np.array(fees), params, args.samples, seed=args.seed, chains=args.chains)
     estimates = zip(fees, est.ap0_hat.tolist(), est.ap0_se.tolist(), est.ae0_hat.tolist(),
                     est.ae0_se.tolist())

@@ -318,20 +318,11 @@ class DominanceReport:
     CSV_HEADER = ("f", "L_ff", "L_star", "R_star", "f_star", "f_opt", "margin")
 
     def to_csv_rows(self) -> list[tuple]:
-        out = []
-        for row in self.rows:
-            out.append(
-                (
-                    row.fee,
-                    row.L_ff,
-                    self.am.L_star,
-                    self.am.R_star,
-                    self.am.f_star,
-                    self.am.f_opt,
-                    row.margin,
-                )
-            )
-        return out
+        am = self.am
+        return [
+            (row.fee, row.L_ff, am.L_star, am.R_star, am.f_star, am.f_opt, row.margin)
+            for row in self.rows
+        ]
 
 
 def dominance_report(params: MarketParams, n_grid: int = 64) -> DominanceReport:

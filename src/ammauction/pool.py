@@ -9,7 +9,7 @@ manager), so no trade ever changes ``L``. The fee is log-space: arbitrageurs
 trade the pool to the edge of the band ``|ln(P / spot)| <= f``, with the
 numeraire leg scaled by ``e^{+f}`` on buys and ``e^{-f}`` on sells (the
 fee-band model of Milionis et al., arXiv 2305.14604). Under it the profit of
-:func:`arb_trade_to_band` equals the closed form of :func:`arb_excess_instant`
+:func:`trade_to_band` equals the closed form of :func:`arb_excess_instant`
 exactly; a zero fee is the fee-free correction to the true price.
 
 All operations are pure: they take and return immutable values and are safe
@@ -71,14 +71,11 @@ class PoolState:
 class TradeResult:
     """Outcome of one arbitrage trade.
 
-    ``amount_in``/``amount_out`` are what the trader pays and receives
-    (input-asset and output-asset units). ``fee_paid`` is the numeraire value
-    routed to the fee recipient; it never enters the reserves, so
-    ``new_pool.liquidity`` equals the pre-trade liquidity.
+    ``fee_paid`` is the numeraire value routed to the fee recipient; it never
+    enters the reserves, so ``new_pool.liquidity`` equals the pre-trade
+    liquidity.
     """
 
-    amount_in: float
-    amount_out: float
     fee_paid: float
     new_pool: PoolState
 
@@ -102,46 +99,51 @@ def pool_holdings(liquidity: float, price: float) -> tuple[float, float]:
     return liquidity / sqrt_p, liquidity * sqrt_p
 
 
+def trade_to_band(x, y, price, fee):
+    """Trade reserves ``(x, y)`` to the edge of the fee band around ``price``.
+
+    With ``z = ln(price / spot)``: inside the no-trade band (``|z| <= fee``)
+    the reserves stay. Otherwise the implied price moves to
+    ``price * e^{-fee}`` (``z > fee``, the arbitrageur buys ``x``) or
+    ``price * e^{+fee}`` (``z < -fee``, sells ``x``), at constant liquidity.
+    The numeraire leg carries the log-space fee factor: ``e^{+fee}`` grosses
+    up what a buyer pays and ``e^{-fee}`` scales what a seller receives, the
+    difference going to the fee recipient. The arbitrageur's profit at
+    ``price`` is then the closed form of :func:`arb_excess_instant` exactly.
+
+    Floats or arrays, element-wise; unchecked. Returns
+    ``(new_x, new_y, fee_paid, traded)``.
+    """
+    xp = array_module(x)
+    z = xp.log(price / (y / x))
+    buy = z > fee
+    traded = buy | (z < -fee)
+    sqrt_edge = xp.sqrt(price * xp.exp(where(buy, -fee, fee)))
+    liquidity = xp.sqrt(x * y)
+    new_x = where(traded, liquidity / sqrt_edge, x)
+    new_y = where(traded, liquidity * sqrt_edge, y)
+    fee_paid = where(
+        buy, xp.expm1(fee) * (new_y - y), where(traded, -xp.expm1(-fee) * (y - new_y), 0.0)
+    )
+    return new_x, new_y, fee_paid, traded
+
+
 def arb_trade_to_band(
     pool: PoolState, true_price: float, fee: float
 ) -> Optional[TradeResult]:
     """Arbitrage the pool until the log-mispricing equals the fee.
 
-    With ``z = ln(true_price / spot)``: inside the no-trade band
-    (``|z| <= fee``) returns ``None``. Otherwise the implied price moves to
-    ``true_price * e^{-fee}`` (``z > fee``, arbitrageur buys ``x``) or
-    ``true_price * e^{+fee}`` (``z < -fee``, sells ``x``). The numeraire leg
-    carries the log-space fee factor, so the arbitrageur's profit at
-    ``true_price`` equals the matching closed form in
-    :func:`arb_excess_instant` exactly.
+    :func:`trade_to_band` on the pool's reserves, with its inputs checked;
+    ``None`` inside the no-trade band.
     """
     if not (true_price > 0.0 and math.isfinite(true_price)):
         raise ValueError(f"true_price must be positive, got {true_price}")
     if fee < 0.0:
         raise ValueError(f"fee must be non-negative, got {fee}")
-
-    z = math.log(true_price / pool.spot_price)
-    if abs(z) <= fee:
-        return None
-
-    if z > fee:
-        # Pool price is too low: buy x, pay e^{+fee}-grossed numeraire.
-        target = true_price * math.exp(-fee)
-        new_x, new_y = pool_holdings(pool.liquidity, target)
-        curve_in = new_y - pool.reserve_y
-        fee_paid = math.expm1(fee) * curve_in
-        amount_in = curve_in + fee_paid
-        amount_out = pool.reserve_x - new_x
-    else:
-        # Pool price is too high: sell x, receive e^{-fee}-scaled numeraire.
-        target = true_price * math.exp(fee)
-        new_x, new_y = pool_holdings(pool.liquidity, target)
-        curve_out = pool.reserve_y - new_y
-        fee_paid = -math.expm1(-fee) * curve_out
-        amount_in = new_x - pool.reserve_x
-        amount_out = curve_out - fee_paid
-
-    return TradeResult(amount_in, amount_out, fee_paid, PoolState(new_x, new_y))
+    new_x, new_y, fee_paid, traded = trade_to_band(
+        pool.reserve_x, pool.reserve_y, true_price, fee
+    )
+    return TradeResult(fee_paid, PoolState(new_x, new_y)) if traded else None
 
 
 def arb_profit(pool_before: PoolState, trade: TradeResult, true_price: float) -> float:

@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from fractions import Fraction
 from typing import IO, Iterable, Optional, Sequence
 
@@ -43,9 +43,9 @@ import numpy as np
 from . import equilibrium, market
 from .auction import AuctionParams, AuctionRejection, AuctionState, Bid, _to_fraction
 from .market import MarketParams, _finite_real
-from .pool import strategic_withdrawal_values, withdrawal_fee_required
+from .pool import strategic_withdrawal_values, trade_to_band, withdrawal_fee_required
 
-# Not called here: the kernel below does the same trade on arrays. The name
+# Not called here: the kernel below calls trade_to_band on arrays. The name
 # stays importable from this module because ammbench/spans.py traces it here.
 from .pool import arb_trade_to_band  # noqa: F401
 
@@ -221,8 +221,12 @@ class SimConfig:
                     raise ConfigError(
                         f"initial_bids[{i}].{key} must be a finite number, got {b[key]!r}"
                     )
+            if not isinstance(b["bidder"], str):
+                raise ConfigError(
+                    f"initial_bids[{i}].bidder must be a string, got {b['bidder']!r}"
+                )
         bids = tuple(
-            BidSpec(bidder=str(b["bidder"]), rent=float(b["rent"]), deposit=float(b["deposit"]))
+            BidSpec(bidder=b["bidder"], rent=float(b["rent"]), deposit=float(b["deposit"]))
             for b in raw_bids
         )
         known = {*_INTEGER_KEYS, *_REAL_KEYS, "manager_policy", "lp_policy"}
@@ -249,32 +253,11 @@ class SimConfig:
             raise ConfigError(str(exc))
 
     def to_dict(self) -> dict:
-        m = self.market
+        # a list of bids, as from_dict reads them
         return {
             "schema_version": SCHEMA_VERSION,
-            "horizon_blocks": self.horizon_blocks,
-            "seed": self.seed,
-            "market": {
-                "sigma": m.sigma,
-                "delta_t": m.delta_t,
-                "r": m.r,
-                "f_max": m.f_max,
-                "c0": m.c0,
-                "c1": m.c1,
-                "alpha": m.alpha,
-            },
-            "k_delay": self.k_delay,
-            "min_increment_factor": self.min_increment_factor,
-            "default_fee": self.default_fee,
-            "withdrawal_fee": self.withdrawal_fee,
-            "manager_policy": self.manager_policy,
-            "manager_fee": self.manager_fee,
-            "lp_policy": self.lp_policy,
-            "initial_liquidity": self.initial_liquidity,
-            "initial_bids": [
-                {"bidder": b.bidder, "rent": b.rent, "deposit": b.deposit}
-                for b in self.initial_bids
-            ],
+            **asdict(self),
+            "initial_bids": [asdict(b) for b in self.initial_bids],
         }
 
 
@@ -409,28 +392,17 @@ def _pool_kernel(z: np.ndarray, fee: np.ndarray, managed: np.ndarray, liquidity:
     """Each block's trades on explicit reserve arrays, one block per element.
 
     The true price is rebased to 1 and the pool opens at price ``e^{-z}``.
-    Outside arbitrageurs trade to the fee band's edge, the numeraire leg
-    fee-grossed (the log-space convention of :func:`arb_trade_to_band`);
-    on managed blocks the manager then closes the rest of the gap for free.
-    Profits, fees and the pool's loss all come from reserve changes, and the
-    end mispricing from the end reserves.
+    Outside arbitrageurs trade to the fee band's edge through
+    :func:`pool.trade_to_band`; on managed blocks the manager then closes the
+    rest of the gap for free. Profits, fees and the pool's loss all come from
+    reserve changes, and the end mispricing from the end reserves.
 
     Returns ``(traded, excess, arb_fee, mgr_arb, adverse, z_end)``.
     """
     sqrt_p = np.sqrt(np.exp(-z))
     x0 = liquidity / sqrt_p
     y0 = liquidity * sqrt_p
-    z0 = np.log(1.0 / (y0 / x0))
-    buy = z0 > fee
-    sell = z0 < -fee
-    traded = buy | sell
-    edge = np.sqrt(np.exp(np.where(buy, -fee, fee)))
-    liq0 = np.sqrt(x0 * y0)
-    x1 = np.where(traded, liq0 / edge, x0)
-    y1 = np.where(traded, liq0 * edge, y0)
-    arb_fee = np.where(
-        buy, np.expm1(fee) * (y1 - y0), np.where(sell, -np.expm1(-fee) * (y0 - y1), 0.0)
-    )
+    x1, y1, arb_fee, traded = trade_to_band(x0, y0, 1.0, fee)
     excess = (x0 - x1) + (y0 - y1) - arb_fee
 
     correct = managed & (np.log(1.0 / (y1 / x1)) != 0.0)
@@ -618,13 +590,10 @@ class WithdrawalAttackReport:
     gain_at_cap: float
     manager_fee_credit: float
 
-    CSV_HEADER = ("ratio", "v_now", "v_after", "fee_paid", "net_gain", "gross_gain")
+    CSV_HEADER = tuple(f.name for f in fields(WithdrawalAttackRow))
 
     def to_csv_rows(self) -> list[tuple]:
-        return [
-            (r.ratio, r.v_now, r.v_after, r.fee_paid, r.net_gain, r.gross_gain)
-            for r in self.rows
-        ]
+        return [astuple(r) for r in self.rows]
 
 
 def run_strategic_withdrawal_attack(
@@ -655,16 +624,7 @@ def run_strategic_withdrawal_attack(
         gross = v_now - v_after
         if gross > 0.0:  # the strategic LP withdraws; the fee goes to the manager
             credit += fee_paid
-        rows.append(
-            WithdrawalAttackRow(
-                ratio=ratio,
-                v_now=v_now,
-                v_after=v_after,
-                fee_paid=fee_paid,
-                net_gain=net,
-                gross_gain=gross,
-            )
-        )
+        rows.append(WithdrawalAttackRow(ratio, v_now, v_after, fee_paid, net, gross))
     cap_row = min(rows, key=lambda r: abs(r.ratio - (1.0 + f_max)))
     return WithdrawalAttackReport(
         fee_rate=fee_rate,
@@ -675,14 +635,17 @@ def run_strategic_withdrawal_attack(
     )
 
 
+# Each scenario action: the name of the AuctionState method it calls and the
+# fields it passes, in order. "advance" calls nothing: the clock already
+# stands at its block.
 _REPLAY_ACTIONS = {
-    "submit_bid",
-    "reduce_deposit",
-    "top_up",
-    "set_fee",
-    "register_lp",
-    "claim_rent",
-    "advance",
+    "submit_bid": ("submit_bid", ("bidder", "rent", "deposit")),
+    "reduce_deposit": ("reduce_deposit", ("bidder", "amount")),
+    "top_up": ("top_up_deposit", ("bidder", "amount")),
+    "set_fee": ("set_fee", ("bidder", "fee")),
+    "register_lp": ("register_lp", ("lp", "shares")),
+    "claim_rent": ("claim_rent", ("lp",)),
+    "advance": (None, ()),
 }
 
 TRACE_HEADER = (
@@ -750,6 +713,7 @@ def _parse_scenario(
         if obj["block"] < block:
             raise ReplayParseError(no, f"block {obj['block']} precedes current block {block}")
         block = obj["block"]
+        _check_fields(obj, no)
         actions.append((no, obj))
 
     if header is None:
@@ -785,37 +749,31 @@ def _parse_scenario(
     return params, shares, actions
 
 
-def _require(obj: dict, line_no: int, *keys: str) -> list:
+def _check_fields(obj: dict, line_no: int) -> None:
+    """Refuse an action that lacks one of its fields or has one of the wrong type."""
+    _, keys = _REPLAY_ACTIONS[obj["action"]]
     missing = [k for k in keys if k not in obj]
     if missing:
         raise ReplayParseError(line_no, f"action {obj['action']!r} needs {missing}")
-    return [obj[k] for k in keys]
+    # the auction parses amounts and shares itself; a NaN fee reaches it too
+    for key in keys:
+        value = obj[key]
+        if key in ("bidder", "lp") and not isinstance(value, str):
+            raise ReplayParseError(line_no, f"{key} must be a string, got {value!r}")
+        if key == "fee" and (not isinstance(value, (int, float)) or isinstance(value, bool)):
+            raise ReplayParseError(line_no, f"fee must be a number, got {value!r}")
 
 
 def _apply_action(auction: AuctionState, line_no: int, obj: dict) -> dict:
     """Apply one scenario action at the current block; its trace row."""
     action = obj["action"]
+    method, keys = _REPLAY_ACTIONS[action]
     status, detail = "ok", ""
     try:
-        if action == "submit_bid":
-            bidder, rent, deposit = _require(obj, line_no, "bidder", "rent", "deposit")
-            auction.submit_bid(bidder, rent, deposit)
-        elif action == "reduce_deposit":
-            bidder, amount = _require(obj, line_no, "bidder", "amount")
-            auction.reduce_deposit(bidder, amount)
-        elif action == "top_up":
-            bidder, amount = _require(obj, line_no, "bidder", "amount")
-            auction.top_up_deposit(bidder, amount)
-        elif action == "set_fee":
-            bidder, fee = _require(obj, line_no, "bidder", "fee")
-            auction.set_fee(bidder, fee)
-        elif action == "register_lp":
-            lp, lp_shares = _require(obj, line_no, "lp", "shares")
-            auction.register_lp(lp, lp_shares)
-        elif action == "claim_rent":
-            (lp,) = _require(obj, line_no, "lp")
-            detail = str(auction.claim_rent(lp))
-        # "advance" has no payload: the clock already stands at its block
+        if method is not None:
+            result = getattr(auction, method)(*(obj[k] for k in keys))
+            if action == "claim_rent":
+                detail = str(result)
     except AuctionRejection as exc:
         status, detail = f"rejected:{exc.code}", str(exc)
     return _trace_row(

@@ -245,8 +245,14 @@ class TestBadSimConfig:
             ({"lp_policy": "zero_profit",
               "market": {**sim_config_dict()["market"], "sigma": 0.0, "r": 0.0}},
              "zero_profit lp_policy needs ap0(0) + r > 0"),
+            # not coerced to "None", which would merge with a bid of that name
+            ({"initial_bids": [{"bidder": None, "rent": 1e-6, "deposit": 0.01}]},
+             "initial_bids[0].bidder must be a string, got None"),
+            ({"initial_bids": [{"bidder": 5, "rent": 1e-6, "deposit": 0.01}]},
+             "initial_bids[0].bidder must be a string, got 5"),
         ],
-        ids=["k_delay", "increment", "default_fee", "deposit", "zero_profit"],
+        ids=["k_delay", "increment", "default_fee", "deposit", "zero_profit", "bidder-null",
+             "bidder-number"],
     )
     def test_setup_checks_write_nothing(self, patch, needle, tmp_path, capsys):
         # checked when the config is built, before --out is created
@@ -555,6 +561,88 @@ class TestReplay:
         hashes = [read_csv(tmp_path / "a" / d / "trace.csv")[0]["config_hash"]
                   for d in ("out", "edited")]
         assert hashes[0] != hashes[1]
+
+    @pytest.mark.parametrize(
+        "action, needle",
+        [
+            ('"action": "set_fee", "bidder": "a", "fee": "0.01"', "fee must be a number"),
+            ('"action": "set_fee", "bidder": "a", "fee": false', "fee must be a number"),
+            ('"action": "set_fee", "bidder": "a", "fee": [0.01]', "fee must be a number"),
+            ('"action": "set_fee", "bidder": 7, "fee": 0.01', "bidder must be a string"),
+            ('"action": "register_lp", "lp": {"x": 1}, "shares": 1', "lp must be a string"),
+            ('"action": "submit_bid", "bidder": null, "rent": 1, "deposit": 10',
+             "bidder must be a string"),
+            ('"action": "claim_rent", "lp": true', "lp must be a string"),
+            ('"action": "claim_rent"', "action 'claim_rent' needs ['lp']"),
+        ],
+        ids=["fee-string", "fee-bool", "fee-list", "bidder-number", "lp-object",
+             "bidder-null", "lp-bool", "missing"],
+    )
+    def test_action_field_types_exit_2_writes_nothing(self, action, needle, tmp_path, capsys):
+        # the third line is fine: the bad field is refused at parse time, with
+        # its own line number, before any output
+        path = tmp_path / "scenario.jsonl"
+        path.write_text(
+            '{"k_delay": 2, "fee_cap": 0.05}\n'
+            f'{{"block": 0, {action}}}\n'
+            '{"block": 1, "action": "advance"}\n'
+        )
+        out = tmp_path / "out"
+        assert main(["replay", str(path), "--out", str(out)]) == 2
+        assert_one_line_error(capsys, f"line 2: {needle}")
+        assert not out.exists()
+
+    def test_nan_fee_reaches_the_auction(self, tmp_path, capsys):
+        path = tmp_path / "scenario.jsonl"
+        path.write_text(
+            '{"k_delay": 2, "fee_cap": 0.05}\n'
+            '{"block": 0, "action": "submit_bid", "bidder": "a", "rent": 1, "deposit": 10}\n'
+            '{"block": 3, "action": "set_fee", "bidder": "a", "fee": NaN}\n'
+        )
+        assert main(["replay", str(path), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        _, header, rows = read_csv(tmp_path / "trace.csv")
+        status = header.index("status")
+        assert rows[-1][status] == "rejected:fee-above-cap"
+
+
+def csv_rows(path):
+    """Header and rows of an output CSV, parsed as RFC 4180 after its manifest line."""
+    with open(path, newline="") as fh:
+        assert fh.readline().startswith("# manifest ")
+        rows = list(csv.reader(fh))
+    return rows[0], rows[1:]
+
+
+class TestCSVFields:
+    def test_every_csv_is_as_wide_as_its_header(self, tmp_path, capsys):
+        # a field with a comma or a quote is quoted, not split
+        scenario = tmp_path / "scenario.jsonl"
+        scenario.write_text(
+            '{"k_delay": 2, "fee_cap": 0.05}\n'
+            '{"block": 0, "action": "submit_bid", "bidder": "a,b", "rent": 1, "deposit": 10}\n'
+            '{"block": 3, "action": "set_fee", "bidder": "a,b", "fee": 0.1}\n'
+            '{"block": 4, "action": "set_fee", "bidder": "say \\"hi\\"", "fee": 0.01}\n'
+        )
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(sim_config_dict(horizon=10)))
+        runs = {
+            "formulas.csv": ["formulas", "--grid", "5"],
+            "equilibrium.csv": ["equilibrium", "--grid", "16"],
+            "attack.csv": ["attack", str(config)],
+            "mc_validate.csv": ["mc-validate", "--fees", "0,0.01", "--samples", "10000",
+                                "--chains", "2"],
+            "trace.csv": ["replay", str(scenario)],
+        }
+        for name, argv in runs.items():
+            assert main([*argv, "--out", str(tmp_path / name)]) in (0, 1)  # 1: a failed check
+            header, rows = csv_rows(tmp_path / name / name)
+            assert rows and all(len(row) == len(header) for row in rows), name
+        capsys.readouterr()
+        header, rows = csv_rows(tmp_path / "trace.csv" / "trace.csv")
+        detail, bidder = header.index("detail"), header.index("bidder")
+        assert rows[5][detail] == "fee-above-cap: fee 0.1 outside [0, 0.05]"
+        assert {row[bidder] for row in rows} == {"a,b", 'say "hi"'}
 
 
 class TestUnusablePaths:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ammauction.pool import (
     PoolState,
+    TradeResult,
     arb_excess_instant,
     arb_profit,
     arb_trade_to_band,
@@ -14,6 +15,7 @@ from ammauction.pool import (
     pool_holdings,
     pool_value,
     strategic_withdrawal_values,
+    trade_to_band,
     withdrawal_fee_required,
 )
 
@@ -153,6 +155,58 @@ class TestArbTradeToBand:
             assert result is None
         else:
             assert result is not None
+
+
+class TestTradeToBand:
+    """The trade the simulator's kernel runs on arrays, checked against the
+    closed-form excess, which shares none of its code."""
+
+    N = 20_000
+
+    @pytest.fixture(scope="class")
+    def trades(self):
+        rng = np.random.default_rng(13)
+        z = rng.uniform(-0.3, 0.3, self.N)
+        z[::50] = 0.0
+        fee = rng.uniform(0.0, 0.05, self.N)
+        fee[::10] = 0.0
+        price = np.exp(rng.normal(0.0, 2.0, self.N))
+        liquidity = 1.7
+        sqrt_spot = np.sqrt(price * np.exp(-z))  # the pool opens at mispricing z
+        x, y = liquidity / sqrt_spot, liquidity * sqrt_spot
+        return z, fee, price, liquidity, x, y, trade_to_band(x, y, price, fee)
+
+    def test_profit_is_the_closed_form_excess(self, trades):
+        z, fee, price, liquidity, x, y, (new_x, new_y, fee_paid, traded) = trades
+        profit = price * (x - new_x) + (y - new_y) - fee_paid
+        value = 2.0 * np.sqrt(price) * liquidity
+        excess = np.array([excess_fraction(a, f) for a, f in zip(z.tolist(), fee.tolist())])
+        assert np.all(np.abs(profit - value * excess) <= 1e-14 * value)
+        clear = np.abs(np.abs(z) - fee) > 1e-12  # off the knife edge the trade reads z
+        assert np.array_equal(traded[clear], np.abs(z[clear]) > fee[clear])
+        assert np.all(fee_paid[~traded] == 0.0)
+        np.testing.assert_allclose(np.sqrt(new_x * new_y), liquidity, rtol=1e-15)
+
+    def test_arrays_agree_with_floats(self, trades):
+        # numpy's vectorized exp and expm1 may round an ulp apart from libm's,
+        # so the two paths agree to rounding rather than bit for bit
+        _, fee, price, liquidity, x, y, (new_x, new_y, fee_paid, traded) = trades
+        scalar = [
+            trade_to_band(*args) for args in zip(x.tolist(), y.tolist(), price.tolist(),
+                                                 fee.tolist())
+        ]
+        assert all(type(v) is float for s in scalar for v in s[:3])
+        assert [s[3] for s in scalar] == traded.tolist()
+        for i, column in enumerate((new_x, new_y)):
+            np.testing.assert_allclose([s[i] for s in scalar], column, rtol=1e-15, atol=0.0)
+        value = 2.0 * np.sqrt(price) * liquidity
+        assert np.all(np.abs(np.array([s[2] for s in scalar]) - fee_paid) <= 1e-15 * value)
+
+    def test_arb_trade_to_band_wraps_it(self):
+        pool = PoolState(1.3, 0.9)
+        new_x, new_y, fee_paid, traded = trade_to_band(1.3, 0.9, 0.8, 0.01)
+        result = arb_trade_to_band(pool, 0.8, 0.01)
+        assert traded and result == TradeResult(fee_paid, PoolState(new_x, new_y))
 
 
 class TestArbExcessInstant:
