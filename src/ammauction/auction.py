@@ -35,7 +35,6 @@ serialized snapshots are safe from any thread.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -151,6 +150,7 @@ class AuctionState:
         self.refunds = Fraction(0)
         self.claims_paid = Fraction(0)
         self._lps: dict[str, _LPAccount] = {}
+        self._lp_shares = Fraction(0)  # sum of the accounts' shares, kept by register_lp
         self._increment = _to_fraction(params.min_increment_factor, "increment")
 
     # -- queries ------------------------------------------------------------
@@ -172,7 +172,9 @@ class AuctionState:
         return self.deposits_posted - (self.rent_distributed + self.refunds + live)
 
     def lp_registered_shares(self) -> Fraction:
-        return sum((a.shares for a in self._lps.values()), Fraction(0))
+        """Total registered LP shares: a running total, so reading it costs
+        the same whatever the LP count."""
+        return self._lp_shares
 
     # -- bidder actions -----------------------------------------------------
 
@@ -301,9 +303,11 @@ class AuctionState:
         if account is None:
             if s > 0:
                 self._lps[lp_id] = _LPAccount(shares=s, snapshot=self.rent_per_share)
+                self._lp_shares += s
             return
         account.accrued += account.shares * (self.rent_per_share - account.snapshot)
         account.snapshot = self.rent_per_share
+        self._lp_shares += s - account.shares
         account.shares = s
         if s == 0 and account.accrued == 0:
             del self._lps[lp_id]
@@ -405,7 +409,8 @@ class AuctionState:
             return soon
         candidates = [bid.active_from for bid in self.pending]
         if self.top is not None:
-            candidates.append(self.current_block + math.ceil(self.top.runway()))
+            # the exact ceiling of the runway, from one floor division
+            candidates.append(self.current_block - (-self.top.deposit // self.top.rent))
         return max(soon, min(candidates)) if candidates else None
 
     def advance_to(
@@ -421,7 +426,8 @@ class AuctionState:
         none while unmanaged).
         The state advances only as the steps are consumed, so a caller may
         act on the auction between steps, for example set a new manager's
-        fee, and the next step sees it.
+        fee, and the next step sees it. A step costs the same whatever the
+        number of registered LPs: rent goes to their running share total.
         """
         while self.current_block < block:
             event = self.next_event_block()
@@ -439,7 +445,7 @@ class AuctionState:
         shares = (
             _to_fraction(lp_total_shares, "lp_total_shares")
             if lp_total_shares is not None
-            else self.lp_registered_shares()
+            else self._lp_shares
         )
         if shares <= 0:
             shares = Fraction(1)

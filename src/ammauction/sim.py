@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections import Counter, defaultdict
 from dataclasses import asdict, astuple, dataclass, fields
 from fractions import Fraction
@@ -662,6 +663,7 @@ TRACE_HEADER = (
     "status",
     "detail",
 )
+_BLANK_ROW = dict.fromkeys(TRACE_HEADER, "")
 
 
 @dataclass(frozen=True)
@@ -670,11 +672,13 @@ class ReplayTrace:
     final_state_json: str
 
     def to_csv_rows(self) -> list[tuple]:
-        return [tuple(row.get(k, "") for k in TRACE_HEADER) for row in self.rows]
+        # every row holds the header's keys in the header's order
+        return [tuple(row.values()) for row in self.rows]
 
 
 def _trace_row(**kw) -> dict:
-    row = {k: "" for k in TRACE_HEADER}
+    """A trace row: the given ``TRACE_HEADER`` fields, blank where missing or None."""
+    row = _BLANK_ROW.copy()
     row.update({k: v for k, v in kw.items() if v is not None})
     return row
 
@@ -749,8 +753,15 @@ def _parse_scenario(
     return params, shares, actions
 
 
+# scenario fields the trace echoes as given, and the characters none may hold:
+# csv.writer leaves a bare carriage return unquoted, which splits its row
+_ECHOED_FIELDS = ("bidder", "lp", "rent", "deposit", "fee", "amount", "shares")
+_CONTROL_CHAR = re.compile(r"[\x00-\x1f\x7f]")
+
+
 def _check_fields(obj: dict, line_no: int) -> None:
-    """Refuse an action that lacks one of its fields or has one of the wrong type."""
+    """Refuse an action that lacks one of its fields, has one of the wrong
+    type, or would echo a control character into the trace."""
     _, keys = _REPLAY_ACTIONS[obj["action"]]
     missing = [k for k in keys if k not in obj]
     if missing:
@@ -762,6 +773,12 @@ def _check_fields(obj: dict, line_no: int) -> None:
             raise ReplayParseError(line_no, f"{key} must be a string, got {value!r}")
         if key == "fee" and (not isinstance(value, (int, float)) or isinstance(value, bool)):
             raise ReplayParseError(line_no, f"fee must be a number, got {value!r}")
+    for key in _ECHOED_FIELDS:
+        value = obj.get(key)
+        if isinstance(value, str) and _CONTROL_CHAR.search(value):
+            raise ReplayParseError(
+                line_no, f"{key} must not contain control characters, got {value!r}"
+            )
 
 
 def _apply_action(auction: AuctionState, line_no: int, obj: dict) -> dict:
@@ -804,7 +821,8 @@ def replay_auction(scenario_path: str) -> ReplayTrace:
 
     The clock jumps to each action's block through
     :meth:`AuctionState.advance_to`, so the cost grows with the number of
-    auction events, not with block heights. Each rent-only stretch leaves one
+    auction events, not with block heights, and a step costs the same
+    whatever the number of registered LPs. Each rent-only stretch leaves one
     ``rent`` row: its last block, payer and total, its span in ``detail`` as
     ``first-last``; an event block's rent row spans that one block.
     """

@@ -78,6 +78,9 @@ def random_events(rng: random.Random, n: int) -> list[dict]:
 def check_safety(state: AuctionState) -> None:
     assert state.conservation_gap() == 0, "deposit conservation broken"
     assert 0.0 <= state.effective_fee <= FEE_CAP, "effective fee outside the cap"
+    assert state.lp_registered_shares() == sum(
+        (a.shares for a in state._lps.values()), Fraction(0)
+    ), "running share total drifted"
     for bid in state.live_bids():
         assert bid.deposit >= 0
         assert (bid.deposit / bid.rent).denominator == 1, "deposit not a rent multiple"
@@ -100,6 +103,38 @@ def random_jump_events(rng: random.Random, n: int) -> list[dict]:
             ev = {"op": "jump", "blocks": rng.choice([2, K_DELAY, 40, 400, 3_000])}
         events.append(ev)
     return events
+
+
+def many_lp_scenario(n_lps: int = 2_000, n_bids: int = 100) -> list[dict]:
+    """Scenario lines with ``n_lps`` registered LPs and ``n_bids`` rising bids.
+
+    A new bid is submitted every 10 blocks and usurps the manager, which
+    waits as runner-up until a newer bid replaces it; every other bid's
+    deposit runs out after 8 blocks and hands the seat back to the runner-up,
+    and the seat is vacant after the last depletion. Between bids one LP
+    leaves, one joins and one claims, so the registered share total keeps
+    changing while rent streams to it.
+    """
+    lines: list[dict] = [{"k_delay": K_DELAY, "fee_cap": FEE_CAP}]
+    lines += [
+        {"block": 0, "action": "register_lp", "lp": f"lp{i}", "shares": 1 + i % 7}
+        for i in range(n_lps)
+    ]
+    rent = 10
+    for i in range(n_bids):
+        block = 1 + 10 * i
+        runway = 8 if i % 2 else 30
+        lines += [
+            {"block": block, "action": "submit_bid", "bidder": f"b{i}", "rent": rent,
+             "deposit": rent * runway},
+            {"block": block + 2, "action": "register_lp", "lp": f"lp{i}", "shares": 0},
+            {"block": block + 2, "action": "register_lp", "lp": f"lp{n_lps + i}",
+             "shares": 1 + i % 5},
+            {"block": block + 3, "action": "claim_rent", "lp": f"lp{2 * i}"},
+        ]
+        rent = -(-rent * 11 // 10) + 1
+    lines.append({"block": 10 * n_bids + 40, "action": "advance"})
+    return lines
 
 
 def jump(state: AuctionState, blocks: int, shares=TOTAL_SHARES) -> None:

@@ -17,6 +17,8 @@ from ammauction import cli, market
 from ammauction.cli import main
 from ammauction.equilibrium import FEE_GRID
 
+from auction_driver import many_lp_scenario
+
 DATA = pathlib.Path(__file__).parent / "data"
 
 
@@ -574,9 +576,22 @@ class TestReplay:
              "bidder must be a string"),
             ('"action": "claim_rent", "lp": true', "lp must be a string"),
             ('"action": "claim_rent"', "action 'claim_rent' needs ['lp']"),
+            ('"action": "register_lp", "lp": "x\\ry", "shares": 1',
+             "lp must not contain control characters, got 'x\\ry'"),
+            ('"action": "claim_rent", "lp": "x\\ny"', "lp must not contain control characters"),
+            ('"action": "submit_bid", "bidder": "a\\u0000", "rent": 1, "deposit": 10',
+             "bidder must not contain control characters"),
+            ('"action": "top_up", "bidder": "a\\u007f", "amount": 1',
+             "bidder must not contain control characters"),
+            ('"action": "set_fee", "bidder": "\\u001fa", "fee": 0.01',
+             "bidder must not contain control characters"),
+            ('"action": "reduce_deposit", "bidder": "a", "amount": "1\\r"',
+             "amount must not contain control characters"),
+            ('"action": "advance", "bidder": "x\\ry"', "bidder must not contain control characters"),
         ],
         ids=["fee-string", "fee-bool", "fee-list", "bidder-number", "lp-object",
-             "bidder-null", "lp-bool", "missing"],
+             "bidder-null", "lp-bool", "missing", "lp-cr", "lp-lf", "bidder-nul",
+             "bidder-del", "bidder-unit-separator", "amount-cr", "echoed-bidder-cr"],
     )
     def test_action_field_types_exit_2_writes_nothing(self, action, needle, tmp_path, capsys):
         # the third line is fine: the bad field is refused at parse time, with
@@ -591,6 +606,33 @@ class TestReplay:
         assert main(["replay", str(path), "--out", str(out)]) == 2
         assert_one_line_error(capsys, f"line 2: {needle}")
         assert not out.exists()
+
+    def test_replay_keeps_its_bytes(self, tmp_path, capsys):
+        # trace.csv below its manifest line, and final_state.json, pinned
+        many = tmp_path / "many_lps.jsonl"
+        many.write_text("".join(json.dumps(line) + "\n" for line in many_lp_scenario()))
+        want = {
+            DATA / "depletion.jsonl": (
+                "a57dc8300b3e94c35b571e1cb81af1adb581dcfef3cecff881c3c454676b18b2",
+                "fda5742401343a6ca24f1261ce07e5a8df8e618e56e95475224cebb2bc971f33",
+            ),
+            DATA / "k_delay.jsonl": (
+                "a6e33a3823a0d5656ceb0697939ab47ea523447257c717c91ff39694d069f20b",
+                "3e0bdd883fc4696362f136e0a26d93cbe2a4e24753495000d527f76f8ec51506",
+            ),
+            many: (
+                "5ab072088ed6da4e84ae033220fc30b41ddd7e914411118e65017196031b90f2",
+                "d7bcedbd3c79c7688f449b3b919b4360ade5743dec9cb5bd0dc02a7c3a6f9224",
+            ),
+        }
+        for scenario, (trace, final) in want.items():
+            out = tmp_path / scenario.stem
+            assert main(["replay", str(scenario), "--out", str(out)]) == 0
+            body = (out / "trace.csv").read_bytes().split(b"\n", 1)[1]
+            assert hashlib.sha256(body).hexdigest() == trace, scenario.name
+            digest = hashlib.sha256((out / "final_state.json").read_bytes()).hexdigest()
+            assert digest == final, scenario.name
+        capsys.readouterr()
 
     def test_nan_fee_reaches_the_auction(self, tmp_path, capsys):
         path = tmp_path / "scenario.jsonl"

@@ -20,7 +20,7 @@ import pytest
 from ammauction.auction import AuctionState
 from ammauction.sim import ReplayParseError, replay_auction
 
-from auction_driver import FEE_CAP, K_DELAY, random_jump_events
+from auction_driver import FEE_CAP, K_DELAY, many_lp_scenario, random_jump_events
 from replay_reference import reference_replay
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -180,3 +180,51 @@ def test_jump_to_block_1e9_costs_events_not_blocks(tmp_path, monkeypatch):
     assert blocks_paid == {"alice": 10**6, "bob": 10**6}
     claim = next(r for r in trace.rows if r["action"] == "claim_rent")
     assert Fraction(claim["detail"]) == distributed * Fraction(3, 7)
+
+
+class _WalkCountingDict(dict):
+    """An LP table that counts every walk over its entries."""
+
+    walks = 0
+
+    def _walk(self, name):
+        type(self).walks += 1
+        return getattr(super(), name)()
+
+    def __iter__(self):
+        return self._walk("__iter__")
+
+    def keys(self):
+        return self._walk("keys")
+
+    def values(self):
+        return self._walk("values")
+
+    def items(self):
+        return self._walk("items")
+
+
+def test_rent_steps_cost_the_same_whatever_the_lp_count(tmp_path, monkeypatch):
+    path = tmp_path / "many_lps.jsonl"
+    path.write_text(
+        "".join(json.dumps(line) + "\n" for line in many_lp_scenario(2_000, 100)),
+        encoding="utf-8",
+    )
+    fast, _ = assert_equivalent(path)
+    state = json.loads(fast.final_state_json)
+    assert len(state["lps"]) >= 2_000
+
+    # replay again with an LP table that counts walks: rent streams to the
+    # running share total, so only the final serialization walks the table
+    init = AuctionState.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self._lps = _WalkCountingDict()
+
+    monkeypatch.setattr(AuctionState, "__init__", counting_init)
+    monkeypatch.setattr(_WalkCountingDict, "walks", 0)
+    trace = replay_auction(str(path))
+    assert trace.final_state_json == fast.final_state_json
+    assert sum(map(is_rent, trace.rows)) >= 100
+    assert _WalkCountingDict.walks <= 1
