@@ -35,12 +35,16 @@ serialized snapshots are safe from any thread.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import sys
+from dataclasses import MISSING, asdict, dataclass, fields
 from decimal import Decimal
 from fractions import Fraction
+from numbers import Integral, Real
 from typing import Iterable, Iterator, Optional, Union
 
 Number = Union[int, float, str, Fraction]
+
+_FLOAT_MAX = sys.float_info.max
 
 __all__ = [
     "AuctionParams",
@@ -77,6 +81,51 @@ def _to_fraction(value: Number, what: str) -> Fraction:
         raise AuctionRejection("invalid-amount", f"{what} is not a number: {value!r}")
 
 
+def _finite_real(value) -> bool:
+    """A finite real number, not a boolean: the check for numbers read from JSON."""
+    # abs() <= the largest float: false for NaN and inf, and safe on a huge int
+    return isinstance(value, Real) and not isinstance(value, bool) and abs(value) <= _FLOAT_MAX
+
+
+# The JSON kind of each annotation a record checks (annotations are strings
+# under postponed evaluation), with its name for the error.
+_JSON_KINDS = {
+    "int": (lambda v: isinstance(v, Integral) and not isinstance(v, bool), "an integer"),
+    "float": (_finite_real, "a finite number"),
+    "float | None": (lambda v: v is None or _finite_real(v), "a finite number or null"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def check_field_types(record, error: type[Exception] = ValueError) -> None:
+    """Check each ``int``, ``float``, ``float | None`` and ``str`` field of a
+    dataclass record as JSON delivers it: a boolean is not a number, NaN and
+    infinity are not floats, and a string is not a number."""
+    for field in fields(record):
+        kind = _JSON_KINDS.get(field.type)
+        value = getattr(record, field.name)
+        if kind is not None and not kind[0](value):
+            raise error(f"{field.name} must be {kind[1]}, got {value!r}")
+
+
+def read_json_object(raw, cls, what: str, extra=(), required=None) -> None:
+    """Check that ``raw``, read from JSON for the dataclass ``cls``, is an object
+    with the ``required`` keys (by default the fields without a default) and no
+    key that is neither a field of ``cls`` nor in ``extra``."""
+    known = {f.name: f for f in fields(cls)}
+    if required is None:
+        required = [n for n, f in known.items() if f.default is f.default_factory is MISSING]
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} must be a JSON object, got {raw!r}")
+    missing = [k for k in required if k not in raw]
+    if missing:
+        listed = ", ".join(required)
+        raise ValueError(f"{what} must be a JSON object with {listed}; missing {missing}")
+    unknown = sorted(raw.keys() - known.keys() - set(extra))
+    if unknown:
+        raise ValueError(f"unknown keys in {what}: {unknown}")
+
+
 @dataclass(frozen=True)
 class AuctionParams:
     k_delay: int
@@ -85,6 +134,7 @@ class AuctionParams:
     default_fee: float | None = None  # fee when unmanaged; None means fee_cap
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.k_delay < 1:
             raise ValueError(f"k_delay must be >= 1, got {self.k_delay}")
         if self.min_increment_factor < 1.0:

@@ -10,8 +10,10 @@ codes are a stable contract for CI:
     0  success / validation passed
     1  validation failed (Monte Carlo vs closed form, or dominance)
     2  usage, config, or parse error (``simulate`` needs ``horizon_blocks``
-       of at least 2), an unusable path, or a simulation report with a
-       non-finite field (no ``report.json`` is written)
+       of at least 2), an unusable path, a simulation report with a
+       non-finite field (no ``report.json`` is written), a value too large
+       to compute (a fee that overflows the closed forms), or a sample count
+       whose buffers cannot be allocated
     3  no positive finite equilibrium
 """
 
@@ -32,11 +34,11 @@ import numpy as np
 import scipy
 
 from . import __version__, market
+from .auction import read_json_object
 from .equilibrium import BracketError, DominanceReport, dominance_report
 from .market import MarketParams
 from .sim import (
     ConfigError,
-    ReplayParseError,
     SimConfig,
     TRACE_HEADER,
     check_seed,
@@ -111,23 +113,16 @@ def _load_params(args: argparse.Namespace) -> MarketParams:
     values = dict(_DEFAULTS)
     if args.config:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        if not isinstance(raw, dict):
-            raise ConfigError("params config must be a JSON object")
+        read_json_object(raw, MarketParams, "params config", extra=("schema_version",), required=())
         version = raw.pop("schema_version", PARAMS_SCHEMA_VERSION)
         if version != PARAMS_SCHEMA_VERSION:
             raise ConfigError(f"schema_version must be {PARAMS_SCHEMA_VERSION}, got {version!r}")
-        unknown = set(raw) - set(_DEFAULTS)
-        if unknown:
-            raise ConfigError(f"unknown parameter keys: {sorted(unknown)}")
         values.update(raw)
     for name in _DEFAULTS:
         override = getattr(args, name)
         if override is not None:
             values[name] = override
-    try:
-        return MarketParams(**values)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return MarketParams(**values)
 
 
 def _parse_fees(args: argparse.Namespace, params: MarketParams) -> list[float]:
@@ -207,16 +202,16 @@ def cmd_mc_validate(args: argparse.Namespace) -> int:
         closed = replace(params, sigma=params.sigma * 1.5)
     out = _out_dir(args)  # an unusable --out fails here, before the estimate
     header = ("f", "ap0_hat", "ap0_se", "ap0_ref", "z_ap0", "ae0_hat", "ae0_se", "ae0_ref", "z_ae0", "pass")
+    # the references first: a fee they cannot evaluate fails before the estimate
+    refs = [(market.ap0(f, closed), market.ae0(f, closed)) for f in fees]
     # one call for every fee; .tolist() gives built-in floats, which the CSV
     # writer writes as repr
     est = market.mc_rates(np.array(fees), params, args.samples, seed=args.seed, chains=args.chains)
-    estimates = zip(fees, est.ap0_hat.tolist(), est.ap0_se.tolist(), est.ae0_hat.tolist(),
+    estimates = zip(fees, refs, est.ap0_hat.tolist(), est.ap0_se.tolist(), est.ae0_hat.tolist(),
                     est.ae0_se.tolist())
     rows = []
     all_pass = True
-    for f, ap_hat, ap_se, ae_hat, ae_se in estimates:
-        ap_ref = market.ap0(f, closed)
-        ae_ref = market.ae0(f, closed)
+    for f, (ap_ref, ae_ref), ap_hat, ap_se, ae_hat, ae_se in estimates:
         z_ap = _zscore(ap_hat, ap_ref, ap_se)
         z_ae = _zscore(ae_hat, ae_ref, ae_se)
         ok = abs(z_ap) <= 3.0 and abs(z_ae) <= 3.0
@@ -398,8 +393,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ReplayParseError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (OverflowError, MemoryError) as exc:  # a fee past cosh's range, a buffer past memory
+        print(f"error: too large to compute: {exc}", file=sys.stderr)
         return 2
 
 

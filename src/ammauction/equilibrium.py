@@ -86,7 +86,6 @@ class AMEquilibrium:
     f_star: float
     f_opt: float
     L_max: float
-    R_max: float
     ff_best_fee: float
     lp_residual: float
     mgr_residual: float
@@ -275,15 +274,13 @@ def solve_am_equilibrium(params: MarketParams) -> AMEquilibrium:
     """
     f_star, L_star = _most_liquid_fee(market.ae0, market.ae0_slope, params)
     ff_best_fee, L_max = _most_liquid_fee(market.ap0, market.ap0_slope, params)
-    lp_rate = market.ap0(0.0, params) + params.r
-    R_star = lp_rate * pool_value(L_star, 1.0)
+    R_star = (market.ap0(0.0, params) + params.r) * pool_value(L_star, 1.0)
     return AMEquilibrium(
         L_star=L_star,
         R_star=R_star,
         f_star=f_star,
         f_opt=revenue_optimal_fee(L_star, params),
         L_max=L_max,
-        R_max=lp_rate * pool_value(L_max, 1.0),
         ff_best_fee=ff_best_fee,
         lp_residual=abs(lp_pnl_am(R_star, L_star, params)),
         mgr_residual=abs(mgr_pnl_am(R_star, L_star, params)[0]),

@@ -28,13 +28,12 @@ the dimensionless combinations ``sigma^2 * delta_t`` and
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, fields
-from numbers import Real
 from typing import Literal
 
 import numpy as np
 
+from .auction import _finite_real
 from .pool import array_module, excess_fraction, pool_value, where
 
 __all__ = [
@@ -55,13 +54,6 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-_FLOAT_MAX = sys.float_info.max
-
-
-def _finite_real(value) -> bool:
-    """A finite real number, not a boolean: the check for numbers read from JSON."""
-    # abs() <= the largest float: false for NaN and inf, and safe on a huge int
-    return isinstance(value, Real) and not isinstance(value, bool) and abs(value) <= _FLOAT_MAX
 
 
 @dataclass(frozen=True)
@@ -240,17 +232,15 @@ def noise_volume(fee: float, liquidity: float, params: MarketParams) -> float:
     return params.c0 * liquidity**params.alpha * math.exp(-params.c1 * fee)
 
 
-def noise_volume_per_value(
-    fee: float, liquidity: float, params: MarketParams, price: float = 1.0
-) -> float:
-    """Noise volume per unit pool value, ``H(f, L) / (2 sqrt(P) L)``.
+def noise_volume_per_value(fee: float, liquidity: float, params: MarketParams) -> float:
+    """Noise volume per unit pool value at the reference price 1, ``H(f, L) / (2L)``.
 
-    Evaluated at the reference price ``price``. Strictly decreasing in L for
-    alpha < 1, diverging as L -> 0 and vanishing as L -> infinity.
+    Strictly decreasing in L for alpha < 1, diverging as L -> 0 and
+    vanishing as L -> infinity.
     """
     if liquidity <= 0.0:
         raise ValueError(f"liquidity must be positive, got {liquidity}")
-    return noise_volume(fee, liquidity, params) / pool_value(liquidity, price)
+    return noise_volume(fee, liquidity, params) / pool_value(liquidity, 1.0)
 
 
 def _phibar(x: float) -> float:

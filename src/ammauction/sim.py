@@ -35,7 +35,7 @@ import json
 import math
 import re
 from collections import Counter, defaultdict
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from fractions import Fraction
 from typing import IO, Iterable, Optional, Sequence
 
@@ -43,7 +43,8 @@ import numpy as np
 
 from . import equilibrium, market
 from .auction import AuctionParams, AuctionRejection, AuctionState, Bid, _to_fraction
-from .market import MarketParams, _finite_real
+from .auction import check_field_types, read_json_object
+from .market import MarketParams
 from .pool import strategic_withdrawal_values, trade_to_band, withdrawal_fee_required
 
 # Not called here: the kernel below calls trade_to_band on arrays. The name
@@ -70,15 +71,6 @@ BLOCK_LOG_HEADER = ("block", "tau", "z", "fee", "arb_profit", "excess", "noise_f
 # Blocks per kernel chunk: large enough that numpy's per-call overhead is
 # small per block, small enough that the chunk arrays stay a few hundred kB.
 CHUNK_BLOCKS = 1024
-
-_ONE_SHARE = Fraction(1)
-
-# Config fields that must be JSON numbers: integers exact, the others finite.
-# Booleans are neither, though Python counts them as ints.
-_INTEGER_KEYS = ("horizon_blocks", "seed", "k_delay")
-_REAL_KEYS = ("min_increment_factor", "initial_liquidity", "default_fee", "withdrawal_fee",
-              "manager_fee")
-_NULLABLE_KEYS = ("default_fee", "withdrawal_fee", "manager_fee")
 
 # The LPs' liquidity L, as given or as zero_profit derives it. The pool kernel
 # forms the product of the two reserves, about L^2, and the pool value is
@@ -112,6 +104,11 @@ class BidSpec:
     rent: float
     deposit: float
 
+    def __post_init__(self) -> None:
+        check_field_types(self)
+        if self.bidder in ("lp", "external_arb", "noise_traders"):
+            raise ValueError(f"bidder name {self.bidder!r} is an agent of pnl_by_agent")
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -129,6 +126,7 @@ class SimConfig:
     initial_bids: tuple[BidSpec, ...] = ()
 
     def __post_init__(self) -> None:
+        check_field_types(self, ConfigError)
         check_seed(self.seed)
         if self.horizon_blocks < 1:
             raise ConfigError(f"horizon_blocks must be >= 1, got {self.horizon_blocks}")
@@ -162,8 +160,6 @@ class SimConfig:
         except ValueError as exc:
             raise ConfigError(str(exc))
         for spec in self.initial_bids:
-            if spec.bidder in ("lp", "external_arb", "noise_traders"):
-                raise ConfigError(f"bidder name {spec.bidder!r} is an agent of pnl_by_agent")
             rent = _to_fraction(spec.rent, "rent")
             deposit = _to_fraction(spec.deposit, "deposit")
             if rent <= 0 or deposit < rent * self.k_delay or (deposit / rent).denominator != 1:
@@ -197,60 +193,33 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SimConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
-        version = raw.get("schema_version")
-        if version != SCHEMA_VERSION:
-            raise ConfigError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
+        """The config a JSON object describes: no object in it may hold an
+        unknown key, and each record checks its own values."""
         try:
-            mkt = MarketParams(**raw["market"])
-        except KeyError:
-            raise ConfigError("config is missing the 'market' section")
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad market params: {exc}")
-        raw_bids = raw.get("initial_bids", [])
-        if not isinstance(raw_bids, list):
-            raise ConfigError(f"initial_bids must be a list, got {raw_bids!r}")
-        for i, b in enumerate(raw_bids):
-            if not (isinstance(b, dict) and {"bidder", "rent", "deposit"} <= b.keys()):
-                raise ConfigError(
-                    f"initial_bids[{i}] must be an object with bidder, rent and deposit, "
-                    f"got {b!r}"
-                )
-            for key in ("rent", "deposit"):
-                if not _finite_real(b[key]):
-                    raise ConfigError(
-                        f"initial_bids[{i}].{key} must be a finite number, got {b[key]!r}"
-                    )
-            if not isinstance(b["bidder"], str):
-                raise ConfigError(
-                    f"initial_bids[{i}].bidder must be a string, got {b['bidder']!r}"
-                )
-        bids = tuple(
-            BidSpec(bidder=b["bidder"], rent=float(b["rent"]), deposit=float(b["deposit"]))
-            for b in raw_bids
-        )
-        known = {*_INTEGER_KEYS, *_REAL_KEYS, "manager_policy", "lp_policy"}
-        extra = set(raw) - known - {"schema_version", "market", "initial_bids"}
-        if extra:
-            raise ConfigError(f"unknown config keys: {sorted(extra)}")
-        for key, value in raw.items():
-            if key in _INTEGER_KEYS and (not isinstance(value, int) or isinstance(value, bool)):
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
-            nullable = value is None and key in _NULLABLE_KEYS
-            if key in _REAL_KEYS and not (_finite_real(value) or nullable):
-                raise ConfigError(f"{key} must be a finite number, got {value!r}")
-        try:
-            return cls(
-                horizon_blocks=raw["horizon_blocks"],
-                seed=raw.get("seed", 0),
-                market=mkt,
-                initial_bids=bids,
-                **{k: raw[k] for k in known - {"horizon_blocks", "seed"} if k in raw},
+            read_json_object(
+                raw, cls, "config", extra=("schema_version",), required=("horizon_blocks", "market")
             )
-        except KeyError as exc:
-            raise ConfigError(f"config is missing {exc}")
-        except (TypeError, ValueError) as exc:
+            version = raw.get("schema_version")
+            if version != SCHEMA_VERSION:
+                raise ValueError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
+            read_json_object(raw["market"], MarketParams, "market")
+            mkt = MarketParams(**raw["market"])
+            raw_bids = raw.get("initial_bids", [])
+            if not isinstance(raw_bids, list):
+                raise ValueError(f"initial_bids must be a list, got {raw_bids!r}")
+            bids = []
+            for i, b in enumerate(raw_bids):
+                read_json_object(b, BidSpec, f"initial_bids[{i}]")
+                try:
+                    spec = BidSpec(**b)
+                except ValueError as exc:
+                    raise ValueError(f"initial_bids[{i}].{exc}")
+                # JSON integers become floats, as config_hash has always read them
+                bids.append(replace(spec, rent=float(spec.rent), deposit=float(spec.deposit)))
+            values = dict(raw, seed=raw.get("seed", 0), market=mkt, initial_bids=tuple(bids))
+            del values["schema_version"]
+            return cls(**values)
+        except ValueError as exc:
             raise ConfigError(str(exc))
 
     def to_dict(self) -> dict:
@@ -357,7 +326,7 @@ def _advance_auction(
     :meth:`AuctionState.advance_to` step. A new manager sets the policy fee,
     which takes effect from the next block."""
     runs = []
-    for blocks, events in auction.advance_to(auction.current_block + n, _ONE_SHARE):
+    for blocks, events in auction.advance_to(auction.current_block + n):
         rent, payer = 0.0, None
         for ev in events:
             if ev.kind == "usurped":
@@ -705,10 +674,12 @@ def _parse_scenario(
         if not isinstance(obj, dict):
             raise ReplayParseError(no, "each line must be a JSON object")
         if header is None:
-            if "k_delay" not in obj or "fee_cap" not in obj:
-                raise ReplayParseError(no, "first line must configure k_delay and fee_cap")
-            header = obj
-            header_no = no
+            try:
+                read_json_object(obj, AuctionParams, "header (first line)",
+                                 extra=("lp_total_shares",))
+            except ValueError as exc:
+                raise ReplayParseError(no, str(exc))
+            header, header_no = obj, no
             continue
         if "action" not in obj or obj["action"] not in _REPLAY_ACTIONS:
             raise ReplayParseError(no, f"unknown action {obj.get('action')!r}")
@@ -723,26 +694,15 @@ def _parse_scenario(
     if header is None:
         raise ReplayParseError(1, "empty scenario: missing header line")
 
-    def number(key: str, default=None, integer: bool = False):
-        value = header.get(key, default)
-        if not _finite_real(value) or integer and not isinstance(value, int):
-            what = "an integer" if integer else "a finite number"
-            raise ReplayParseError(header_no, f"{key} must be {what}, got {value!r}")
-        return value
-
-    k_delay, fee_cap = number("k_delay", integer=True), number("fee_cap")
-    increment = number("min_increment_factor", 1.10)
-    default_fee = None if header.get("default_fee") is None else number("default_fee")
+    shares = header.pop("lp_total_shares", None)
     try:
-        params = AuctionParams(
-            k_delay=k_delay,
-            fee_cap=float(fee_cap),
-            min_increment_factor=float(increment),
-            default_fee=default_fee,
-        )
-    except (ValueError, OverflowError) as exc:
+        params = AuctionParams(**header)
+        # floats once checked, as final_state.json and rejection details print them
+        params = replace(params, fee_cap=float(params.fee_cap),
+                         min_increment_factor=float(params.min_increment_factor),
+                         default_fee=header.get("default_fee"))
+    except ValueError as exc:
         raise ReplayParseError(header_no, f"bad auction params: {exc}")
-    shares = header.get("lp_total_shares")
     if shares is not None:
         try:
             shares = _to_fraction(shares, "lp_total_shares")

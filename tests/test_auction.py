@@ -1,4 +1,5 @@
 import copy
+import math
 import random
 from fractions import Fraction
 
@@ -42,6 +43,14 @@ def seat_manager(state, bidder="mgr", rent=10, deposit=None):
         state.advance_block(1)
     assert state.manager == bidder
     return state
+
+
+@pytest.mark.parametrize("value", [True, math.nan, "0.05"])
+@pytest.mark.parametrize("name", ["k_delay", "fee_cap", "min_increment_factor", "default_fee"])
+def test_params_fields_checked_when_built(name, value):
+    fields = {"k_delay": 5, "fee_cap": 0.05, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be a"):
+        AuctionParams(**fields)
 
 
 class TestSubmitBid:

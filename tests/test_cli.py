@@ -5,6 +5,7 @@ import math
 import os
 import pathlib
 import re
+import resource
 import subprocess
 import sys
 from dataclasses import replace
@@ -154,6 +155,39 @@ class TestBadFees:
         assert main(["formulas", "--fees", " , "]) == 2
         assert_one_line_error(capsys, "--fees must list at least one fee")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["formulas", "--fees", "1e308"],
+         ["mc-validate", "--samples", "20000", "--fees", "0.003,2000"]],
+        ids=["formulas", "mc-validate"],
+    )
+    def test_overflowing_fee_exit_2_before_any_work(self, argv, monkeypatch, capsys):
+        # cosh(f / 2) in the closed forms overflows above a fee of about 1420;
+        # mc-validate evaluates them before its Monte-Carlo run
+        def no_work(*args, **kwargs):
+            raise AssertionError("mc_rates ran")
+
+        monkeypatch.setattr(market, "mc_rates", no_work)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: too large to compute: math range error\n"
+
+    def test_unallocatable_sample_count_exit_2(self, capsys):
+        # 10^13 samples ask for a 73 TiB buffer, which is refused at once. The
+        # address-space cap of 64 TiB makes sure of that on a machine that
+        # overcommits memory; the run itself uses a tiny part of it.
+        soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+        cap = 2**46
+        if soft == resource.RLIM_INFINITY or soft > cap:
+            resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+        try:
+            code = main(["mc-validate", "--samples", "10000000000000", "--fees", "0.003"])
+        finally:
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+        assert code == 2
+        assert_one_line_error(capsys, "error: too large to compute: Unable to allocate")
+
 
 class TestBadMarketParams:
     @pytest.mark.parametrize(
@@ -252,9 +286,14 @@ class TestBadSimConfig:
              "initial_bids[0].bidder must be a string, got None"),
             ({"initial_bids": [{"bidder": 5, "rent": 1e-6, "deposit": 0.01}]},
              "initial_bids[0].bidder must be a string, got 5"),
+            # a typo'd key is refused at every level, not dropped for its default
+            ({"initial_bids": [{"bidder": "m", "rent": 0.001, "deposit": 1.0, "depositt": 5}]},
+             "unknown keys in initial_bids[0]: ['depositt']"),
+            ({"market": {**sim_config_dict()["market"], "sigmaa": 0.05}},
+             "unknown keys in market: ['sigmaa']"),
         ],
         ids=["k_delay", "increment", "default_fee", "deposit", "zero_profit", "bidder-null",
-             "bidder-number"],
+             "bidder-number", "bid-unknown-key", "market-unknown-key"],
     )
     def test_setup_checks_write_nothing(self, patch, needle, tmp_path, capsys):
         # checked when the config is built, before --out is created

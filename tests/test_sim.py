@@ -62,6 +62,24 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown"):
             SimConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("value", [True, math.nan, "0.05"])
+    @pytest.mark.parametrize(
+        "name",
+        ["horizon_blocks", "seed", "k_delay", "min_increment_factor", "default_fee",
+         "withdrawal_fee", "manager_fee", "initial_liquidity"],
+    )
+    def test_numeric_fields_checked_when_built(self, name, value):
+        # built in Python, a config is checked as one read from JSON
+        with pytest.raises(ConfigError, match=f"^{name} must be a"):
+            managed_config(horizon=10, **{name: value})
+
+    @pytest.mark.parametrize("value", [True, math.nan, "0.05"])
+    @pytest.mark.parametrize("name", ["rent", "deposit"])
+    def test_bid_fields_checked_when_built(self, name, value):
+        fields = {"bidder": "mgr", "rent": micro(1), "deposit": micro(10), name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
+            BidSpec(**fields)
+
     def test_fee_cap_enforced(self):
         with pytest.raises(ConfigError):
             managed_config(fee=REF.f_max + 0.001)
@@ -435,6 +453,20 @@ class TestReplay:
             '{"block": 3, "action": "advance"}\n'
         )
         with pytest.raises(ReplayParseError, match="line 2: .*must be a"):
+            replay_auction(str(path))
+
+    @pytest.mark.parametrize("key", ["min_incremnt_factor", "lp_total_share"])
+    def test_unknown_header_key_refused(self, tmp_path, key):
+        # dropped, the typo would leave the default in force: a 20% raise
+        # passes a factor of 1.10 where the intended 3.0 refuses it
+        path = tmp_path / "typo.jsonl"
+        path.write_text(
+            "\n"
+            f'{{"k_delay": 2, "fee_cap": 0.05, "{key}": 3.0}}\n'
+            '{"block": 1, "action": "submit_bid", "bidder": "a", "rent": 1, "deposit": 10}\n'
+            '{"block": 2, "action": "submit_bid", "bidder": "b", "rent": 1.2, "deposit": 12}\n'
+        )
+        with pytest.raises(ReplayParseError, match=rf"line 2: unknown keys in .*\['{key}'\]"):
             replay_auction(str(path))
 
     def test_rent_rows_state_their_span(self):
