@@ -63,22 +63,42 @@ class AuctionRejection(ValueError):
         self.code = code
 
 
+# Bounds on an amount given as an integer or a decimal string, checked before
+# any Fraction is built, so that a few bytes of input cannot cost unbounded
+# work: at most _AMOUNT_DIGITS significant digits, and an adjusted (leading
+# digit) exponent within +-_AMOUNT_EXPONENT. Every finite float's repr, at
+# most 17 digits with an exponent from -324 to 308, lies within them.
+_AMOUNT_DIGITS = 100
+_AMOUNT_EXPONENT = 400
+_AMOUNT_INT_LIMIT = 10**_AMOUNT_DIGITS
+
+
 def _to_fraction(value: Number, what: str) -> Fraction:
-    """Exact conversion; floats go through their shortest decimal form."""
+    """Exact conversion; floats go through their shortest decimal form. An
+    integer or decimal string outside the bounds above is refused, as is
+    anything that is not a number."""
+    if isinstance(value, Fraction):
+        return value
     try:
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, bool):
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
             raise TypeError
         if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, float):
-            return Fraction(Decimal(str(value)))
-        if isinstance(value, str):
-            return Fraction(Decimal(value))
-        raise TypeError
+            if abs(value) < _AMOUNT_INT_LIMIT:
+                return Fraction(value)
+        else:
+            exact = Decimal(str(value) if isinstance(value, float) else value)
+            if not exact.is_finite() or (
+                len(exact.as_tuple().digits) <= _AMOUNT_DIGITS
+                and abs(exact.adjusted()) <= _AMOUNT_EXPONENT
+            ):
+                return Fraction(exact)  # raises on a NaN or an infinity
     except (ValueError, TypeError, ArithmeticError):
         raise AuctionRejection("invalid-amount", f"{what} is not a number: {value!r}")
+    raise AuctionRejection(
+        "invalid-amount",
+        f"{what} is out of range: more than {_AMOUNT_DIGITS} significant digits "
+        f"or an exponent beyond +-{_AMOUNT_EXPONENT}",
+    )
 
 
 def _finite_real(value) -> bool:

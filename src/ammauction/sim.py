@@ -8,12 +8,21 @@ auction rent. Noise trades are pure fee flow and do not move the pool price.
 
 The auction changes only at events: an activation, a usurp, a fee change, a
 depletion. Between them it streams the same rent every block, so it advances
-in one exact step per stretch and single-steps only the event blocks. The
-pool side runs in fixed chunks of :data:`CHUNK_BLOCKS` blocks, each drawn
-from the one seeded stream and pushed through one numpy kernel on explicit
-reserve arrays; memory stays flat at any horizon. A managed pool restarts
-on-price every block, so its blocks are independent; an unmanaged stretch
-first runs the band-clamped carry of the mispricing as a scalar scan.
+in one exact step per stretch and single-steps only the event blocks. Its
+steps become runs: consecutive blocks under one fee and one rent payer.
+
+The pool side runs in work chunks of :data:`WORK_ROWS` summation blocks of
+:data:`CHUNK_BLOCKS` blocks each. A work chunk's blocks are drawn from the
+one seeded stream and pushed through one numpy kernel on explicit reserve
+arrays; memory stays flat at any horizon. Every reported sum then adds one
+partial sum per summation block, in block order, so the 1,024-block rows,
+and not the work chunk, fix the float sum order and the report's bits. The
+block log is formatted and written one row at a time.
+
+A managed pool restarts on-price every block, so its blocks are independent.
+An unmanaged run carries its mispricing from block to block inside the fee
+band: the carry scan handles a managed run as one array sum and walks an
+unmanaged run as a scalar loop.
 
 Price normalization: value homogeneity (profits per unit pool value depend on
 the mispricing only) lets the simulator rebase the price level to 1 at every
@@ -68,9 +77,17 @@ SCHEMA_VERSION = 1
 
 BLOCK_LOG_HEADER = ("block", "tau", "z", "fee", "arb_profit", "excess", "noise_fees", "rent")
 
-# Blocks per kernel chunk: large enough that numpy's per-call overhead is
-# small per block, small enough that the chunk arrays stay a few hundred kB.
+# The summation block. Every summed SimReport field books one partial sum
+# per CHUNK_BLOCKS blocks, in block order, and the moments merge one such
+# row at a time: this alone fixes the float sum order, and with it the
+# report's bits, whatever the work chunk.
 CHUNK_BLOCKS = 1024
+
+# Summation blocks per work chunk. The auction advance, the draws and the
+# pool kernel run on WORK_ROWS * CHUNK_BLOCKS blocks at a time: large enough
+# that numpy's per-call overhead is small per block, small enough that the
+# chunk arrays stay well under a megabyte each.
+WORK_ROWS = 4
 
 # The LPs' liquidity L, as given or as zero_profit derives it. The pool kernel
 # forms the product of the two reserves, about L^2, and the pool value is
@@ -336,26 +353,56 @@ def _advance_auction(
                 counts["depletions"] += 1
             elif ev.kind == "rent":
                 rent, payer = float(ev.amount / blocks), ev.bidder
-        runs.append(_Run(blocks, auction.block_fee, rent, payer))
+        runs.append(_Run(blocks, float(auction.block_fee), rent, payer))
     return runs
 
 
-def _carry_scan(
-    eps: np.ndarray, fee: np.ndarray, managed: np.ndarray, carry: float
-) -> tuple[np.ndarray, float]:
-    """Pre-trade mispricing of each block when some blocks are unmanaged.
+def _cut_rows(runs: list[_Run]) -> list[list[_Run]]:
+    """The runs of each :data:`CHUNK_BLOCKS`-block row, cut at the row edges."""
+    rows: list[list[_Run]] = [[]]
+    room = CHUNK_BLOCKS
+    for run in runs:
+        left = run.blocks
+        while left:
+            if not room:
+                rows.append([])
+                room = CHUNK_BLOCKS
+            take = min(left, room)
+            rows[-1].append(run if take == run.blocks else replace(run, blocks=take))
+            left -= take
+            room -= take
+    return rows
+
+
+def _carry_scan(eps: np.ndarray, runs: list[_Run], carry: float) -> tuple[np.ndarray, float]:
+    """Pre-trade mispricing of each block of ``runs``, given the carry into
+    the first.
 
     Nobody corrects an unmanaged pool, so its mispricing carries into the
     next block, clamped to the fee band where arbitrageurs traded: the
-    recurrence of the ``mc_rates`` chain. A managed block ends on-price.
-    Returns the mispricings and the carry out of the last block.
+    recurrence of the ``mc_rates`` chain. A managed block ends on-price, so
+    a managed run is its first block's carry and then zero carry, added as
+    arrays. Returns the mispricings and the carry out of the last block.
     """
-    z = []
-    for e, f, m in zip(eps.tolist(), fee.tolist(), managed.tolist()):
-        zi = carry + e
-        z.append(zi)
-        carry = 0.0 if m else min(max(zi, -f), f)
-    return np.array(z), carry
+    z = np.empty_like(eps)
+    lo = 0
+    for run in runs:
+        hi = lo + run.blocks
+        if run.payer is not None:
+            np.add(0.0, eps[lo:hi], out=z[lo:hi])  # a -0.0 draw reads 0.0, as carry + e does
+            z[lo] = carry + eps[lo]
+            carry = 0.0
+        else:
+            # comparisons, not min/max calls: the same bits, NaN and -0.0 included
+            f = run.fee
+            zs = []
+            for e in eps[lo:hi].tolist():
+                zi = carry + e
+                zs.append(zi)
+                carry = f if zi > f else -f if zi < -f else zi
+            z[lo:hi] = zs
+        lo = hi
+    return z, carry
 
 
 def _pool_kernel(z: np.ndarray, fee: np.ndarray, managed: np.ndarray, liquidity: float):
@@ -385,9 +432,30 @@ def _pool_kernel(z: np.ndarray, fee: np.ndarray, managed: np.ndarray, liquidity:
     return traded, excess, arb_fee, mgr_arb, adverse, z_end
 
 
+def _row_views(x: np.ndarray) -> list[np.ndarray]:
+    """``x`` as 2-D views of :data:`CHUNK_BLOCKS`-block rows: the full rows,
+    then a short last row if there is one. A reduction along axis 1 gives
+    each row the bits of reducing that row on its own."""
+    full = len(x) - len(x) % CHUNK_BLOCKS
+    views = (x[:full].reshape(-1, CHUNK_BLOCKS), x[full:].reshape(1, -1))
+    return [v for v in views if v.size]
+
+
+def _row_sums(x: np.ndarray, mask: np.ndarray | None = None) -> list[float]:
+    """The sum of each :data:`CHUNK_BLOCKS`-block row of ``x``, or of the
+    row's entries where ``mask`` holds."""
+    if mask is None or mask.all():
+        return [s for v in _row_views(x) for s in v.sum(axis=1).tolist()]
+    return [
+        float(x[lo : lo + CHUNK_BLOCKS][mask[lo : lo + CHUNK_BLOCKS]].sum())
+        for lo in range(0, len(x), CHUNK_BLOCKS)
+    ]
+
+
 class _Moments:
-    """Running mean and sample standard deviation, fed one array at a time and
-    merged with the pairwise update of Chan, Golub and LeVeque."""
+    """Running mean and sample standard deviation, fed one
+    :data:`CHUNK_BLOCKS`-block row at a time and merged with the pairwise
+    update of Chan, Golub and LeVeque."""
 
     def __init__(self) -> None:
         self.n = 0
@@ -395,25 +463,50 @@ class _Moments:
         self.m2 = 0.0  # sum of squared deviations from the mean
 
     def add(self, x: np.ndarray) -> None:
-        n_x = x.size
-        mean_x = float(x.mean())
-        m2_x = float(np.square(x - mean_x).sum())
-        n = self.n + n_x
-        delta = mean_x - self.mean
-        self.mean += delta * n_x / n
-        self.m2 += m2_x + delta * delta * self.n * n_x / n
-        self.n = n
+        """Merge in each row of ``x``, in order."""
+        for rows in _row_views(x):
+            means = rows.mean(axis=1)
+            m2s = np.square(rows - means[:, None]).sum(axis=1)
+            n_x = rows.shape[1]
+            for mean_x, m2_x in zip(means.tolist(), m2s.tolist()):
+                n = self.n + n_x
+                delta = mean_x - self.mean
+                self.mean += delta * n_x / n
+                self.m2 += m2_x + delta * delta * self.n * n_x / n
+                self.n = n
 
     def std(self) -> float:
         return math.sqrt(self.m2 / (self.n - 1)) if self.n > 1 else math.nan
 
 
-def _format_blocks(first: int, *columns: np.ndarray) -> str:
-    """CSV rows for consecutive blocks from ``first`` on, floats as ``repr``."""
+def _format_blocks(
+    first: int,
+    runs: list[_Run],
+    tau: np.ndarray,
+    z: np.ndarray,
+    mgr_arb: np.ndarray,
+    excess: np.ndarray,
+    noise_fee: np.ndarray,
+) -> str:
+    """CSV rows for the blocks of ``runs`` from block ``first`` on, floats as
+    ``repr``. The fee and rent columns hold each run's own floats, so each
+    is formatted once per run."""
+    fee: list[str] = []
+    rent: list[str] = []
+    for run in runs:
+        fee += [repr(run.fee)] * run.blocks
+        rent += [repr(run.rent)] * run.blocks
     return "".join(
-        f"{b},{tau!r},{z!r},{fee!r},{mgr!r},{exc!r},{nf!r},{rent!r}\n"
-        for b, tau, z, fee, mgr, exc, nf, rent in zip(
-            range(first, first + len(columns[0])), *(c.tolist() for c in columns)
+        f"{b},{t!r},{zi!r},{f},{mgr!r},{exc!r},{nf!r},{r}\n"
+        for b, t, zi, f, mgr, exc, nf, r in zip(
+            range(first, first + len(tau)),
+            tau.tolist(),
+            z.tolist(),
+            fee,
+            mgr_arb.tolist(),
+            excess.tolist(),
+            noise_fee.tolist(),
+            rent,
         )
     )
 
@@ -423,6 +516,93 @@ def _abs_max(running: float, x: np.ndarray) -> float:
     holds a NaN, which the built-in ``max`` would drop when its comparison
     with the NaN came out false."""
     return float(np.maximum(running, np.abs(x).max()))
+
+
+class _Books:
+    """The running totals of one simulation, booked one work chunk at a time.
+
+    A work chunk's arrays live only while :meth:`book` runs, but for the
+    columns it returns to the block log, so memory holds one chunk's
+    columns at a time, whatever the horizon.
+    """
+
+    def __init__(self, params: MarketParams, liquidity: float) -> None:
+        self.params = params
+        self.liquidity = liquidity
+        self.value_scale = 2.0 * liquidity  # pool value at the (rebased) true price of 1
+        # each SimReport field that sums a per-block column, one partial sum per row
+        self.sums: defaultdict[str, float] = defaultdict(float)
+        self.counts = Counter(usurps=0, depletions=0, no_trade_blocks=0, unmanaged_blocks=0)
+        self.pnl: dict[str, float] = {"lp": 0.0}  # and one entry per manager
+        self.excess_frac = _Moments()
+        self.adverse_frac = _Moments()
+        self.max_resid = self.max_end_z = 0.0
+        self.carry = 0.0  # mispricing an unmanaged block leaves to the next
+
+    def book(self, rows: list[list[_Run]], rng: np.random.Generator) -> tuple:
+        """Draw and run the blocks of ``rows`` and book their totals. Returns
+        the block log's float columns other than the runs' own fee and rent:
+        ``(tau, z, arb_profit, excess, noise_fees)``.
+        """
+        params, sums = self.params, self.sums
+        runs = [run for row in rows for run in row]
+        lengths = [run.blocks for run in runs]
+        fee = np.repeat([run.fee for run in runs], lengths)
+        managed = np.repeat([run.payer is not None for run in runs], lengths)
+
+        tau, z = market.sample_blocks(params, sum(lengths), rng)
+        # the draws are the increments; rebinding z lets them go after the scan
+        z, self.carry = _carry_scan(z, runs, self.carry)
+        traded, excess, arb_fee, mgr_arb, adverse, z_end = _pool_kernel(
+            z, fee, managed, self.liquidity
+        )
+        rent = np.repeat([run.rent for run in runs], lengths)
+        residual = mgr_arb + arb_fee + excess - adverse
+        rate = [market.noise_volume(run.fee, self.liquidity, params) for run in runs]
+        noise_vol = np.repeat(rate, lengths) * tau
+        noise_fee = fee * noise_vol
+        unmanaged = ~managed
+        lp_swap_fees = [
+            a + b for a, b in zip(_row_sums(noise_fee, unmanaged), _row_sums(arb_fee, unmanaged))
+        ]
+
+        # one partial sum per row, booked in block order
+        for field, row_totals in (
+            ("fee_effective_mean", _row_sums(fee)),  # divided by the horizon at the end
+            ("manager_noise_fees", _row_sums(noise_fee, managed)),
+            ("manager_arb_fees", _row_sums(arb_fee, managed)),
+            ("manager_arb_profit", _row_sums(mgr_arb)),  # zero on unmanaged blocks
+            ("lp_rent_received", _row_sums(rent)),  # only managed blocks pay rent
+            ("lp_fee_revenue", lp_swap_fees),
+            ("lp_adverse_selection", _row_sums(adverse)),
+            ("lp_capital_charge", _row_sums(params.r * self.value_scale * tau)),
+            ("noise_volume_total", _row_sums(noise_vol)),
+            ("noise_fees_paid", _row_sums(noise_fee)),
+            ("external_arb_profit", _row_sums(excess)),
+            ("accounting_drift", _row_sums(residual)),
+        ):
+            for total in row_totals:
+                sums[field] += total
+        self.counts["no_trade_blocks"] += len(tau) - int(traded.sum())
+        self.counts["unmanaged_blocks"] += int(unmanaged.sum())
+        self.max_resid = _abs_max(self.max_resid, residual)
+        if managed.any():
+            self.max_end_z = _abs_max(self.max_end_z, z_end[managed])
+        self.excess_frac.add(excess / self.value_scale)
+        self.adverse_frac.add(adverse / self.value_scale)
+
+        pnl = self.pnl
+        for lp_row, swap_fees in zip(_row_sums(rent - adverse), lp_swap_fees):
+            pnl["lp"] += lp_row + swap_fees
+        manager_gain = noise_fee + arb_fee + mgr_arb - rent
+        lo = 0
+        for run in runs:  # cut at the row edges, so each sum stays within a row
+            if run.payer is not None:
+                pnl[run.payer] = pnl.get(run.payer, 0.0) + float(
+                    manager_gain[lo : lo + run.blocks].sum()
+                )
+            lo += run.blocks
+        return tau, z, mgr_arb, excess, noise_fee
 
 
 def run_sim(config: SimConfig, block_log: Optional[IO[str]] = None) -> SimReport:
@@ -436,101 +616,43 @@ def run_sim(config: SimConfig, block_log: Optional[IO[str]] = None) -> SimReport
     horizon = config.horizon_blocks
     auction, liquidity, policy_fee = _setup(config)
     rng = market.block_rng(config.seed)
-
-    value_scale = 2.0 * liquidity  # pool value at the (rebased) true price of 1
-    excess_frac = _Moments()
-    adverse_frac = _Moments()
-
-    # each SimReport field that sums a per-block column, booked once per chunk
-    sums: defaultdict[str, float] = defaultdict(float)
-    counts = Counter(usurps=0, depletions=0, no_trade_blocks=0, unmanaged_blocks=0)
-    max_resid = max_end_z = 0.0
-    pnl: dict[str, float] = {"lp": 0.0}  # and one entry per manager
-    carry = 0.0  # mispricing an unmanaged block leaves to the next
+    books = _Books(params, liquidity)
 
     if block_log is not None:
         block_log.write(",".join(BLOCK_LOG_HEADER) + "\n")
 
-    for start in range(0, horizon, CHUNK_BLOCKS):
-        n = min(CHUNK_BLOCKS, horizon - start)
-        runs = _advance_auction(auction, n, policy_fee, counts)
-        lengths = [run.blocks for run in runs]
-        fee = np.repeat([run.fee for run in runs], lengths)
-        rent = np.repeat([run.rent for run in runs], lengths)
-        rate = np.repeat(
-            [market.noise_volume(run.fee, liquidity, params) for run in runs], lengths
-        )
-        managed = np.repeat([run.payer is not None for run in runs], lengths)
-
-        tau, eps = market.sample_blocks(params, n, rng)
-        if carry == 0.0 and managed.all():
-            z = 0.0 + eps  # adds the zero carry as the scan does: a -0.0 draw reads 0.0
-        else:
-            z, carry = _carry_scan(eps, fee, managed, carry)
-        traded, excess, arb_fee, mgr_arb, adverse, z_end = _pool_kernel(
-            z, fee, managed, liquidity
-        )
-        residual = mgr_arb + arb_fee + excess - adverse
-        noise_vol = rate * tau
-        noise_fee = fee * noise_vol
-        unmanaged = ~managed
-        lp_swap_fees = float(noise_fee[unmanaged].sum() + arb_fee[unmanaged].sum())
-
-        for field, total in (
-            ("fee_effective_mean", fee.sum()),  # divided by the horizon below
-            ("manager_noise_fees", noise_fee[managed].sum()),
-            ("manager_arb_fees", arb_fee[managed].sum()),
-            ("manager_arb_profit", mgr_arb.sum()),  # zero on unmanaged blocks
-            ("lp_rent_received", rent.sum()),  # only managed blocks pay rent
-            ("lp_fee_revenue", lp_swap_fees),
-            ("lp_adverse_selection", adverse.sum()),
-            ("lp_capital_charge", (params.r * value_scale * tau).sum()),
-            ("noise_volume_total", noise_vol.sum()),
-            ("noise_fees_paid", noise_fee.sum()),
-            ("external_arb_profit", excess.sum()),
-            ("accounting_drift", residual.sum()),
-        ):
-            sums[field] += float(total)
-        counts["no_trade_blocks"] += n - int(traded.sum())
-        counts["unmanaged_blocks"] += int(unmanaged.sum())
-        max_resid = _abs_max(max_resid, residual)
-        if managed.any():
-            max_end_z = _abs_max(max_end_z, z_end[managed])
-        excess_frac.add(excess / value_scale)
-        adverse_frac.add(adverse / value_scale)
-
-        pnl["lp"] += float((rent - adverse).sum()) + lp_swap_fees
-        manager_gain = noise_fee + arb_fee + mgr_arb - rent
-        lo = 0
-        for run in runs:
-            if run.payer is not None:
-                pnl[run.payer] = pnl.get(run.payer, 0.0) + float(
-                    manager_gain[lo : lo + run.blocks].sum()
-                )
-            lo += run.blocks
-
+    work = WORK_ROWS * CHUNK_BLOCKS
+    for start in range(0, horizon, work):
+        n = min(work, horizon - start)
+        rows = _cut_rows(_advance_auction(auction, n, policy_fee, books.counts))
+        columns = books.book(rows, rng)
         if block_log is not None:
-            block_log.write(
-                _format_blocks(start + 1, tau, z, fee, mgr_arb, excess, noise_fee, rent)
-            )
+            lo = 0
+            for row in rows:
+                hi = lo + sum(run.blocks for run in row)
+                row_columns = (c[lo:hi] for c in columns)
+                block_log.write(_format_blocks(start + lo + 1, row, *row_columns))
+                lo = hi
+        del columns  # freed before the next chunk is drawn
 
     n = float(horizon)
+    sums, pnl = books.sums, books.pnl
     sums["fee_effective_mean"] /= n
     pnl["external_arb"] = sums["external_arb_profit"]
     pnl["noise_traders"] = 0.0 - sums["noise_fees_paid"]  # +0.0 when no fee is paid
     return SimReport(
         horizon_blocks=horizon,
         seed=config.seed,
-        ap0_hat=adverse_frac.mean / dt,
-        ap0_se=adverse_frac.std() / math.sqrt(n) / dt,
-        ae0_hat=excess_frac.mean / dt,
-        ae0_se=excess_frac.std() / math.sqrt(n) / dt,
+        ap0_hat=books.adverse_frac.mean / dt,
+        ap0_se=books.adverse_frac.std() / math.sqrt(n) / dt,
+        ae0_hat=books.excess_frac.mean / dt,
+        ae0_se=books.excess_frac.std() / math.sqrt(n) / dt,
         manager_rent_paid=sums["lp_rent_received"],
-        max_block_residual=max_resid,
-        max_end_mispricing=max_end_z,
+        max_block_residual=books.max_resid,
+        max_end_mispricing=books.max_end_z,
         pnl_by_agent=pnl,
         **sums,
-        **counts,
+        **books.counts,
     )
 
 
@@ -671,6 +793,8 @@ def _parse_scenario(
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ReplayParseError(no, f"malformed JSON ({exc.msg})")
+        except ValueError as exc:  # an integer past Python's digit limit
+            raise ReplayParseError(no, f"unreadable number ({exc})")
         if not isinstance(obj, dict):
             raise ReplayParseError(no, "each line must be a JSON object")
         if header is None:
@@ -714,14 +838,18 @@ def _parse_scenario(
 
 
 # scenario fields the trace echoes as given, and the characters none may hold:
-# csv.writer leaves a bare carriage return unquoted, which splits its row
+# csv.writer leaves a bare carriage return unquoted, which splits its row, and
+# a lone surrogate (a JSON escape such as "\ud800") has no UTF-8 form, so
+# the trace would stop part-written
 _ECHOED_FIELDS = ("bidder", "lp", "rent", "deposit", "fee", "amount", "shares")
 _CONTROL_CHAR = re.compile(r"[\x00-\x1f\x7f]")
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
 def _check_fields(obj: dict, line_no: int) -> None:
     """Refuse an action that lacks one of its fields, has one of the wrong
-    type, or would echo a control character into the trace."""
+    type, or would echo a control character or a lone surrogate into the
+    trace."""
     _, keys = _REPLAY_ACTIONS[obj["action"]]
     missing = [k for k in keys if k not in obj]
     if missing:
@@ -735,9 +863,15 @@ def _check_fields(obj: dict, line_no: int) -> None:
             raise ReplayParseError(line_no, f"fee must be a number, got {value!r}")
     for key in _ECHOED_FIELDS:
         value = obj.get(key)
-        if isinstance(value, str) and _CONTROL_CHAR.search(value):
+        if not isinstance(value, str):
+            continue
+        if _CONTROL_CHAR.search(value):
             raise ReplayParseError(
                 line_no, f"{key} must not contain control characters, got {value!r}"
+            )
+        if _SURROGATE.search(value):
+            raise ReplayParseError(
+                line_no, f"{key} must not contain a lone surrogate, got {value!r}"
             )
 
 

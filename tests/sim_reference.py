@@ -145,3 +145,15 @@ def reference_sim(config, block_log=None) -> SimReport:
         max_end_mispricing=max_end_z,
         pnl_by_agent=pnl,
     )
+
+
+def carry_scan_reference(eps, fee, managed, carry):
+    """The band-clamped carry one block at a time, with ``min``/``max``:
+    each block's pre-trade mispricing and the carry out of the last block.
+    ``fee`` and ``managed`` hold one entry per block."""
+    z = []
+    for e, f, m in zip(eps.tolist(), fee.tolist(), managed.tolist()):
+        zi = carry + e
+        z.append(zi)
+        carry = 0.0 if m else min(max(zi, -f), f)
+    return np.array(z), carry

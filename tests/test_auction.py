@@ -1,6 +1,7 @@
 import copy
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from ammauction.auction import (
     AuctionRejection,
     AuctionState,
     Bid,
+    _to_fraction,
 )
 
 import auction_driver
@@ -51,6 +53,47 @@ def test_params_fields_checked_when_built(name, value):
     fields = {"k_delay": 5, "fee_cap": 0.05, name: value}
     with pytest.raises(ValueError, match=f"^{name} must be a"):
         AuctionParams(**fields)
+
+
+class TestAmountBounds:
+    """Amounts are checked before any Fraction is built: at most 100
+    significant digits and an adjusted exponent within +-400."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.5e-7, 0.1,
+         "1e400", "-1e-400", "9" * 100, "0." + "1" * 100, 10**100 - 1, -(10**100 - 1), "0"],
+    )
+    def test_in_range_converts_exactly(self, value):
+        want = Fraction(str(value)) if not isinstance(value, float) else Fraction(repr(value))
+        assert _to_fraction(value, "amount") == want
+
+    def test_every_float_repr_is_in_range(self):
+        rng = random.Random(3)
+        for _ in range(2_000):
+            x = rng.choice([-1.0, 1.0]) * 2.0 ** rng.uniform(-1074, 1023.99)
+            assert _to_fraction(x, "amount") == Fraction(repr(x))
+            assert _to_fraction(repr(x), "amount") == Fraction(repr(x))
+
+    @pytest.mark.parametrize(
+        "value",
+        ["1e1000000", "1e999999999", "1e401", "1e-401", "1" * 101, "1" + "0" * 100,
+         10**100, -(10**100), 10**100_000],
+        ids=["1e1000000", "1e999999999", "1e401", "1e-401", "101-ones", "1e100-written-out",
+             "int-10^100", "int--10^100", "int-10^100000"],
+    )
+    def test_out_of_range_refused_at_once(self, value):
+        begin = time.perf_counter()
+        with pytest.raises(AuctionRejection, match="amount is out of range") as info:
+            _to_fraction(value, "amount")
+        assert time.perf_counter() - begin < 0.05
+        assert info.value.code == "invalid-amount"
+
+    def test_out_of_range_bid_is_rejected(self):
+        state = make_state()
+        with pytest.raises(AuctionRejection) as info:
+            state.submit_bid("a", "1e-401", "1")
+        assert info.value.code == "invalid-amount"
 
 
 class TestSubmitBid:

@@ -1,0 +1,231 @@
+"""The per-run and per-row work of ``run_sim`` against per-block and per-row
+references, bit for bit.
+
+``run_sim`` scans the carried mispricing once per run, reduces each
+1,024-block summation block of a larger work chunk along one axis, and
+formats each run's fee and rent once. None of that may move a bit: the
+references below are the per-block clamp and the one-row-at-a-time sums
+that the simulator used before, and the pinned case crosses work-chunk edges
+with a depletion and an unmanaged carry.
+"""
+
+import hashlib
+import io
+import math
+
+import numpy as np
+import pytest
+
+from ammauction.market import MarketParams
+from ammauction.sim import (
+    CHUNK_BLOCKS,
+    WORK_ROWS,
+    BidSpec,
+    SimConfig,
+    _carry_scan,
+    _cut_rows,
+    _Moments,
+    _row_sums,
+    _Run,
+    run_sim,
+)
+
+from conftest import REF
+from sim_reference import carry_scan_reference
+
+SPECIAL_DRAWS = (0.0, -0.0, math.nan, 1.0, -1.0)
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def random_runs(rng: np.random.Generator, blocks: int) -> list[_Run]:
+    """Runs of random lengths, managed or not, at fee 0, the cap or between."""
+    runs = []
+    while blocks:
+        n = min(blocks, int(rng.integers(1, 40)))
+        fee = float(rng.choice([0.0, 0.003, 0.05, rng.uniform(0.0, 0.05)]))
+        payer = "m" if rng.random() < 0.4 else None
+        runs.append(_Run(n, fee, 1e-6 if payer else 0.0, payer))
+        blocks -= n
+    return runs
+
+
+def random_draws(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Normal increments at the band's scale, with zeros of both signs and NaNs."""
+    eps = rng.normal(0.0, 0.01, n)
+    special = rng.random(n) < 0.1
+    eps[special] = rng.choice(SPECIAL_DRAWS, int(special.sum()))
+    return eps
+
+
+def split_runs(runs: list[_Run], edges: list[int]) -> list[list[_Run]]:
+    """``runs`` cut into chunks at the block offsets ``edges``."""
+    chunks, chunk, pos = [], [], 0
+    cuts = iter(sorted(edges) + [math.inf])
+    cut = next(cuts)
+    for run in runs:
+        left = run.blocks
+        while left:
+            while cut <= pos:
+                chunks.append(chunk)
+                chunk, cut = [], next(cuts)
+            take = int(min(left, cut - pos))
+            chunk.append(_Run(take, run.fee, run.rent, run.payer))
+            left -= take
+            pos += take
+    chunks.append(chunk)
+    return [c for c in chunks if c]
+
+
+class TestCarryScan:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_per_run_scan_has_the_per_block_bits(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 400))
+        runs = random_runs(rng, n)
+        eps = random_draws(rng, n)
+        carry_in = float(rng.choice([0.0, -0.0, 0.02, -0.07, math.nan]))
+        fee = np.repeat([r.fee for r in runs], [r.blocks for r in runs])
+        managed = np.repeat([r.payer is not None for r in runs], [r.blocks for r in runs])
+        want_z, want_carry = carry_scan_reference(eps, fee, managed, carry_in)
+
+        # chunk by chunk, the carry crossing each chunk edge
+        edges = sorted(set(rng.integers(1, n + 1, int(rng.integers(0, 5))).tolist()))
+        carry, parts, lo = carry_in, [], 0
+        for chunk in split_runs(runs, edges):
+            hi = lo + sum(r.blocks for r in chunk)
+            z, carry = _carry_scan(eps[lo:hi], chunk, carry)
+            parts.append(z)
+            lo = hi
+        assert bits(np.concatenate(parts)) == bits(want_z)
+        assert bits(carry) == bits(want_carry)
+
+    @pytest.mark.parametrize("e", SPECIAL_DRAWS)
+    @pytest.mark.parametrize("carry_in", [0.0, -0.0, 0.5, -0.5])
+    def test_fee_zero_clamp_keeps_signed_zeros_and_nan(self, e, carry_in):
+        # an unmanaged block at fee 0, then a managed one, then an unmanaged one
+        runs = [_Run(1, 0.0, 0.0, None), _Run(1, 0.0, 1e-6, "m"), _Run(2, 0.0, 0.0, None)]
+        eps = np.array([e, e, e, -e])
+        managed = np.array([False, True, False, False])
+        want = carry_scan_reference(eps, np.zeros(4), managed, carry_in)
+        got = _carry_scan(eps, runs, carry_in)
+        assert bits(got[0]) == bits(want[0])
+        assert bits(got[1]) == bits(want[1])
+
+
+class TestRows:
+    @pytest.mark.parametrize("blocks", [1, 1023, 1024, 1025, 3 * 1024 + 7, WORK_ROWS * 1024])
+    def test_runs_cut_at_row_edges(self, blocks):
+        runs = random_runs(np.random.default_rng(blocks), blocks)
+        rows = _cut_rows(runs)
+        sizes = [sum(r.blocks for r in row) for row in rows]
+        assert sizes[:-1] == [CHUNK_BLOCKS] * (len(rows) - 1)
+        assert sum(sizes) == blocks
+        flat = [r for row in rows for r in row]
+        per_block = [(r.fee, r.rent, r.payer) for r in flat for _ in range(r.blocks)]
+        assert per_block == [(r.fee, r.rent, r.payer) for r in runs for _ in range(r.blocks)]
+
+    @pytest.mark.parametrize("n", [5, 1024, 2048, 3 * 1024 + 5, WORK_ROWS * 1024])
+    def test_row_sums_and_moments_have_one_row_at_a_time_bits(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-8, 8, n)
+        rows = [x[lo : lo + CHUNK_BLOCKS] for lo in range(0, n, CHUNK_BLOCKS)]
+        assert bits(_row_sums(x)) == bits([row.sum() for row in rows])
+        for mask in (rng.random(n) < 0.5, np.ones(n, bool), np.zeros(n, bool)):
+            masks = [mask[lo : lo + CHUNK_BLOCKS] for lo in range(0, n, CHUNK_BLOCKS)]
+            want = [row[m].sum() for row, m in zip(rows, masks)]
+            assert bits(_row_sums(x, mask)) == bits(want)
+
+        # the pairwise merge of one row at a time, as the moments were fed
+        n_seen, mean, m2 = 0, 0.0, 0.0
+        for row in rows:
+            mean_x = float(row.mean())
+            m2_x = float(np.square(row - mean_x).sum())
+            total = n_seen + row.size
+            delta = mean_x - mean
+            mean += delta * row.size / total
+            m2 += m2_x + delta * delta * n_seen * row.size / total
+            n_seen = total
+        moments = _Moments()
+        moments.add(x)
+        assert (moments.n, bits(moments.mean), bits(moments.m2)) == (n_seen, bits(mean), bits(m2))
+
+
+class TestPinnedAcrossWorkChunks:
+    # 3 x 8,192 + 5 blocks: the top depletes at 10,000 and the runner-up at
+    # 15,000, each inside a 1,024-block row and off any work-chunk edge; the
+    # unmanaged carry then crosses the edges at 16,384 and 24,576. Taken
+    # when run_sim advanced, drew and reduced one 1,024-block chunk at a time.
+    CONFIG = SimConfig(
+        horizon_blocks=3 * 8192 + 5,
+        seed=13,
+        market=REF,
+        manager_fee=0.003,
+        default_fee=0.01,
+        initial_bids=(BidSpec("short", 3e-6, 0.03), BidSpec("backup", 1e-6, 0.005)),
+    )
+    FLOATS = {
+        "fee_effective_mean": "0x1.776abd88b03dap-8",
+        "ap0_hat": "0x1.4930939e4237cp-12",
+        "ap0_se": "0x1.5c0153c459cb2p-18",
+        "ae0_hat": "0x1.e05669b57d71bp-14",
+        "ae0_se": "0x1.7f05187fc1eb1p-19",
+        "manager_noise_fees": "0x1.fb59f2aead125p+2",
+        "manager_arb_fees": "0x1.1bd174b1d1d48p-5",
+        "manager_arb_profit": "0x1.439c0d1f80fe0p-6",
+        "manager_rent_paid": "0x1.1eb851eb851e8p-5",
+        "lp_rent_received": "0x1.1eb851eb851e8p-5",
+        "lp_fee_revenue": "0x1.ce99150f73beep+2",
+        "lp_adverse_selection": "0x1.3c16220ff3008p-3",
+        "lp_capital_charge": "0x1.948aea393500dp-5",
+        "noise_volume_total": "0x1.a41ccef1a8c28p+11",
+        "noise_fees_paid": "0x1.e3940298083d9p+3",
+        "external_arb_profit": "0x1.cd37c5f6136b8p-5",
+        "accounting_drift": "0x1.2e80000000000p-43",
+        "max_block_residual": "0x1.0000000000000p-51",
+        "max_end_mispricing": "0x0.0p+0",
+    }
+    PNL = {
+        "backup": "0x1.57f16f050ef67p+1",
+        "external_arb": "0x1.cd37c5f6136b8p-5",
+        "lp": "0x1.c6f5d4a2cb312p+2",
+        "noise_traders": "-0x1.e3940298083d9p+3",
+        "short": "0x1.509f097ed1b1ap+2",
+    }
+    COUNTS = (24_581, 13, 1, 2, 15_623, 9_581)
+    BLOCKS_SHA256 = "b56d331b427552ec454877cd322ae61efe480e157cc4e47d2705fe7cb466ac8f"
+
+    def test_pinned_output(self):
+        log = io.StringIO()
+        report = run_sim(self.CONFIG, block_log=log)
+        counts = (report.horizon_blocks, report.seed, report.usurps, report.depletions,
+                  report.no_trade_blocks, report.unmanaged_blocks)
+        assert counts == self.COUNTS
+        floats = {k: v.hex() for k, v in report.to_dict().items() if isinstance(v, float)}
+        assert floats == self.FLOATS
+        assert {k: v.hex() for k, v in report.pnl_by_agent.items()} == self.PNL
+        assert hashlib.sha256(log.getvalue().encode()).hexdigest() == self.BLOCKS_SHA256
+
+
+class TestIntegerFees:
+    def test_log_prints_integer_fees_as_floats(self):
+        # JSON hands over 0 and 1 as integers; the log's fee column is the
+        # float's repr either way, whatever runs share a summation block
+        params = dict(sigma=0.05, delta_t=0.01, r=1e-4, c0=25.0, c1=120.0, alpha=0.5)
+        logs = []
+        for f_max, default_fee, manager_fee in ((1, 0, 0), (1.0, 0.0, 0.0)):
+            config = SimConfig(
+                horizon_blocks=2_100,
+                seed=3,
+                market=MarketParams(f_max=f_max, **params),
+                default_fee=default_fee,
+                manager_fee=manager_fee,
+                initial_bids=(BidSpec("m", 1e-6, 0.001),),  # manages 1,000 blocks
+            )
+            logs.append(io.StringIO())
+            run_sim(config, block_log=logs[-1])
+        assert logs[0].getvalue() == logs[1].getvalue()
+        fees = {line.split(",")[3] for line in logs[0].getvalue().splitlines()[1:]}
+        assert fees == {"0.0"}
