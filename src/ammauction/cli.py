@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import hashlib
 import json
 import math
@@ -102,6 +103,18 @@ def _emit_csv(
     return path
 
 
+def _read_json_file(path: str) -> object:
+    """The value of a JSON file; an integer past Python's digit limit is an
+    error naming the file."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise ConfigError(f"{path}: unreadable number ({exc})")
+
+
 def _add_params_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("market parameters")
     group.add_argument("--config", metavar="PATH", help="JSON file with market parameters")
@@ -112,7 +125,7 @@ def _add_params_options(parser: argparse.ArgumentParser) -> None:
 def _load_params(args: argparse.Namespace) -> MarketParams:
     values = dict(_DEFAULTS)
     if args.config:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        raw = _read_json_file(args.config)
         read_json_object(raw, MarketParams, "params config", extra=("schema_version",), required=())
         version = raw.pop("schema_version", PARAMS_SCHEMA_VERSION)
         if version != PARAMS_SCHEMA_VERSION:
@@ -188,8 +201,6 @@ def _zscore(estimate: float, reference: float, se: float) -> float:
 
 
 def cmd_mc_validate(args: argparse.Namespace) -> int:
-    import scipy.special  # noqa: F401  -- the sampler's; see cmd_simulate
-
     params = _load_params(args)
     if args.samples < 10_000:
         raise ConfigError(f"--samples must be at least 10000, got {args.samples}")
@@ -269,12 +280,7 @@ def _report_json(manifest: dict, report) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    # market.sample_blocks imports scipy.special (for ndtri) when it first
-    # runs; the two commands that sample load it here, in set-up, so that no
-    # other command pays its few tenths of a second
-    import scipy.special  # noqa: F401
-
-    raw = json.loads(Path(args.config_path).read_text(encoding="utf-8"))
+    raw = _read_json_file(args.config_path)
     config = SimConfig.from_dict(raw)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
@@ -299,7 +305,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
-    raw = json.loads(Path(args.config_path).read_text(encoding="utf-8"))
+    raw = _read_json_file(args.config_path)
     config = SimConfig.from_dict(raw)
     report = run_strategic_withdrawal_attack(config)
     manifest = _manifest("attack", config.to_dict(), config.seed, ["attack.csv"])
@@ -376,9 +382,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# market.sample_blocks imports scipy.special (for ndtri) when it first runs;
+# main loads it for the commands that sample, in set-up, so that no other
+# command pays its few tenths of a second
+_SAMPLING_COMMANDS = ("simulate", "mc-validate")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command in _SAMPLING_COMMANDS:
+        import scipy.special  # noqa: F401
+    # Freeze the import-time heap, once per process: the cyclic collector,
+    # interpreter shutdown's collections included, then skips the tens of
+    # thousands of objects numpy and scipy leave tracked. A later call must
+    # not freeze the earlier call's garbage, which would never be collected.
+    if gc.get_freeze_count() == 0:
+        gc.freeze()
     try:
         return args.func(args)
     except BracketError as exc:

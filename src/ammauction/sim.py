@@ -43,6 +43,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from collections import Counter, defaultdict
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from fractions import Fraction
@@ -174,6 +175,8 @@ class SimConfig:
                 )
         try:
             self.auction_params()
+            # run_sim's auction keeps the increment exact
+            _to_fraction(self.min_increment_factor, "min_increment_factor")
         except ValueError as exc:
             raise ConfigError(str(exc))
         for spec in self.initial_bids:
@@ -875,6 +878,21 @@ def _check_fields(obj: dict, line_no: int) -> None:
             )
 
 
+def _check_totals(auction: AuctionState, line_no: int) -> None:
+    """Refuse the line after which an exact running total has more digits
+    than Python converts to a string, as ``final_state.json`` must. Bit
+    lengths bound the digits without building a string, so a total of
+    exactly the limit's digits may be refused too."""
+    limit = sys.get_int_max_str_digits()
+    if limit == 0:  # no limit
+        return
+    max_bits = int(limit * math.log2(10))  # a b-bit integer has < b log10(2) + 1 digits
+    for name in ("rent_per_share", "claims_paid"):
+        total = getattr(auction, name)
+        if max(total.numerator.bit_length(), total.denominator.bit_length()) > max_bits:
+            raise ReplayParseError(line_no, f"{name} would exceed {limit} digits")
+
+
 def _apply_action(auction: AuctionState, line_no: int, obj: dict) -> dict:
     """Apply one scenario action at the current block; its trace row."""
     action = obj["action"]
@@ -883,10 +901,13 @@ def _apply_action(auction: AuctionState, line_no: int, obj: dict) -> dict:
     try:
         if method is not None:
             result = getattr(auction, method)(*(obj[k] for k in keys))
-            if action == "claim_rent":
-                detail = str(result)
     except AuctionRejection as exc:
         status, detail = f"rejected:{exc.code}", str(exc)
+    # the totals hold the rent streamed up to this line's block, and a claim
+    # is in claims_paid before its amount is printed
+    _check_totals(auction, line_no)
+    if action == "claim_rent" and status == "ok":
+        detail = str(result)
     return _trace_row(
         line=line_no,
         block=obj["block"],
@@ -910,8 +931,9 @@ def replay_auction(scenario_path: str) -> ReplayTrace:
     optionally ``min_increment_factor``, ``default_fee``,
     ``lp_total_shares``). Every following line is an action at a block height:
     invalid actions are recorded in the trace with their rejection code
-    rather than aborting the replay; malformed lines raise
-    :class:`ReplayParseError` with the line number.
+    rather than aborting the replay; malformed lines, and a line after which
+    ``rent_per_share`` or ``claims_paid`` outgrows Python's digit limit for
+    integer strings, raise :class:`ReplayParseError` with the line number.
 
     The clock jumps to each action's block through
     :meth:`AuctionState.advance_to`, so the cost grows with the number of

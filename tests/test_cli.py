@@ -821,6 +821,34 @@ class TestImportCost:
         )
         assert run_python(code).strip() == "[True]"
 
+    def test_simulate_freezes_scipy_special_with_the_import_time_heap(self, tmp_path):
+        # gc.get_objects() lists every generation but the permanent one, so a
+        # frozen module dict is not in it: shutdown's collections skip it
+        (tmp_path / "config.json").write_text(json.dumps(sim_config_dict(horizon=10)))
+        code = (
+            "import contextlib, gc, io, sys\n"
+            "from ammauction.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main(['simulate', {str(tmp_path / 'config.json')!r}]) == 0\n"
+            "special = vars(sys.modules['scipy.special'])\n"
+            "print(any(obj is special for obj in gc.get_objects()))\n"
+        )
+        assert run_python(code).strip() == "False"
+
+    def test_heap_is_frozen_once_per_process(self):
+        # a second call must not freeze the first call's garbage
+        code = (
+            "import contextlib, gc, io\n"
+            "from ammauction.cli import main\n"
+            "counts = []\n"
+            "for _ in range(2):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"        assert main(['replay', {str(DATA / 'depletion.jsonl')!r}]) == 0\n"
+            "    counts.append(gc.get_freeze_count())\n"
+            "print(counts[0] > 0, counts[1] == counts[0])\n"
+        )
+        assert run_python(code).strip() == "True True"
+
     def test_sampling_commands_keep_their_bytes(self, tmp_path, capsys):
         # outputs of the commands that load scipy.special, pinned: the
         # manifest line aside, which names the installed versions

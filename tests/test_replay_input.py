@@ -12,17 +12,27 @@ wrong kind for their field. Fixed cases pin the line each refusal names.
 
 import csv
 import json
+import random
+import sys
 import tempfile
 import time
 from datetime import timedelta
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ammauction.auction import AuctionParams, AuctionState
 from ammauction.cli import main
-from ammauction.sim import _REPLAY_ACTIONS, TRACE_HEADER, ReplayParseError, replay_auction
+from ammauction.sim import (
+    _REPLAY_ACTIONS,
+    TRACE_HEADER,
+    ReplayParseError,
+    _check_totals,
+    replay_auction,
+)
 
 NUMBERS = st.one_of(
     st.integers(-10, 10**7).map(str),
@@ -158,3 +168,32 @@ class TestBoundedInput:
         err = capsys.readouterr().err
         assert err.startswith(f"error: line 2: {field} must not contain a lone surrogate")
         assert not (tmp_path / "out").exists()
+
+    def test_running_totals_past_the_digit_limit_name_the_line(self, tmp_path, capsys):
+        # one manager and 60 LPs whose 99-digit share totals all differ:
+        # every stretch adds rent / shares with a new denominator to
+        # rent_per_share, which final_state.json prints in full
+        rng = random.Random(7)
+        lines = [HEADER, BID.replace('"deposit": 10', '"deposit": 1000')]
+        for i in range(60):
+            shares = rng.randrange(10**98, 10**99)
+            lines.append(json.dumps({"block": 4 + i, "action": "register_lp", "lp": f"lp{i}",
+                                     "shares": shares}) + "\n")
+        path = write(tmp_path, "".join(lines))
+        with pytest.raises(ReplayParseError, match="line 47: rent_per_share would exceed 4300"):
+            replay_auction(str(path))
+        assert main(["replay", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: line 47: rent_per_share")
+        assert not (tmp_path / "out").exists()
+
+    def test_running_totals_are_bounded_by_bit_length(self, monkeypatch):
+        # at the smallest limit Python allows, 640 digits
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 640)
+        auction = AuctionState(AuctionParams(k_delay=2, fee_cap=0.05))
+        auction.rent_per_share = Fraction(10**639, 3)
+        _check_totals(auction, 7)
+        auction.claims_paid = Fraction(1, 10**640)
+        with pytest.raises(ReplayParseError, match="line 7: claims_paid would exceed 640 digits"):
+            _check_totals(auction, 7)
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # no limit
+        _check_totals(auction, 7)
