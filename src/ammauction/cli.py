@@ -3,9 +3,10 @@ equilibrium reports, simulation runs, and auction scenario replay.
 
 Outputs are plot-tool-agnostic CSV (and JSON for simulation reports). Every
 output file embeds a manifest header carrying the command, tool version,
-Python, numpy and scipy versions, seed, and a hash of the effective
-configuration, so a run can be reproduced from its artifacts alone. Exit
-codes are a stable contract for CI:
+Python and numpy versions (and scipy's in ``mc_validate.csv``, the one output
+scipy computes), seed, and a hash of the effective configuration, so a run
+can be reproduced from its artifacts alone. Exit codes are a stable contract
+for CI:
 
     0  success / validation passed
     1  validation failed (Monte Carlo vs closed form, or dominance)
@@ -23,6 +24,7 @@ import argparse
 import csv
 import gc
 import hashlib
+import importlib
 import json
 import math
 import sys
@@ -32,7 +34,6 @@ from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
-import scipy
 
 from . import __version__, market
 from .auction import read_json_object
@@ -61,8 +62,9 @@ _DEFAULTS = {
 PARAMS_SCHEMA_VERSION = 1
 
 
-# Seed-for-seed byte identity rests on numpy's Philox stream and scipy's
-# ndtri, so the manifest names the versions that produced an output.
+# Seed-for-seed byte identity rests on numpy's Philox stream and samplers,
+# and in mc-validate on scipy's ndtri too, so the manifest names the versions
+# that produced an output.
 _PYTHON_VERSION = "{}.{}.{}".format(*sys.version_info[:3])
 
 
@@ -73,7 +75,6 @@ def _manifest(command: str, config: dict, seed: int | None, outputs: list[str]) 
         "version": __version__,
         "python": _PYTHON_VERSION,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "seed": seed,
         "config_hash": hashlib.sha256(canonical.encode()).hexdigest()[:16],
         "outputs": outputs,
@@ -232,12 +233,15 @@ def cmd_mc_validate(args: argparse.Namespace) -> int:
             f"f={f:<8g} z_ap0={z_ap:+6.2f} z_ae0={z_ae:+6.2f} "
             f"[{'pass' if ok else 'FAIL'}]"
         )
+    import scipy  # loaded in set-up with scipy.special (see main)
+
     manifest = _manifest(
         "mc_validate",
         {"params": params.__dict__, "fees": fees, "samples": args.samples, "chains": args.chains},
         args.seed,
         ["mc_validate.csv"],
     )
+    manifest["scipy"] = scipy.__version__  # the estimates rest on its ndtri
     if out is not None:
         _emit_csv(out, "mc_validate.csv", manifest, header, rows)
     print("validation:", "pass" if all_pass else "FAIL")
@@ -382,21 +386,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# market.sample_blocks imports scipy.special (for ndtri) when it first runs;
-# main loads it for the commands that sample, in set-up, so that no other
-# command pays its few tenths of a second
-_SAMPLING_COMMANDS = ("simulate", "mc-validate")
+# The module each sampling command draws with, loaded by main in set-up so
+# that its import does not count as the command's work: numpy loads
+# numpy.random on first use, and market.mc_rates imports scipy.special (for
+# ndtri), a few tenths of a second that no other command pays.
+_SAMPLERS = {"simulate": "numpy.random", "mc-validate": "scipy.special"}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in _SAMPLING_COMMANDS:
-        import scipy.special  # noqa: F401
+    sampler = _SAMPLERS.get(args.command)
+    if sampler is not None:
+        importlib.import_module(sampler)
     # Freeze the import-time heap, once per process: the cyclic collector,
     # interpreter shutdown's collections included, then skips the tens of
-    # thousands of objects numpy and scipy leave tracked. A later call must
-    # not freeze the earlier call's garbage, which would never be collected.
+    # thousands of objects numpy (and in mc-validate scipy) leaves tracked. A
+    # later call must not freeze the earlier call's garbage, which would never
+    # be collected.
     if gc.get_freeze_count() == 0:
         gc.freeze()
     try:

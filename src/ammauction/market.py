@@ -6,11 +6,22 @@ the arbitrage-profit rate :func:`ap0` and arbitrage-excess rate :func:`ae0`
 expectation of the per-block excess given the interblock time.
 
 Stochastic layer: block times are exponential with mean ``delta_t`` and the
-log-mispricing accumulated over a block is ``N(0, sigma^2 * tau)``. Draws use
-inverse-CDF transforms on a counter-based (Philox) uniform stream, two
-uniforms per block in order, so results are reproducible for a given seed
-and a horizon drawn in chunks of any sizes from one generator is bit for bit
-the horizon drawn in one call. :func:`mc_rates` relies on this: both its
+log-mispricing accumulated over a block is ``N(0, sigma^2 * tau)``. The
+simulator draws them with :func:`sample_blocks` from numpy's own ziggurat
+samplers (Marsaglia and Tsang, J. Stat. Softw. 2000) on the two counter-based
+streams of :func:`block_rng`: ``Philox(key=seed)`` for the times and its
+``jumped()`` copy for the mispricings. Each stream is read in order, so
+results are reproducible for a given seed and a horizon drawn in chunks of
+any sizes is bit for bit the horizon drawn in one call. The exponential
+ziggurat can return an exact zero, so a block time of zero, a block with no
+price motion, is possible but vanishingly rare; nothing needs to guard it.
+
+:func:`mc_rates` keeps its own stream for now: two uniforms per block on one
+``Philox(key=seed)`` generator, by inverse CDF with scipy's ``ndtri``. Its
+z-score check has a rare cell, a wide band that few blocks leave, where the
+sample standard error is unreliable; a new stream should pass that check
+because the estimator is sound, not because its draws missed the cell, so
+the stream changes with the rare-event estimator and not before. Both its
 estimators draw from the one stream in blocks of about :data:`CHAIN_BLOCKS`
 draws, bit for bit the one-call i.i.d. draw and the chain drawn one step at
 a time, so its memory is two float64 per i.i.d. sample plus a bounded block.
@@ -276,9 +287,37 @@ def conditional_excess(
     return 0.5 * math.exp(half_fee) * tail
 
 
-def block_rng(seed: int) -> np.random.Generator:
-    """Counter-based generator for block draws; same seed, same stream."""
-    return np.random.Generator(np.random.Philox(key=seed))
+def block_rng(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
+    """The simulator's two block streams for a seed: a generator on
+    ``Philox(key=seed)`` for the block times, and one on that Philox's
+    :meth:`~numpy.random.Philox.jumped` copy (2^128 draws on) for the
+    mispricings. Same seed, same streams."""
+    bits = np.random.Philox(key=seed)
+    return np.random.Generator(bits), np.random.Generator(bits.jumped())
+
+
+def sample_blocks(
+    params: MarketParams,
+    n: int,
+    rng: tuple[np.random.Generator, np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw n blocks as ``(tau, z)`` arrays: tau ~ Exp(mean delta_t), z ~ N(0, sigma^2 tau).
+
+    ``rng`` is a :func:`block_rng` pair: ``tau`` is ``delta_t`` times the first
+    stream's ``standard_exponential(n)``, and ``z`` is ``sigma * sqrt(tau)``
+    times the second stream's ``standard_normal(n)``. Each stream is read in
+    order and holds no state between calls but its position, so a horizon
+    drawn in chunks of any sizes is bit for bit the horizon drawn in one call.
+    """
+    if n <= 0:
+        raise ValueError(f"n must be positive, got {n}")
+    tau_rng, z_rng = rng
+    tau = tau_rng.standard_exponential(n)
+    tau *= params.delta_t
+    z = np.sqrt(tau)
+    z *= params.sigma
+    z *= z_rng.standard_normal(n)
+    return tau, z
 
 
 # uniforms are clamped off exact zero: u = 0 would give tau = 0 and
@@ -292,19 +331,20 @@ _U_FLOOR = np.finfo(float).tiny
 CHAIN_BLOCKS = 1 << 16
 
 
-def sample_blocks(
+def _inverse_cdf_blocks(
     params: MarketParams, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n blocks as ``(tau, z)`` arrays: tau ~ Exp(mean delta_t), z ~ N(0, sigma^2 tau).
+    """:func:`mc_rates`' block draws: :func:`sample_blocks`' law, by inverse CDF
+    on one uniform stream.
 
-    Each block consumes exactly two uniforms via inverse CDF, in order, so the
-    stream position determines the draw regardless of how batches are sliced:
-    :func:`mc_rates` draws in blocks of about :data:`CHAIN_BLOCKS` and gets the
-    bits of one call. The transforms run in place: a call holds the
-    ``(n, 2)`` uniforms, the two outputs and one ``n``-sized temporary.
+    Each block consumes exactly two uniforms, in order, so the stream position
+    determines the draw regardless of how batches are sliced: :func:`mc_rates`
+    draws in blocks of about :data:`CHAIN_BLOCKS` and gets the bits of one
+    call. The transforms run in place: a call holds the ``(n, 2)`` uniforms,
+    the two outputs and one ``n``-sized temporary.
     """
     # imported here, not at module level: scipy.special costs a few tenths of
-    # a second, and only the sampling commands need it (see cli.cmd_simulate)
+    # a second, and only mc-validate needs it (see cli.main)
     from scipy.special import ndtri
 
     if n <= 0:
@@ -355,11 +395,11 @@ def mc_rates(
     ``n_samples``. At fee zero the two estimators sample the same law.
 
     The chain is drawn from the same stream, after the i.i.d. draws, in
-    blocks of about :data:`CHAIN_BLOCKS` chain blocks, one ``sample_blocks``
-    call per block shared by every fee's chain, which runs to the longest
-    warmup. The states are stored step-major, one contiguous ``(fees,
-    chains)`` row per step, so a step is three element-wise calls whatever
-    the number of fees. Each fee sums its own window after its warmup, with
+    blocks of about :data:`CHAIN_BLOCKS` chain blocks, one draw call per
+    block shared by every fee's chain, which runs to the longest warmup.
+    The states are stored step-major, one contiguous ``(fees, chains)`` row
+    per step, so a step is three element-wise calls whatever the number of
+    fees. Each fee sums its own window after its warmup, with
     one ``excess_fraction`` call per block on a ``(steps, chains)`` view and
     its per-replica sums in step order: every result is bit for bit the
     chain drawn one step at a time. The chain holds about
@@ -376,7 +416,7 @@ def mc_rates(
         raise ValueError(f"chains must be at least 2, got {chains}")
     fees = np.array(fee, dtype=float, ndmin=1)
     fee_list = fees.tolist()
-    rng = block_rng(seed)
+    rng = np.random.Generator(np.random.Philox(key=seed))
     dt = params.delta_t
     ap0_hat, ap0_se, ae0_hat, ae0_se = np.empty((4, len(fees)))
 
@@ -387,7 +427,7 @@ def mc_rates(
     z = np.empty(n_samples)
     for start in range(0, n_samples, CHAIN_BLOCKS):
         stop = min(start + CHAIN_BLOCKS, n_samples)
-        z[start:stop] = sample_blocks(params, stop - start, rng)[1]
+        z[start:stop] = _inverse_cdf_blocks(params, stop - start, rng)[1]
     vals = np.empty(n_samples)
     sub = max(1, CHAIN_BLOCKS // 8)
     for i, f in enumerate(fee_list):
@@ -427,7 +467,7 @@ def mc_rates(
     totals = np.zeros((len(fees), chains))
     for start in range(0, total_steps, block):
         m = min(block, total_steps - start)
-        _, eps = sample_blocks(params, m * chains, rng)
+        _, eps = _inverse_cdf_blocks(params, m * chains, rng)
         eps = eps.reshape(m, chains)
         for j in range(m):
             row = path[j + 1]

@@ -118,12 +118,16 @@ def trade_to_band(x, y, price, fee):
     z = xp.log(price / (y / x))
     buy = z > fee
     traded = buy | (z < -fee)
-    sqrt_edge = xp.sqrt(price * xp.exp(where(buy, -fee, fee)))
+    # each exponential's argument is chosen before the call, so a lane whose
+    # result is discarded computes e^0 rather than overflowing at a huge fee
+    sqrt_edge = xp.sqrt(price * xp.exp(where(buy, -fee, where(traded, fee, 0.0))))
     liquidity = xp.sqrt(x * y)
     new_x = where(traded, liquidity / sqrt_edge, x)
     new_y = where(traded, liquidity * sqrt_edge, y)
     fee_paid = where(
-        buy, xp.expm1(fee) * (new_y - y), where(traded, -xp.expm1(-fee) * (y - new_y), 0.0)
+        buy,
+        xp.expm1(where(buy, fee, 0.0)) * (new_y - y),
+        where(traded, -xp.expm1(-fee) * (y - new_y), 0.0),
     )
     return new_x, new_y, fee_paid, traded
 

@@ -542,7 +542,9 @@ class _Books:
         self.max_resid = self.max_end_z = 0.0
         self.carry = 0.0  # mispricing an unmanaged block leaves to the next
 
-    def book(self, rows: list[list[_Run]], rng: np.random.Generator) -> tuple:
+    def book(
+        self, rows: list[list[_Run]], rng: tuple[np.random.Generator, np.random.Generator]
+    ) -> tuple:
         """Draw and run the blocks of ``rows`` and book their totals. Returns
         the block log's float columns other than the runs' own fee and rent:
         ``(tau, z, arb_profit, excess, noise_fees)``.

@@ -8,6 +8,7 @@ import re
 import resource
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -380,6 +381,16 @@ class TestMCValidate:
         assert header[0] == "f" and header[-1] == "pass"
         assert len(rows) == 1
 
+    def test_manifest_names_scipy(self, tmp_path, capsys):
+        # the one output scipy computes (ndtri in the draws) names its version
+        main(["mc-validate", "--samples", "20000", "--fees", "0", "--out", str(tmp_path)])
+        capsys.readouterr()
+        manifest = read_csv(tmp_path / "mc_validate.csv")[0]
+        assert sorted(manifest) == [
+            "command", "config_hash", "numpy", "outputs", "python", "scipy", "seed", "version"
+        ]
+        assert manifest["scipy"] == scipy.__version__
+
 
     @pytest.mark.parametrize("seed", ["-1", str(2**128)])
     def test_seed_out_of_range_exit_2(self, seed, tmp_path, capsys):
@@ -488,16 +499,40 @@ class TestSimulate:
         payload = json.loads((tmp_path / "run" / "report.json").read_text())
         manifest = payload["manifest"]
         assert sorted(manifest) == [
-            "command", "config_hash", "numpy", "outputs", "python", "scipy", "seed", "version"
+            "command", "config_hash", "numpy", "outputs", "python", "seed", "version"
         ]
         assert manifest["command"] == "simulate"
         assert manifest["seed"] == 21
-        # byte identity rests on numpy's Philox and scipy's ndtri
+        # byte identity rests on numpy's Philox and samplers
         assert manifest["python"] == "{}.{}.{}".format(*sys.version_info[:3])
         assert manifest["numpy"] == np.__version__
-        assert manifest["scipy"] == scipy.__version__
         assert read_csv(tmp_path / "run" / "blocks.csv")[0] == manifest
         assert payload["report"]["horizon_blocks"] == 500
+
+    def test_huge_fee_cap_warns_nothing(self, tmp_path, capsys):
+        # an unmanaged pool at a fee cap of 1000 never trades; the lanes the
+        # trade discards once overflowed exp and expm1 with three warnings.
+        # Only the capital charge reads the drawn block times
+        raw = sim_config_dict()
+        raw["market"]["f_max"] = 1000.0
+        raw["initial_bids"] = []
+        del raw["manager_fee"]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["simulate", str(path), "--out", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        report = json.loads((tmp_path / "run" / "report.json").read_text())["report"]
+        counts = {"horizon_blocks": 2000, "no_trade_blocks": 2000, "unmanaged_blocks": 2000,
+                  "depletions": 0, "usurps": 0, "seed": 21}
+        assert report == {
+            **{name: 0.0 for name in report if name not in counts},
+            **counts,
+            "fee_effective_mean": 1000.0,
+            "lp_capital_charge": 0.004098699776505674,
+            "pnl_by_agent": {"external_arb": 0.0, "lp": 0.0, "noise_traders": 0.0},
+        }
 
     def test_one_block_horizon_exit_2_writes_nothing(self, tmp_path, capsys):
         # one block has no standard error; the report would carry NaN
@@ -767,6 +802,17 @@ def run_python(code: str) -> str:
     return done.stdout
 
 
+# each command that samples, with the module it draws with
+SAMPLING_COMMANDS = pytest.mark.parametrize(
+    "argv, sampler",
+    [
+        (["simulate", "{config}"], "numpy.random"),
+        (["mc-validate", "--samples", "10000", "--fees", "0"], "scipy.special"),
+    ],
+    ids=["simulate", "mc-validate"],
+)
+
+
 class TestImportCost:
     def test_cli_import_leaves_out_scipy_optimize(self):
         # scipy.optimize alone costs a few tenths of a second per interpreter
@@ -774,11 +820,12 @@ class TestImportCost:
         assert run_python(code).strip() == "False"
 
     def test_cli_import_leaves_out_scipy_special(self):
-        # so does scipy.special; only simulate and mc-validate need it (ndtri)
+        # so does scipy.special; only mc-validate needs it (ndtri)
         code = "import sys, ammauction.cli; print('scipy.special' in sys.modules)"
         assert run_python(code).strip() == "False"
 
     def test_commands_that_do_not_sample_leave_out_scipy_special(self, tmp_path):
+        # nor scipy itself: only mc-validate's output rests on it
         (tmp_path / "config.json").write_text(json.dumps(sim_config_dict(horizon=10)))
         argvs = [
             ["replay", str(DATA / "depletion.jsonl")],
@@ -792,25 +839,35 @@ class TestImportCost:
             f"for argv in {argvs!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert main(argv) == 0, argv\n"
-            "print('scipy.special' in sys.modules)\n"
+            "print('scipy.special' in sys.modules, 'scipy' in sys.modules)\n"
         )
-        assert run_python(code).strip() == "False"
+        assert run_python(code).strip() == "False False"
 
-    @pytest.mark.parametrize(
-        "argv", [["simulate", "{config}"], ["mc-validate", "--samples", "10000", "--fees", "0"]],
-        ids=["simulate", "mc-validate"],
-    )
-    def test_sampling_commands_load_scipy_special_before_the_work(self, argv, tmp_path):
+    def test_simulate_leaves_out_scipy(self, tmp_path):
+        # the simulator draws with numpy's own samplers
+        (tmp_path / "config.json").write_text(json.dumps(sim_config_dict(horizon=10)))
+        code = (
+            "import contextlib, io, sys\n"
+            "from ammauction.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main(['simulate', {str(tmp_path / 'config.json')!r}]) == 0\n"
+            "print('scipy' in sys.modules, 'scipy.special' in sys.modules)\n"
+        )
+        assert run_python(code).strip() == "False False"
+
+    @SAMPLING_COMMANDS
+    def test_sampling_commands_load_their_sampler_before_the_work(self, argv, sampler, tmp_path):
         # in set-up: the import's time must not count as the run's
         (tmp_path / "config.json").write_text(json.dumps(sim_config_dict(horizon=10)))
         argv = [a.format(config=tmp_path / "config.json") for a in argv]
         code = (
             "import contextlib, io, sys\n"
             "import ammauction.cli as cli\n"
+            f"assert {sampler!r} not in sys.modules\n"
             "seen = []\n"
             "def probe(fn):\n"
             "    def probed(*args, **kwargs):\n"
-            "        seen.append('scipy.special' in sys.modules)\n"
+            f"        seen.append({sampler!r} in sys.modules)\n"
             "        return fn(*args, **kwargs)\n"
             "    return probed\n"
             "cli.run_sim = probe(cli.run_sim)\n"
@@ -821,17 +878,21 @@ class TestImportCost:
         )
         assert run_python(code).strip() == "[True]"
 
-    def test_simulate_freezes_scipy_special_with_the_import_time_heap(self, tmp_path):
+    @SAMPLING_COMMANDS
+    def test_sampling_commands_freeze_their_sampler_with_the_import_time_heap(
+        self, argv, sampler, tmp_path
+    ):
         # gc.get_objects() lists every generation but the permanent one, so a
         # frozen module dict is not in it: shutdown's collections skip it
         (tmp_path / "config.json").write_text(json.dumps(sim_config_dict(horizon=10)))
+        argv = [a.format(config=tmp_path / "config.json") for a in argv]
         code = (
             "import contextlib, gc, io, sys\n"
             "from ammauction.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert main(['simulate', {str(tmp_path / 'config.json')!r}]) == 0\n"
-            "special = vars(sys.modules['scipy.special'])\n"
-            "print(any(obj is special for obj in gc.get_objects()))\n"
+            f"    assert main({argv!r}) == 0\n"
+            f"module = vars(sys.modules[{sampler!r}])\n"
+            "print(any(obj is module for obj in gc.get_objects()))\n"
         )
         assert run_python(code).strip() == "False"
 
@@ -850,8 +911,8 @@ class TestImportCost:
         assert run_python(code).strip() == "True True"
 
     def test_sampling_commands_keep_their_bytes(self, tmp_path, capsys):
-        # outputs of the commands that load scipy.special, pinned: the
-        # manifest line aside, which names the installed versions
+        # outputs of the commands that sample, pinned: the manifest line
+        # aside, which names the installed versions
         path = tmp_path / "config.json"
         path.write_text(json.dumps(sim_config_dict()))
         assert main(["simulate", str(path), "--out", str(tmp_path / "sim")]) == 0
@@ -859,7 +920,7 @@ class TestImportCost:
         assert main(argv + ["--out", str(tmp_path / "mc")]) == 0
         capsys.readouterr()
         want = {
-            "sim/blocks.csv": "332bb036236b3033e143004291f9eb80be621098b04a3bfe3ec65d303ffdc912",
+            "sim/blocks.csv": "e8af1699c2d2cd8d7f1aa22c2cd44b884cc4adcef085c370cd890da65c5c9844",
             "mc/mc_validate.csv": "85fe96d2f9496a54f189762e6fc1b8b757c41d67f4c26654896a9ea8a7513fcf",
         }
         for name, digest in want.items():
@@ -868,7 +929,7 @@ class TestImportCost:
         payload = json.loads((tmp_path / "sim" / "report.json").read_text())
         report = json.dumps(payload["report"], sort_keys=True, indent=2).encode()
         assert hashlib.sha256(report).hexdigest() == (
-            "6f84ef05818125f8660817c3cafdb46f3b8214500d08f37c55d04698c31473f3"
+            "95b43260dbda2c9a5ddf1e5006edaa3e043db04aa59ab8a40f47d5c20da5c51f"
         )
         hashes = [payload["manifest"]["config_hash"],
                   read_csv(tmp_path / "mc" / "mc_validate.csv")[0]["config_hash"]]

@@ -18,8 +18,8 @@ import tempfile
 from datetime import timedelta
 from pathlib import Path
 
+import numpy.random  # noqa: F401  -- simulate's sampler, loaded before any example's deadline
 import pytest
-import scipy.special  # noqa: F401  -- loaded here, not inside the first example's deadline
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

@@ -10,6 +10,7 @@ from scipy.special import ndtri
 from ammauction import market
 from ammauction.market import (
     MarketParams,
+    _inverse_cdf_blocks,
     ae0,
     ap0,
     block_rng,
@@ -256,10 +257,16 @@ class TestConditionalExcess:
             conditional_excess(0.05, 0.01, 0.01, side="both")
 
 
+def philox(seed):
+    """The one uniform stream ``mc_rates`` draws from."""
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
 class TestSampling:
     @staticmethod
     def scalar_draws(params, n, rng):
-        """Reference: one block at a time, two uniforms each, by inverse CDF."""
+        """Reference for mc_rates' draws: one block at a time, two uniforms
+        each, by inverse CDF."""
         out = []
         for _ in range(n):
             u = np.maximum(rng.random(2), np.finfo(float).tiny)
@@ -278,10 +285,32 @@ class TestSampling:
         assert np.array_equal(first, second)
 
     def test_vector_path_matches_scalar_path(self):
-        tau, z = sample_blocks(REF, 4, block_rng(55))
-        scalars = self.scalar_draws(REF, 4, block_rng(55))
+        tau, z = _inverse_cdf_blocks(REF, 4, philox(55))
+        scalars = self.scalar_draws(REF, 4, philox(55))
         assert tau == pytest.approx([s[0] for s in scalars], rel=1e-15)
         assert z == pytest.approx([s[1] for s in scalars], rel=1e-15)
+
+    def test_draws_are_numpys_samplers_on_two_streams(self):
+        # tau on Philox(key=seed), z on its jumped copy
+        n = 1_000
+        tau, z = sample_blocks(REF, n, block_rng(31))
+        want_tau = REF.delta_t * philox(31).standard_exponential(n)
+        normal = np.random.Generator(np.random.Philox(key=31).jumped()).standard_normal(n)
+        want_z = REF.sigma * np.sqrt(want_tau) * normal
+        assert tau.tobytes() == want_tau.tobytes()
+        assert z.tobytes() == want_z.tobytes()
+
+    def test_300_1_699_blocks_match_one_draw_of_1000(self):
+        tau, z = sample_blocks(REF, 1_000, block_rng(8))
+        rng = block_rng(8)
+        parts = [sample_blocks(REF, size, rng) for size in (300, 1, 699)]
+        assert np.concatenate([p[0] for p in parts]).tobytes() == tau.tobytes()
+        assert np.concatenate([p[1] for p in parts]).tobytes() == z.tobytes()
+
+    def test_million_draws_positive_tau_finite_z(self):
+        tau, z = sample_blocks(REF, 1_000_000, block_rng(6))
+        assert float(tau.min()) > 0.0
+        assert bool(np.isfinite(z).all())
 
     def test_uneven_chunks_match_one_call(self):
         # the simulator draws its horizon in chunks from one generator

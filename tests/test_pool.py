@@ -156,6 +156,10 @@ class TestArbTradeToBand:
         else:
             assert result is not None
 
+    def test_huge_fee_inside_band_is_no_trade(self):
+        # e^1000 overflows a float; a lane that does not trade never computes it
+        assert arb_trade_to_band(PoolState(1.0, 1.0), 1.0, 1000.0) is None
+
 
 class TestTradeToBand:
     """The trade the simulator's kernel runs on arrays, checked against the
@@ -201,6 +205,31 @@ class TestTradeToBand:
             np.testing.assert_allclose([s[i] for s in scalar], column, rtol=1e-15, atol=0.0)
         value = 2.0 * np.sqrt(price) * liquidity
         assert np.all(np.abs(np.array([s[2] for s in scalar]) - fee_paid) <= 1e-15 * value)
+
+    def test_traded_lanes_keep_their_bits(self, trades):
+        # the formula with every lane's exponentials computed, as it was
+        # written before its arguments were selected per lane
+        _, fee, price, _, x, y, (new_x, new_y, fee_paid, traded) = trades
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = np.log(price / (y / x))
+            buy = z > fee
+            sqrt_edge = np.sqrt(price * np.exp(np.where(buy, -fee, fee)))
+            liquidity = np.sqrt(x * y)
+            want_y = liquidity * sqrt_edge
+            want = (
+                liquidity / sqrt_edge,
+                want_y,
+                np.where(buy, np.expm1(fee) * (want_y - y), -np.expm1(-fee) * (y - want_y)),
+            )
+        for got, column in zip((new_x, new_y, fee_paid), want):
+            assert got[traded].tobytes() == column[traded].tobytes()
+
+    def test_huge_fee_warns_nothing(self, trades):
+        _, _, price, _, x, y, _ = trades
+        with np.errstate(all="raise"):
+            new_x, new_y, fee_paid, traded = trade_to_band(x, y, price, np.full(self.N, 1000.0))
+        assert not traded.any() and not fee_paid.any()
+        assert new_x.tobytes() == x.tobytes() and new_y.tobytes() == y.tobytes()
 
     def test_arb_trade_to_band_wraps_it(self):
         pool = PoolState(1.3, 0.9)

@@ -224,33 +224,33 @@ class TestRunSim:
             {
                 "floats": {
                     "fee_effective_mean": "0x1.89374bc6a7efbp-9",
-                    "ap0_hat": "0x1.6300a0ac24199p-12",
-                    "ap0_se": "0x1.cedb057900230p-17",
-                    "ae0_hat": "0x1.3dc710317e2b5p-13",
-                    "ae0_se": "0x1.40a48d78c7390p-17",
-                    "manager_noise_fees": "0x1.9914368000452p+0",
-                    "manager_arb_fees": "0x1.dada1567fa3ecp-8",
-                    "manager_arb_profit": "0x1.049306c0bd100p-8",
+                    "ap0_hat": "0x1.5d4351bbbb000p-12",
+                    "ap0_se": "0x1.e7824dc8ed689p-17",
+                    "ae0_hat": "0x1.3a4189792819bp-13",
+                    "ae0_se": "0x1.5b3d98ef09609p-17",
+                    "manager_noise_fees": "0x1.9dbb5855b56d8p+0",
+                    "manager_arb_fees": "0x1.ce0ac41b1e37ap-8",
+                    "manager_arb_profit": "0x1.0276cca1b3200p-8",
                     "manager_rent_paid": "0x1.89374bc6a7efbp-9",
                     "lp_rent_received": "0x1.89374bc6a7efbp-9",
                     "lp_fee_revenue": "0x0.0p+0",
-                    "lp_adverse_selection": "0x1.4cd096a161d80p-6",
-                    "lp_capital_charge": "0x1.904732d44185ap-8",
-                    "noise_volume_total": "0x1.0a53d37b55825p+9",
-                    "noise_fees_paid": "0x1.9914368000452p+0",
-                    "external_arb_profit": "0x1.29ea9f2e6648ap-7",
-                    "accounting_drift": "-0x1.c000000000000p-47",
+                    "lp_adverse_selection": "0x1.476f1c9fff500p-6",
+                    "lp_capital_charge": "0x1.94d4b477f6d06p-8",
+                    "noise_volume_total": "0x1.0d5b4d8277734p+9",
+                    "noise_fees_paid": "0x1.9dbb5855b56d8p+0",
+                    "external_arb_profit": "0x1.269d70e195982p-7",
+                    "accounting_drift": "-0x1.7000000000000p-49",
                     "max_block_residual": "0x1.0000000000000p-52",
                     "max_end_mispricing": "0x0.0p+0",
                 },
                 "pnl_by_agent": {
-                    "external_arb": "0x1.29ea9f2e6648ap-7",
-                    "lp": "-0x1.1ba9ad288cda2p-6",
-                    "mgr": "0x1.9b2f07f645a86p+0",
-                    "noise_traders": "-0x1.9914368000452p+0",
+                    "external_arb": "0x1.269d70e195982p-7",
+                    "lp": "-0x1.164833272a522p-6",
+                    "mgr": "0x1.9fc73e408eeaep+0",
+                    "noise_traders": "-0x1.9dbb5855b56d8p+0",
                 },
-                "counts": (3_000, 11, 0, 0, 1_690, 0),
-                "blocks_sha256": "57cdbd6b21e5b6acc0fed929e358e3aa52a8248ddffc35fd70f485b18ffe6f58",
+                "counts": (3_000, 11, 0, 0, 1_692, 0),
+                "blocks_sha256": "1fb1480630f34ec2898646ef358aa87ef9691fad45c01d1a11d7a2c5656a0421",
             },
         ),
         # the top depletes at 700, the runner-up at 1,600, unmanaged after
@@ -267,34 +267,34 @@ class TestRunSim:
             {
                 "floats": {
                     "fee_effective_mean": "0x1.9ab138636571cp-8",
-                    "ap0_hat": "0x1.4344f040e49ddp-12",
-                    "ap0_se": "0x1.f91c0d0eebdb9p-17",
-                    "ae0_hat": "0x1.c24e156ac0859p-14",
-                    "ae0_se": "0x1.015deecf239dep-17",
-                    "manager_noise_fees": "0x1.a55bcd437dbf2p-1",
-                    "manager_arb_fees": "0x1.dcab66ba8b0c2p-9",
-                    "manager_arb_profit": "0x1.10967904eab00p-9",
+                    "ap0_hat": "0x1.4801357cd6800p-12",
+                    "ap0_se": "0x1.f9b7a2f4257bdp-17",
+                    "ae0_hat": "0x1.d78fcd6735a60p-14",
+                    "ae0_se": "0x1.1f7aab78a6dc2p-17",
+                    "manager_noise_fees": "0x1.abe1bcb3c80d5p-1",
+                    "manager_arb_fees": "0x1.ee826898d0889p-9",
+                    "manager_arb_profit": "0x1.13fd4b7128500p-9",
                     "manager_rent_paid": "0x1.89374bc6a7ef9p-9",
                     "lp_rent_received": "0x1.89374bc6a7ef9p-9",
-                    "lp_fee_revenue": "0x1.1265bd4fae794p+0",
-                    "lp_adverse_selection": "0x1.2f10a13cd6540p-6",
-                    "lp_capital_charge": "0x1.879f5d55c5eddp-8",
-                    "noise_volume_total": "0x1.7cdfe1e52cdb8p+8",
-                    "noise_fees_paid": "0x1.e3742b906dc8ep+0",
-                    "external_arb_profit": "0x1.a6293414147d3p-8",
-                    "accounting_drift": "0x1.7e00000000000p-46",
+                    "lp_fee_revenue": "0x1.0db98bd87402ap+0",
+                    "lp_adverse_selection": "0x1.3381222509180p-6",
+                    "lp_capital_charge": "0x1.87abb3ee697ffp-8",
+                    "noise_volume_total": "0x1.7f50d03ae1813p+8",
+                    "noise_fees_paid": "0x1.e217bc54599aep+0",
+                    "external_arb_profit": "0x1.ba16d090c24bap-8",
+                    "accounting_drift": "0x1.1700000000000p-45",
                     "max_block_residual": "0x1.0000000000000p-51",
                     "max_end_mispricing": "0x0.0p+0",
                 },
                 "pnl_by_agent": {
-                    "backup": "0x1.e32a29ef3897dp-2",
-                    "external_arb": "0x1.a6293414147d3p-8",
-                    "lp": "0x1.0e6e16709e73ep+0",
-                    "noise_traders": "-0x1.e3742b906dc8ep+0",
-                    "short": "0x1.6a5585bfb481fp-2",
+                    "backup": "0x1.ed34d64c255b7p-2",
+                    "external_arb": "0x1.ba16d090c24bap-8",
+                    "lp": "0x1.09b022f5c3323p+0",
+                    "noise_traders": "-0x1.e217bc54599aep+0",
+                    "short": "0x1.6d8133ebf1612p-2",
                 },
-                "counts": (3_000, 12, 1, 2, 1_962, 1_400),
-                "blocks_sha256": "f1a8485078f96fb33dd9baeed99587749756f12ec32c5dcdd4436d971bd71533",
+                "counts": (3_000, 12, 1, 2, 1_960, 1_400),
+                "blocks_sha256": "567df9fe99f85ea11f479f37bfb09b89cb2cb10f9149deaf8d8050c5f052c17c",
             },
         ),
     }

@@ -156,8 +156,9 @@ class TestRows:
 class TestPinnedAcrossWorkChunks:
     # 3 x 8,192 + 5 blocks: the top depletes at 10,000 and the runner-up at
     # 15,000, each inside a 1,024-block row and off any work-chunk edge; the
-    # unmanaged carry then crosses the edges at 16,384 and 24,576. Taken
-    # when run_sim advanced, drew and reduced one 1,024-block chunk at a time.
+    # unmanaged carry then crosses the edges at 16,384 and 24,576. Taken on
+    # the two-stream draws of market.block_rng; run_sim with WORK_ROWS = 1,
+    # one 1,024-block chunk at a time, gives the same bits.
     CONFIG = SimConfig(
         horizon_blocks=3 * 8192 + 5,
         seed=13,
@@ -168,34 +169,34 @@ class TestPinnedAcrossWorkChunks:
     )
     FLOATS = {
         "fee_effective_mean": "0x1.776abd88b03dap-8",
-        "ap0_hat": "0x1.4930939e4237cp-12",
-        "ap0_se": "0x1.5c0153c459cb2p-18",
-        "ae0_hat": "0x1.e05669b57d71bp-14",
-        "ae0_se": "0x1.7f05187fc1eb1p-19",
-        "manager_noise_fees": "0x1.fb59f2aead125p+2",
-        "manager_arb_fees": "0x1.1bd174b1d1d48p-5",
-        "manager_arb_profit": "0x1.439c0d1f80fe0p-6",
+        "ap0_hat": "0x1.4a5fab5dd609cp-12",
+        "ap0_se": "0x1.50112b9717c99p-18",
+        "ae0_hat": "0x1.d9df426a2b3d9p-14",
+        "ae0_se": "0x1.697059d4b6731p-19",
+        "manager_noise_fees": "0x1.fd79c9c82a7f4p+2",
+        "manager_arb_fees": "0x1.1711d948e3d48p-5",
+        "manager_arb_profit": "0x1.3e7c9f543e900p-6",
         "manager_rent_paid": "0x1.1eb851eb851e8p-5",
         "lp_rent_received": "0x1.1eb851eb851e8p-5",
-        "lp_fee_revenue": "0x1.ce99150f73beep+2",
-        "lp_adverse_selection": "0x1.3c16220ff3008p-3",
-        "lp_capital_charge": "0x1.948aea393500dp-5",
-        "noise_volume_total": "0x1.a41ccef1a8c28p+11",
-        "noise_fees_paid": "0x1.e3940298083d9p+3",
-        "external_arb_profit": "0x1.cd37c5f6136b8p-5",
-        "accounting_drift": "0x1.2e80000000000p-43",
+        "lp_fee_revenue": "0x1.cf4581b8b3996p+2",
+        "lp_adverse_selection": "0x1.3d39294b9c688p-3",
+        "lp_capital_charge": "0x1.95c3527de3688p-5",
+        "noise_volume_total": "0x1.a5997dae20f64p+11",
+        "noise_fees_paid": "0x1.e4e813c4e1f2dp+3",
+        "external_arb_profit": "0x1.c70280ae5ce63p-5",
+        "accounting_drift": "0x1.f980000000000p-43",
         "max_block_residual": "0x1.0000000000000p-51",
         "max_end_mispricing": "0x0.0p+0",
     }
     PNL = {
-        "backup": "0x1.57f16f050ef67p+1",
-        "external_arb": "0x1.cd37c5f6136b8p-5",
-        "lp": "0x1.c6f5d4a2cb312p+2",
-        "noise_traders": "-0x1.e3940298083d9p+3",
-        "short": "0x1.509f097ed1b1ap+2",
+        "backup": "0x1.56ebf79b30a0dp+1",
+        "external_arb": "0x1.c70280ae5ce63p-5",
+        "lp": "0x1.c79929122dc08p+2",
+        "noise_traders": "-0x1.e4e813c4e1f2dp+3",
+        "short": "0x1.5332fda8a12adp+2",
     }
-    COUNTS = (24_581, 13, 1, 2, 15_623, 9_581)
-    BLOCKS_SHA256 = "b56d331b427552ec454877cd322ae61efe480e157cc4e47d2705fe7cb466ac8f"
+    COUNTS = (24_581, 13, 1, 2, 15_592, 9_581)
+    BLOCKS_SHA256 = "3baabea91ba6c5857261a66181906f2085d110269f88aaddfd14291c88c5a180"
 
     def test_pinned_output(self):
         log = io.StringIO()
