@@ -294,7 +294,8 @@ class TestSampling:
         # tau on Philox(key=seed), z on its jumped copy
         n = 1_000
         tau, z = sample_blocks(REF, n, block_rng(31))
-        want_tau = REF.delta_t * philox(31).standard_exponential(n)
+        bits = np.random.Philox(key=31)
+        want_tau = REF.delta_t * np.random.Generator(bits).standard_exponential(n)
         normal = np.random.Generator(np.random.Philox(key=31).jumped()).standard_normal(n)
         want_z = REF.sigma * np.sqrt(want_tau) * normal
         assert tau.tobytes() == want_tau.tobytes()

@@ -207,8 +207,9 @@ class TestTradeToBand:
         assert np.all(np.abs(np.array([s[2] for s in scalar]) - fee_paid) <= 1e-15 * value)
 
     def test_traded_lanes_keep_their_bits(self, trades):
-        # the formula with every lane's exponentials computed, as it was
-        # written before its arguments were selected per lane
+        # reference: the same formula with every lane's exponentials taken at
+        # the lane's own fee; selecting the arguments per lane moves no bit
+        # of a lane that trades
         _, fee, price, _, x, y, (new_x, new_y, fee_paid, traded) = trades
         with np.errstate(over="ignore", invalid="ignore"):
             z = np.log(price / (y / x))
