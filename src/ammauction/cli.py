@@ -3,10 +3,11 @@ equilibrium reports, simulation runs, and auction scenario replay.
 
 Outputs are plot-tool-agnostic CSV (and JSON for simulation reports). Every
 output file embeds a manifest header carrying the command, tool version,
-Python and numpy versions (and scipy's in ``mc_validate.csv``, the one output
-scipy computes), seed, and a hash of the effective configuration, so a run
-can be reproduced from its artifacts alone. Exit codes are a stable contract
-for CI:
+Python version, the versions of the libraries that compute it (numpy's,
+except in ``replay``'s ``trace.csv``, which exact ``Fraction`` arithmetic
+computes; and scipy's in ``mc_validate.csv``, the one output scipy computes),
+seed, and a hash of the effective configuration, so a run can be reproduced
+from its artifacts alone. Exit codes are a stable contract for CI:
 
     0  success / validation passed
     1  validation failed (Monte Carlo vs closed form, or dominance)
@@ -33,9 +34,8 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
-import numpy as np
-
 from . import __version__, market
+from ._numpy import np
 from .auction import read_json_object
 from .equilibrium import BracketError, DominanceReport, dominance_report
 from .market import MarketParams
@@ -44,6 +44,7 @@ from .sim import (
     SimConfig,
     TRACE_HEADER,
     check_seed,
+    read_utf8,
     replay_auction,
     run_sim,
     run_strategic_withdrawal_attack,
@@ -68,17 +69,24 @@ PARAMS_SCHEMA_VERSION = 1
 _PYTHON_VERSION = "{}.{}.{}".format(*sys.version_info[:3])
 
 
-def _manifest(command: str, config: dict, seed: int | None, outputs: list[str]) -> dict:
+def _manifest(
+    command: str, config: dict, seed: int | None, outputs: list[str],
+    libraries: Sequence[str] = ("numpy",),
+) -> dict:
+    """The manifest of an output; ``libraries`` are the packages that compute
+    it, each named with its version."""
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return {
+    manifest = {
         "command": command,
         "version": __version__,
         "python": _PYTHON_VERSION,
-        "numpy": np.__version__,
         "seed": seed,
         "config_hash": hashlib.sha256(canonical.encode()).hexdigest()[:16],
         "outputs": outputs,
     }
+    for name in libraries:
+        manifest[name] = importlib.import_module(name).__version__
+    return manifest
 
 
 def _write_manifest(fh: TextIO, manifest: dict) -> None:
@@ -105,9 +113,9 @@ def _emit_csv(
 
 
 def _read_json_file(path: str) -> object:
-    """The value of a JSON file; an integer past Python's digit limit is an
-    error naming the file."""
-    text = Path(path).read_text(encoding="utf-8")
+    """The value of a JSON file; text that is not UTF-8, or an integer past
+    Python's digit limit, is an error naming the file."""
+    text = read_utf8(path)
     try:
         return json.loads(text)
     except json.JSONDecodeError:
@@ -233,15 +241,13 @@ def cmd_mc_validate(args: argparse.Namespace) -> int:
             f"f={f:<8g} z_ap0={z_ap:+6.2f} z_ae0={z_ae:+6.2f} "
             f"[{'pass' if ok else 'FAIL'}]"
         )
-    import scipy  # loaded in set-up with scipy.special (see main)
-
     manifest = _manifest(
         "mc_validate",
         {"params": params.__dict__, "fees": fees, "samples": args.samples, "chains": args.chains},
         args.seed,
         ["mc_validate.csv"],
+        libraries=("numpy", "scipy"),  # the estimates rest on scipy's ndtri
     )
-    manifest["scipy"] = scipy.__version__  # the estimates rest on its ndtri
     if out is not None:
         _emit_csv(out, "mc_validate.csv", manifest, header, rows)
     print("validation:", "pass" if all_pass else "FAIL")
@@ -325,7 +331,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
     trace = replay_auction(args.scenario_path)
     # the scenario's content, not its path: a copy elsewhere hashes the same
     scenario = hashlib.sha256(Path(args.scenario_path).read_bytes()).hexdigest()
-    manifest = _manifest("replay", {"scenario_sha256": scenario}, None, ["trace.csv"])
+    # exact Fraction arithmetic: numpy computes nothing in a replay
+    manifest = _manifest(
+        "replay", {"scenario_sha256": scenario}, None, ["trace.csv"], libraries=()
+    )
     out = _out_dir(args)
     path = _emit_csv(out, "trace.csv", manifest, TRACE_HEADER, trace.to_csv_rows())
     if path is not None:
@@ -386,19 +395,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The module each sampling command draws with, loaded by main in set-up so
-# that its import does not count as the command's work: numpy loads
-# numpy.random on first use, and market.mc_rates imports scipy.special (for
-# ndtri), a few tenths of a second that no other command pays.
-_SAMPLERS = {"simulate": "numpy.random", "mc-validate": "scipy.special"}
+# The module each command computes with, executed by main in set-up so that
+# its import does not count as the command's work. The package binds numpy
+# unexecuted (see _numpy), and numpy loads numpy.random on first use;
+# market.mc_rates imports scipy.special (for ndtri), a few tenths of a second
+# that no other command pays. replay computes with Fractions alone, so it
+# never executes numpy.
+_SETUP_IMPORTS = {
+    "formulas": "numpy",
+    "mc-validate": "scipy.special",
+    "equilibrium": "numpy",
+    "simulate": "numpy.random",
+    "attack": "numpy",
+}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    sampler = _SAMPLERS.get(args.command)
-    if sampler is not None:
-        importlib.import_module(sampler)
+    module = _SETUP_IMPORTS.get(args.command)
+    if module is not None:
+        importlib.import_module(module)
     # Freeze the import-time heap, once per process: the cyclic collector,
     # interpreter shutdown's collections included, then skips the tens of
     # thousands of objects numpy (and in mc-validate scipy) leaves tracked. A

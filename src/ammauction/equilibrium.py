@@ -30,9 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import market
+from ._numpy import np
 from .market import MarketParams
 from .pool import array_module, pool_value, where
 

@@ -39,11 +39,11 @@ the dimensionless combinations ``sigma^2 * delta_t`` and
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Literal
 
-import numpy as np
-
+from ._numpy import np
 from .auction import _finite_real
 from .pool import array_module, excess_fraction, pool_value, where
 
@@ -322,7 +322,7 @@ def sample_blocks(
 
 # uniforms are clamped off exact zero: u = 0 would give tau = 0 and
 # ndtri(0) = -inf, whose product is NaN
-_U_FLOOR = np.finfo(float).tiny
+_U_FLOOR = sys.float_info.min  # numpy's finfo(float).tiny
 
 # Draws per block in both estimators of :func:`mc_rates`: large enough that
 # numpy's per-call overhead is small per draw, small enough that a block's

@@ -13,7 +13,8 @@ fee-band model of Milionis et al., arXiv 2305.14604). Under it the profit of
 exactly; a zero fee is the fee-free correction to the true price.
 
 All operations are pure: they take and return immutable values and are safe
-to call from any number of threads.
+to call from any number of threads, numpy's execution on first use included
+(see ``_numpy``).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
+from ._numpy import np
 
 
 def array_module(x):

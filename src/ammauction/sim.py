@@ -47,11 +47,11 @@ import sys
 from collections import Counter, defaultdict
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from fractions import Fraction
+from pathlib import Path
 from typing import IO, Iterable, Optional, Sequence
 
-import numpy as np
-
 from . import equilibrium, market
+from ._numpy import np
 from .auction import AuctionParams, AuctionRejection, AuctionState, Bid, _to_fraction
 from .auction import check_field_types, read_json_object
 from .market import MarketParams
@@ -69,6 +69,7 @@ __all__ = [
     "ReplayParseError",
     "WithdrawalAttackReport",
     "check_seed",
+    "read_utf8",
     "run_sim",
     "run_strategic_withdrawal_attack",
     "replay_auction",
@@ -106,6 +107,21 @@ def check_seed(seed: int) -> None:
     """Refuse a seed that cannot key the Philox stream: an integer in [0, 2**128)."""
     if not 0 <= seed < 2**128:
         raise ConfigError(f"seed must be in [0, 2**128), got {seed}")
+
+
+def read_utf8(path: str) -> str:
+    """The text of a UTF-8 input file, newlines translated as ``open`` does.
+    A file that is not UTF-8 is an error naming the file and the line of the
+    first bad byte, lines numbered as ``str.splitlines`` numbers them."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ValueError(
+            f"{path}: line {line}: not UTF-8 (byte 0x{data[exc.start]:02x}: {exc.reason})"
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 class ReplayParseError(ValueError):
@@ -784,8 +800,7 @@ def _parse_scenario(
 ) -> tuple[AuctionParams, Fraction | None, list[tuple[int, dict]]]:
     """The auction params, the ``lp_total_shares`` override and the
     ``(line number, action)`` pairs of a scenario file, all validated."""
-    with open(scenario_path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_utf8(scenario_path).splitlines()
 
     header = None
     header_no = 0

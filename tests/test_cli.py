@@ -681,6 +681,13 @@ class TestReplay:
         assert_one_line_error(capsys, f"line 2: {needle}")
         assert not out.exists()
 
+    def test_manifest_names_no_library(self, tmp_path, capsys):
+        # exact Fraction arithmetic computes a replay: numpy computes nothing
+        assert main(["replay", str(DATA / "depletion.jsonl"), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        manifest = read_csv(tmp_path / "trace.csv")[0]
+        assert sorted(manifest) == ["command", "config_hash", "outputs", "python", "seed", "version"]
+
     def test_replay_keeps_its_bytes(self, tmp_path, capsys):
         # trace.csv below its manifest line, and final_state.json, pinned
         many = tmp_path / "many_lps.jsonl"
@@ -854,6 +861,76 @@ class TestImportCost:
             "print('scipy' in sys.modules, 'scipy.special' in sys.modules)\n"
         )
         assert run_python(code).strip() == "False False"
+
+    def test_numpy_executes_on_first_use(self, tmp_path):
+        # import and replay leave numpy unexecuted; simulate executes it in
+        # set-up, before run_sim (marked as ammbench/child.py marks it), into
+        # the one module object every ammauction module bound at import
+        (tmp_path / "config.json").write_text(json.dumps(sim_config_dict(horizon=10)))
+        replay = ["replay", str(DATA / "depletion.jsonl"), "--out", str(tmp_path / "out")]
+        code = (
+            "import contextlib, io, sys\n"
+            "import ammauction, ammauction.cli as cli\n"
+            "seen = ['numpy._core' in sys.modules]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({replay!r}) == 0\n"
+            "seen.append('numpy._core' in sys.modules)\n"
+            "run_sim = cli.run_sim\n"
+            "def marked(*args, **kwargs):\n"
+            "    seen.append('numpy.random' in sys.modules)\n"
+            "    return run_sim(*args, **kwargs)\n"
+            "cli.run_sim = marked\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main(['simulate', {str(tmp_path / 'config.json')!r}]) == 0\n"
+            "np = ammauction.market.np\n"
+            "seen.append(np is sys.modules['numpy'] and type(np) is type(sys))\n"
+            "print(seen)\n"
+        )
+        assert run_python(code).strip() == "[False, False, True, True]"
+
+    @pytest.mark.parametrize(
+        "argv", [["formulas"], ["equilibrium", "--grid", "16"], ["attack", "{config}"]],
+        ids=["formulas", "equilibrium", "attack"],
+    )
+    def test_commands_that_compute_with_numpy_execute_it_in_setup(self, argv, tmp_path):
+        (tmp_path / "config.json").write_text(json.dumps(sim_config_dict(horizon=10)))
+        argv = [a.format(config=tmp_path / "config.json") for a in argv]
+        command = "cmd_" + argv[0]
+        code = (
+            "import contextlib, io, sys\n"
+            "import ammauction.cli as cli\n"
+            "seen = []\n"
+            f"command = cli.{command}\n"
+            "def probed(args):\n"
+            "    seen.append('numpy._core' in sys.modules)\n"
+            "    return command(args)\n"
+            f"cli.{command} = probed\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({argv!r}) == 0\n"
+            "print(seen)\n"
+        )
+        assert run_python(code).strip() == "[True]"
+
+    def test_a_second_thread_waits_for_numpy_to_execute(self):
+        # the first use executes numpy under a lock: a thread that touches
+        # numpy meanwhile gets the whole module, not a half-built one
+        code = (
+            "import sys, threading, time\n"
+            "import ammauction\n"
+            "started = threading.Event()\n"
+            "class Pause:\n"
+            "    def find_spec(self, name, path, target=None):\n"
+            "        if name == 'numpy.version':\n"
+            "            started.set()\n"
+            "            time.sleep(0.5)\n"
+            "sys.meta_path.insert(0, Pause())\n"
+            "first = threading.Thread(target=lambda: ammauction.pool.np.ndarray)\n"
+            "first.start()\n"
+            "started.wait()\n"
+            "print(ammauction.market.np.ndarray.__name__)\n"
+            "first.join()\n"
+        )
+        assert run_python(code).strip() == "ndarray"
 
     @SAMPLING_COMMANDS
     def test_sampling_commands_load_their_sampler_before_the_work(self, argv, sampler, tmp_path):

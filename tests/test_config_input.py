@@ -9,7 +9,7 @@ drawn as raw JSON text around a valid config: integers past Python's
 infinities, booleans, nulls, strings and lists where numbers belong, and
 keys that are missing or unknown. The horizon is drawn small or invalid, as
 a valid horizon's cost is linear by design. Fixed cases pin the error that
-names an unreadable file.
+names an unreadable file or text that is not UTF-8.
 """
 
 import csv
@@ -172,6 +172,22 @@ def test_integer_past_the_digit_limit_names_the_file(tmp_path, capsys, command, 
     argv = [arg.format(path=path) for arg in command] + ["--out", str(tmp_path / "out")]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}: unreadable number (Exceeds")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "{path}"], ["attack", "{path}"], ["formulas", "--config", "{path}"]],
+    ids=["simulate", "attack", "formulas"],
+)
+def test_text_that_is_not_utf8_names_the_file_and_line(tmp_path, capsys, command):
+    path = tmp_path / "input.json"
+    path.write_bytes(b'{"schema_version": 1,\r\n "seed": "\xc3x"}')
+    argv = [arg.format(path=path) for arg in command] + ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 2: not UTF-8 (byte 0xc3: invalid continuation byte)\n"
+    )
     assert not (tmp_path / "out").exists()
 
 

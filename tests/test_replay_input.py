@@ -160,6 +160,17 @@ class TestBoundedInput:
         assert capsys.readouterr().err.startswith("error: line 2: unreadable number")
         assert not (tmp_path / "out").exists()
 
+    def test_text_that_is_not_utf8_names_the_file_and_line(self, tmp_path, capsys):
+        # lines counted as the parser counts them: CR LF is one line break
+        path = tmp_path / "scenario.jsonl"
+        path.write_bytes(HEADER.encode().replace(b"\n", b"\r\n") + b"\n"
+                         + b'{"block": 1, "action": "advance", "bidder": "\xff"}\n')
+        assert main(["replay", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 3: not UTF-8 (byte 0xff: invalid start byte)\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("field", ["bidder", "amount"])
     def test_lone_surrogate_refused_before_any_output(self, tmp_path, capsys, field):
         fields = {"block": 1, "action": "top_up", "bidder": "a", "amount": "1", field: "x\ud800"}
