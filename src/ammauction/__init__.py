@@ -19,16 +19,7 @@ from .equilibrium import (
     solve_ff_liquidity,
 )
 from .market import MarketParams, MCRates, ae0, ap0, excess_ratio, mc_rates
-from .pool import (
-    PoolState,
-    TradeResult,
-    arb_excess_instant,
-    arb_trade_to_band,
-    pool_holdings,
-    pool_value,
-    trade_to_band,
-    withdrawal_fee_required,
-)
+from .pool import arb_trade_to_band, pool_value, trade_to_band, withdrawal_fee_required
 from .sim import (
     BidSpec,
     SimConfig,

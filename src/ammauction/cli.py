@@ -329,11 +329,10 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     trace = replay_auction(args.scenario_path)
-    # the scenario's content, not its path: a copy elsewhere hashes the same
-    scenario = hashlib.sha256(Path(args.scenario_path).read_bytes()).hexdigest()
-    # exact Fraction arithmetic: numpy computes nothing in a replay
+    # keyed by the scenario's content, not its path: a copy elsewhere hashes
+    # the same. Exact Fraction arithmetic: numpy computes nothing in a replay
     manifest = _manifest(
-        "replay", {"scenario_sha256": scenario}, None, ["trace.csv"], libraries=()
+        "replay", {"scenario_sha256": trace.scenario_sha256}, None, ["trace.csv"], libraries=()
     )
     out = _out_dir(args)
     path = _emit_csv(out, "trace.csv", manifest, TRACE_HEADER, trace.to_csv_rows())

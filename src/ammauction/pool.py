@@ -9,19 +9,17 @@ manager), so no trade ever changes ``L``. The fee is log-space: arbitrageurs
 trade the pool to the edge of the band ``|ln(P / spot)| <= f``, with the
 numeraire leg scaled by ``e^{+f}`` on buys and ``e^{-f}`` on sells (the
 fee-band model of Milionis et al., arXiv 2305.14604). Under it the profit of
-:func:`trade_to_band` equals the closed form of :func:`arb_excess_instant`
-exactly; a zero fee is the fee-free correction to the true price.
+:func:`trade_to_band` equals ``pool_value * excess_fraction``, the closed
+form, exactly; a zero fee is the fee-free correction to the true price.
 
-All operations are pure: they take and return immutable values and are safe
-to call from any number of threads, numpy's execution on first use included
-(see ``_numpy``).
+The pool is its reserves: the functions take floats or arrays and return
+new values, and are safe to call from any number of threads, numpy's
+execution on first use included (see ``_numpy``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 from ._numpy import np
 
@@ -40,47 +38,6 @@ def where(cond, a, b):
     return a if cond else b
 
 
-@dataclass(frozen=True)
-class PoolState:
-    """Immutable snapshot of a constant-product pool's reserves."""
-
-    reserve_x: float
-    reserve_y: float
-
-    def __post_init__(self) -> None:
-        if not (self.reserve_x > 0.0 and math.isfinite(self.reserve_x)):
-            raise ValueError(f"reserve_x must be positive, got {self.reserve_x}")
-        if not (self.reserve_y > 0.0 and math.isfinite(self.reserve_y)):
-            raise ValueError(f"reserve_y must be positive, got {self.reserve_y}")
-
-    @property
-    def liquidity(self) -> float:
-        return math.sqrt(self.reserve_x * self.reserve_y)
-
-    @property
-    def spot_price(self) -> float:
-        return self.reserve_y / self.reserve_x
-
-    @classmethod
-    def from_price(cls, liquidity: float, price: float) -> "PoolState":
-        """Pool holding ``liquidity`` with its implied price at ``price``."""
-        x, y = pool_holdings(liquidity, price)
-        return cls(reserve_x=x, reserve_y=y)
-
-
-@dataclass(frozen=True)
-class TradeResult:
-    """Outcome of one arbitrage trade.
-
-    ``fee_paid`` is the numeraire value routed to the fee recipient; it never
-    enters the reserves, so ``new_pool.liquidity`` equals the pre-trade
-    liquidity.
-    """
-
-    fee_paid: float
-    new_pool: PoolState
-
-
 def pool_value(liquidity: float, price: float) -> float:
     """Numeraire value ``2 * sqrt(price) * liquidity`` of pool reserves."""
     if not (price > 0.0 and math.isfinite(price)):
@@ -88,16 +45,6 @@ def pool_value(liquidity: float, price: float) -> float:
     if liquidity < 0.0:
         raise ValueError(f"liquidity must be non-negative, got {liquidity}")
     return 2.0 * math.sqrt(price) * liquidity
-
-
-def pool_holdings(liquidity: float, price: float) -> tuple[float, float]:
-    """Reserves ``(L / sqrt(P), L * sqrt(P))`` at implied price ``P``."""
-    if not (price > 0.0 and math.isfinite(price)):
-        raise ValueError(f"price must be positive, got {price}")
-    if liquidity < 0.0:
-        raise ValueError(f"liquidity must be non-negative, got {liquidity}")
-    sqrt_p = math.sqrt(price)
-    return liquidity / sqrt_p, liquidity * sqrt_p
 
 
 def trade_to_band(x, y, price, fee):
@@ -110,7 +57,8 @@ def trade_to_band(x, y, price, fee):
     The numeraire leg carries the log-space fee factor: ``e^{+fee}`` grosses
     up what a buyer pays and ``e^{-fee}`` scales what a seller receives, the
     difference going to the fee recipient. The arbitrageur's profit at
-    ``price`` is then the closed form of :func:`arb_excess_instant` exactly.
+    ``price`` is then the closed form
+    ``pool_value(liquidity, price) * excess_fraction(z, fee)`` exactly.
 
     Floats or arrays, element-wise; unchecked. Returns
     ``(new_x, new_y, fee_paid, traded)``.
@@ -134,28 +82,16 @@ def trade_to_band(x, y, price, fee):
 
 
 def arb_trade_to_band(
-    pool: PoolState, true_price: float, fee: float
-) -> Optional[TradeResult]:
-    """Arbitrage the pool until the log-mispricing equals the fee.
-
-    :func:`trade_to_band` on the pool's reserves, with its inputs checked;
-    ``None`` inside the no-trade band.
-    """
+    x: float, y: float, true_price: float, fee: float
+) -> tuple[float, float, float] | None:
+    """:func:`trade_to_band` on one pool's reserves, with its inputs checked:
+    ``(new_x, new_y, fee_paid)``, or ``None`` inside the no-trade band."""
     if not (true_price > 0.0 and math.isfinite(true_price)):
         raise ValueError(f"true_price must be positive, got {true_price}")
     if fee < 0.0:
         raise ValueError(f"fee must be non-negative, got {fee}")
-    new_x, new_y, fee_paid, traded = trade_to_band(
-        pool.reserve_x, pool.reserve_y, true_price, fee
-    )
-    return TradeResult(fee_paid, PoolState(new_x, new_y)) if traded else None
-
-
-def arb_profit(pool_before: PoolState, trade: TradeResult, true_price: float) -> float:
-    """Trader's mark-to-market profit: value drained from the pool, net of fee."""
-    dx = pool_before.reserve_x - trade.new_pool.reserve_x
-    dy = pool_before.reserve_y - trade.new_pool.reserve_y
-    return true_price * dx + dy - trade.fee_paid
+    new_x, new_y, fee_paid, traded = trade_to_band(x, y, true_price, fee)
+    return (new_x, new_y, fee_paid) if traded else None
 
 
 def excess_fraction(z, fee: float):
@@ -177,15 +113,6 @@ def excess_fraction(z, fee: float):
     gap = abs(z) - fee
     gap = np.maximum(gap, 0.0) if xp is np else max(gap, 0.0)
     return xp.exp(xp.copysign(0.5 * fee, z)) * 2.0 * xp.sinh(0.25 * gap) ** 2
-
-
-def arb_excess_instant(liquidity: float, price: float, z: float, fee: float) -> float:
-    """Numeraire profit available to outside arbitrageurs at mispricing ``z``.
-
-    Non-negative, and zero exactly when ``|z| <= fee``. Scales linearly in
-    ``liquidity`` and in ``sqrt(price)`` (value-proportional).
-    """
-    return pool_value(liquidity, price) * excess_fraction(z, fee)
 
 
 def withdrawal_fee_required(ratio: float) -> float:

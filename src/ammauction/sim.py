@@ -9,7 +9,8 @@ auction rent. Noise trades are pure fee flow and do not move the pool price.
 The auction changes only at events: an activation, a usurp, a fee change, a
 depletion. Between them it streams the same rent every block, so it advances
 in one exact step per stretch and single-steps only the event blocks. Its
-steps become runs: consecutive blocks under one fee and one rent payer.
+steps become runs: consecutive blocks under one fee and one rent payer,
+cut at the summation-block edges below.
 
 The pool side runs in work chunks of :data:`WORK_ROWS` summation blocks of
 :data:`CHUNK_BLOCKS` blocks each. A work chunk's blocks are drawn from the
@@ -17,7 +18,7 @@ one seeded stream and pushed through one numpy kernel on explicit reserve
 arrays; memory stays flat at any horizon. Every reported sum then adds one
 partial sum per summation block, in block order, so the 1,024-block rows,
 and not the work chunk, fix the float sum order and the report's bits. The
-block log is formatted and written one row at a time.
+block log is formatted and written one run at a time.
 
 A managed pool restarts on-price every block, so its blocks are independent.
 An unmanaged run carries its mispricing from block to block inside the fee
@@ -40,6 +41,7 @@ LPs instead of a manager.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
@@ -113,7 +115,11 @@ def read_utf8(path: str) -> str:
     """The text of a UTF-8 input file, newlines translated as ``open`` does.
     A file that is not UTF-8 is an error naming the file and the line of the
     first bad byte, lines numbered as ``str.splitlines`` numbers them."""
-    data = Path(path).read_bytes()
+    return _decode_utf8(Path(path).read_bytes(), path)
+
+
+def _decode_utf8(data: bytes, path: str) -> str:
+    """:func:`read_utf8` on the bytes ``data`` already read from ``path``."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -359,38 +365,25 @@ def _advance_auction(
     auction: AuctionState, n: int, policy_fee: float, counts: Counter
 ) -> list[_Run]:
     """Advance the auction ``n`` blocks and describe them as runs, one per
-    :meth:`AuctionState.advance_to` step. A new manager sets the policy fee,
-    which takes effect from the next block."""
+    :meth:`AuctionState.advance_to` step. It advances to each
+    :data:`CHUNK_BLOCKS`-block row edge in turn, so no run crosses one. A
+    new manager sets the policy fee, which takes effect from the next
+    block."""
     runs = []
-    for blocks, events in auction.advance_to(auction.current_block + n):
-        rent, payer = 0.0, None
-        for ev in events:
-            if ev.kind == "usurped":
-                counts["usurps"] += 1
-                auction.set_fee(ev.bidder, policy_fee)
-            elif ev.kind == "depleted":
-                counts["depletions"] += 1
-            elif ev.kind == "rent":
-                rent, payer = float(ev.amount / blocks), ev.bidder
-        runs.append(_Run(blocks, float(auction.block_fee), rent, payer))
+    start = auction.current_block
+    for lo in range(0, n, CHUNK_BLOCKS):
+        for blocks, events in auction.advance_to(start + min(lo + CHUNK_BLOCKS, n)):
+            rent, payer = 0.0, None
+            for ev in events:
+                if ev.kind == "usurped":
+                    counts["usurps"] += 1
+                    auction.set_fee(ev.bidder, policy_fee)
+                elif ev.kind == "depleted":
+                    counts["depletions"] += 1
+                elif ev.kind == "rent":
+                    rent, payer = float(ev.amount / blocks), ev.bidder
+            runs.append(_Run(blocks, float(auction.block_fee), rent, payer))
     return runs
-
-
-def _cut_rows(runs: list[_Run]) -> list[list[_Run]]:
-    """The runs of each :data:`CHUNK_BLOCKS`-block row, cut at the row edges."""
-    rows: list[list[_Run]] = [[]]
-    room = CHUNK_BLOCKS
-    for run in runs:
-        left = run.blocks
-        while left:
-            if not room:
-                rows.append([])
-                room = CHUNK_BLOCKS
-            take = min(left, room)
-            rows[-1].append(run if take == run.blocks else replace(run, blocks=take))
-            left -= take
-            room -= take
-    return rows
 
 
 def _carry_scan(eps: np.ndarray, runs: list[_Run], carry: float) -> tuple[np.ndarray, float]:
@@ -498,34 +491,27 @@ class _Moments:
         return math.sqrt(self.m2 / (self.n - 1)) if self.n > 1 else math.nan
 
 
-def _format_blocks(
+def _format_run(
     first: int,
-    runs: list[_Run],
+    run: _Run,
     tau: np.ndarray,
     z: np.ndarray,
     mgr_arb: np.ndarray,
     excess: np.ndarray,
     noise_fee: np.ndarray,
 ) -> str:
-    """CSV rows for the blocks of ``runs`` from block ``first`` on, floats as
-    ``repr``. The fee and rent columns hold each run's own floats, so each
-    is formatted once per run."""
-    fee: list[str] = []
-    rent: list[str] = []
-    for run in runs:
-        fee += [repr(run.fee)] * run.blocks
-        rent += [repr(run.rent)] * run.blocks
+    """CSV rows for the blocks of ``run`` from block ``first`` on, floats as
+    ``repr``; the run's fee and rent are formatted once."""
+    fee, rent = repr(run.fee), repr(run.rent)
     return "".join(
-        f"{b},{t!r},{zi!r},{f},{mgr!r},{exc!r},{nf!r},{r}\n"
-        for b, t, zi, f, mgr, exc, nf, r in zip(
-            range(first, first + len(tau)),
+        f"{b},{t!r},{zi!r},{fee},{mgr!r},{exc!r},{nf!r},{rent}\n"
+        for b, t, zi, mgr, exc, nf in zip(
+            range(first, first + run.blocks),
             tau.tolist(),
             z.tolist(),
-            fee,
             mgr_arb.tolist(),
             excess.tolist(),
             noise_fee.tolist(),
-            rent,
         )
     )
 
@@ -559,14 +545,14 @@ class _Books:
         self.carry = 0.0  # mispricing an unmanaged block leaves to the next
 
     def book(
-        self, rows: list[list[_Run]], rng: tuple[np.random.Generator, np.random.Generator]
+        self, runs: list[_Run], rng: tuple[np.random.Generator, np.random.Generator]
     ) -> tuple:
-        """Draw and run the blocks of ``rows`` and book their totals. Returns
-        the block log's float columns other than the runs' own fee and rent:
+        """Draw and run the blocks of ``runs``, none of which crosses a row
+        edge, and book their totals. Returns the block log's float columns
+        other than the runs' own fee and rent:
         ``(tau, z, arb_profit, excess, noise_fees)``.
         """
         params, sums = self.params, self.sums
-        runs = [run for row in rows for run in row]
         lengths = [run.blocks for run in runs]
         fee = np.repeat([run.fee for run in runs], lengths)
         managed = np.repeat([run.payer is not None for run in runs], lengths)
@@ -617,7 +603,7 @@ class _Books:
             pnl["lp"] += lp_row + swap_fees
         manager_gain = noise_fee + arb_fee + mgr_arb - rent
         lo = 0
-        for run in runs:  # cut at the row edges, so each sum stays within a row
+        for run in runs:  # no run crosses a row edge, so each sum stays within a row
             if run.payer is not None:
                 pnl[run.payer] = pnl.get(run.payer, 0.0) + float(
                     manager_gain[lo : lo + run.blocks].sum()
@@ -645,14 +631,13 @@ def run_sim(config: SimConfig, block_log: Optional[IO[str]] = None) -> SimReport
     work = WORK_ROWS * CHUNK_BLOCKS
     for start in range(0, horizon, work):
         n = min(work, horizon - start)
-        rows = _cut_rows(_advance_auction(auction, n, policy_fee, books.counts))
-        columns = books.book(rows, rng)
+        runs = _advance_auction(auction, n, policy_fee, books.counts)
+        columns = books.book(runs, rng)
         if block_log is not None:
             lo = 0
-            for row in rows:
-                hi = lo + sum(run.blocks for run in row)
-                row_columns = (c[lo:hi] for c in columns)
-                block_log.write(_format_blocks(start + lo + 1, row, *row_columns))
+            for run in runs:  # never a whole chunk's text at once
+                hi = lo + run.blocks
+                block_log.write(_format_run(start + lo + 1, run, *(c[lo:hi] for c in columns)))
                 lo = hi
         del columns  # freed before the next chunk is drawn
 
@@ -782,6 +767,7 @@ _BLANK_ROW = dict.fromkeys(TRACE_HEADER, "")
 class ReplayTrace:
     rows: tuple[dict, ...]
     final_state_json: str
+    scenario_sha256: str  # of the scenario file's bytes, as read for the replay
 
     def to_csv_rows(self) -> list[tuple]:
         # every row holds the header's keys in the header's order
@@ -797,10 +783,12 @@ def _trace_row(**kw) -> dict:
 
 def _parse_scenario(
     scenario_path: str,
-) -> tuple[AuctionParams, Fraction | None, list[tuple[int, dict]]]:
+) -> tuple[AuctionParams, Fraction | None, list[tuple[int, dict]], str]:
     """The auction params, the ``lp_total_shares`` override and the
-    ``(line number, action)`` pairs of a scenario file, all validated."""
-    lines = read_utf8(scenario_path).splitlines()
+    ``(line number, action)`` pairs of a scenario file, all validated, and
+    the sha256 of the bytes they were read from. The file is read once."""
+    data = Path(scenario_path).read_bytes()
+    lines = _decode_utf8(data, scenario_path).splitlines()
 
     header = None
     header_no = 0
@@ -854,7 +842,7 @@ def _parse_scenario(
             raise ReplayParseError(header_no, str(exc))
         if shares <= 0:
             raise ReplayParseError(header_no, f"lp_total_shares must be positive, got {shares}")
-    return params, shares, actions
+    return params, shares, actions, hashlib.sha256(data).hexdigest()
 
 
 # scenario fields the trace echoes as given, and the characters none may hold:
@@ -959,7 +947,7 @@ def replay_auction(scenario_path: str) -> ReplayTrace:
     ``rent`` row: its last block, payer and total, its span in ``detail`` as
     ``first-last``; an event block's rent row spans that one block.
     """
-    params, shares, actions = _parse_scenario(scenario_path)
+    params, shares, actions, digest = _parse_scenario(scenario_path)
     auction = AuctionState(params)
     rows: list[dict] = []
     for line_no, obj in actions:
@@ -979,4 +967,6 @@ def replay_auction(scenario_path: str) -> ReplayTrace:
                 for ev in events
             )
         rows.append(_apply_action(auction, line_no, obj))
-    return ReplayTrace(rows=tuple(rows), final_state_json=auction.to_json())
+    return ReplayTrace(
+        rows=tuple(rows), final_state_json=auction.to_json(), scenario_sha256=digest
+    )

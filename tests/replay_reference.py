@@ -11,7 +11,7 @@ from ammauction.sim import ReplayTrace, _apply_action, _parse_scenario, _trace_r
 
 
 def reference_replay(scenario_path: str) -> ReplayTrace:
-    params, shares, actions = _parse_scenario(scenario_path)
+    params, shares, actions, digest = _parse_scenario(scenario_path)
     auction = AuctionState(params)
     rows = []
     for line_no, obj in actions:
@@ -30,4 +30,6 @@ def reference_replay(scenario_path: str) -> ReplayTrace:
                     )
                 )
         rows.append(_apply_action(auction, line_no, obj))
-    return ReplayTrace(rows=tuple(rows), final_state_json=auction.to_json())
+    return ReplayTrace(
+        rows=tuple(rows), final_state_json=auction.to_json(), scenario_sha256=digest
+    )

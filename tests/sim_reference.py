@@ -1,8 +1,11 @@
 """Scalar reference for ``run_sim``: one Python iteration and one exact
-``advance_block`` per block, trading through ``PoolState`` objects.
+``advance_block`` per block, trading float reserves through its own
+written-out band trade, :func:`band_trade`.
 
 This is the simulator's original loop, kept as the oracle the segmented,
-vectorized ``run_sim`` is checked against in ``test_sim_segments.py``.
+vectorized ``run_sim`` is checked against in ``test_sim_segments.py``. It
+shares no pool code with the simulator: ``band_trade`` is the fee-band model
+written out with ``math``, apart from ``pool.trade_to_band``.
 """
 
 import math
@@ -11,8 +14,31 @@ from fractions import Fraction
 import numpy as np
 
 from ammauction import market
-from ammauction.pool import PoolState, arb_profit, arb_trade_to_band
 from ammauction.sim import BLOCK_LOG_HEADER, SimReport, _setup
+
+
+def band_trade(x, y, fee):
+    """Arbitrage reserves ``(x, y)`` at the true price 1 to the edge of the
+    fee band: ``None`` when the mispricing ``z = ln(x / y)`` has
+    ``|z| <= fee``, else ``(new_x, new_y, fee_paid)``.
+
+    The pool of liquidity ``L`` at mispricing ``z`` holds ``L e^{z/2}`` and
+    ``L e^{-z/2}``; the trade leaves it at ``z = +-fee``. A buyer of ``x``
+    pays the numeraire ``dy`` into the pool and ``(e^f - 1) dy`` in fees; a
+    seller takes ``dy`` out and pays ``(1 - e^{-f}) dy``, each factor from
+    ``expm1``, which keeps its digits at a small fee.
+    """
+    z = math.log(x / y)
+    if abs(z) <= fee:
+        return None
+    liquidity = math.sqrt(x * y)
+    edge = fee if z > 0.0 else -fee
+    new_x, new_y = liquidity * math.exp(edge / 2.0), liquidity * math.exp(-edge / 2.0)
+    if z > 0.0:
+        fee_paid = math.expm1(fee) * (new_y - y)
+    else:
+        fee_paid = -math.expm1(-fee) * (y - new_y)
+    return new_x, new_y, fee_paid
 
 
 def reference_sim(config, block_log=None) -> SimReport:
@@ -56,30 +82,31 @@ def reference_sim(config, block_log=None) -> SimReport:
 
         tau = float(taus[b])
         z = z_carry + float(zs[b])
-        pool = PoolState.from_price(liquidity, math.exp(-z))
-        start_value = pool.reserve_x + pool.reserve_y  # true price is 1
+        x, y = liquidity * math.exp(z / 2.0), liquidity * math.exp(-z / 2.0)
+        start_value = x + y  # true price is 1
 
         excess = arb_fee = mgr_arb = 0.0
-        trade = arb_trade_to_band(pool, 1.0, fee)
+        trade = band_trade(x, y, fee)
         if trade is None:
             no_trade += 1
         else:
-            excess = arb_profit(pool, trade, 1.0)
-            arb_fee = trade.fee_paid
-            pool = trade.new_pool
+            new_x, new_y, arb_fee = trade
+            excess = (x - new_x) + (y - new_y) - arb_fee
+            x, y = new_x, new_y
         if manager is not None:
-            correction = arb_trade_to_band(pool, 1.0, 0.0)
+            correction = band_trade(x, y, 0.0)
             if correction is not None:
-                mgr_arb = arb_profit(pool, correction, 1.0)
-                pool = correction.new_pool
+                new_x, new_y, _ = correction
+                mgr_arb = (x - new_x) + (y - new_y)
+                x, y = new_x, new_y
         else:
             unmanaged_blocks += 1
 
-        adverse = start_value - (pool.reserve_x + pool.reserve_y)
+        adverse = start_value - (x + y)
         residual = mgr_arb + arb_fee + excess - adverse
         drift += residual
         max_resid = max(max_resid, abs(residual))
-        z_end = -math.log(pool.spot_price)
+        z_end = math.log(x / y)
         if manager is not None:
             max_end_z = max(max_end_z, abs(z_end))
             z_carry = 0.0

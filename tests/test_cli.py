@@ -1,5 +1,7 @@
+import builtins
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -18,6 +20,7 @@ import scipy
 from ammauction import cli, market
 from ammauction.cli import main
 from ammauction.equilibrium import FEE_GRID
+from ammauction.sim import replay_auction
 
 from auction_driver import many_lp_scenario
 
@@ -713,6 +716,41 @@ class TestReplay:
             assert hashlib.sha256(body).hexdigest() == trace, scenario.name
             digest = hashlib.sha256((out / "final_state.json").read_bytes()).hexdigest()
             assert digest == final, scenario.name
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("name", ["depletion.jsonl", "k_delay.jsonl", "crlf"])
+    def test_manifest_hashes_the_scenario_bytes(self, tmp_path, capsys, name):
+        # the bytes as read, not the decoded text: a CRLF copy hashes apart
+        data = (DATA / ("k_delay.jsonl" if name == "crlf" else name)).read_bytes()
+        if name == "crlf":
+            data = data.replace(b"\n", b"\r\n")
+        path = tmp_path / "scenario.jsonl"
+        path.write_bytes(data)
+        digest = hashlib.sha256(data).hexdigest()
+        assert replay_auction(str(path)).scenario_sha256 == digest
+        assert main(["replay", str(path), "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        config = json.dumps({"scenario_sha256": digest}, separators=(",", ":"))
+        want = hashlib.sha256(config.encode()).hexdigest()[:16]
+        assert read_csv(tmp_path / "out" / "trace.csv")[0]["config_hash"] == want
+
+    def test_replay_reads_its_scenario_once(self, tmp_path, monkeypatch, capsys):
+        # the manifest's scenario_sha256 hashes the bytes the parser decoded
+        scenario = str(DATA / "depletion.jsonl")
+        reads = []
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            if str(file) == scenario:
+                reads.append(file)
+            return real_open(file, *args, **kwargs)
+
+        # pathlib opens through io.open, everything else through builtins.open
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert main(["replay", scenario, "--out", str(tmp_path / "out")]) == 0
+        monkeypatch.undo()
+        assert len(reads) == 1
         capsys.readouterr()
 
     def test_nan_fee_reaches_the_auction(self, tmp_path, capsys):

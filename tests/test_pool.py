@@ -6,18 +6,15 @@ from hypothesis import given, assume
 from hypothesis import strategies as st
 
 from ammauction.pool import (
-    PoolState,
-    TradeResult,
-    arb_excess_instant,
-    arb_profit,
     arb_trade_to_band,
     excess_fraction,
-    pool_holdings,
     pool_value,
     strategic_withdrawal_values,
     trade_to_band,
     withdrawal_fee_required,
 )
+
+from sim_reference import band_trade
 
 
 def raw_excess_oracle(liquidity, price, z, fee):
@@ -41,22 +38,18 @@ def raw_excess_oracle(liquidity, price, z, fee):
     return 0.0
 
 
-class TestPoolState:
-    def test_liquidity_derived(self):
-        pool = PoolState(4.0, 9.0)
-        assert pool.liquidity == pytest.approx(6.0, rel=1e-15)
-        assert pool.spot_price == pytest.approx(2.25, rel=1e-15)
+def closed_form_excess(liquidity, price, z, fee):
+    """The outside arbitrageur's closed-form profit: pool value times the
+    excess fraction."""
+    return pool_value(liquidity, price) * excess_fraction(z, fee)
 
-    @pytest.mark.parametrize("x,y", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (1.0, -2.0)])
-    def test_positive_reserves_required(self, x, y):
-        with pytest.raises(ValueError):
-            PoolState(x, y)
 
-    def test_from_price(self):
-        pool = PoolState.from_price(2.0, 4.0)
-        assert pool.reserve_x == pytest.approx(1.0)
-        assert pool.reserve_y == pytest.approx(4.0)
-        assert pool.spot_price == pytest.approx(4.0)
+def trade_profit(x, y, trade, price):
+    """The trader's mark-to-market profit at ``price`` from reserves
+    ``(x, y)`` and a trade ``(new_x, new_y, fee_paid)``: the value drained
+    from the pool, net of the fee."""
+    new_x, new_y, fee_paid = trade
+    return price * (x - new_x) + (y - new_y) - fee_paid
 
 
 class TestPoolValue:
@@ -75,73 +68,44 @@ class TestPoolValue:
             pool_value(1.0, price)
 
 
-class TestPoolHoldings:
-    @pytest.mark.parametrize(
-        "liquidity,price,expected",
-        [(1.0, 1.0, (1.0, 1.0)), (2.0, 4.0, (1.0, 4.0)), (3.0, 0.25, (6.0, 1.5))],
-    )
-    def test_known_points(self, liquidity, price, expected):
-        x, y = pool_holdings(liquidity, price)
-        assert x == pytest.approx(expected[0], rel=1e-15)
-        assert y == pytest.approx(expected[1], rel=1e-15)
-
-    @given(
-        liquidity=st.floats(min_value=1e-6, max_value=1e9),
-        price=st.floats(min_value=1e-9, max_value=1e9),
-    )
-    def test_product_and_ratio(self, liquidity, price):
-        x, y = pool_holdings(liquidity, price)
-        assert x * y == pytest.approx(liquidity**2, rel=1e-12)
-        assert y / x == pytest.approx(price, rel=1e-12)
-
-    def test_bad_price(self):
-        with pytest.raises(ValueError):
-            pool_holdings(1.0, 0.0)
-
-
 class TestArbTradeToBand:
     def test_no_trade_at_exact_boundary(self):
-        pool = PoolState(1.0, 1.0)
         true_price = 1.02
-        z = math.log(true_price / pool.spot_price)
-        assert arb_trade_to_band(pool, true_price, fee=z) is None
+        z = math.log(true_price / (1.0 / 1.0))
+        assert arb_trade_to_band(1.0, 1.0, true_price, fee=z) is None
 
     def test_no_trade_at_zero_mispricing(self):
-        pool = PoolState(2.0, 3.0)
-        assert arb_trade_to_band(pool, pool.spot_price, fee=0.005) is None
+        assert arb_trade_to_band(2.0, 3.0, 3.0 / 2.0, fee=0.005) is None
 
     def test_trade_to_band_buy_side(self):
-        pool = PoolState(1.0, 1.0)
         true_price = math.exp(0.02)
-        result = arb_trade_to_band(pool, true_price, fee=0.005)
+        result = arb_trade_to_band(1.0, 1.0, true_price, fee=0.005)
         assert result is not None
+        new_x, new_y, _ = result
         target = true_price * math.exp(-0.005)
-        assert result.new_pool.spot_price == pytest.approx(target, rel=1e-12)
-        profit = arb_profit(pool, result, true_price)
+        assert new_y / new_x == pytest.approx(target, rel=1e-12)
+        profit = trade_profit(1.0, 1.0, result, true_price)
         oracle = raw_excess_oracle(1.0, true_price, 0.02, 0.005)
         assert profit == pytest.approx(oracle, rel=1e-9)
         assert profit == pytest.approx(
-            arb_excess_instant(1.0, true_price, 0.02, 0.005), rel=1e-9
+            closed_form_excess(1.0, true_price, 0.02, 0.005), rel=1e-9
         )
 
     def test_trade_to_band_sell_side(self):
-        pool = PoolState(1.0, 1.0)
         true_price = math.exp(-0.02)
-        result = arb_trade_to_band(pool, true_price, fee=0.005)
+        result = arb_trade_to_band(1.0, 1.0, true_price, fee=0.005)
         assert result is not None
-        assert result.new_pool.spot_price == pytest.approx(
-            true_price * math.exp(0.005), rel=1e-12
-        )
-        profit = arb_profit(pool, result, true_price)
+        new_x, new_y, _ = result
+        assert new_y / new_x == pytest.approx(true_price * math.exp(0.005), rel=1e-12)
+        profit = trade_profit(1.0, 1.0, result, true_price)
         assert profit == pytest.approx(
-            arb_excess_instant(1.0, true_price, -0.02, 0.005), rel=1e-9
+            closed_form_excess(1.0, true_price, -0.02, 0.005), rel=1e-9
         )
         assert profit > 0.0
 
     def test_liquidity_unchanged(self):
-        pool = PoolState(1.0, 1.0)
-        result = arb_trade_to_band(pool, math.exp(0.04), fee=0.01)
-        assert result.new_pool.liquidity == pytest.approx(1.0, rel=1e-12)
+        new_x, new_y, _ = arb_trade_to_band(1.0, 1.0, math.exp(0.04), fee=0.01)
+        assert math.sqrt(new_x * new_y) == pytest.approx(1.0, rel=1e-12)
 
     @given(
         z=st.floats(min_value=-0.4, max_value=0.4),
@@ -149,8 +113,7 @@ class TestArbTradeToBand:
     )
     def test_no_trade_iff_inside_band(self, z, fee):
         assume(abs(abs(z) - fee) > 1e-9)  # stay clear of the knife edge
-        pool = PoolState(1.0, 1.0)
-        result = arb_trade_to_band(pool, math.exp(z), fee=fee)
+        result = arb_trade_to_band(1.0, 1.0, math.exp(z), fee=fee)
         if abs(z) < fee:
             assert result is None
         else:
@@ -158,7 +121,16 @@ class TestArbTradeToBand:
 
     def test_huge_fee_inside_band_is_no_trade(self):
         # e^1000 overflows a float; a lane that does not trade never computes it
-        assert arb_trade_to_band(PoolState(1.0, 1.0), 1.0, 1000.0) is None
+        assert arb_trade_to_band(1.0, 1.0, 1.0, 1000.0) is None
+
+    @pytest.mark.parametrize("price", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_price(self, price):
+        with pytest.raises(ValueError):
+            arb_trade_to_band(1.0, 1.0, price, 0.003)
+
+    def test_negative_fee(self):
+        with pytest.raises(ValueError):
+            arb_trade_to_band(1.0, 1.0, 1.0, -0.003)
 
 
 class TestTradeToBand:
@@ -233,19 +205,56 @@ class TestTradeToBand:
         assert new_x.tobytes() == x.tobytes() and new_y.tobytes() == y.tobytes()
 
     def test_arb_trade_to_band_wraps_it(self):
-        pool = PoolState(1.3, 0.9)
         new_x, new_y, fee_paid, traded = trade_to_band(1.3, 0.9, 0.8, 0.01)
-        result = arb_trade_to_band(pool, 0.8, 0.01)
-        assert traded and result == TradeResult(fee_paid, PoolState(new_x, new_y))
+        assert traded and arb_trade_to_band(1.3, 0.9, 0.8, 0.01) == (new_x, new_y, fee_paid)
+
+
+class TestReferenceBandTrade:
+    """``sim_reference.band_trade``, the simulator reference's own scalar
+    trade, against ``trade_to_band`` and the reserve-difference excess."""
+
+    def test_agrees_with_trade_to_band_and_the_raw_excess(self):
+        rng = np.random.default_rng(21)
+        for _ in range(2000):
+            fee = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 0.05))
+            z = float(rng.uniform(-0.5, 0.5))
+            clear = abs(abs(z) - fee) > 1e-9  # off the knife edge
+            liquidity = float(np.exp(rng.uniform(-5.0, 14.0)))
+            x, y = liquidity * math.exp(z / 2.0), liquidity * math.exp(-z / 2.0)
+            ours = band_trade(x, y, fee)
+            new_x, new_y, fee_paid, traded = trade_to_band(x, y, 1.0, fee)
+            if clear:
+                assert (ours is None) == (abs(z) <= fee) == (not traded)
+            if ours is None:
+                continue
+            assert ours == pytest.approx((new_x, new_y, fee_paid), rel=1e-12, abs=0.0)
+            value = pool_value(liquidity, 1.0)
+            profit = trade_profit(x, y, ours, 1.0)
+            oracle = raw_excess_oracle(liquidity, 1.0, z, fee)
+            assert abs(profit - oracle) <= 1e-12 * value
+            if abs(z) - fee > 0.05:  # a gap large enough to read relatively
+                assert profit == pytest.approx(oracle, rel=1e-12)
+
+    def test_none_exactly_inside_the_band(self):
+        for x, y in ((1.0, 1.0), (2.0, 3.0), (3.0, 2.0), (1e6, 7e-6)):
+            z = math.log(x / y)
+            assert band_trade(x, y, abs(z)) is None
+            assert band_trade(x, y, abs(z) * 2.0) is None
+            if z:
+                assert band_trade(x, y, math.nextafter(abs(z), 0.0)) is not None
+        assert band_trade(1.0, 1.0, 0.0) is None
 
 
 class TestArbExcessInstant:
+    """The closed-form excess ``pool_value * excess_fraction`` against the
+    reserve-difference definition."""
+
     def test_zero_at_boundaries(self):
-        assert arb_excess_instant(1.0, 1.0, 0.01, 0.01) == 0.0
-        assert arb_excess_instant(1.0, 1.0, -0.01, 0.01) == 0.0
+        assert closed_form_excess(1.0, 1.0, 0.01, 0.01) == 0.0
+        assert closed_form_excess(1.0, 1.0, -0.01, 0.01) == 0.0
 
     def test_matches_reserve_difference_form(self):
-        simplified = arb_excess_instant(1.0, 1.0, 0.03, 0.01)
+        simplified = closed_form_excess(1.0, 1.0, 0.03, 0.01)
         assert simplified == pytest.approx(raw_excess_oracle(1.0, 1.0, 0.03, 0.01), rel=1e-12)
 
     def test_thousand_random_draws_match_raw_form(self):
@@ -259,7 +268,7 @@ class TestArbExcessInstant:
             z = (fee + gap) * (1.0 if rng.random() < 0.5 else -1.0)
             liquidity = float(rng.uniform(0.1, 1e6))
             price = float(rng.uniform(1e-3, 1e3))
-            ours = arb_excess_instant(liquidity, price, z, fee)
+            ours = closed_form_excess(liquidity, price, z, fee)
             oracle = raw_excess_oracle(liquidity, price, z, fee)
             assert ours == pytest.approx(oracle, rel=1e-10)
 
@@ -269,7 +278,7 @@ class TestArbExcessInstant:
             fee = float(rng.uniform(0.0, 0.05))
             z = (fee + float(rng.uniform(0.0, 0.01))) * (1 if rng.random() < 0.5 else -1)
             value = pool_value(1.0, 1.0)
-            ours = arb_excess_instant(1.0, 1.0, z, fee)
+            ours = closed_form_excess(1.0, 1.0, z, fee)
             oracle = raw_excess_oracle(1.0, 1.0, z, fee)
             assert abs(ours - oracle) <= 1e-12 * value
 
@@ -281,7 +290,7 @@ class TestArbExcessInstant:
         # a band overshoot below ~1e-150 squares to zero in floats, so keep
         # the strict-positivity claim to representable gaps
         assume(abs(z) <= fee or abs(z) - fee > 1e-12)
-        value = arb_excess_instant(1.0, 1.0, z, fee)
+        value = closed_form_excess(1.0, 1.0, z, fee)
         assert value >= 0.0
         if abs(z) <= fee:
             assert value == 0.0
@@ -296,8 +305,8 @@ class TestArbExcessInstant:
     )
     def test_value_proportional(self, z, fee, liquidity, price):
         # linear in L and in sqrt(P) at fixed (z, fee)
-        base = arb_excess_instant(1.0, 1.0, z, fee)
-        scaled = arb_excess_instant(liquidity, price, z, fee)
+        base = closed_form_excess(1.0, 1.0, z, fee)
+        scaled = closed_form_excess(liquidity, price, z, fee)
         assert scaled == pytest.approx(liquidity * math.sqrt(price) * base, rel=1e-12)
 
     def test_correction_fraction(self):
@@ -310,7 +319,7 @@ class TestArbExcessInstant:
         assert excess_fraction(z, fee=z) == 0.0
 
     def test_nan_mispricing_gives_nan(self):
-        assert math.isnan(arb_excess_instant(1.0, 1.0, math.nan, 0.003))
+        assert math.isnan(closed_form_excess(1.0, 1.0, math.nan, 0.003))
 
 
 class TestExcessFraction:

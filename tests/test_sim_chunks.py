@@ -12,6 +12,7 @@ with a depletion and an unmanaged carry.
 import hashlib
 import io
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,11 +23,12 @@ from ammauction.sim import (
     WORK_ROWS,
     BidSpec,
     SimConfig,
+    _advance_auction,
     _carry_scan,
-    _cut_rows,
     _Moments,
     _row_sums,
     _Run,
+    _setup,
     run_sim,
 )
 
@@ -116,16 +118,46 @@ class TestCarryScan:
 
 
 class TestRows:
+    # the top depletes at block 700 and the runner-up takes over (a usurp),
+    # then depletes at 2,000 with nobody behind it, leaving the pool unmanaged
+    EVENTS = SimConfig(
+        horizon_blocks=WORK_ROWS * 1024,
+        seed=0,
+        market=REF,
+        manager_fee=0.003,
+        default_fee=0.01,
+        initial_bids=(BidSpec("short", 3e-6, 0.0021), BidSpec("backup", 1e-6, 0.0013)),
+    )
+
     @pytest.mark.parametrize("blocks", [1, 1023, 1024, 1025, 3 * 1024 + 7, WORK_ROWS * 1024])
     def test_runs_cut_at_row_edges(self, blocks):
-        runs = random_runs(np.random.default_rng(blocks), blocks)
-        rows = _cut_rows(runs)
-        sizes = [sum(r.blocks for r in row) for row in rows]
-        assert sizes[:-1] == [CHUNK_BLOCKS] * (len(rows) - 1)
-        assert sum(sizes) == blocks
-        flat = [r for row in rows for r in row]
-        per_block = [(r.fee, r.rent, r.payer) for r in flat for _ in range(r.blocks)]
-        assert per_block == [(r.fee, r.rent, r.payer) for r in runs for _ in range(r.blocks)]
+        auction, _, policy_fee = _setup(self.EVENTS)
+        counts = Counter()
+        runs = _advance_auction(auction, blocks, policy_fee, counts)
+        lo = 0
+        for run in runs:
+            assert run.blocks > 0 and lo // CHUNK_BLOCKS == (lo + run.blocks - 1) // CHUNK_BLOCKS
+            lo += run.blocks
+        assert lo == blocks == auction.current_block
+
+        # the same auction single-stepped, as the scalar reference runs it
+        auction, _, _ = _setup(self.EVENTS)
+        want, want_counts = [], Counter()
+        for _ in range(blocks):
+            rent, payer = 0.0, None
+            for ev in auction.advance_block():
+                if ev.kind == "usurped":
+                    want_counts["usurps"] += 1
+                    auction.set_fee(ev.bidder, policy_fee)
+                elif ev.kind == "depleted":
+                    want_counts["depletions"] += 1
+                elif ev.kind == "rent":
+                    rent, payer = float(ev.amount), ev.bidder
+            want.append((auction.block_fee, rent, payer))
+        assert [(r.fee, r.rent, r.payer) for r in runs for _ in range(r.blocks)] == want
+        assert +counts == want_counts
+        if blocks > 2000:
+            assert want_counts == Counter(usurps=1, depletions=2)
 
     @pytest.mark.parametrize("n", [5, 1024, 2048, 3 * 1024 + 5, WORK_ROWS * 1024])
     def test_row_sums_and_moments_have_one_row_at_a_time_bits(self, n):
