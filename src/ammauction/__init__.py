@@ -20,11 +20,5 @@ from .equilibrium import (
 )
 from .market import MarketParams, MCRates, ae0, ap0, excess_ratio, mc_rates
 from .pool import arb_trade_to_band, pool_value, trade_to_band, withdrawal_fee_required
-from .sim import (
-    BidSpec,
-    SimConfig,
-    SimReport,
-    replay_auction,
-    run_sim,
-    run_strategic_withdrawal_attack,
-)
+from .replay import replay_auction
+from .sim import BidSpec, SimConfig, SimReport, run_sim, run_strategic_withdrawal_attack

@@ -40,6 +40,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 from decimal import Decimal
 from fractions import Fraction
 from numbers import Integral, Real
+from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
 
 Number = Union[int, float, str, Fraction]
@@ -144,6 +145,25 @@ def read_json_object(raw, cls, what: str, extra=(), required=None) -> None:
     unknown = sorted(raw.keys() - known.keys() - set(extra))
     if unknown:
         raise ValueError(f"unknown keys in {what}: {unknown}")
+
+
+def read_utf8(path: str) -> str:
+    """The text of a UTF-8 input file, newlines translated as ``open`` does.
+    A file that is not UTF-8 is an error naming the file and the line of the
+    first bad byte, lines numbered as ``str.splitlines`` numbers them."""
+    return _decode_utf8(Path(path).read_bytes(), path)
+
+
+def _decode_utf8(data: bytes, path: str) -> str:
+    """:func:`read_utf8` on the bytes ``data`` already read from ``path``."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ValueError(
+            f"{path}: line {line}: not UTF-8 (byte 0x{data[exc.start]:02x}: {exc.reason})"
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 @dataclass(frozen=True)

@@ -36,19 +36,11 @@ from typing import Iterable, Sequence, TextIO
 
 from . import __version__, market
 from ._numpy import np
-from .auction import read_json_object
+from .auction import read_json_object, read_utf8
 from .equilibrium import BracketError, DominanceReport, dominance_report
 from .market import MarketParams
-from .sim import (
-    ConfigError,
-    SimConfig,
-    TRACE_HEADER,
-    check_seed,
-    read_utf8,
-    replay_auction,
-    run_sim,
-    run_strategic_withdrawal_attack,
-)
+from .replay import TRACE_HEADER, replay_auction
+from .sim import ConfigError, SimConfig, check_seed, run_sim, run_strategic_withdrawal_attack
 
 _DEFAULTS = {
     "sigma": 0.05,

@@ -7,7 +7,7 @@ rows carry no span here, as in trace files of earlier versions.
 """
 
 from ammauction.auction import AuctionState
-from ammauction.sim import ReplayTrace, _apply_action, _parse_scenario, _trace_row
+from ammauction.replay import ReplayTrace, _apply_action, _parse_scenario, _trace_row
 
 
 def reference_replay(scenario_path: str) -> ReplayTrace:

@@ -20,7 +20,7 @@ import scipy
 from ammauction import cli, market
 from ammauction.cli import main
 from ammauction.equilibrium import FEE_GRID
-from ammauction.sim import replay_auction
+from ammauction.replay import replay_auction
 
 from auction_driver import many_lp_scenario
 
@@ -869,6 +869,29 @@ class TestImportCost:
         code = "import sys, ammauction.cli; print('scipy.special' in sys.modules)"
         assert run_python(code).strip() == "False"
 
+    def test_replay_module_loads_neither_numpy_nor_the_simulator(self):
+        # the package registered bare, so its __init__ loads nothing: what is
+        # loaded after the import, and after a replay, is replay's own doing
+        package = pathlib.Path(__file__).resolve().parent.parent / "src" / "ammauction"
+        scenario = str(DATA / "depletion.jsonl")
+        absent = ["numpy", "ammauction._numpy", "ammauction.sim", "ammauction.market",
+                  "ammauction.pool", "ammauction.equilibrium"]
+        code = (
+            "import json, sys, types\n"
+            "package = types.ModuleType('ammauction')\n"
+            f"package.__path__ = [{str(package)!r}]\n"
+            "sys.modules['ammauction'] = package\n"
+            f"absent = {absent!r}\n"
+            "import ammauction.replay\n"
+            "loaded = [[m for m in absent if m in sys.modules]]\n"
+            f"trace = ammauction.replay.replay_auction({scenario!r})\n"
+            "loaded.append([m for m in absent if m in sys.modules])\n"
+            "print(json.dumps([loaded, trace.final_state_json]))\n"
+        )
+        loaded, final_state = json.loads(run_python(code))
+        assert loaded == [[], []]
+        assert final_state == replay_auction(scenario).final_state_json
+
     def test_commands_that_do_not_sample_leave_out_scipy_special(self, tmp_path):
         # nor scipy itself: only mc-validate's output rests on it
         (tmp_path / "config.json").write_text(json.dumps(sim_config_dict(horizon=10)))
@@ -1052,6 +1075,14 @@ class TestImportCost:
 
 
 class TestTracerHooks:
+    def test_benchmark_child_finds_every_marked_name(self):
+        # ammbench/child.py marks these names on cli right after importing
+        # it; a refactor that drops one would fail only inside a benchmark run
+        for name in ("run_sim", "replay_auction", "dominance_report"):
+            assert callable(getattr(cli, name)), name
+        assert cli.market is market
+        assert callable(cli.market.mc_rates)
+
     def test_benchmark_tracer_finds_every_wrapped_name(self):
         # ammbench/spans.py rebinds package functions by name; a refactor that
         # drops one of those module attributes must fail here

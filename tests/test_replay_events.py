@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 from ammauction.auction import AuctionState
-from ammauction.sim import ReplayParseError, replay_auction
+from ammauction.replay import ReplayParseError, replay_auction
 
 from auction_driver import FEE_CAP, K_DELAY, many_lp_scenario, random_jump_events
 from replay_reference import reference_replay

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from ammauction.auction import AuctionParams, AuctionState
 from ammauction.cli import main
-from ammauction.sim import (
+from ammauction.replay import (
     _REPLAY_ACTIONS,
     TRACE_HEADER,
     ReplayParseError,

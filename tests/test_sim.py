@@ -2,6 +2,7 @@ import hashlib
 import io
 import math
 import pathlib
+import statistics
 
 import numpy as np
 import pytest
@@ -9,14 +10,13 @@ import pytest
 from ammauction import market
 from ammauction.market import MarketParams
 from ammauction.pool import withdrawal_fee_required
+from ammauction.replay import ReplayParseError, replay_auction
 from ammauction.sim import (
     LIQUIDITY_RANGE,
     BidSpec,
     ConfigError,
-    ReplayParseError,
     SimConfig,
     _abs_max,
-    replay_auction,
     run_sim,
     run_strategic_withdrawal_attack,
 )
@@ -205,6 +205,21 @@ class TestRunSim:
         # zero in expectation; the adverse-selection noise sets the scale
         scale = report.lp_adverse_selection / horizon_days
         assert abs(pnl_rate) <= 0.05 * scale
+
+    @pytest.mark.parametrize("fee", [0.003, 0.01, 0.03])
+    def test_unmanaged_pool_trades_in_one_over_one_plus_kappa_of_blocks(self, fee):
+        # the stationary law of arXiv 2305.14604: with nobody correcting the
+        # pool, arbitrageurs trade in a fraction 1/(1 + kappa) of blocks.
+        # Unmanaged blocks are autocorrelated, so the standard error comes
+        # from the spread of 16 independent runs, not from the blocks
+        horizon = 12_500
+        fractions = [
+            1.0 - run_sim(SimConfig(horizon, seed, REF, default_fee=fee)).no_trade_blocks / horizon
+            for seed in range(16)
+        ]
+        mean = statistics.fmean(fractions)
+        se = statistics.stdev(fractions) / math.sqrt(len(fractions))
+        assert abs(mean - 1.0 / (1.0 + market.kappa(fee, REF))) <= 3.0 * se
 
     def test_optimal_policy_uses_profit_maximizing_fee(self):
         from ammauction.equilibrium import manager_optimal_fee
