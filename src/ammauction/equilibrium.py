@@ -155,11 +155,18 @@ def _zero_profit_liquidity(fee, rate, params: MarketParams):
             root = math.inf
         bad = np.logical_not(np.isfinite(root))
         if np.any(bad):
-            raise BracketError(
-                f"no positive finite root at fee {np.extract(bad, fee)[0]:g}: the fee "
-                "revenue vanishes, or so does the arbitrage rate plus r (no price "
-                "motion and no capital charge)"
-            )
+            if np.extract(bad, target)[0] > 0.0:
+                cause = (
+                    "the fee revenue over the arbitrage rate plus r, raised to "
+                    f"1/(1 - alpha) = {1.0 / (1.0 - params.alpha):g}, overflows a double"
+                )
+            else:
+                cause = (
+                    "the fee revenue vanishes, or so does the arbitrage rate plus r "
+                    "(no price motion and no capital charge)"
+                )
+            at = np.extract(bad, fee)[0]
+            raise BracketError(f"no positive finite root at fee {at:g}: {cause}")
         positive = root > 0.0
         safe = where(positive, root, 1.0)  # 0.0 ** (alpha - 1) divides by zero
         return root, where(positive, abs(revenue * safe ** (params.alpha - 1.0) - target), target)
@@ -196,7 +203,8 @@ def solve_ff_liquidity(fee: float, params: MarketParams) -> FFEquilibrium:
     ``residual`` is ``|G(L)|``. At fee zero there is no revenue, and where
     the root underflows to 0.0 none that a double can show: the boundary
     equilibrium ``L = 0`` is reported instead. Raises :class:`BracketError`
-    when ``ap0(f) + r`` is zero (no price motion and no capital charge).
+    when ``ap0(f) + r`` is zero (no price motion and no capital charge) or
+    the root overflows a double.
     """
     if fee < 0.0:
         raise ValueError(f"fee must be non-negative, got {fee}")
@@ -251,14 +259,12 @@ def mgr_pnl_am(rent: float, liquidity: float, params: MarketParams) -> tuple[flo
     return value, fee
 
 
-def revenue_optimal_fee(liquidity: float, params: MarketParams) -> float:
+def revenue_optimal_fee(params: MarketParams) -> float:
     """Fee maximizing noise-trader revenue f*H0(f,L) alone.
 
     For the exponential demand family ``f e^{-c1 f}`` peaks at ``1/c1``
     whatever the liquidity, so the optimum is ``min(1/c1, f_max)``.
     """
-    if liquidity <= 0.0:
-        raise ValueError(f"liquidity must be positive, got {liquidity}")
     return min(1.0 / params.c1, params.f_max)
 
 
@@ -278,7 +284,7 @@ def solve_am_equilibrium(params: MarketParams) -> AMEquilibrium:
         L_star=L_star,
         R_star=R_star,
         f_star=f_star,
-        f_opt=revenue_optimal_fee(L_star, params),
+        f_opt=revenue_optimal_fee(params),
         L_max=L_max,
         ff_best_fee=ff_best_fee,
         lp_residual=abs(lp_pnl_am(R_star, L_star, params)),

@@ -81,19 +81,6 @@ def trade_to_band(x, y, price, fee):
     return new_x, new_y, fee_paid, traded
 
 
-def arb_trade_to_band(
-    x: float, y: float, true_price: float, fee: float
-) -> tuple[float, float, float] | None:
-    """:func:`trade_to_band` on one pool's reserves, with its inputs checked:
-    ``(new_x, new_y, fee_paid)``, or ``None`` inside the no-trade band."""
-    if not (true_price > 0.0 and math.isfinite(true_price)):
-        raise ValueError(f"true_price must be positive, got {true_price}")
-    if fee < 0.0:
-        raise ValueError(f"fee must be non-negative, got {fee}")
-    new_x, new_y, fee_paid, traded = trade_to_band(x, y, true_price, fee)
-    return (new_x, new_y, fee_paid) if traded else None
-
-
 def excess_fraction(z, fee: float):
     """Outside-arbitrageur profit per unit pool value at mispricing ``z``.
 

@@ -111,8 +111,9 @@ def _parse_scenario(
                 raise ReplayParseError(no, str(exc))
             header, header_no = obj, no
             continue
-        if "action" not in obj or obj["action"] not in _REPLAY_ACTIONS:
-            raise ReplayParseError(no, f"unknown action {obj.get('action')!r}")
+        action = obj.get("action")
+        if not isinstance(action, str) or action not in _REPLAY_ACTIONS:
+            raise ReplayParseError(no, f"unknown action {action!r}")
         if not isinstance(obj.get("block"), int) or isinstance(obj["block"], bool):
             raise ReplayParseError(no, "missing integer 'block'")
         if obj["block"] < block:

@@ -41,7 +41,6 @@ LPs instead of a manager.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter, defaultdict
 from dataclasses import asdict, astuple, dataclass, fields, replace
@@ -54,9 +53,9 @@ from .auction import check_field_types, read_json_object
 from .market import MarketParams
 from .pool import strategic_withdrawal_values, trade_to_band, withdrawal_fee_required
 
-# Not called here: the kernel below calls trade_to_band on arrays. The name
-# stays importable from this module because ammbench/spans.py traces it here.
-from .pool import arb_trade_to_band  # noqa: F401
+# ammbench/spans.py wraps this name; the kernel below calls trade_to_band
+# itself, so the wrapper sees no call.
+arb_trade_to_band = trade_to_band
 
 __all__ = [
     "BidSpec",
@@ -271,9 +270,6 @@ class SimReport:
         out = {k: getattr(self, k) for k in self.__dataclass_fields__ if k != "pnl_by_agent"}
         out["pnl_by_agent"] = dict(sorted(self.pnl_by_agent.items()))
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 def _install_initial_bids(auc: AuctionState, specs: Sequence[BidSpec], k_delay: int) -> None:

@@ -448,11 +448,20 @@ class TestEquilibrium:
         assert len(rows) == 16
 
     @pytest.mark.parametrize(
-        "flags", [["--f-max", "0"], ["--sigma", "0", "--r", "0"]], ids=["no-fee", "no-cost"]
+        "flags, cause",
+        [
+            (["--f-max", "0"], "at fee 0: the fee revenue vanishes at every fee up to f_max = 0"),
+            (["--sigma", "0", "--r", "0"], "at fee 2.44141e-05: the fee revenue vanishes, or so "
+             "does the arbitrage rate plus r (no price motion and no capital charge)"),
+            # ap0 + r > 0, but the root's exponent 1/(1 - alpha) is 1e9
+            (["--alpha", "0.999999999"], "at fee 4.88281e-05: the fee revenue over the "
+             "arbitrage rate plus r, raised to 1/(1 - alpha) = 1e+09, overflows a double"),
+        ],
+        ids=["no-fee", "no-cost", "overflow"],
     )
-    def test_no_equilibrium_exit_3(self, flags, capsys):
+    def test_no_equilibrium_exit_3(self, flags, cause, capsys):
         assert main(["equilibrium", *flags]) == 3
-        assert "no positive finite root" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"solver failure: no positive finite root {cause}\n"
 
     def test_underflowing_fees_hold_no_liquidity(self, tmp_path, capsys):
         # at c1 = 1e4 the liquidity of fees from about 0.038 up is below the
@@ -665,10 +674,12 @@ class TestReplay:
             ('"action": "reduce_deposit", "bidder": "a", "amount": "1\\r"',
              "amount must not contain control characters"),
             ('"action": "advance", "bidder": "x\\ry"', "bidder must not contain control characters"),
+            ('"action": ["advance"]', "unknown action ['advance']"),
         ],
         ids=["fee-string", "fee-bool", "fee-list", "bidder-number", "lp-object",
              "bidder-null", "lp-bool", "missing", "lp-cr", "lp-lf", "bidder-nul",
-             "bidder-del", "bidder-unit-separator", "amount-cr", "echoed-bidder-cr"],
+             "bidder-del", "bidder-unit-separator", "amount-cr", "echoed-bidder-cr",
+             "action-list"],
     )
     def test_action_field_types_exit_2_writes_nothing(self, action, needle, tmp_path, capsys):
         # the third line is fine: the bad field is refused at parse time, with
@@ -858,6 +869,18 @@ SAMPLING_COMMANDS = pytest.mark.parametrize(
 )
 
 
+# the package modules that importing each module loads, itself included
+_NUMERIC = {"_numpy", "auction", "pool", "market"}
+IMPORT_GRAPH = {
+    "auction": {"auction"},
+    "replay": {"auction", "replay"},
+    "pool": {"_numpy", "pool"},
+    "market": _NUMERIC,
+    "equilibrium": _NUMERIC | {"equilibrium"},
+    "sim": _NUMERIC | {"equilibrium", "sim"},
+}
+
+
 class TestImportCost:
     def test_cli_import_leaves_out_scipy_optimize(self):
         # scipy.optimize alone costs a few tenths of a second per interpreter
@@ -869,27 +892,35 @@ class TestImportCost:
         code = "import sys, ammauction.cli; print('scipy.special' in sys.modules)"
         assert run_python(code).strip() == "False"
 
-    def test_replay_module_loads_neither_numpy_nor_the_simulator(self):
-        # the package registered bare, so its __init__ loads nothing: what is
-        # loaded after the import, and after a replay, is replay's own doing
+    @pytest.mark.parametrize("module", [*IMPORT_GRAPH, "cli"])
+    def test_a_module_loads_only_its_own_imports(self, module):
+        # the package root imports no module, and a numeric module binds
+        # numpy unexecuted; cli imports every module
         package = pathlib.Path(__file__).resolve().parent.parent / "src" / "ammauction"
+        every = {path.stem for path in package.glob("*.py")} - {"__init__"}
+        code = (
+            "import json, sys\n"
+            f"import ammauction.{module}\n"
+            "loaded = [m.split('.', 1)[1] for m in sys.modules if m.startswith('ammauction.')]\n"
+            "print(json.dumps([sorted(loaded), 'numpy._core' in sys.modules]))\n"
+        )
+        loaded, executed = json.loads(run_python(code))
+        assert (set(loaded), executed) == (IMPORT_GRAPH.get(module, every), False)
+
+    def test_replay_module_loads_neither_numpy_nor_the_simulator(self):
+        # nor does a replay load them
         scenario = str(DATA / "depletion.jsonl")
         absent = ["numpy", "ammauction._numpy", "ammauction.sim", "ammauction.market",
                   "ammauction.pool", "ammauction.equilibrium"]
         code = (
-            "import json, sys, types\n"
-            "package = types.ModuleType('ammauction')\n"
-            f"package.__path__ = [{str(package)!r}]\n"
-            "sys.modules['ammauction'] = package\n"
-            f"absent = {absent!r}\n"
+            "import json, sys\n"
             "import ammauction.replay\n"
-            "loaded = [[m for m in absent if m in sys.modules]]\n"
             f"trace = ammauction.replay.replay_auction({scenario!r})\n"
-            "loaded.append([m for m in absent if m in sys.modules])\n"
+            f"loaded = [m for m in {absent!r} if m in sys.modules]\n"
             "print(json.dumps([loaded, trace.final_state_json]))\n"
         )
         loaded, final_state = json.loads(run_python(code))
-        assert loaded == [[], []]
+        assert loaded == []
         assert final_state == replay_auction(scenario).final_state_json
 
     def test_commands_that_do_not_sample_leave_out_scipy_special(self, tmp_path):
@@ -977,7 +1008,7 @@ class TestImportCost:
         # numpy meanwhile gets the whole module, not a half-built one
         code = (
             "import sys, threading, time\n"
-            "import ammauction\n"
+            "import ammauction.market\n"
             "started = threading.Event()\n"
             "class Pause:\n"
             "    def find_spec(self, name, path, target=None):\n"

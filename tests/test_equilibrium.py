@@ -161,6 +161,12 @@ class TestSolveFFLiquidity:
         with pytest.raises(BracketError, match="no positive finite root"):
             solve_ff_liquidity(0.003, params)
 
+    def test_overflowing_root_raises(self):
+        # ap0 + r > 0, but the root's exponent 1/(1 - alpha) is 1e9
+        params = MarketParams(sigma=0.05, delta_t=0.01, r=1e-4, f_max=0.05, alpha=0.999999999)
+        with pytest.raises(BracketError, match=r"raised to 1/\(1 - alpha\) = 1e\+09, overflows"):
+            solve_ff_liquidity(0.01, params)
+
     @pytest.mark.parametrize(
         "c1, fee",
         # e^{-5000} is 0.0: no revenue; e^{-400} leaves a revenue whose root,
@@ -227,17 +233,17 @@ class TestLpPnlAM:
 class TestRevenueOptimalFee:
     def test_interior_optimum(self):
         # d/df of f*e^{-c1 f} vanishes at 1/c1
-        fee = revenue_optimal_fee(10.0, REF)
+        fee = revenue_optimal_fee(REF)
         assert fee == pytest.approx(1.0 / 120.0, abs=REF.f_max / 2047)
 
     def test_boundary_optimum(self):
         params = MarketParams(sigma=0.05, delta_t=0.01, r=1e-4, f_max=0.05, c1=10.0)
-        assert revenue_optimal_fee(10.0, params) == pytest.approx(0.05, rel=1e-9)
+        assert revenue_optimal_fee(params) == pytest.approx(0.05, rel=1e-9)
 
     def test_equals_closed_form(self):
         for c1 in (10.0, 60.0, 120.0, 400.0):
             params = MarketParams(sigma=0.05, delta_t=0.01, r=1e-4, f_max=0.05, c1=c1)
-            assert revenue_optimal_fee(3.0, params) == min(1.0 / c1, params.f_max)
+            assert revenue_optimal_fee(params) == min(1.0 / c1, params.f_max)
 
 
 class TestRateSlopes:

@@ -6,7 +6,6 @@ from hypothesis import given, assume
 from hypothesis import strategies as st
 
 from ammauction.pool import (
-    arb_trade_to_band,
     excess_fraction,
     pool_value,
     strategic_withdrawal_values,
@@ -69,18 +68,20 @@ class TestPoolValue:
 
 
 class TestArbTradeToBand:
+    """``trade_to_band`` on one pool's float reserves."""
+
     def test_no_trade_at_exact_boundary(self):
         true_price = 1.02
         z = math.log(true_price / (1.0 / 1.0))
-        assert arb_trade_to_band(1.0, 1.0, true_price, fee=z) is None
+        assert trade_to_band(1.0, 1.0, true_price, z) == (1.0, 1.0, 0.0, False)
 
     def test_no_trade_at_zero_mispricing(self):
-        assert arb_trade_to_band(2.0, 3.0, 3.0 / 2.0, fee=0.005) is None
+        assert trade_to_band(2.0, 3.0, 3.0 / 2.0, 0.005) == (2.0, 3.0, 0.0, False)
 
     def test_trade_to_band_buy_side(self):
         true_price = math.exp(0.02)
-        result = arb_trade_to_band(1.0, 1.0, true_price, fee=0.005)
-        assert result is not None
+        *result, traded = trade_to_band(1.0, 1.0, true_price, 0.005)
+        assert traded
         new_x, new_y, _ = result
         target = true_price * math.exp(-0.005)
         assert new_y / new_x == pytest.approx(target, rel=1e-12)
@@ -93,8 +94,8 @@ class TestArbTradeToBand:
 
     def test_trade_to_band_sell_side(self):
         true_price = math.exp(-0.02)
-        result = arb_trade_to_band(1.0, 1.0, true_price, fee=0.005)
-        assert result is not None
+        *result, traded = trade_to_band(1.0, 1.0, true_price, 0.005)
+        assert traded
         new_x, new_y, _ = result
         assert new_y / new_x == pytest.approx(true_price * math.exp(0.005), rel=1e-12)
         profit = trade_profit(1.0, 1.0, result, true_price)
@@ -104,7 +105,7 @@ class TestArbTradeToBand:
         assert profit > 0.0
 
     def test_liquidity_unchanged(self):
-        new_x, new_y, _ = arb_trade_to_band(1.0, 1.0, math.exp(0.04), fee=0.01)
+        new_x, new_y, _, _ = trade_to_band(1.0, 1.0, math.exp(0.04), 0.01)
         assert math.sqrt(new_x * new_y) == pytest.approx(1.0, rel=1e-12)
 
     @given(
@@ -113,24 +114,12 @@ class TestArbTradeToBand:
     )
     def test_no_trade_iff_inside_band(self, z, fee):
         assume(abs(abs(z) - fee) > 1e-9)  # stay clear of the knife edge
-        result = arb_trade_to_band(1.0, 1.0, math.exp(z), fee=fee)
-        if abs(z) < fee:
-            assert result is None
-        else:
-            assert result is not None
+        _, _, _, traded = trade_to_band(1.0, 1.0, math.exp(z), fee)
+        assert traded == (abs(z) > fee)
 
     def test_huge_fee_inside_band_is_no_trade(self):
         # e^1000 overflows a float; a lane that does not trade never computes it
-        assert arb_trade_to_band(1.0, 1.0, 1.0, 1000.0) is None
-
-    @pytest.mark.parametrize("price", [0.0, -1.0, math.inf, math.nan])
-    def test_bad_price(self, price):
-        with pytest.raises(ValueError):
-            arb_trade_to_band(1.0, 1.0, price, 0.003)
-
-    def test_negative_fee(self):
-        with pytest.raises(ValueError):
-            arb_trade_to_band(1.0, 1.0, 1.0, -0.003)
+        assert trade_to_band(1.0, 1.0, 1.0, 1000.0) == (1.0, 1.0, 0.0, False)
 
 
 class TestTradeToBand:
@@ -203,10 +192,6 @@ class TestTradeToBand:
             new_x, new_y, fee_paid, traded = trade_to_band(x, y, price, np.full(self.N, 1000.0))
         assert not traded.any() and not fee_paid.any()
         assert new_x.tobytes() == x.tobytes() and new_y.tobytes() == y.tobytes()
-
-    def test_arb_trade_to_band_wraps_it(self):
-        new_x, new_y, fee_paid, traded = trade_to_band(1.3, 0.9, 0.8, 0.01)
-        assert traded and arb_trade_to_band(1.3, 0.9, 0.8, 0.01) == (new_x, new_y, fee_paid)
 
 
 class TestReferenceBandTrade:

@@ -151,7 +151,7 @@ class TestRunSim:
         log_a, log_b = io.StringIO(), io.StringIO()
         report_a = run_sim(config, block_log=log_a)
         report_b = run_sim(config, block_log=log_b)
-        assert report_a.to_json() == report_b.to_json()
+        assert report_a.to_dict() == report_b.to_dict()
         assert log_a.getvalue() == log_b.getvalue()
 
     def test_standard_errors_shrink_like_sqrt_horizon(self):
