@@ -171,17 +171,15 @@ def cmd_formulas(args: argparse.Namespace) -> int:
     fees = _parse_fees(args, params)
     if not (args.liquidity > 0.0 and math.isfinite(args.liquidity)):
         raise ConfigError(f"--liquidity must be positive and finite, got {args.liquidity}")
-    rows = []
-    for f in fees:
-        rows.append(
-            (
-                f,
-                market.ap0(f, params),
-                market.ae0(f, params),
-                market.excess_ratio(f, params),
-                market.noise_volume_per_value(f, args.liquidity, params),
-            )
-        )
+    fee = np.array(fees)
+    # .tolist() gives built-in floats, which the CSV writer writes as repr
+    columns = [
+        market.ap0(fee, params).tolist(),
+        market.ae0(fee, params).tolist(),
+        market.excess_ratio(fee, params).tolist(),
+        market.noise_volume_per_value(fee, args.liquidity, params).tolist(),
+    ]
+    rows = zip(fees, *columns)
     header = ("f", "ap0", "ae0", "ratio", "H0")
     manifest = _manifest(
         "formulas",
@@ -214,16 +212,17 @@ def cmd_mc_validate(args: argparse.Namespace) -> int:
         closed = replace(params, sigma=params.sigma * 1.5)
     out = _out_dir(args)  # an unusable --out fails here, before the estimate
     header = ("f", "ap0_hat", "ap0_se", "ap0_ref", "z_ap0", "ae0_hat", "ae0_se", "ae0_ref", "z_ae0", "pass")
+    fee = np.array(fees)
     # the references first: a fee they cannot evaluate fails before the estimate
-    refs = [(market.ap0(f, closed), market.ae0(f, closed)) for f in fees]
+    refs = (market.ap0(fee, closed).tolist(), market.ae0(fee, closed).tolist())
     # one call for every fee; .tolist() gives built-in floats, which the CSV
     # writer writes as repr
-    est = market.mc_rates(np.array(fees), params, args.samples, seed=args.seed, chains=args.chains)
-    estimates = zip(fees, refs, est.ap0_hat.tolist(), est.ap0_se.tolist(), est.ae0_hat.tolist(),
+    est = market.mc_rates(fee, params, args.samples, seed=args.seed, chains=args.chains)
+    estimates = zip(fees, *refs, est.ap0_hat.tolist(), est.ap0_se.tolist(), est.ae0_hat.tolist(),
                     est.ae0_se.tolist())
     rows = []
     all_pass = True
-    for f, (ap_ref, ae_ref), ap_hat, ap_se, ae_hat, ae_se in estimates:
+    for f, ap_ref, ae_ref, ap_hat, ap_se, ae_hat, ae_se in estimates:
         z_ap = _zscore(ap_hat, ap_ref, ap_se)
         z_ae = _zscore(ae_hat, ae_ref, ae_se)
         ok = abs(z_ap) <= 3.0 and abs(z_ae) <= 3.0
@@ -431,7 +430,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OverflowError, MemoryError) as exc:  # a fee past cosh's range, a buffer past memory
+    # a fee past cosh's range (numpy raises FloatingPointError), a buffer past memory
+    except (OverflowError, FloatingPointError, MemoryError) as exc:
         print(f"error: too large to compute: {exc}", file=sys.stderr)
         return 2
 

@@ -27,13 +27,12 @@ price 1, where the pool value is ``V(L) = 2L``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import market
 from ._numpy import np
 from .market import MarketParams
-from .pool import array_module, pool_value, where
+from .pool import pool_value
 
 __all__ = [
     "FEE_GRID",
@@ -90,11 +89,6 @@ class AMEquilibrium:
     mgr_residual: float
 
 
-def _h0_factor(liquidity: float, params: MarketParams) -> float:
-    # H0(f, L) = _h0_factor * e^{-c1 f}
-    return params.c0 * liquidity ** (params.alpha - 1.0) / 2.0
-
-
 def lp_pnl_ff(fee: float, liquidity: float, params: MarketParams) -> float:
     """LP profit rate in a fixed-fee pool: fee revenue less arb losses and
     the capital charge, ``f*H(f,L) - ap0(f)*V(L) - r*V(L)``."""
@@ -139,20 +133,19 @@ def _argmax_fee(fees: np.ndarray, values: np.ndarray, slope) -> float:
 
 def _zero_profit_liquidity(fee, rate, params: MarketParams):
     """The liquidity at which ``f*H0(f,L) = rate(f) + r``, in closed form, and
-    ``|f*H0 - rate - r|`` there, at positive fees, a float or an array.
+    ``|f*H0 - rate - r|`` there, element-wise over a fee array (or one fee).
 
-    A root that underflows to 0.0 (the revenue, or the root itself, is below
-    the smallest double) is zero liquidity, with the profit gap
-    ``rate(f) + r`` as its residual. Raises :class:`BracketError` where the
-    root is infinite or undefined.
+    A root that underflows to 0.0 (no revenue at fee zero, or the revenue or
+    the root itself below the smallest double) is zero liquidity, with the
+    profit gap ``rate(f) + r`` as its residual. Raises :class:`BracketError`
+    where the root is infinite or undefined. The powers are ``np.power``:
+    a numpy scalar's ``**`` calls the C library's ``pow``, which rounds
+    apart from the array kernel.
     """
-    revenue = fee * params.c0 * array_module(fee).exp(-params.c1 * fee) / 2.0
+    revenue = fee * params.c0 * np.exp(-params.c1 * fee) / 2.0
     target = rate(fee, params) + params.r
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        try:
-            root = (revenue / target) ** (1.0 / (1.0 - params.alpha))
-        except (ZeroDivisionError, OverflowError):  # floats raise where arrays give inf
-            root = math.inf
+        root = np.power(revenue / target, 1.0 / (1.0 - params.alpha))
         bad = np.logical_not(np.isfinite(root))
         if np.any(bad):
             if np.extract(bad, target)[0] > 0.0:
@@ -168,8 +161,9 @@ def _zero_profit_liquidity(fee, rate, params: MarketParams):
             at = np.extract(bad, fee)[0]
             raise BracketError(f"no positive finite root at fee {at:g}: {cause}")
         positive = root > 0.0
-        safe = where(positive, root, 1.0)  # 0.0 ** (alpha - 1) divides by zero
-        return root, where(positive, abs(revenue * safe ** (params.alpha - 1.0) - target), target)
+        safe = np.where(positive, root, 1.0)  # 0.0 ** (alpha - 1) divides by zero
+        residual = abs(revenue * np.power(safe, params.alpha - 1.0) - target)
+        return root, np.where(positive, residual, target)
 
 
 def _most_liquid_fee(rate, rate_slope, params: MarketParams) -> tuple[float, float]:
@@ -191,7 +185,7 @@ def _most_liquid_fee(rate, rate_slope, params: MarketParams) -> tuple[float, flo
         return 1.0 / fee - params.c1 - rate_slope(fee, params) / (rate(fee, params) + params.r)
 
     fee = _argmax_fee(fees, liquidity, log_slope)
-    return fee, _zero_profit_liquidity(fee, rate, params)[0]
+    return fee, float(_zero_profit_liquidity(fee, rate, params)[0])
 
 
 def solve_ff_liquidity(fee: float, params: MarketParams) -> FFEquilibrium:
@@ -212,23 +206,23 @@ def solve_ff_liquidity(fee: float, params: MarketParams) -> FFEquilibrium:
         return FFEquilibrium(
             fee=0.0,
             liquidity=0.0,
-            residual=market.ap0(0.0, params) + params.r,
+            residual=float(market.ap0(0.0, params) + params.r),
             boundary=True,
         )
-    root, residual = _zero_profit_liquidity(fee, market.ap0, params)
+    root, residual = map(float, _zero_profit_liquidity(fee, market.ap0, params))
     return FFEquilibrium(fee=fee, liquidity=root, residual=residual, boundary=root == 0.0)
 
 
 def _best_manager_fee(liquidity: float, params: MarketParams) -> tuple[float, float]:
     """Maximize f*H0(f,L) - ae0(f) over [0, f_max]: the manager's fee
     problem, net of the constant fee-free arb income. Returns (fee, value)."""
-    h0 = _h0_factor(liquidity, params)
+    h0 = market._h0_factor(liquidity, params)
 
     def objective(fee):
-        return fee * h0 * array_module(fee).exp(-params.c1 * fee) - market.ae0(fee, params)
+        return fee * h0 * np.exp(-params.c1 * fee) - market.ae0(fee, params)
 
     def slope(fee: float) -> float:
-        revenue = h0 * math.exp(-params.c1 * fee) * (1.0 - params.c1 * fee)
+        revenue = h0 * np.exp(-params.c1 * fee) * (1.0 - params.c1 * fee)
         return revenue - market.ae0_slope(fee, params)
 
     fees = np.linspace(0.0, params.f_max, FEE_GRID)
@@ -279,7 +273,7 @@ def solve_am_equilibrium(params: MarketParams) -> AMEquilibrium:
     """
     f_star, L_star = _most_liquid_fee(market.ae0, market.ae0_slope, params)
     ff_best_fee, L_max = _most_liquid_fee(market.ap0, market.ap0_slope, params)
-    R_star = (market.ap0(0.0, params) + params.r) * pool_value(L_star, 1.0)
+    R_star = float(market.ap0(0.0, params) + params.r) * pool_value(L_star, 1.0)
     return AMEquilibrium(
         L_star=L_star,
         R_star=R_star,
@@ -287,8 +281,8 @@ def solve_am_equilibrium(params: MarketParams) -> AMEquilibrium:
         f_opt=revenue_optimal_fee(params),
         L_max=L_max,
         ff_best_fee=ff_best_fee,
-        lp_residual=abs(lp_pnl_am(R_star, L_star, params)),
-        mgr_residual=abs(mgr_pnl_am(R_star, L_star, params)[0]),
+        lp_residual=float(abs(lp_pnl_am(R_star, L_star, params))),
+        mgr_residual=float(abs(mgr_pnl_am(R_star, L_star, params)[0])),
     )
 
 
@@ -332,23 +326,21 @@ def dominance_report(params: MarketParams, n_grid: int = 64) -> DominanceReport:
 
     Each row carries the dominance margin at its fee; the zero-fee row, and
     any row whose liquidity underflows to 0.0, is the boundary equilibrium
-    (no liquidity) and is trivially dominated.
+    (no liquidity) and is trivially dominated. ``L_ff`` is the liquidity
+    :func:`solve_ff_liquidity` gives at the row's fee, bit for bit.
     """
     if n_grid < 16:
         raise ValueError(f"n_grid must be at least 16, got {n_grid}")
     am = solve_am_equilibrium(params)
     v_max = pool_value(am.L_max, 1.0)
     fees = np.linspace(0.0, params.f_max, n_grid)
-    rows = []
-    for f in map(float, fees):
-        eq = solve_ff_liquidity(f, params)
-        margin = (market.ap0(f, params) - market.ae0(f, params)) * v_max
-        rows.append(
-            DominanceRow(
-                fee=f, L_ff=eq.liquidity, margin=margin, dominated=am.L_star > eq.liquidity
-            )
-        )
-    proof_margin = (
+    liquidity, _ = _zero_profit_liquidity(fees, market.ap0, params)
+    margins = (market.ap0(fees, params) - market.ae0(fees, params)) * v_max
+    rows = [
+        DominanceRow(fee=f, L_ff=L, margin=margin, dominated=am.L_star > L)
+        for f, L, margin in zip(fees.tolist(), liquidity.tolist(), margins.tolist())
+    ]
+    proof_margin = float(
         market.ap0(am.ff_best_fee, params) - market.ae0(am.ff_best_fee, params)
     ) * v_max
     flagged = am.ff_best_fee <= 0.0

@@ -27,8 +27,10 @@ draws, bit for bit the one-call i.i.d. draw and the chain drawn one step at
 a time, so its memory is two float64 per i.i.d. sample plus a bounded block.
 
 :func:`kappa`, :func:`ap0`, :func:`ae0`, their slopes :func:`ap0_slope` and
-:func:`ae0_slope`, :func:`excess_ratio` and :func:`mc_rates` take a fee that
-is a float or an ndarray (see :func:`pool.array_module`).
+:func:`ae0_slope`, :func:`excess_ratio` and :func:`noise_volume_per_value`
+compute with numpy alone and take a fee array (or one fee): each fee of an
+array gets the bits of that fee passed on its own. :func:`mc_rates` takes a
+1-D fee array.
 
 Units: time is measured in days, ``sigma`` per sqrt(day), ``r`` per day. Only
 the dimensionless combinations ``sigma^2 * delta_t`` and
@@ -45,7 +47,7 @@ from typing import Literal
 
 from ._numpy import np
 from .auction import _finite_real
-from .pool import array_module, excess_fraction, pool_value, where
+from .pool import excess_fraction
 
 __all__ = [
     "MarketParams",
@@ -118,24 +120,20 @@ class MarketParams:
 class MCRates:
     """Monte-Carlo rate estimates with standard errors, per unit value per day.
 
-    From a fee array, ``fee`` and the four rate fields are arrays in fee
-    order; ``n_samples`` is the count per fee either way.
+    ``fee`` and the four rate fields are arrays in fee order; ``n_samples``
+    is the count per fee.
     """
 
-    fee: float | np.ndarray
+    fee: np.ndarray
     n_samples: int
-    ap0_hat: float | np.ndarray
-    ap0_se: float | np.ndarray
-    ae0_hat: float | np.ndarray
-    ae0_se: float | np.ndarray
+    ap0_hat: np.ndarray
+    ap0_se: np.ndarray
+    ae0_hat: np.ndarray
+    ae0_se: np.ndarray
 
 
 def _check_fee(fee) -> None:
-    if isinstance(fee, np.ndarray):
-        ok = bool(np.all((fee >= 0.0) & np.isfinite(fee)))
-    else:
-        ok = fee >= 0.0 and math.isfinite(fee)
-    if not ok:
+    if not (np.isfinite(fee) & (fee >= 0.0)).all():
         raise ValueError(f"fee must be non-negative, got {fee}")
 
 
@@ -150,8 +148,14 @@ def kappa(fee, params: MarketParams):
     """Dimensionless fee scale ``f / (sigma * sqrt(delta_t / 2))``."""
     scale = params.sigma * math.sqrt(params.delta_t / 2.0)
     if scale == 0.0:
-        return where(fee > 0.0, math.inf, 0.0)
+        return np.where(fee > 0.0, math.inf, 0.0)
     return fee / scale
+
+
+# The closed forms evaluate cosh(f/2), and the slopes sinh(f/2), under
+# np.errstate(over="raise"): past a fee of about 1420 they overflow a double,
+# and raise FloatingPointError instead of giving inf. They come before kappa,
+# so that a fee past both ranges names cosh.
 
 
 def ap0(fee, params: MarketParams):
@@ -165,14 +169,10 @@ def ap0(fee, params: MarketParams):
     _check_fee(fee)
     if params.sigma == 0.0:
         return 0.0 * fee  # no price motion, no arbitrage
-    k = kappa(fee, params)
-    return (
-        params.sigma**2
-        / 8.0
-        * (1.0 / (1.0 + k))
-        * array_module(fee).cosh(0.5 * fee)
-        / _denominator(params)
-    )
+    with np.errstate(over="raise"):
+        cosh = np.cosh(0.5 * fee)
+        k = kappa(fee, params)
+    return params.sigma**2 / 8.0 * (1.0 / (1.0 + k)) * cosh / _denominator(params)
 
 
 def ap0_slope(fee, params: MarketParams):
@@ -182,13 +182,14 @@ def ap0_slope(fee, params: MarketParams):
     _check_fee(fee)
     if params.sigma == 0.0:
         return 0.0 * fee
-    k = kappa(fee, params)
-    xp = array_module(fee)
+    with np.errstate(over="raise"):
+        cosh, sinh = np.cosh(0.5 * fee), np.sinh(0.5 * fee)
+        k = kappa(fee, params)
     return (
         params.sigma**2
         / 8.0
         / (1.0 + k)
-        * (0.5 * xp.sinh(0.5 * fee) - kappa(1.0, params) * xp.cosh(0.5 * fee) / (1.0 + k))
+        * (0.5 * sinh - kappa(1.0, params) * cosh / (1.0 + k))
         / _denominator(params)
     )
 
@@ -204,9 +205,10 @@ def ae0(fee, params: MarketParams):
     _check_fee(fee)
     if params.sigma == 0.0:
         return 0.0 * fee
-    k = kappa(fee, params)
-    xp = array_module(fee)
-    return params.sigma**2 / 8.0 * xp.exp(-k) * xp.cosh(0.5 * fee) / _denominator(params)
+    with np.errstate(over="raise"):
+        cosh = np.cosh(0.5 * fee)
+        k = kappa(fee, params)
+    return params.sigma**2 / 8.0 * np.exp(-k) * cosh / _denominator(params)
 
 
 def ae0_slope(fee, params: MarketParams):
@@ -215,13 +217,14 @@ def ae0_slope(fee, params: MarketParams):
     _check_fee(fee)
     if params.sigma == 0.0:
         return 0.0 * fee
-    k = kappa(fee, params)
-    xp = array_module(fee)
+    with np.errstate(over="raise"):
+        cosh, sinh = np.cosh(0.5 * fee), np.sinh(0.5 * fee)
+        k = kappa(fee, params)
     return (
         params.sigma**2
         / 8.0
-        * xp.exp(-k)
-        * (0.5 * xp.sinh(0.5 * fee) - kappa(1.0, params) * xp.cosh(0.5 * fee))
+        * np.exp(-k)
+        * (0.5 * sinh - kappa(1.0, params) * cosh)
         / _denominator(params)
     )
 
@@ -230,9 +233,8 @@ def excess_ratio(fee, params: MarketParams):
     """``ae0 / ap0 = (1 + kappa) * e^{-kappa}``, exponentially vanishing in kappa."""
     _check_fee(fee)
     k = kappa(fee, params)
-    xp = array_module(fee)
     with np.errstate(invalid="ignore"):  # inf * 0 where kappa is infinite
-        return where(xp.isinf(k), 0.0, (1.0 + k) * xp.exp(-k))
+        return np.where(np.isinf(k), 0.0, (1.0 + k) * np.exp(-k))
 
 
 def noise_volume(fee: float, liquidity: float, params: MarketParams) -> float:
@@ -243,15 +245,23 @@ def noise_volume(fee: float, liquidity: float, params: MarketParams) -> float:
     return params.c0 * liquidity**params.alpha * math.exp(-params.c1 * fee)
 
 
-def noise_volume_per_value(fee: float, liquidity: float, params: MarketParams) -> float:
-    """Noise volume per unit pool value at the reference price 1, ``H(f, L) / (2L)``.
+def _h0_factor(liquidity: float, params: MarketParams) -> float:
+    # H0(f, L) = _h0_factor * e^{-c1 f}
+    return params.c0 * liquidity ** (params.alpha - 1.0) / 2.0
 
+
+def noise_volume_per_value(fee, liquidity: float, params: MarketParams):
+    """Noise volume per unit pool value at the reference price 1,
+    ``H0(f, L) = H(f, L) / (2L) = c0 L^(alpha-1) e^{-c1 f} / 2``.
+
+    One power of L, so it stays finite where the pool value ``2L`` does not.
     Strictly decreasing in L for alpha < 1, diverging as L -> 0 and
     vanishing as L -> infinity.
     """
+    _check_fee(fee)
     if liquidity <= 0.0:
         raise ValueError(f"liquidity must be positive, got {liquidity}")
-    return noise_volume(fee, liquidity, params) / pool_value(liquidity, 1.0)
+    return _h0_factor(liquidity, params) * np.exp(-params.c1 * fee)
 
 
 def _phibar(x: float) -> float:
@@ -367,14 +377,13 @@ def mc_rates(
     seed: int = 0,
     chains: int = 250,
 ) -> MCRates:
-    """Monte-Carlo estimates of the profit and excess rates at a fee or fees.
+    """Monte-Carlo estimates of the profit and excess rates at fees.
 
-    ``fee`` is a float, giving an :class:`MCRates` of built-in floats, or a
-    1-D ndarray, giving one :class:`MCRates` whose rate fields are arrays in
-    fee order; ``n_samples`` is the sample count per fee. One stream serves
-    every fee of a call: each fee's estimates are bit for bit those of a call
-    at that fee alone, and the fees share common random numbers, so their
-    errors are correlated.
+    ``fee`` is a 1-D array (a float is one fee), and the :class:`MCRates`
+    rate fields are arrays in its order; ``n_samples`` is the sample count
+    per fee. One stream serves every fee of a call: each fee's estimates are
+    bit for bit those of a call at that fee alone, and the fees share common
+    random numbers, so their errors are correlated.
 
     The excess estimator draws i.i.d. blocks: the pool starts each block
     on-price (the manager corrects it for free), so the pre-trade mispricing
@@ -406,15 +415,14 @@ def mc_rates(
     :data:`CHAIN_BLOCKS` states per fee at a time (one step's when
     ``chains`` is larger), whatever ``n_samples``.
     """
-    _check_fee(fee)
-    vector = isinstance(fee, np.ndarray)
-    if vector and (fee.ndim != 1 or fee.size == 0):
-        raise ValueError(f"fee array must be 1-D and non-empty, got shape {fee.shape}")
+    fees = np.array([fee] if isinstance(fee, float) else fee, dtype=float)
+    if fees.ndim != 1 or fees.size == 0:
+        raise ValueError(f"fee array must be 1-D and non-empty, got shape {fees.shape}")
+    _check_fee(fees)
     if n_samples < 10_000:
         raise ValueError(f"n_samples must be at least 10^4, got {n_samples}")
     if chains < 2:
         raise ValueError(f"chains must be at least 2, got {chains}")
-    fees = np.array(fee, dtype=float, ndmin=1)
     fee_list = fees.tolist()
     rng = np.random.Generator(np.random.Philox(key=seed))
     dt = params.delta_t
@@ -490,7 +498,4 @@ def mc_rates(
         ap0_hat[i] = float(means.mean())
         ap0_se[i] = float(means.std(ddof=1)) / math.sqrt(chains)
 
-    rates = (ap0_hat, ap0_se, ae0_hat, ae0_se)
-    if vector:
-        return MCRates(fees, n_samples, *rates)
-    return MCRates(fee, n_samples, *(float(x[0]) for x in rates))
+    return MCRates(fees, n_samples, ap0_hat, ap0_se, ae0_hat, ae0_se)

@@ -12,9 +12,11 @@ fee-band model of Milionis et al., arXiv 2305.14604). Under it the profit of
 :func:`trade_to_band` equals ``pool_value * excess_fraction``, the closed
 form, exactly; a zero fee is the fee-free correction to the true price.
 
-The pool is its reserves: the functions take floats or arrays and return
-new values, and are safe to call from any number of threads, numpy's
-execution on first use included (see ``_numpy``).
+The pool is its reserves: the functions return new values, and are safe to
+call from any number of threads, numpy's execution on first use included
+(see ``_numpy``). :func:`trade_to_band` and :func:`excess_fraction` compute
+with numpy alone, so a lane of an array gets the bits of the same value
+passed on its own.
 """
 
 from __future__ import annotations
@@ -22,20 +24,6 @@ from __future__ import annotations
 import math
 
 from ._numpy import np
-
-
-def array_module(x):
-    """``numpy`` for an ndarray, else ``math``: a formula written once against it
-    runs element-wise on an array, and on a float in its written order with
-    the C library, returning a built-in float."""
-    return np if isinstance(x, np.ndarray) else math
-
-
-def where(cond, a, b):
-    """``a if cond else b``, element-wise when ``cond`` is an array."""
-    if isinstance(cond, np.ndarray):
-        return np.where(cond, a, b)
-    return a if cond else b
 
 
 def pool_value(liquidity: float, price: float) -> float:
@@ -60,23 +48,22 @@ def trade_to_band(x, y, price, fee):
     ``price`` is then the closed form
     ``pool_value(liquidity, price) * excess_fraction(z, fee)`` exactly.
 
-    Floats or arrays, element-wise; unchecked. Returns
+    Element-wise, with numpy; unchecked. Returns
     ``(new_x, new_y, fee_paid, traded)``.
     """
-    xp = array_module(x)
-    z = xp.log(price / (y / x))
+    z = np.log(price / (y / x))
     buy = z > fee
     traded = buy | (z < -fee)
     # each exponential's argument is chosen before the call, so a lane whose
     # result is discarded computes e^0 rather than overflowing at a huge fee
-    sqrt_edge = xp.sqrt(price * xp.exp(where(buy, -fee, where(traded, fee, 0.0))))
-    liquidity = xp.sqrt(x * y)
-    new_x = where(traded, liquidity / sqrt_edge, x)
-    new_y = where(traded, liquidity * sqrt_edge, y)
-    fee_paid = where(
+    sqrt_edge = np.sqrt(price * np.exp(np.where(buy, -fee, np.where(traded, fee, 0.0))))
+    liquidity = np.sqrt(x * y)
+    new_x = np.where(traded, liquidity / sqrt_edge, x)
+    new_y = np.where(traded, liquidity * sqrt_edge, y)
+    fee_paid = np.where(
         buy,
-        xp.expm1(where(buy, fee, 0.0)) * (new_y - y),
-        where(traded, -xp.expm1(-fee) * (y - new_y), 0.0),
+        np.expm1(np.where(buy, fee, 0.0)) * (new_y - y),
+        np.where(traded, -np.expm1(-fee) * (y - new_y), 0.0),
     )
     return new_x, new_y, fee_paid, traded
 
@@ -89,17 +76,14 @@ def excess_fraction(z, fee: float):
     ``e^{sign(z) f/2} (e^{g/2} - 2 + e^{-g/2}) / 2`` with ``g = |z| - f``, in
     ``sinh`` form against cancellation. At ``fee = 0`` this is the fee-free
     correction's ``cosh(z/2) - 1``, the hedged value the pool loses to the
-    correcting trader. ``z`` is a float or an array; a NaN ``z`` gives NaN.
+    correcting trader. Element-wise in ``z``, with numpy; a NaN ``z`` gives NaN.
     """
     if fee < 0.0:
         raise ValueError(f"fee must be non-negative, got {fee}")
-    xp = array_module(z)
     # no branch on the band: inside it the gap clamps to 0, and
-    # e^{+-f/2} * 2 sinh(0)^2 = +0.0. ``gap`` comes first in ``max`` so that
-    # a NaN survives
-    gap = abs(z) - fee
-    gap = np.maximum(gap, 0.0) if xp is np else max(gap, 0.0)
-    return xp.exp(xp.copysign(0.5 * fee, z)) * 2.0 * xp.sinh(0.25 * gap) ** 2
+    # e^{+-f/2} * 2 sinh(0)^2 = +0.0; ``maximum`` keeps a NaN
+    gap = np.maximum(abs(z) - fee, 0.0)
+    return np.exp(np.copysign(0.5 * fee, z)) * 2.0 * np.square(np.sinh(0.25 * gap))
 
 
 def withdrawal_fee_required(ratio: float) -> float:

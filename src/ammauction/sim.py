@@ -187,7 +187,7 @@ class SimConfig:
         # per-time rate
         rent = max(_to_fraction(spec.rent, "rent") for spec in self.initial_bids)
         rent_rate = float(rent) / self.market.delta_t
-        return rent_rate / (2.0 * (market.ap0(0.0, self.market) + self.market.r))
+        return rent_rate / (2.0 * float(market.ap0(0.0, self.market) + self.market.r))
 
     def auction_params(self) -> AuctionParams:
         return AuctionParams(

@@ -43,10 +43,10 @@ def reference_mc_rates(fee, params, n_samples, seed=0, chains=250) -> MCRates:
     ap0_se = float(means.std(ddof=1)) / math.sqrt(chains)
 
     return MCRates(
-        fee=fee,
+        fee=np.array([fee]),
         n_samples=n_samples,
-        ap0_hat=ap0_hat,
-        ap0_se=ap0_se,
-        ae0_hat=ae0_hat,
-        ae0_se=ae0_se,
+        ap0_hat=np.array([ap0_hat]),
+        ap0_se=np.array([ap0_se]),
+        ae0_hat=np.array([ae0_hat]),
+        ae0_se=np.array([ae0_se]),
     )

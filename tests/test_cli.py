@@ -162,12 +162,14 @@ class TestBadFees:
     @pytest.mark.parametrize(
         "argv",
         [["formulas", "--fees", "1e308"],
-         ["mc-validate", "--samples", "20000", "--fees", "0.003,2000"]],
-        ids=["formulas", "mc-validate"],
+         ["mc-validate", "--samples", "20000", "--fees", "0.003,2000"],
+         ["equilibrium", "--grid", "16", "--f-max", "2000"]],
+        ids=["formulas", "mc-validate", "equilibrium"],
     )
     def test_overflowing_fee_exit_2_before_any_work(self, argv, monkeypatch, capsys):
-        # cosh(f / 2) in the closed forms overflows above a fee of about 1420;
-        # mc-validate evaluates them before its Monte-Carlo run
+        # cosh(f / 2) in the closed forms overflows above a fee of about 1420,
+        # which numpy raises under errstate; mc-validate evaluates them before
+        # its Monte-Carlo run, and equilibrium's fee grid runs to f_max
         def no_work(*args, **kwargs):
             raise AssertionError("mc_rates ran")
 
@@ -175,7 +177,7 @@ class TestBadFees:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: too large to compute: math range error\n"
+        assert captured.err == "error: too large to compute: overflow encountered in cosh\n"
 
     def test_unallocatable_sample_count_exit_2(self, capsys):
         # 10^13 samples ask for a 73 TiB buffer, which is refused at once. The
@@ -815,6 +817,34 @@ class TestCSVFields:
         detail, bidder = header.index("detail"), header.index("bidder")
         assert rows[5][detail] == "fee-above-cap: fee 0.1 outside [0, 0.05]"
         assert {row[bidder] for row in rows} == {"a,b", 'say "hi"'}
+
+    @pytest.mark.parametrize("to_files", [False, True], ids=["stdout", "out"])
+    def test_no_numpy_repr_in_any_output(self, to_files, tmp_path, capsys):
+        # numpy 2 writes a float64 as np.float64(x) and an array as array([...]);
+        # the closed forms and solvers compute with numpy, so every value they
+        # hand to an output must be a built-in float by then
+        config = tmp_path / "config.json"
+        raw = {**sim_config_dict(horizon=200), "manager_policy": "optimal",
+               "lp_policy": "zero_profit"}
+        del raw["manager_fee"]
+        config.write_text(json.dumps(raw))
+        runs = [
+            ["formulas", "--grid", "5"],
+            ["mc-validate", "--fees", "0,0.01", "--samples", "10000", "--chains", "2"],
+            ["equilibrium", "--grid", "16"],
+            ["simulate", str(config)],
+            ["attack", str(config)],
+        ]
+        for i, argv in enumerate(runs):
+            out = tmp_path / f"out{i}"
+            assert main(argv + (["--out", str(out)] if to_files else [])) in (0, 1), argv
+            texts = [capsys.readouterr().out]
+            if to_files:
+                texts += [path.read_text() for path in sorted(out.iterdir())]
+                assert len(texts) > 1, argv
+            for text in texts:
+                for leak in ("np.float64(", "np.", "array("):
+                    assert leak not in text, (argv, leak)
 
 
 class TestUnusablePaths:

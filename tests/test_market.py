@@ -8,11 +8,14 @@ from scipy import integrate
 from scipy.special import ndtri
 
 from ammauction import market
+from ammauction.equilibrium import dominance_report, solve_ff_liquidity
 from ammauction.market import (
     MarketParams,
     _inverse_cdf_blocks,
     ae0,
+    ae0_slope,
     ap0,
+    ap0_slope,
     block_rng,
     conditional_excess,
     excess_ratio,
@@ -33,6 +36,13 @@ def cached_reference(fee, params, n_samples, seed, chains):
     """The per-step oracle; it does not depend on ``CHAIN_BLOCKS``, so the
     block-size cases share it."""
     return reference_mc_rates(fee, params, n_samples, seed=seed, chains=chains)
+
+
+def one_fee(est):
+    """The four estimates of a one-fee :class:`MCRates`, as floats."""
+    assert est.fee.shape == (1,)
+    names = ("ap0_hat", "ap0_se", "ae0_hat", "ae0_se")
+    return tuple(float(getattr(est, name)[0]) for name in names)
 
 
 def quadrature_excess(sigma, tau, fee, side):
@@ -120,6 +130,17 @@ class TestNoiseDemand:
         h = [noise_volume_per_value(float(f), 1.0, REF) for f in fees]
         assert all(b < a for a, b in zip(h, h[1:]))
 
+    @pytest.mark.parametrize("liquidity", [1e308, 1.7e308])
+    def test_per_value_finite_where_the_pool_value_overflows(self, liquidity):
+        # 2L overflows a double above about 9e307; H0 is one power of L, so it
+        # keeps its value there instead of H / inf = 0
+        assert math.isinf(2.0 * liquidity)
+        want = REF.c0 / math.sqrt(liquidity) * math.exp(-REF.c1 * 0.003) / 2.0
+        got = noise_volume_per_value(0.003, liquidity, REF)
+        assert got == pytest.approx(want, rel=1e-14) and got > 0.0
+        if liquidity == 1e308:
+            assert float(got) == pytest.approx(8.72e-154, rel=1e-3)
+
 
 class TestClosedFormRates:
     def test_zero_fee_value(self):
@@ -181,28 +202,30 @@ class TestClosedFormRates:
 class TestVectorizedRates:
     SIGMA_ZERO = MarketParams(sigma=0.0, delta_t=0.01, r=1e-4, f_max=0.05)
 
-    @pytest.mark.parametrize("params", [REF, SIGMA_ZERO], ids=["ref", "sigma0"])
-    def test_grid_rates_match_scalar_forms(self, params):
-        # one formula body serves floats and arrays; the two must agree
-        fees = np.linspace(0.0, params.f_max, 257)
-        z = np.linspace(-4.0 * params.f_max, 4.0 * params.f_max, 257)
-        for fn in (ap0, ae0, kappa, excess_ratio):
-            grid = fn(fees, params)
-            for got, f in zip(grid, map(float, fees)):
-                assert got == pytest.approx(fn(f, params), rel=1e-14, abs=0.0)
-        for fee in (0.0, 0.003, params.f_max):
-            grid = excess_fraction(z, fee)
-            for got, zi in zip(grid, map(float, z)):
-                assert got == pytest.approx(excess_fraction(zi, fee), rel=1e-14, abs=0.0)
+    @staticmethod
+    def assert_same_bits(grid, one):
+        # one fee's value against its lane of the array: the same bits
+        assert [float(v).hex() for v in grid] == [float(v).hex() for v in one]
 
     @pytest.mark.parametrize("params", [REF, SIGMA_ZERO], ids=["ref", "sigma0"])
-    def test_float_in_float_out(self, params):
-        # outputs are written with repr: numpy 2 would write np.float64(...)
-        for f in (0.0, 0.003):
-            for fn in (ap0, ae0, kappa, excess_ratio):
-                assert type(fn(f, params)) is float
-            assert type(excess_fraction(0.01, f)) is float
-            assert type(excess_fraction(-0.001, f)) is float
+    def test_grid_rates_match_scalar_forms(self, params):
+        # one numpy path serves one fee and a fee array: a fee gets the same
+        # bits whichever caller asks
+        fees = np.linspace(0.0, params.f_max, 257)
+        z = np.linspace(-4.0 * params.f_max, 4.0 * params.f_max, 257)
+        for fn in (ap0, ae0, ap0_slope, ae0_slope, kappa, excess_ratio):
+            self.assert_same_bits(fn(fees, params), [fn(f, params) for f in fees.tolist()])
+        for fee in (0.0, 0.003, params.f_max):
+            self.assert_same_bits(
+                excess_fraction(z, fee), [excess_fraction(zi, fee) for zi in z.tolist()]
+            )
+
+    def test_dominance_rows_match_single_fee_solves(self):
+        report = dominance_report(REF, n_grid=257)
+        self.assert_same_bits(
+            [row.L_ff for row in report.rows],
+            [solve_ff_liquidity(row.fee, REF).liquidity for row in report.rows],
+        )
 
     def test_negative_fee_in_array_rejected(self):
         fees = np.array([0.0, 0.003, -0.001])
@@ -350,15 +373,17 @@ class TestMCRates:
     def test_determinism(self):
         a = mc_rates(0.003, REF, 20_000, seed=5)
         b = mc_rates(0.003, REF, 20_000, seed=5)
-        assert a == b
+        for name in ("fee", "ap0_hat", "ap0_se", "ae0_hat", "ae0_se"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert a.n_samples == b.n_samples
 
     def test_pinned_output(self):
         # exact bits: a change to the chain's draws or the excess kernel shows here
         est = mc_rates(0.003, REF, 20_000, seed=5)
-        assert est.ap0_hat.hex() == "0x1.6d37a2b41a5c7p-13"
-        assert est.ap0_se.hex() == "0x1.254a85d0fb919p-18"
-        assert est.ae0_hat.hex() == "0x1.10f0ccf67f3ccp-13"
-        assert est.ae0_se.hex() == "0x1.ad31a1f89c650p-19"
+        assert est.ap0_hat.tolist() == [float.fromhex("0x1.6d37a2b41a5c7p-13")]
+        assert est.ap0_se.tolist() == [float.fromhex("0x1.254a85d0fb919p-18")]
+        assert est.ae0_hat.tolist() == [float.fromhex("0x1.10f0ccf67f3ccp-13")]
+        assert est.ae0_se.tolist() == [float.fromhex("0x1.ad31a1f89c650p-19")]
 
     def test_pinned_fee_vector_output(self):
         # exact bits of one call over four fees; the per-step reference in
@@ -379,20 +404,19 @@ class TestMCRates:
             assert [v.hex() for v in getattr(est, name).tolist()] == hexes, name
 
     def test_zero_fee_estimators_agree(self):
-        est = mc_rates(0.0, REF, 200_000, seed=1)
-        spread = math.hypot(est.ap0_se, est.ae0_se)
-        assert abs(est.ap0_hat - est.ae0_hat) <= 3.0 * spread
+        ap0_hat, ap0_se, ae0_hat, ae0_se = one_fee(mc_rates(0.0, REF, 200_000, seed=1))
+        assert abs(ap0_hat - ae0_hat) <= 3.0 * math.hypot(ap0_se, ae0_se)
 
     def test_wide_band_kills_excess(self):
         params = MarketParams(sigma=0.05, delta_t=0.01, r=1e-4, f_max=1.0)
         fee = 20.0 * params.sigma * math.sqrt(params.delta_t / 2.0)  # kappa = 20
-        est = mc_rates(fee, params, 100_000, seed=2)
-        assert abs(est.ae0_hat) <= max(3.0 * est.ae0_se, 1e-12)
+        _, _, ae0_hat, ae0_se = one_fee(mc_rates(fee, params, 100_000, seed=2))
+        assert abs(ae0_hat) <= max(3.0 * ae0_se, 1e-12)
 
     def test_three_se_agreement_at_reference_point(self):
-        est = mc_rates(0.003, REF, 200_000, seed=0)
-        assert abs(est.ap0_hat - ap0(0.003, REF)) <= 3.0 * est.ap0_se
-        assert abs(est.ae0_hat - ae0(0.003, REF)) <= 3.0 * est.ae0_se
+        ap0_hat, ap0_se, ae0_hat, ae0_se = one_fee(mc_rates(0.003, REF, 200_000, seed=0))
+        assert abs(ap0_hat - ap0(0.003, REF)) <= 3.0 * ap0_se
+        assert abs(ae0_hat - ae0(0.003, REF)) <= 3.0 * ae0_se
 
     def test_memory_is_one_float_per_sample(self):
         # the i.i.d. estimator keeps two float64 per sample, the draws and
@@ -408,18 +432,14 @@ class TestMCRates:
                 tracemalloc.stop()
             assert peak <= 17 * n + 8e6, (fee, peak)
 
-    def test_float_fee_gives_floats_and_array_gives_arrays(self):
+    def test_a_float_fee_is_a_one_fee_array(self):
         one = mc_rates(0.003, REF, 10_000)
-        assert type(one.fee) is float and type(one.n_samples) is int
+        many = mc_rates(np.array([0.003, 0.0]), REF, 10_000)
+        assert one.fee.tolist() == [0.003] and type(one.n_samples) is int
         for name in ("ap0_hat", "ap0_se", "ae0_hat", "ae0_se"):
-            assert type(getattr(one, name)) is float, name
-        fees = np.array([0.003, 0.0])
-        many = mc_rates(fees, REF, 10_000)
-        assert np.array_equal(many.fee, fees) and type(many.n_samples) is int
-        for name in ("ap0_hat", "ap0_se", "ae0_hat", "ae0_se"):
-            value = getattr(many, name)
-            assert isinstance(value, np.ndarray) and value.shape == (2,), name
-            assert value[0] == getattr(one, name), name
+            value = getattr(one, name)
+            assert value.shape == (1,) and getattr(many, name).shape == (2,), name
+            assert value[0] == getattr(many, name)[0], name
 
     @pytest.mark.parametrize("fee", [np.array([]), np.array(0.003), np.zeros((2, 2)),
                                      np.array([0.003, -0.001]), np.array([0.003, np.nan])],
@@ -436,9 +456,9 @@ class TestBlockedChain:
     def assert_same(fee, params, n_samples, seed=5, chains=250):
         got = mc_rates(fee, params, n_samples, seed=seed, chains=chains)
         want = reference_mc_rates(fee, params, n_samples, seed=seed, chains=chains)
-        assert (got.fee, got.n_samples) == (want.fee, want.n_samples)
+        assert (got.fee.tolist(), got.n_samples) == (want.fee.tolist(), want.n_samples)
         for name in ("ap0_hat", "ap0_se", "ae0_hat", "ae0_se"):
-            assert getattr(got, name).hex() == getattr(want, name).hex(), name
+            assert getattr(got, name)[0].hex() == getattr(want, name)[0].hex(), name
 
     @staticmethod
     def block(chains):
@@ -456,7 +476,7 @@ class TestBlockedChain:
         for i, fee in enumerate(cls.VECTOR_FEES):
             want = cached_reference(fee, params, n_samples, seed, chains)
             for name in ("ap0_hat", "ap0_se", "ae0_hat", "ae0_se"):
-                assert float(getattr(got, name)[i]).hex() == getattr(want, name).hex(), (fee, name)
+                assert getattr(got, name)[i].hex() == getattr(want, name)[0].hex(), (fee, name)
 
     @pytest.mark.parametrize("chains", [2, 7, 1000])  # 250: the warmup tests below
     def test_chains_match_reference(self, chains):

@@ -153,19 +153,15 @@ class TestTradeToBand:
         np.testing.assert_allclose(np.sqrt(new_x * new_y), liquidity, rtol=1e-15)
 
     def test_arrays_agree_with_floats(self, trades):
-        # numpy's vectorized exp and expm1 may round an ulp apart from libm's,
-        # so the two paths agree to rounding rather than bit for bit
+        # one numpy path: a trade on its own has its array lane's bits
         _, fee, price, liquidity, x, y, (new_x, new_y, fee_paid, traded) = trades
         scalar = [
             trade_to_band(*args) for args in zip(x.tolist(), y.tolist(), price.tolist(),
                                                  fee.tolist())
         ]
-        assert all(type(v) is float for s in scalar for v in s[:3])
-        assert [s[3] for s in scalar] == traded.tolist()
-        for i, column in enumerate((new_x, new_y)):
-            np.testing.assert_allclose([s[i] for s in scalar], column, rtol=1e-15, atol=0.0)
-        value = 2.0 * np.sqrt(price) * liquidity
-        assert np.all(np.abs(np.array([s[2] for s in scalar]) - fee_paid) <= 1e-15 * value)
+        assert [bool(s[3]) for s in scalar] == traded.tolist()
+        for i, column in enumerate((new_x, new_y, fee_paid)):
+            assert [float(s[i]).hex() for s in scalar] == [v.hex() for v in column.tolist()]
 
     def test_traded_lanes_keep_their_bits(self, trades):
         # reference: the same formula with every lane's exponentials taken at
@@ -212,7 +208,8 @@ class TestReferenceBandTrade:
                 assert (ours is None) == (abs(z) <= fee) == (not traded)
             if ours is None:
                 continue
-            assert ours == pytest.approx((new_x, new_y, fee_paid), rel=1e-12, abs=0.0)
+            theirs = tuple(map(float, (new_x, new_y, fee_paid)))
+            assert ours == pytest.approx(theirs, rel=1e-12, abs=0.0)
             value = pool_value(liquidity, 1.0)
             profit = trade_profit(x, y, ours, 1.0)
             oracle = raw_excess_oracle(liquidity, 1.0, z, fee)
