@@ -138,10 +138,8 @@ def _check_fee(fee) -> None:
 
 
 def _denominator(params: MarketParams) -> float:
-    denom = 1.0 - params.sigma**2 * params.delta_t / 8.0
-    if denom <= 0.0:
-        raise ValueError("sigma^2 * delta_t >= 8: closed forms are invalid")
-    return denom
+    # positive: MarketParams refuses sigma**2 * delta_t >= 8, the same product
+    return 1.0 - params.sigma**2 * params.delta_t / 8.0
 
 
 def kappa(fee, params: MarketParams):

@@ -80,10 +80,12 @@ def excess_fraction(z, fee: float):
     """
     if fee < 0.0:
         raise ValueError(f"fee must be non-negative, got {fee}")
-    # no branch on the band: inside it the gap clamps to 0, and
-    # e^{+-f/2} * 2 sinh(0)^2 = +0.0; ``maximum`` keeps a NaN
+    # no branch on the band: inside it the gap clamps to 0 and the fee factor
+    # takes e^0, as in trade_to_band, so a fee whose e^{f/2} overflows still
+    # gives 1 * 2 sinh(0)^2 = +0.0; ``maximum`` keeps a NaN
     gap = np.maximum(abs(z) - fee, 0.0)
-    return np.exp(np.copysign(0.5 * fee, z)) * 2.0 * np.square(np.sinh(0.25 * gap))
+    half_fee = np.where(gap > 0.0, np.copysign(0.5 * fee, z), 0.0)
+    return np.exp(half_fee) * 2.0 * np.square(np.sinh(0.25 * gap))
 
 
 def withdrawal_fee_required(ratio: float) -> float:

@@ -10,15 +10,14 @@ The auction changes only at events: an activation, a usurp, a fee change, a
 depletion. Between them it streams the same rent every block, so it advances
 in one exact step per stretch and single-steps only the event blocks. Its
 steps become runs: consecutive blocks under one fee and one rent payer,
-cut at the summation-block edges below.
+cut at the chunk edges below.
 
-The pool side runs in work chunks of :data:`WORK_ROWS` summation blocks of
-:data:`CHUNK_BLOCKS` blocks each. A work chunk's blocks are drawn from the
-one seeded stream and pushed through one numpy kernel on explicit reserve
-arrays; memory stays flat at any horizon. Every reported sum then adds one
-partial sum per summation block, in block order, so the 1,024-block rows,
-and not the work chunk, fix the float sum order and the report's bits. The
-block log is formatted and written one run at a time.
+The simulation runs in chunks of :data:`CHUNK_BLOCKS` blocks. A chunk's
+blocks are drawn from the one seeded stream and pushed through one numpy
+kernel on explicit reserve arrays; memory stays flat at any horizon. Every
+reported sum adds one partial sum per chunk, in block order, so the chunk
+fixes the float sum order and the report's bits. The block log is
+formatted and written one run at a time.
 
 A managed pool restarts on-price every block, so its blocks are independent.
 An unmanaged run carries its mispricing from block to block inside the fee
@@ -44,7 +43,7 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import asdict, astuple, dataclass, fields, replace
-from typing import IO, Iterable, Optional, Sequence
+from typing import IO, Iterable, Iterator, Optional, Sequence
 
 from . import equilibrium, market
 from ._numpy import np
@@ -72,17 +71,13 @@ SCHEMA_VERSION = 1
 
 BLOCK_LOG_HEADER = ("block", "tau", "z", "fee", "arb_profit", "excess", "noise_fees", "rent")
 
-# The summation block. Every summed SimReport field books one partial sum
-# per CHUNK_BLOCKS blocks, in block order, and the moments merge one such
-# row at a time: this alone fixes the float sum order, and with it the
-# report's bits, whatever the work chunk.
-CHUNK_BLOCKS = 1024
-
-# Summation blocks per work chunk. The auction advance, the draws and the
-# pool kernel run on WORK_ROWS * CHUNK_BLOCKS blocks at a time: large enough
-# that numpy's per-call overhead is small per block, small enough that the
-# chunk arrays stay well under a megabyte each.
-WORK_ROWS = 4
+# The chunk. The auction advance, the draws and the pool kernel run on
+# CHUNK_BLOCKS blocks at a time, every summed SimReport field books one
+# partial sum per chunk, in block order, and the moments merge one chunk at
+# a time: this fixes the float sum order, and with it the report's bits.
+# Large enough that numpy's per-call overhead is small per block, small
+# enough that the chunk arrays stay well under a megabyte each.
+CHUNK_BLOCKS = 4096
 
 # The LPs' liquidity L, as given or as zero_profit derives it. The pool kernel
 # forms the product of the two reserves, about L^2, and the pool value is
@@ -326,24 +321,20 @@ def _advance_auction(
     auction: AuctionState, n: int, policy_fee: float, counts: Counter
 ) -> list[_Run]:
     """Advance the auction ``n`` blocks and describe them as runs, one per
-    :meth:`AuctionState.advance_to` step. It advances to each
-    :data:`CHUNK_BLOCKS`-block row edge in turn, so no run crosses one. A
-    new manager sets the policy fee, which takes effect from the next
-    block."""
+    :meth:`AuctionState.advance_to` step. A new manager sets the policy
+    fee, which takes effect from the next block."""
     runs = []
-    start = auction.current_block
-    for lo in range(0, n, CHUNK_BLOCKS):
-        for blocks, events in auction.advance_to(start + min(lo + CHUNK_BLOCKS, n)):
-            rent, payer = 0.0, None
-            for ev in events:
-                if ev.kind == "usurped":
-                    counts["usurps"] += 1
-                    auction.set_fee(ev.bidder, policy_fee)
-                elif ev.kind == "depleted":
-                    counts["depletions"] += 1
-                elif ev.kind == "rent":
-                    rent, payer = float(ev.amount / blocks), ev.bidder
-            runs.append(_Run(blocks, float(auction.block_fee), rent, payer))
+    for blocks, events in auction.advance_to(auction.current_block + n):
+        rent, payer = 0.0, None
+        for ev in events:
+            if ev.kind == "usurped":
+                counts["usurps"] += 1
+                auction.set_fee(ev.bidder, policy_fee)
+            elif ev.kind == "depleted":
+                counts["depletions"] += 1
+            elif ev.kind == "rent":
+                rent, payer = float(ev.amount / blocks), ev.bidder
+        runs.append(_Run(blocks, float(auction.block_fee), rent, payer))
     return runs
 
 
@@ -405,30 +396,9 @@ def _pool_kernel(z: np.ndarray, fee: np.ndarray, managed: np.ndarray, liquidity:
     return traded, excess, arb_fee, mgr_arb, adverse, z_end
 
 
-def _row_views(x: np.ndarray) -> list[np.ndarray]:
-    """``x`` as 2-D views of :data:`CHUNK_BLOCKS`-block rows: the full rows,
-    then a short last row if there is one. A reduction along axis 1 gives
-    each row the bits of reducing that row on its own."""
-    full = len(x) - len(x) % CHUNK_BLOCKS
-    views = (x[:full].reshape(-1, CHUNK_BLOCKS), x[full:].reshape(1, -1))
-    return [v for v in views if v.size]
-
-
-def _row_sums(x: np.ndarray, mask: np.ndarray | None = None) -> list[float]:
-    """The sum of each :data:`CHUNK_BLOCKS`-block row of ``x``, or of the
-    row's entries where ``mask`` holds."""
-    if mask is None or mask.all():
-        return [s for v in _row_views(x) for s in v.sum(axis=1).tolist()]
-    return [
-        float(x[lo : lo + CHUNK_BLOCKS][mask[lo : lo + CHUNK_BLOCKS]].sum())
-        for lo in range(0, len(x), CHUNK_BLOCKS)
-    ]
-
-
 class _Moments:
-    """Running mean and sample standard deviation, fed one
-    :data:`CHUNK_BLOCKS`-block row at a time and merged with the pairwise
-    update of Chan, Golub and LeVeque."""
+    """Running mean and sample standard deviation, fed one chunk at a time
+    and merged with the pairwise update of Chan, Golub and LeVeque."""
 
     def __init__(self) -> None:
         self.n = 0
@@ -436,17 +406,15 @@ class _Moments:
         self.m2 = 0.0  # sum of squared deviations from the mean
 
     def add(self, x: np.ndarray) -> None:
-        """Merge in each row of ``x``, in order."""
-        for rows in _row_views(x):
-            means = rows.mean(axis=1)
-            m2s = np.square(rows - means[:, None]).sum(axis=1)
-            n_x = rows.shape[1]
-            for mean_x, m2_x in zip(means.tolist(), m2s.tolist()):
-                n = self.n + n_x
-                delta = mean_x - self.mean
-                self.mean += delta * n_x / n
-                self.m2 += m2_x + delta * delta * self.n * n_x / n
-                self.n = n
+        """Merge in the non-empty chunk ``x``."""
+        n_x = len(x)
+        mean_x = float(x.mean())
+        m2_x = float(np.square(x - mean_x).sum())
+        n = self.n + n_x
+        delta = mean_x - self.mean
+        self.mean += delta * n_x / n
+        self.m2 += m2_x + delta * delta * self.n * n_x / n
+        self.n = n
 
     def std(self) -> float:
         return math.sqrt(self.m2 / (self.n - 1)) if self.n > 1 else math.nan
@@ -460,11 +428,11 @@ def _format_run(
     mgr_arb: np.ndarray,
     excess: np.ndarray,
     noise_fee: np.ndarray,
-) -> str:
-    """CSV rows for the blocks of ``run`` from block ``first`` on, floats as
-    ``repr``; the run's fee and rent are formatted once."""
+) -> Iterator[str]:
+    """CSV rows for the blocks of ``run`` from block ``first`` on, one at a
+    time, floats as ``repr``; the run's fee and rent are formatted once."""
     fee, rent = repr(run.fee), repr(run.rent)
-    return "".join(
+    return (
         f"{b},{t!r},{zi!r},{fee},{mgr!r},{exc!r},{nf!r},{rent}\n"
         for b, t, zi, mgr, exc, nf in zip(
             range(first, first + run.blocks),
@@ -485,9 +453,9 @@ def _abs_max(running: float, x: np.ndarray) -> float:
 
 
 class _Books:
-    """The running totals of one simulation, booked one work chunk at a time.
+    """The running totals of one simulation, booked one chunk at a time.
 
-    A work chunk's arrays live only while :meth:`book` runs, but for the
+    A chunk's arrays live only while :meth:`book` runs, but for the
     columns it returns to the block log, so memory holds one chunk's
     columns at a time, whatever the horizon.
     """
@@ -496,7 +464,7 @@ class _Books:
         self.params = params
         self.liquidity = liquidity
         self.value_scale = 2.0 * liquidity  # pool value at the (rebased) true price of 1
-        # each SimReport field that sums a per-block column, one partial sum per row
+        # each SimReport field that sums a per-block column, one partial sum per chunk
         self.sums: defaultdict[str, float] = defaultdict(float)
         self.counts = Counter(usurps=0, depletions=0, no_trade_blocks=0, unmanaged_blocks=0)
         self.pnl: dict[str, float] = {"lp": 0.0}  # and one entry per manager
@@ -508,10 +476,9 @@ class _Books:
     def book(
         self, runs: list[_Run], rng: tuple[np.random.Generator, np.random.Generator]
     ) -> tuple:
-        """Draw and run the blocks of ``runs``, none of which crosses a row
-        edge, and book their totals. Returns the block log's float columns
-        other than the runs' own fee and rent:
-        ``(tau, z, arb_profit, excess, noise_fees)``.
+        """Draw and run the blocks of ``runs``, one chunk, and book their
+        totals. Returns the block log's float columns other than the runs'
+        own fee and rent: ``(tau, z, arb_profit, excess, noise_fees)``.
         """
         params, sums = self.params, self.sums
         lengths = [run.blocks for run in runs]
@@ -530,27 +497,24 @@ class _Books:
         noise_vol = np.repeat(rate, lengths) * tau
         noise_fee = fee * noise_vol
         unmanaged = ~managed
-        lp_swap_fees = [
-            a + b for a, b in zip(_row_sums(noise_fee, unmanaged), _row_sums(arb_fee, unmanaged))
-        ]
+        lp_swap_fees = float(noise_fee[unmanaged].sum()) + float(arb_fee[unmanaged].sum())
 
-        # one partial sum per row, booked in block order
-        for field, row_totals in (
-            ("fee_effective_mean", _row_sums(fee)),  # divided by the horizon at the end
-            ("manager_noise_fees", _row_sums(noise_fee, managed)),
-            ("manager_arb_fees", _row_sums(arb_fee, managed)),
-            ("manager_arb_profit", _row_sums(mgr_arb)),  # zero on unmanaged blocks
-            ("lp_rent_received", _row_sums(rent)),  # only managed blocks pay rent
+        # one partial sum per chunk
+        for field, total in (
+            ("fee_effective_mean", fee.sum()),  # divided by the horizon at the end
+            ("manager_noise_fees", noise_fee[managed].sum()),
+            ("manager_arb_fees", arb_fee[managed].sum()),
+            ("manager_arb_profit", mgr_arb.sum()),  # zero on unmanaged blocks
+            ("lp_rent_received", rent.sum()),  # only managed blocks pay rent
             ("lp_fee_revenue", lp_swap_fees),
-            ("lp_adverse_selection", _row_sums(adverse)),
-            ("lp_capital_charge", _row_sums(params.r * self.value_scale * tau)),
-            ("noise_volume_total", _row_sums(noise_vol)),
-            ("noise_fees_paid", _row_sums(noise_fee)),
-            ("external_arb_profit", _row_sums(excess)),
-            ("accounting_drift", _row_sums(residual)),
+            ("lp_adverse_selection", adverse.sum()),
+            ("lp_capital_charge", (params.r * self.value_scale * tau).sum()),
+            ("noise_volume_total", noise_vol.sum()),
+            ("noise_fees_paid", noise_fee.sum()),
+            ("external_arb_profit", excess.sum()),
+            ("accounting_drift", residual.sum()),
         ):
-            for total in row_totals:
-                sums[field] += total
+            sums[field] += float(total)
         self.counts["no_trade_blocks"] += len(tau) - int(traded.sum())
         self.counts["unmanaged_blocks"] += int(unmanaged.sum())
         self.max_resid = _abs_max(self.max_resid, residual)
@@ -560,11 +524,10 @@ class _Books:
         self.adverse_frac.add(adverse / self.value_scale)
 
         pnl = self.pnl
-        for lp_row, swap_fees in zip(_row_sums(rent - adverse), lp_swap_fees):
-            pnl["lp"] += lp_row + swap_fees
+        pnl["lp"] += float((rent - adverse).sum()) + lp_swap_fees
         manager_gain = noise_fee + arb_fee + mgr_arb - rent
         lo = 0
-        for run in runs:  # no run crosses a row edge, so each sum stays within a row
+        for run in runs:
             if run.payer is not None:
                 pnl[run.payer] = pnl.get(run.payer, 0.0) + float(
                     manager_gain[lo : lo + run.blocks].sum()
@@ -589,16 +552,15 @@ def run_sim(config: SimConfig, block_log: Optional[IO[str]] = None) -> SimReport
     if block_log is not None:
         block_log.write(",".join(BLOCK_LOG_HEADER) + "\n")
 
-    work = WORK_ROWS * CHUNK_BLOCKS
-    for start in range(0, horizon, work):
-        n = min(work, horizon - start)
+    for start in range(0, horizon, CHUNK_BLOCKS):
+        n = min(CHUNK_BLOCKS, horizon - start)
         runs = _advance_auction(auction, n, policy_fee, books.counts)
         columns = books.book(runs, rng)
         if block_log is not None:
             lo = 0
-            for run in runs:  # never a whole chunk's text at once
+            for run in runs:  # a row at a time, never a whole run's text
                 hi = lo + run.blocks
-                block_log.write(_format_run(start + lo + 1, run, *(c[lo:hi] for c in columns)))
+                block_log.writelines(_format_run(start + lo + 1, run, *(c[lo:hi] for c in columns)))
                 lo = hi
         del columns  # freed before the next chunk is drawn
 

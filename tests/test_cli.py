@@ -544,7 +544,7 @@ class TestSimulate:
             **{name: 0.0 for name in report if name not in counts},
             **counts,
             "fee_effective_mean": 1000.0,
-            "lp_capital_charge": 0.004098699776505674,
+            "lp_capital_charge": 0.004098699776505673,
             "pnl_by_agent": {"external_arb": 0.0, "lp": 0.0, "noise_traders": 0.0},
         }
 
@@ -1128,7 +1128,7 @@ class TestImportCost:
         payload = json.loads((tmp_path / "sim" / "report.json").read_text())
         report = json.dumps(payload["report"], sort_keys=True, indent=2).encode()
         assert hashlib.sha256(report).hexdigest() == (
-            "95b43260dbda2c9a5ddf1e5006edaa3e043db04aa59ab8a40f47d5c20da5c51f"
+            "d09bbba17fa0640e621b6f2932cf0f9339e21ba19df5cde419dd249ec1f5bbba"
         )
         hashes = [payload["manifest"]["config_hash"],
                   read_csv(tmp_path / "mc" / "mc_validate.csv")[0]["config_hash"]]

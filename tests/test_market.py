@@ -413,6 +413,12 @@ class TestMCRates:
         _, _, ae0_hat, ae0_se = one_fee(mc_rates(fee, params, 100_000, seed=2))
         assert abs(ae0_hat) <= max(3.0 * ae0_se, 1e-12)
 
+    def test_huge_fee_gives_finite_estimates(self):
+        # nothing leaves a band 2000 wide, so every excess is zero
+        est = mc_rates(2000.0, REF, 10_000, chains=2)
+        for name in ("ap0_hat", "ap0_se", "ae0_hat", "ae0_se"):
+            assert np.isfinite(getattr(est, name)).all(), name
+
     def test_three_se_agreement_at_reference_point(self):
         ap0_hat, ap0_se, ae0_hat, ae0_se = one_fee(mc_rates(0.003, REF, 200_000, seed=0))
         assert abs(ap0_hat - ap0(0.003, REF)) <= 3.0 * ap0_se

@@ -325,6 +325,12 @@ class TestExcessFraction:
         values = excess_fraction(np.array([0.003, -0.003, 0.001, -0.0]), 0.003)
         assert not np.signbit(values).any() and not values.any()
 
+    def test_huge_fee_inside_the_band_is_zero(self):
+        # e^{f/2} overflows past f ~ 1420; inside the band it is never taken
+        assert excess_fraction(0.01, 2000.0) == 0.0
+        values = excess_fraction(np.array([0.01, -1999.0, -0.0, 2000.0]), 2000.0)
+        assert values.tolist() == [0.0] * 4
+
 
 class TestWithdrawalFee:
     def test_no_move_no_fee(self):

@@ -238,16 +238,16 @@ class TestRunSim:
             managed_config(horizon=3_000),
             {
                 "floats": {
-                    "fee_effective_mean": "0x1.89374bc6a7efbp-9",
+                    "fee_effective_mean": "0x1.89374bc6a7efap-9",
                     "ap0_hat": "0x1.5d4351bbbb000p-12",
                     "ap0_se": "0x1.e7824dc8ed689p-17",
                     "ae0_hat": "0x1.3a4189792819bp-13",
                     "ae0_se": "0x1.5b3d98ef09609p-17",
                     "manager_noise_fees": "0x1.9dbb5855b56d8p+0",
-                    "manager_arb_fees": "0x1.ce0ac41b1e37ap-8",
+                    "manager_arb_fees": "0x1.ce0ac41b1e37cp-8",
                     "manager_arb_profit": "0x1.0276cca1b3200p-8",
-                    "manager_rent_paid": "0x1.89374bc6a7efbp-9",
-                    "lp_rent_received": "0x1.89374bc6a7efbp-9",
+                    "manager_rent_paid": "0x1.89374bc6a7efap-9",
+                    "lp_rent_received": "0x1.89374bc6a7efap-9",
                     "lp_fee_revenue": "0x0.0p+0",
                     "lp_adverse_selection": "0x1.476f1c9fff500p-6",
                     "lp_capital_charge": "0x1.94d4b477f6d06p-8",
@@ -281,20 +281,20 @@ class TestRunSim:
             ),
             {
                 "floats": {
-                    "fee_effective_mean": "0x1.9ab138636571cp-8",
+                    "fee_effective_mean": "0x1.9ab138636571bp-8",
                     "ap0_hat": "0x1.4801357cd6800p-12",
                     "ap0_se": "0x1.f9b7a2f4257bdp-17",
                     "ae0_hat": "0x1.d78fcd6735a60p-14",
-                    "ae0_se": "0x1.1f7aab78a6dc2p-17",
+                    "ae0_se": "0x1.1f7aab78a6dc1p-17",
                     "manager_noise_fees": "0x1.abe1bcb3c80d5p-1",
-                    "manager_arb_fees": "0x1.ee826898d0889p-9",
+                    "manager_arb_fees": "0x1.ee826898d0888p-9",
                     "manager_arb_profit": "0x1.13fd4b7128500p-9",
-                    "manager_rent_paid": "0x1.89374bc6a7ef9p-9",
-                    "lp_rent_received": "0x1.89374bc6a7ef9p-9",
+                    "manager_rent_paid": "0x1.89374bc6a7efap-9",
+                    "lp_rent_received": "0x1.89374bc6a7efap-9",
                     "lp_fee_revenue": "0x1.0db98bd87402ap+0",
                     "lp_adverse_selection": "0x1.3381222509180p-6",
-                    "lp_capital_charge": "0x1.87abb3ee697ffp-8",
-                    "noise_volume_total": "0x1.7f50d03ae1813p+8",
+                    "lp_capital_charge": "0x1.87abb3ee69800p-8",
+                    "noise_volume_total": "0x1.7f50d03ae1814p+8",
                     "noise_fees_paid": "0x1.e217bc54599aep+0",
                     "external_arb_profit": "0x1.ba16d090c24bap-8",
                     "accounting_drift": "0x1.1700000000000p-45",
@@ -302,7 +302,7 @@ class TestRunSim:
                     "max_end_mispricing": "0x0.0p+0",
                 },
                 "pnl_by_agent": {
-                    "backup": "0x1.ed34d64c255b7p-2",
+                    "backup": "0x1.ed34d64c255b6p-2",
                     "external_arb": "0x1.ba16d090c24bap-8",
                     "lp": "0x1.09b022f5c3323p+0",
                     "noise_traders": "-0x1.e217bc54599aep+0",

@@ -1,11 +1,10 @@
-"""The per-run and per-row work of ``run_sim`` against per-block and per-row
-references, bit for bit.
+"""The per-run and per-chunk work of ``run_sim`` against per-block and
+per-chunk references, bit for bit.
 
-``run_sim`` scans the carried mispricing once per run, reduces each
-1,024-block summation block of a larger work chunk along one axis, and
-formats each run's fee and rent once. None of that may move a bit: the
-references below are the per-block clamp and the one-row-at-a-time sums
-that the simulator used before, and the pinned case crosses work-chunk edges
+``run_sim`` scans the carried mispricing once per run, merges its moments
+one 4,096-block chunk at a time, and formats each run's fee and rent once.
+None of that may move a bit: the references below are the per-block clamp
+and the pairwise merge written out, and the pinned case crosses chunk edges
 with a depletion and an unmanaged carry.
 """
 
@@ -20,13 +19,11 @@ import pytest
 from ammauction.market import MarketParams
 from ammauction.sim import (
     CHUNK_BLOCKS,
-    WORK_ROWS,
     BidSpec,
     SimConfig,
     _advance_auction,
     _carry_scan,
     _Moments,
-    _row_sums,
     _Run,
     _setup,
     run_sim,
@@ -121,7 +118,7 @@ class TestRows:
     # the top depletes at block 700 and the runner-up takes over (a usurp),
     # then depletes at 2,000 with nobody behind it, leaving the pool unmanaged
     EVENTS = SimConfig(
-        horizon_blocks=WORK_ROWS * 1024,
+        horizon_blocks=CHUNK_BLOCKS,
         seed=0,
         market=REF,
         manager_fee=0.003,
@@ -129,16 +126,13 @@ class TestRows:
         initial_bids=(BidSpec("short", 3e-6, 0.0021), BidSpec("backup", 1e-6, 0.0013)),
     )
 
-    @pytest.mark.parametrize("blocks", [1, 1023, 1024, 1025, 3 * 1024 + 7, WORK_ROWS * 1024])
+    @pytest.mark.parametrize("blocks", [1, 1023, 1024, 1025, 3 * 1024 + 7, CHUNK_BLOCKS])
     def test_runs_cut_at_row_edges(self, blocks):
         auction, _, policy_fee = _setup(self.EVENTS)
         counts = Counter()
         runs = _advance_auction(auction, blocks, policy_fee, counts)
-        lo = 0
-        for run in runs:
-            assert run.blocks > 0 and lo // CHUNK_BLOCKS == (lo + run.blocks - 1) // CHUNK_BLOCKS
-            lo += run.blocks
-        assert lo == blocks == auction.current_block
+        assert all(run.blocks > 0 for run in runs)
+        assert sum(run.blocks for run in runs) == blocks == auction.current_block
 
         # the same auction single-stepped, as the scalar reference runs it
         auction, _, _ = _setup(self.EVENTS)
@@ -159,38 +153,34 @@ class TestRows:
         if blocks > 2000:
             assert want_counts == Counter(usurps=1, depletions=2)
 
-    @pytest.mark.parametrize("n", [5, 1024, 2048, 3 * 1024 + 5, WORK_ROWS * 1024])
-    def test_row_sums_and_moments_have_one_row_at_a_time_bits(self, n):
+    # one short chunk, one whole chunk, three whole chunks and a short one
+    @pytest.mark.parametrize("n", [5, CHUNK_BLOCKS, 3 * CHUNK_BLOCKS + 5])
+    def test_moments_merge_one_chunk_at_a_time(self, n):
         rng = np.random.default_rng(n)
         x = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-8, 8, n)
-        rows = [x[lo : lo + CHUNK_BLOCKS] for lo in range(0, n, CHUNK_BLOCKS)]
-        assert bits(_row_sums(x)) == bits([row.sum() for row in rows])
-        for mask in (rng.random(n) < 0.5, np.ones(n, bool), np.zeros(n, bool)):
-            masks = [mask[lo : lo + CHUNK_BLOCKS] for lo in range(0, n, CHUNK_BLOCKS)]
-            want = [row[m].sum() for row, m in zip(rows, masks)]
-            assert bits(_row_sums(x, mask)) == bits(want)
-
-        # the pairwise merge of one row at a time, as the moments were fed
-        n_seen, mean, m2 = 0, 0.0, 0.0
-        for row in rows:
-            mean_x = float(row.mean())
-            m2_x = float(np.square(row - mean_x).sum())
-            total = n_seen + row.size
-            delta = mean_x - mean
-            mean += delta * row.size / total
-            m2 += m2_x + delta * delta * n_seen * row.size / total
-            n_seen = total
         moments = _Moments()
-        moments.add(x)
-        assert (moments.n, bits(moments.mean), bits(moments.m2)) == (n_seen, bits(mean), bits(m2))
+        n_seen, mean, m2 = 0, 0.0, 0.0
+        for lo in range(0, n, CHUNK_BLOCKS):
+            chunk = x[lo : lo + CHUNK_BLOCKS]
+            moments.add(chunk)
+            # the pairwise merge of Chan, Golub and LeVeque, written out
+            mean_x = float(chunk.mean())
+            m2_x = float(np.square(chunk - mean_x).sum())
+            total = n_seen + chunk.size
+            delta = mean_x - mean
+            mean += delta * chunk.size / total
+            m2 += m2_x + delta * delta * n_seen * chunk.size / total
+            n_seen = total
+        assert (moments.n, bits(moments.mean), bits(moments.m2)) == (n, bits(mean), bits(m2))
+        assert moments.mean == pytest.approx(x.mean(), rel=1e-12)
+        assert moments.std() == pytest.approx(x.std(ddof=1), rel=1e-12)
 
 
 class TestPinnedAcrossWorkChunks:
-    # 3 x 8,192 + 5 blocks: the top depletes at 10,000 and the runner-up at
-    # 15,000, each inside a 1,024-block row and off any work-chunk edge; the
-    # unmanaged carry then crosses the edges at 16,384 and 24,576. Taken on
-    # the two-stream draws of market.block_rng; run_sim with WORK_ROWS = 1,
-    # one 1,024-block chunk at a time, gives the same bits.
+    # 24,581 blocks, six 4,096-block chunks and a 5-block one: the top
+    # depletes at 10,000 and the runner-up at 15,000, each inside a chunk;
+    # the unmanaged carry then crosses the chunk edges at 16,384, 20,480 and
+    # 24,576. Taken on the two-stream draws of market.block_rng.
     CONFIG = SimConfig(
         horizon_blocks=3 * 8192 + 5,
         seed=13,
@@ -200,31 +190,31 @@ class TestPinnedAcrossWorkChunks:
         initial_bids=(BidSpec("short", 3e-6, 0.03), BidSpec("backup", 1e-6, 0.005)),
     )
     FLOATS = {
-        "fee_effective_mean": "0x1.776abd88b03dap-8",
+        "fee_effective_mean": "0x1.776abd88b03dcp-8",
         "ap0_hat": "0x1.4a5fab5dd609cp-12",
-        "ap0_se": "0x1.50112b9717c99p-18",
-        "ae0_hat": "0x1.d9df426a2b3d9p-14",
-        "ae0_se": "0x1.697059d4b6731p-19",
+        "ap0_se": "0x1.50112b9717c9ap-18",
+        "ae0_hat": "0x1.d9df426a2b3dap-14",
+        "ae0_se": "0x1.697059d4b6733p-19",
         "manager_noise_fees": "0x1.fd79c9c82a7f4p+2",
-        "manager_arb_fees": "0x1.1711d948e3d48p-5",
+        "manager_arb_fees": "0x1.1711d948e3d49p-5",
         "manager_arb_profit": "0x1.3e7c9f543e900p-6",
-        "manager_rent_paid": "0x1.1eb851eb851e8p-5",
-        "lp_rent_received": "0x1.1eb851eb851e8p-5",
-        "lp_fee_revenue": "0x1.cf4581b8b3996p+2",
+        "manager_rent_paid": "0x1.1eb851eb851eap-5",
+        "lp_rent_received": "0x1.1eb851eb851eap-5",
+        "lp_fee_revenue": "0x1.cf4581b8b3998p+2",
         "lp_adverse_selection": "0x1.3d39294b9c688p-3",
         "lp_capital_charge": "0x1.95c3527de3688p-5",
         "noise_volume_total": "0x1.a5997dae20f64p+11",
-        "noise_fees_paid": "0x1.e4e813c4e1f2dp+3",
-        "external_arb_profit": "0x1.c70280ae5ce63p-5",
+        "noise_fees_paid": "0x1.e4e813c4e1f2ep+3",
+        "external_arb_profit": "0x1.c70280ae5ce65p-5",
         "accounting_drift": "0x1.f980000000000p-43",
         "max_block_residual": "0x1.0000000000000p-51",
         "max_end_mispricing": "0x0.0p+0",
     }
     PNL = {
         "backup": "0x1.56ebf79b30a0dp+1",
-        "external_arb": "0x1.c70280ae5ce63p-5",
+        "external_arb": "0x1.c70280ae5ce65p-5",
         "lp": "0x1.c79929122dc08p+2",
-        "noise_traders": "-0x1.e4e813c4e1f2dp+3",
+        "noise_traders": "-0x1.e4e813c4e1f2ep+3",
         "short": "0x1.5332fda8a12adp+2",
     }
     COUNTS = (24_581, 13, 1, 2, 15_592, 9_581)
@@ -241,11 +231,21 @@ class TestPinnedAcrossWorkChunks:
         assert {k: v.hex() for k, v in report.pnl_by_agent.items()} == self.PNL
         assert hashlib.sha256(log.getvalue().encode()).hexdigest() == self.BLOCKS_SHA256
 
+    def test_block_log_does_not_change_the_report(self):
+        # simulate writes the log only with --out; the report must not care
+        def hexed(report):
+            out = report.to_dict()
+            out["pnl_by_agent"] = {k: v.hex() for k, v in out["pnl_by_agent"].items()}
+            return {k: v.hex() if isinstance(v, float) else v for k, v in out.items()}
+
+        logged = run_sim(self.CONFIG, block_log=io.StringIO())
+        assert hexed(run_sim(self.CONFIG)) == hexed(logged)
+
 
 class TestIntegerFees:
     def test_log_prints_integer_fees_as_floats(self):
         # JSON hands over 0 and 1 as integers; the log's fee column is the
-        # float's repr either way, whatever runs share a summation block
+        # float's repr either way, whatever runs share a chunk
         params = dict(sigma=0.05, delta_t=0.01, r=1e-4, c0=25.0, c1=120.0, alpha=0.5)
         logs = []
         for f_max, default_fee, manager_fee in ((1, 0, 0), (1.0, 0.0, 0.0)):
