@@ -153,9 +153,14 @@ class TestRows:
         if blocks > 2000:
             assert want_counts == Counter(usurps=1, depletions=2)
 
-    # one short chunk, one whole chunk, three whole chunks and a short one
-    @pytest.mark.parametrize("n", [5, CHUNK_BLOCKS, 3 * CHUNK_BLOCKS + 5])
-    def test_moments_merge_one_chunk_at_a_time(self, n):
+    # a row is one 4,096-block chunk, the simulator's summation block: short
+    # chunks, one whole chunk, and three whole chunks and a short one. Each
+    # summed field is one plain ``.sum()`` per chunk, pinned by
+    # TestPinnedAcrossWorkChunks; the moments are checked here.
+    @pytest.mark.parametrize(
+        "n", [5, 1024, 2048, 3 * 1024 + 5, CHUNK_BLOCKS, 3 * CHUNK_BLOCKS + 5]
+    )
+    def test_row_sums_and_moments_have_one_row_at_a_time_bits(self, n):
         rng = np.random.default_rng(n)
         x = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-8, 8, n)
         moments = _Moments()
