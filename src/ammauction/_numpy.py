@@ -1,10 +1,11 @@
 """``np``: the ``numpy`` of ``sys.modules``, executed on first use.
 
 If numpy is not imported yet, an unexecuted numpy module is registered in
-``sys.modules``, so ``import numpy``, ``import numpy.random`` and scipy get
-this same object. Its first attribute access, by any of them, executes
-numpy; from then on it is an ordinary module and attribute access costs
-nothing extra. ``replay`` never touches it, so it never pays numpy's import.
+``sys.modules``, so ``import numpy``, ``import numpy.random`` and any other
+library that imports numpy get this same object. Its first attribute
+access, by any of them, executes numpy; from then on it is an ordinary
+module and attribute access costs nothing extra. ``replay`` never touches
+it, so it never pays numpy's import.
 
 The first access holds a lock until numpy has executed, so a second thread
 that touches numpy meanwhile waits for a whole module (as Python 3.12's

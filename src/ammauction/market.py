@@ -16,15 +16,11 @@ any sizes is bit for bit the horizon drawn in one call. The exponential
 ziggurat can return an exact zero, so a block time of zero, a block with no
 price motion, is possible but vanishingly rare; nothing needs to guard it.
 
-:func:`mc_rates` keeps its own stream for now: two uniforms per block on one
-``Philox(key=seed)`` generator, by inverse CDF with scipy's ``ndtri``. Its
-z-score check has a rare cell, a wide band that few blocks leave, where the
-sample standard error is unreliable; a new stream should pass that check
-because the estimator is sound, not because its draws missed the cell, so
-the stream changes with the rare-event estimator and not before. Both its
-estimators draw from the one stream in blocks of about :data:`CHAIN_BLOCKS`
-draws, bit for bit the one-call i.i.d. draw and the chain drawn one step at
-a time, so its memory is two float64 per i.i.d. sample plus a bounded block.
+:func:`mc_rates` draws with the same sampler on ``block_rng(seed)``: the
+i.i.d. mispricings first, then the profit chain's steps. Both its estimators
+read the streams in blocks of about :data:`CHAIN_BLOCKS` draws, bit for bit
+the one-call i.i.d. draw and the chain drawn one step at a time, so its
+memory is two float64 per i.i.d. sample plus a bounded block.
 
 :func:`kappa`, :func:`ap0`, :func:`ae0`, their slopes :func:`ap0_slope` and
 :func:`ae0_slope`, :func:`excess_ratio` and :func:`noise_volume_per_value`
@@ -41,7 +37,6 @@ the dimensionless combinations ``sigma^2 * delta_t`` and
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, fields
 from typing import Literal
 
@@ -296,10 +291,10 @@ def conditional_excess(
 
 
 def block_rng(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
-    """The simulator's two block streams for a seed: a generator on
-    ``Philox(key=seed)`` for the block times, and one on that Philox's
-    :meth:`~numpy.random.Philox.jumped` copy (2^128 draws on) for the
-    mispricings. Same seed, same streams."""
+    """The two block streams for a seed, shared by the simulator and
+    :func:`mc_rates`: a generator on ``Philox(key=seed)`` for the block
+    times, and one on that Philox's :meth:`~numpy.random.Philox.jumped` copy
+    (2^128 draws on) for the mispricings. Same seed, same streams."""
     bits = np.random.Philox(key=seed)
     return np.random.Generator(bits), np.random.Generator(bits.jumped())
 
@@ -328,44 +323,11 @@ def sample_blocks(
     return tau, z
 
 
-# uniforms are clamped off exact zero: u = 0 would give tau = 0 and
-# ndtri(0) = -inf, whose product is NaN
-_U_FLOOR = sys.float_info.min  # numpy's finfo(float).tiny
-
 # Draws per block in both estimators of :func:`mc_rates`: large enough that
 # numpy's per-call overhead is small per draw, small enough that a block's
 # arrays stay about a megabyte whatever ``n_samples`` (a chain block is one
 # step when ``chains`` exceeds it).
 CHAIN_BLOCKS = 1 << 16
-
-
-def _inverse_cdf_blocks(
-    params: MarketParams, n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`mc_rates`' block draws: :func:`sample_blocks`' law, by inverse CDF
-    on one uniform stream.
-
-    Each block consumes exactly two uniforms, in order, so the stream position
-    determines the draw regardless of how batches are sliced: :func:`mc_rates`
-    draws in blocks of about :data:`CHAIN_BLOCKS` and gets the bits of one
-    call. The transforms run in place: a call holds the ``(n, 2)`` uniforms,
-    the two outputs and one ``n``-sized temporary.
-    """
-    # imported here, not at module level: scipy.special costs a few tenths of
-    # a second, and only mc-validate needs it (see cli.main)
-    from scipy.special import ndtri
-
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
-    u = rng.random((n, 2))
-    np.maximum(u, _U_FLOOR, out=u)
-    tau = np.negative(u[:, 0])
-    np.log1p(tau, out=tau)
-    tau *= -params.delta_t
-    z = ndtri(u[:, 1])
-    z *= params.sigma
-    z *= np.sqrt(tau)
-    return tau, z
 
 
 def mc_rates(
@@ -379,9 +341,9 @@ def mc_rates(
 
     ``fee`` is a 1-D array (a float is one fee), and the :class:`MCRates`
     rate fields are arrays in its order; ``n_samples`` is the sample count
-    per fee. One stream serves every fee of a call: each fee's estimates are
-    bit for bit those of a call at that fee alone, and the fees share common
-    random numbers, so their errors are correlated.
+    per fee. One :func:`block_rng` pair serves every fee of a call: each
+    fee's estimates are bit for bit those of a call at that fee alone, and
+    the fees share common random numbers, so their errors are correlated.
 
     The excess estimator draws i.i.d. blocks: the pool starts each block
     on-price (the manager corrects it for free), so the pre-trade mispricing
@@ -401,7 +363,7 @@ def mc_rates(
     the chain uses ``ceil(n_samples / chains) * chains`` draws, not exactly
     ``n_samples``. At fee zero the two estimators sample the same law.
 
-    The chain is drawn from the same stream, after the i.i.d. draws, in
+    The chain is drawn from the same streams, after the i.i.d. draws, in
     blocks of about :data:`CHAIN_BLOCKS` chain blocks, one draw call per
     block shared by every fee's chain, which runs to the longest warmup.
     The states are stored step-major, one contiguous ``(fees, chains)`` row
@@ -422,7 +384,7 @@ def mc_rates(
     if chains < 2:
         raise ValueError(f"chains must be at least 2, got {chains}")
     fee_list = fees.tolist()
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = block_rng(seed)
     dt = params.delta_t
     ap0_hat, ap0_se, ae0_hat, ae0_se = np.empty((4, len(fees)))
 
@@ -433,7 +395,7 @@ def mc_rates(
     z = np.empty(n_samples)
     for start in range(0, n_samples, CHAIN_BLOCKS):
         stop = min(start + CHAIN_BLOCKS, n_samples)
-        z[start:stop] = _inverse_cdf_blocks(params, stop - start, rng)[1]
+        z[start:stop] = sample_blocks(params, stop - start, rng)[1]
     vals = np.empty(n_samples)
     sub = max(1, CHAIN_BLOCKS // 8)
     for i, f in enumerate(fee_list):
@@ -473,7 +435,7 @@ def mc_rates(
     totals = np.zeros((len(fees), chains))
     for start in range(0, total_steps, block):
         m = min(block, total_steps - start)
-        _, eps = _inverse_cdf_blocks(params, m * chains, rng)
+        _, eps = sample_blocks(params, m * chains, rng)
         eps = eps.reshape(m, chains)
         for j in range(m):
             row = path[j + 1]

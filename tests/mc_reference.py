@@ -1,5 +1,6 @@
-"""Per-step reference for ``mc_rates``: one ``_inverse_cdf_blocks`` draw, one
-``excess_fraction`` call and one clip per chain step.
+"""Per-step reference for ``mc_rates``: on ``block_rng(seed)``, one
+``sample_blocks`` draw of all i.i.d. blocks, then one ``sample_blocks`` draw,
+one ``excess_fraction`` call and one clip per chain step.
 
 This is the Monte-Carlo chain's original loop, kept as the oracle the
 blocked chain in ``market.mc_rates`` is checked against in
@@ -10,7 +11,7 @@ import math
 
 import numpy as np
 
-from ammauction.market import MCRates, _inverse_cdf_blocks, kappa
+from ammauction.market import MCRates, block_rng, kappa, sample_blocks
 from ammauction.pool import excess_fraction
 
 
@@ -21,10 +22,10 @@ def chain_warmup(fee, params) -> int:
 
 
 def reference_mc_rates(fee, params, n_samples, seed=0, chains=250) -> MCRates:
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = block_rng(seed)
     dt = params.delta_t
 
-    _, z = _inverse_cdf_blocks(params, n_samples, rng)
+    _, z = sample_blocks(params, n_samples, rng)
     vals = excess_fraction(z, fee)
     ae0_hat = float(vals.mean()) / dt
     ae0_se = float(vals.std(ddof=1)) / math.sqrt(n_samples) / dt
@@ -34,7 +35,7 @@ def reference_mc_rates(fee, params, n_samples, seed=0, chains=250) -> MCRates:
     z_state = np.zeros(chains)
     totals = np.zeros(chains)
     for i in range(warmup + steps):
-        _, eps = _inverse_cdf_blocks(params, chains, rng)
+        _, eps = sample_blocks(params, chains, rng)
         if i >= warmup:
             totals += excess_fraction(z_state, fee)
         z_state = np.clip(z_state, -fee, fee) + eps

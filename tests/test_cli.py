@@ -15,11 +15,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy
 
 from ammauction import cli, market
 from ammauction.cli import main
 from ammauction.equilibrium import FEE_GRID
+from ammauction.pool import withdrawal_fee_required
 from ammauction.replay import replay_auction
 
 from auction_driver import many_lp_scenario
@@ -386,15 +386,15 @@ class TestMCValidate:
         assert header[0] == "f" and header[-1] == "pass"
         assert len(rows) == 1
 
-    def test_manifest_names_scipy(self, tmp_path, capsys):
-        # the one output scipy computes (ndtri in the draws) names its version
+    def test_manifest_names_numpy_alone(self, tmp_path, capsys):
+        # the draws are numpy's samplers, so numpy is the one library named
         main(["mc-validate", "--samples", "20000", "--fees", "0", "--out", str(tmp_path)])
         capsys.readouterr()
         manifest = read_csv(tmp_path / "mc_validate.csv")[0]
         assert sorted(manifest) == [
-            "command", "config_hash", "numpy", "outputs", "python", "scipy", "seed", "version"
+            "command", "config_hash", "numpy", "outputs", "python", "seed", "version"
         ]
-        assert manifest["scipy"] == scipy.__version__
+        assert manifest["numpy"] == np.__version__
 
 
     @pytest.mark.parametrize("seed", ["-1", str(2**128)])
@@ -611,6 +611,30 @@ class TestAttack:
         _, header, rows = read_csv(tmp_path / "out" / "attack.csv")
         assert header[0] == "ratio"
         assert all(float(r[4]) <= 0.0 for r in rows)
+
+    @pytest.mark.parametrize("f_max", [10.0, 1000.0])
+    def test_rounding_gain_at_a_wide_cap_exit_0(self, f_max, tmp_path, capsys):
+        # with the required fee the gain is zero up to rounding: it reads
+        # 8.9e-16 at f_max 10 and 2.8e-14 at f_max 1000, on positions worth
+        # about 12 and 1002
+        config = sim_config_dict(horizon=10)
+        config["market"]["f_max"] = f_max
+        config["initial_bids"] = []
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["attack", str(path)]) == 0
+        gain = re.search(r"max_net_gain=(\S+)", capsys.readouterr().out).group(1)
+        assert 0.0 < float(gain) < 1e-13
+
+    @pytest.mark.parametrize("factor", [0.0, 0.5, 1.0 - 1e-9])
+    def test_withdrawal_fee_below_the_required_fee_exit_1(self, factor, tmp_path, capsys):
+        config = sim_config_dict(horizon=10)
+        config["withdrawal_fee"] = factor * withdrawal_fee_required(1.0 + 0.05)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["attack", str(path)]) == 1
+        gain = re.search(r"max_net_gain=(\S+)", capsys.readouterr().out).group(1)
+        assert float(gain) > 0.0
 
 
 class TestReplay:
@@ -893,7 +917,7 @@ SAMPLING_COMMANDS = pytest.mark.parametrize(
     "argv, sampler",
     [
         (["simulate", "{config}"], "numpy.random"),
-        (["mc-validate", "--samples", "10000", "--fees", "0"], "scipy.special"),
+        (["mc-validate", "--samples", "10000", "--fees", "0"], "numpy.random"),
     ],
     ids=["simulate", "mc-validate"],
 )
@@ -918,7 +942,7 @@ class TestImportCost:
         assert run_python(code).strip() == "False"
 
     def test_cli_import_leaves_out_scipy_special(self):
-        # so does scipy.special; only mc-validate needs it (ndtri)
+        # so does scipy.special, which no command needs
         code = "import sys, ammauction.cli; print('scipy.special' in sys.modules)"
         assert run_python(code).strip() == "False"
 
@@ -953,13 +977,16 @@ class TestImportCost:
         assert loaded == []
         assert final_state == replay_auction(scenario).final_state_json
 
-    def test_commands_that_do_not_sample_leave_out_scipy_special(self, tmp_path):
-        # nor scipy itself: only mc-validate's output rests on it
+    def test_no_command_loads_scipy(self, tmp_path):
+        # every command, the two that sample included, computes with numpy
+        # and the standard library alone
         (tmp_path / "config.json").write_text(json.dumps(sim_config_dict(horizon=10)))
         argvs = [
             ["replay", str(DATA / "depletion.jsonl")],
             ["formulas"],
+            ["mc-validate", "--samples", "10000", "--fees", "0,0.003"],
             ["equilibrium", "--grid", "16"],
+            ["simulate", str(tmp_path / "config.json")],
             ["attack", str(tmp_path / "config.json")],
         ]
         code = (
@@ -968,21 +995,9 @@ class TestImportCost:
             f"for argv in {argvs!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert main(argv) == 0, argv\n"
-            "print('scipy.special' in sys.modules, 'scipy' in sys.modules)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
-        assert run_python(code).strip() == "False False"
-
-    def test_simulate_leaves_out_scipy(self, tmp_path):
-        # the simulator draws with numpy's own samplers
-        (tmp_path / "config.json").write_text(json.dumps(sim_config_dict(horizon=10)))
-        code = (
-            "import contextlib, io, sys\n"
-            "from ammauction.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert main(['simulate', {str(tmp_path / 'config.json')!r}]) == 0\n"
-            "print('scipy' in sys.modules, 'scipy.special' in sys.modules)\n"
-        )
-        assert run_python(code).strip() == "False False"
+        assert run_python(code).strip() == "[]"
 
     def test_numpy_executes_on_first_use(self, tmp_path):
         # import and replay leave numpy unexecuted; simulate executes it in
@@ -1120,7 +1135,7 @@ class TestImportCost:
         capsys.readouterr()
         want = {
             "sim/blocks.csv": "e8af1699c2d2cd8d7f1aa22c2cd44b884cc4adcef085c370cd890da65c5c9844",
-            "mc/mc_validate.csv": "85fe96d2f9496a54f189762e6fc1b8b757c41d67f4c26654896a9ea8a7513fcf",
+            "mc/mc_validate.csv": "cae5e6f67d7cf4d3191ffea006dff5b7abca0f5329ae35691eee425d6fdeeadb",
         }
         for name, digest in want.items():
             body = (tmp_path / name).read_bytes().split(b"\n", 1)[1]

@@ -5,13 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import ndtri
 
 from ammauction import market
 from ammauction.equilibrium import dominance_report, solve_ff_liquidity
 from ammauction.market import (
     MarketParams,
-    _inverse_cdf_blocks,
     ae0,
     ae0_slope,
     ap0,
@@ -280,23 +278,7 @@ class TestConditionalExcess:
             conditional_excess(0.05, 0.01, 0.01, side="both")
 
 
-def philox(seed):
-    """The one uniform stream ``mc_rates`` draws from."""
-    return np.random.Generator(np.random.Philox(key=seed))
-
-
 class TestSampling:
-    @staticmethod
-    def scalar_draws(params, n, rng):
-        """Reference for mc_rates' draws: one block at a time, two uniforms
-        each, by inverse CDF."""
-        out = []
-        for _ in range(n):
-            u = np.maximum(rng.random(2), np.finfo(float).tiny)
-            tau = -params.delta_t * math.log1p(-u[0])
-            out.append((tau, float(ndtri(u[1])) * params.sigma * math.sqrt(tau)))
-        return out
-
     def test_same_seed_same_stream(self):
         a = sample_blocks(REF, 1, block_rng(123))
         b = sample_blocks(REF, 1, block_rng(123))
@@ -306,12 +288,6 @@ class TestSampling:
         rng = block_rng(9)
         second = [sample_blocks(REF, 1, rng) for _ in range(5)]
         assert np.array_equal(first, second)
-
-    def test_vector_path_matches_scalar_path(self):
-        tau, z = _inverse_cdf_blocks(REF, 4, philox(55))
-        scalars = self.scalar_draws(REF, 4, philox(55))
-        assert tau == pytest.approx([s[0] for s in scalars], rel=1e-15)
-        assert z == pytest.approx([s[1] for s in scalars], rel=1e-15)
 
     def test_draws_are_numpys_samplers_on_two_streams(self):
         # tau on Philox(key=seed), z on its jumped copy
@@ -380,10 +356,10 @@ class TestMCRates:
     def test_pinned_output(self):
         # exact bits: a change to the chain's draws or the excess kernel shows here
         est = mc_rates(0.003, REF, 20_000, seed=5)
-        assert est.ap0_hat.tolist() == [float.fromhex("0x1.6d37a2b41a5c7p-13")]
-        assert est.ap0_se.tolist() == [float.fromhex("0x1.254a85d0fb919p-18")]
-        assert est.ae0_hat.tolist() == [float.fromhex("0x1.10f0ccf67f3ccp-13")]
-        assert est.ae0_se.tolist() == [float.fromhex("0x1.ad31a1f89c650p-19")]
+        assert est.ap0_hat.tolist() == [float.fromhex("0x1.5e1891546b7e9p-13")]
+        assert est.ap0_se.tolist() == [float.fromhex("0x1.e70d5b7bae7ecp-19")]
+        assert est.ae0_hat.tolist() == [float.fromhex("0x1.12639ee0bc017p-13")]
+        assert est.ae0_se.tolist() == [float.fromhex("0x1.b1fa3b379facbp-19")]
 
     def test_pinned_fee_vector_output(self):
         # exact bits of one call over four fees; the per-step reference in
@@ -391,14 +367,14 @@ class TestMCRates:
         # moves both sides of the reference tests shows here
         est = mc_rates(np.array([0.0, 0.001, 0.003, 0.01]), REF, 20_000, seed=5)
         want = {
-            "ap0_hat": ["0x1.4e7d6d63f460ap-12", "0x1.061f281277c10p-12",
-                        "0x1.6d37a2b41a5c7p-13", "0x1.5eea2d9f4140ap-14"],
-            "ap0_se": ["0x1.74b284de75b86p-18", "0x1.528afdf6e2f2fp-18",
-                       "0x1.254a85d0fb919p-18", "0x1.c964d8efec84bp-19"],
-            "ae0_hat": ["0x1.4358b19a7b427p-12", "0x1.e5a12d38dbf9fp-13",
-                        "0x1.10f0ccf67f3ccp-13", "0x1.154c63227e6d5p-16"],
-            "ae0_se": ["0x1.3c85339431c28p-18", "0x1.17fc3fd660fecp-18",
-                       "0x1.ad31a1f89c650p-19", "0x1.321b659b57f05p-20"],
+            "ap0_hat": ["0x1.4a5bffe8f27adp-12", "0x1.00f679773800cp-12",
+                        "0x1.5e1891546b7e9p-13", "0x1.4235ce13e2733p-14"],
+            "ap0_se": ["0x1.3ee160067881bp-18", "0x1.1f57fa878d9e5p-18",
+                       "0x1.e70d5b7bae7ecp-19", "0x1.73aff0147116fp-19"],
+            "ae0_hat": ["0x1.43ce19e21a822p-12", "0x1.e6ba846b4c40fp-13",
+                        "0x1.12639ee0bc017p-13", "0x1.21f33433895aep-16"],
+            "ae0_se": ["0x1.3f914b9456d72p-18", "0x1.1adcb553e39a9p-18",
+                       "0x1.b1fa3b379facbp-19", "0x1.2e6f531cd830cp-20"],
         }
         for name, hexes in want.items():
             assert [v.hex() for v in getattr(est, name).tolist()] == hexes, name
@@ -423,6 +399,18 @@ class TestMCRates:
         ap0_hat, ap0_se, ae0_hat, ae0_se = one_fee(mc_rates(0.003, REF, 200_000, seed=0))
         assert abs(ap0_hat - ap0(0.003, REF)) <= 3.0 * ap0_se
         assert abs(ae0_hat - ae0(0.003, REF)) <= 3.0 * ae0_se
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: in the rare-event cell (kappa 10, about 45 of 10^6 "
+        "blocks leave the band) the sample standard error of ae0_hat is too small; "
+        "over seeds 1-44 at n = 10^6, seeds 13 (z_ae0 -4.67) and 40 (-3.58) fail "
+        "|z| <= 3",
+    )
+    def test_rare_event_cell_ae0_within_three_se(self):
+        params = MarketParams(sigma=0.02, delta_t=0.005, r=1e-4, f_max=0.05)
+        _, _, ae0_hat, ae0_se = one_fee(mc_rates(0.01, params, 1_000_000, seed=13))
+        assert abs(ae0_hat - ae0(0.01, params)) <= 3.0 * ae0_se
 
     def test_memory_is_one_float_per_sample(self):
         # the i.i.d. estimator keeps two float64 per sample, the draws and
