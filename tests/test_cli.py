@@ -977,16 +977,14 @@ class TestImportCost:
         assert loaded == []
         assert final_state == replay_auction(scenario).final_state_json
 
-    def test_no_command_loads_scipy(self, tmp_path):
-        # every command, the two that sample included, computes with numpy
-        # and the standard library alone
+    def test_commands_that_do_not_sample_leave_out_scipy_special(self, tmp_path):
+        # nor scipy itself: these commands compute with numpy and the
+        # standard library alone
         (tmp_path / "config.json").write_text(json.dumps(sim_config_dict(horizon=10)))
         argvs = [
             ["replay", str(DATA / "depletion.jsonl")],
             ["formulas"],
-            ["mc-validate", "--samples", "10000", "--fees", "0,0.003"],
             ["equilibrium", "--grid", "16"],
-            ["simulate", str(tmp_path / "config.json")],
             ["attack", str(tmp_path / "config.json")],
         ]
         code = (
@@ -995,6 +993,31 @@ class TestImportCost:
             f"for argv in {argvs!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert main(argv) == 0, argv\n"
+            "print('scipy.special' in sys.modules, 'scipy' in sys.modules)\n"
+        )
+        assert run_python(code).strip() == "False False"
+
+    def test_simulate_leaves_out_scipy(self, tmp_path):
+        # the simulator draws with numpy's own samplers
+        (tmp_path / "config.json").write_text(json.dumps(sim_config_dict(horizon=10)))
+        code = (
+            "import contextlib, io, sys\n"
+            "from ammauction.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main(['simulate', {str(tmp_path / 'config.json')!r}]) == 0\n"
+            "print('scipy' in sys.modules, 'scipy.special' in sys.modules)\n"
+        )
+        assert run_python(code).strip() == "False False"
+
+    def test_mc_validate_leaves_out_scipy(self):
+        # mc-validate draws with the simulator's sampler, so no scipy
+        # module is loaded
+        argv = ["mc-validate", "--samples", "10000", "--fees", "0,0.003"]
+        code = (
+            "import contextlib, io, sys\n"
+            "from ammauction.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         assert run_python(code).strip() == "[]"
