@@ -17,10 +17,10 @@ ziggurat can return an exact zero, so a block time of zero, a block with no
 price motion, is possible but vanishingly rare; nothing needs to guard it.
 
 :func:`mc_rates` draws with the same sampler on ``block_rng(seed)``: the
-i.i.d. mispricings first, then the profit chain's steps. Both its estimators
-read the streams in blocks of about :data:`CHAIN_BLOCKS` draws, bit for bit
-the one-call i.i.d. draw and the chain drawn one step at a time, so its
-memory is two float64 per i.i.d. sample plus a bounded block.
+i.i.d. mispricings first, then the profit chain's start and steps. Both its
+estimators read the streams in blocks of about :data:`CHAIN_BLOCKS` draws,
+bit for bit the one-call i.i.d. draw and the chain drawn one step at a time,
+so its memory is two float64 per i.i.d. sample plus a bounded block.
 
 :func:`kappa`, :func:`ap0`, :func:`ae0`, their slopes :func:`ap0_slope` and
 :func:`ae0_slope`, :func:`excess_ratio` and :func:`noise_volume_per_value`
@@ -323,6 +323,17 @@ def sample_blocks(
     return tau, z
 
 
+def _stationary_start(fees: np.ndarray, params: MarketParams, u: np.ndarray) -> np.ndarray:
+    """The profit chain's stationary post-trade law at the 1-D ``fees``, by
+    inverse CDF at the uniforms ``u``: mass ``e = 1/(2(1 + kappa))`` at each
+    band edge, flat inside (arXiv 2305.14604; exact for Laplace steps). Where
+    ``1 - 2e`` is 0 (fee 0, or kappa under about 1e-16) it is the edge ``u``
+    falls on; at sigma 0 it is uniform in the band. Shape ``(fees, u)``."""
+    e = 0.5 / (1.0 + kappa(fees, params)[:, None])
+    x = np.divide(u - e, 1.0 - 2.0 * e, out=np.where(u < e, 0.0, 1.0), where=e < 0.5)
+    return fees[:, None] * (2.0 * np.clip(x, 0.0, 1.0) - 1.0)
+
+
 # Draws per block in both estimators of :func:`mc_rates`: large enough that
 # numpy's per-call overhead is small per draw, small enough that a block's
 # arrays stay about a megabyte whatever ``n_samples`` (a chain block is one
@@ -356,24 +367,22 @@ def mc_rates(
 
     The profit estimator simulates the fixed-fee pool in stationarity: the
     mispricing carries over between blocks, clamped to the fee band whenever
-    arbitrageurs trade. It runs ``chains`` independent replicas after a
-    warmup proportional to the band-crossing time, and reports the standard
-    error across replica means (the within-chain samples are autocorrelated).
-    Each replica averages ``ceil(n_samples / chains)`` steps after warmup, so
-    the chain uses ``ceil(n_samples / chains) * chains`` draws, not exactly
+    arbitrageurs trade. It runs ``chains`` replicas from the exact stationary
+    law and reports the standard error across replica means (the samples
+    within a chain are autocorrelated). Each averages its pre-trade states
+    at steps ``1..ceil(n_samples / chains)``, never its start, so the chain
+    uses ``ceil(n_samples / chains) * chains`` draws, not exactly
     ``n_samples``. At fee zero the two estimators sample the same law.
 
-    The chain is drawn from the same streams, after the i.i.d. draws, in
-    blocks of about :data:`CHAIN_BLOCKS` chain blocks, one draw call per
-    block shared by every fee's chain, which runs to the longest warmup.
-    The states are stored step-major, one contiguous ``(fees, chains)`` row
-    per step, so a step is three element-wise calls whatever the number of
-    fees. Each fee sums its own window after its warmup, with
-    one ``excess_fraction`` call per block on a ``(steps, chains)`` view and
-    its per-replica sums in step order: every result is bit for bit the
-    chain drawn one step at a time. The chain holds about
-    :data:`CHAIN_BLOCKS` states per fee at a time (one step's when
-    ``chains`` is larger), whatever ``n_samples``.
+    The chain is drawn from the same streams, after the i.i.d. draws and the
+    start's uniforms, in blocks of about :data:`CHAIN_BLOCKS` chain blocks,
+    one draw call per block shared by every fee's chain. The states are
+    stored step-major, one contiguous ``(fees, chains)`` row per step, so a
+    step is three element-wise calls whatever the number of fees. Each fee
+    sums a block with one ``excess_fraction`` call on a ``(steps, chains)``
+    view, its per-replica sums in step order: every result is bit for bit
+    the chain drawn one step at a time, held in about :data:`CHAIN_BLOCKS`
+    states per fee (one step's when ``chains`` is larger).
     """
     fees = np.array([fee] if isinstance(fee, float) else fee, dtype=float)
     if fees.ndim != 1 or fees.size == 0:
@@ -418,23 +427,17 @@ def mc_rates(
     # element-wise calls over one contiguous row, in the one-step loop's
     # order: maximum, minimum, add.
     steps = -(-n_samples // chains)
-    warmups = []
-    for f in fee_list:
-        k = kappa(f, params)
-        # warmup covers ~40 band-crossing times; capped because for very wide
-        # bands trades are so rare that the start state cannot bias the mean
-        warmups.append(max(512, min(20_000, int(40.0 * k * k) + 1)) if math.isfinite(k) else 512)
-    total_steps = max(warmups) + steps
     block = max(1, CHAIN_BLOCKS // chains)
     # the bounds share the path's allocation: two separate 8 KB arrays move
     # glibc's heap layout so that a later call's peak RSS rises by ~2 MB
-    rows = np.zeros((min(block, total_steps) + 3, len(fees), chains))
+    rows = np.zeros((min(block, steps) + 3, len(fees), chains))
     upper, lower, path = rows[0], rows[1], rows[2:]
     upper[:] = fees[:, None]
     np.negative(upper, out=lower)
+    path[0] = _stationary_start(fees, params, rng[0].random(chains))
     totals = np.zeros((len(fees), chains))
-    for start in range(0, total_steps, block):
-        m = min(block, total_steps - start)
+    for start in range(0, steps, block):
+        m = min(block, steps - start)
         _, eps = sample_blocks(params, m * chains, rng)
         eps = eps.reshape(m, chains)
         for j in range(m):
@@ -442,16 +445,13 @@ def mc_rates(
             np.maximum(path[j], lower, out=row)
             np.minimum(row, upper, out=row)
             np.add(row, eps[j], out=row)
-        for i, (f, warmup) in enumerate(zip(fee_list, warmups)):
-            first = max(0, warmup - start)
-            last = min(m, warmup + steps - start)
-            if first < last:
-                # running totals first, then the rows in step order: the
-                # same left-to-right sum as adding one step at a time
-                acc = np.empty((last - first + 1, chains))
-                acc[0] = totals[i]
-                acc[1:] = excess_fraction(path[first:last, i], f)
-                totals[i] = np.add.reduce(acc, axis=0)
+        for i, f in enumerate(fee_list):
+            # running totals first, then the rows in step order: the same
+            # left-to-right sum as adding one step at a time
+            acc = np.empty((m + 1, chains))
+            acc[0] = totals[i]
+            acc[1:] = excess_fraction(path[1 : m + 1, i], f)
+            totals[i] = np.add.reduce(acc, axis=0)
         path[0] = path[m]
     for i, row in enumerate(totals):
         means = row / steps / dt

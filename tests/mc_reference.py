@@ -1,6 +1,7 @@
 """Per-step reference for ``mc_rates``: on ``block_rng(seed)``, one
-``sample_blocks`` draw of all i.i.d. blocks, then one ``sample_blocks`` draw,
-one ``excess_fraction`` call and one clip per chain step.
+``sample_blocks`` draw of all i.i.d. blocks, one uniform per chain for its
+stationary start, then one ``sample_blocks`` draw, one clip and one
+``excess_fraction`` call per chain step.
 
 This is the Monte-Carlo chain's original loop, kept as the oracle the
 blocked chain in ``market.mc_rates`` is checked against in
@@ -11,14 +12,8 @@ import math
 
 import numpy as np
 
-from ammauction.market import MCRates, block_rng, kappa, sample_blocks
+from ammauction.market import MCRates, _stationary_start, block_rng, sample_blocks
 from ammauction.pool import excess_fraction
-
-
-def chain_warmup(fee, params) -> int:
-    """Chain steps discarded before the profit estimator starts averaging."""
-    k = kappa(fee, params)
-    return max(512, min(20_000, int(40.0 * k * k) + 1)) if math.isfinite(k) else 512
 
 
 def reference_mc_rates(fee, params, n_samples, seed=0, chains=250) -> MCRates:
@@ -31,14 +26,12 @@ def reference_mc_rates(fee, params, n_samples, seed=0, chains=250) -> MCRates:
     ae0_se = float(vals.std(ddof=1)) / math.sqrt(n_samples) / dt
 
     steps = -(-n_samples // chains)
-    warmup = chain_warmup(fee, params)
-    z_state = np.zeros(chains)
+    z_state = _stationary_start(np.array([fee]), params, rng[0].random(chains))[0]
     totals = np.zeros(chains)
-    for i in range(warmup + steps):
+    for _ in range(steps):
         _, eps = sample_blocks(params, chains, rng)
-        if i >= warmup:
-            totals += excess_fraction(z_state, fee)
         z_state = np.clip(z_state, -fee, fee) + eps
+        totals += excess_fraction(z_state, fee)
     means = totals / steps / dt
     ap0_hat = float(means.mean())
     ap0_se = float(means.std(ddof=1)) / math.sqrt(chains)

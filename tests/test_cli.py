@@ -1158,7 +1158,7 @@ class TestImportCost:
         capsys.readouterr()
         want = {
             "sim/blocks.csv": "e8af1699c2d2cd8d7f1aa22c2cd44b884cc4adcef085c370cd890da65c5c9844",
-            "mc/mc_validate.csv": "cae5e6f67d7cf4d3191ffea006dff5b7abca0f5329ae35691eee425d6fdeeadb",
+            "mc/mc_validate.csv": "59c08d1751156853b3c4eb9355641c41f401a7c94a08591f0e26b4f93303bd05",
         }
         for name, digest in want.items():
             body = (tmp_path / name).read_bytes().split(b"\n", 1)[1]

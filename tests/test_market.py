@@ -26,7 +26,10 @@ from ammauction.market import (
 from ammauction.pool import excess_fraction
 
 from conftest import REF
-from mc_reference import chain_warmup, reference_mc_rates
+from mc_reference import reference_mc_rates
+
+# the rare-event cell: kappa 10 at fee 0.01
+RARE = MarketParams(sigma=0.02, delta_t=0.005, r=1e-4, f_max=0.05)
 
 
 @functools.lru_cache(maxsize=None)
@@ -356,8 +359,8 @@ class TestMCRates:
     def test_pinned_output(self):
         # exact bits: a change to the chain's draws or the excess kernel shows here
         est = mc_rates(0.003, REF, 20_000, seed=5)
-        assert est.ap0_hat.tolist() == [float.fromhex("0x1.5e1891546b7e9p-13")]
-        assert est.ap0_se.tolist() == [float.fromhex("0x1.e70d5b7bae7ecp-19")]
+        assert est.ap0_hat.tolist() == [float.fromhex("0x1.5881058192da3p-13")]
+        assert est.ap0_se.tolist() == [float.fromhex("0x1.0747fb1fb3703p-18")]
         assert est.ae0_hat.tolist() == [float.fromhex("0x1.12639ee0bc017p-13")]
         assert est.ae0_se.tolist() == [float.fromhex("0x1.b1fa3b379facbp-19")]
 
@@ -367,10 +370,10 @@ class TestMCRates:
         # moves both sides of the reference tests shows here
         est = mc_rates(np.array([0.0, 0.001, 0.003, 0.01]), REF, 20_000, seed=5)
         want = {
-            "ap0_hat": ["0x1.4a5bffe8f27adp-12", "0x1.00f679773800cp-12",
-                        "0x1.5e1891546b7e9p-13", "0x1.4235ce13e2733p-14"],
-            "ap0_se": ["0x1.3ee160067881bp-18", "0x1.1f57fa878d9e5p-18",
-                       "0x1.e70d5b7bae7ecp-19", "0x1.73aff0147116fp-19"],
+            "ap0_hat": ["0x1.3e6c0b80e1956p-12", "0x1.f0a4d27f65541p-13",
+                        "0x1.5881058192da3p-13", "0x1.420d8c1918ea9p-14"],
+            "ap0_se": ["0x1.5ac8d7410b8c8p-18", "0x1.38dea1ba6154dp-18",
+                       "0x1.0747fb1fb3703p-18", "0x1.60a1841d2e7d2p-19"],
             "ae0_hat": ["0x1.43ce19e21a822p-12", "0x1.e6ba846b4c40fp-13",
                         "0x1.12639ee0bc017p-13", "0x1.21f33433895aep-16"],
             "ae0_se": ["0x1.3f914b9456d72p-18", "0x1.1adcb553e39a9p-18",
@@ -400,6 +403,12 @@ class TestMCRates:
         assert abs(ap0_hat - ap0(0.003, REF)) <= 3.0 * ap0_se
         assert abs(ae0_hat - ae0(0.003, REF)) <= 3.0 * ae0_se
 
+    @pytest.mark.parametrize("params, fee", [(REF, 0.003), (RARE, 0.01)], ids=["REF", "rare"])
+    def test_short_run_agrees_with_ap0(self, params, fee):
+        # 40 steps per chain: the stationary start needs no warm-up
+        ap0_hat, ap0_se, _, _ = one_fee(mc_rates(fee, params, 10_000, seed=0))
+        assert abs(ap0_hat - ap0(fee, params)) <= 3.0 * ap0_se
+
     @pytest.mark.xfail(
         strict=True,
         reason="known defect: in the rare-event cell (kappa 10, about 45 of 10^6 "
@@ -408,9 +417,8 @@ class TestMCRates:
         "|z| <= 3",
     )
     def test_rare_event_cell_ae0_within_three_se(self):
-        params = MarketParams(sigma=0.02, delta_t=0.005, r=1e-4, f_max=0.05)
-        _, _, ae0_hat, ae0_se = one_fee(mc_rates(0.01, params, 1_000_000, seed=13))
-        assert abs(ae0_hat - ae0(0.01, params)) <= 3.0 * ae0_se
+        _, _, ae0_hat, ae0_se = one_fee(mc_rates(0.01, RARE, 1_000_000, seed=13))
+        assert abs(ae0_hat - ae0(0.01, RARE)) <= 3.0 * ae0_se
 
     def test_memory_is_one_float_per_sample(self):
         # the i.i.d. estimator keeps two float64 per sample, the draws and
@@ -443,6 +451,73 @@ class TestMCRates:
             mc_rates(fee, REF, 10_000)
 
 
+class TestStationaryStart:
+    """The profit chain's start: mass 1/(2(1 + kappa)) at each band edge,
+    flat inside, and unchanged by a step of the chain."""
+
+    N = 1_000_000
+
+    @classmethod
+    def assert_law(cls, states, fee, k):
+        # each edge atom and each tenth of the inside within 4 binomial SEs
+        edge = 0.5 / (1.0 + k)
+        inside = states[(states > -fee) & (states < fee)]
+        counts = [np.count_nonzero(states == -fee), np.count_nonzero(states == fee)]
+        counts += np.histogram(inside, bins=10, range=(-fee, fee))[0].tolist()
+        assert sum(counts) == cls.N
+        for i, count in enumerate(counts):
+            p = edge if i < 2 else (1.0 - 2.0 * edge) / 10.0
+            assert abs(count - cls.N * p) <= 4.0 * math.sqrt(cls.N * p * (1.0 - p)), (i, count)
+
+    @staticmethod
+    def start(fee, params, u):
+        return market._stationary_start(np.array([fee]), params, u)[0]
+
+    @pytest.mark.parametrize("k", [0.5, 2.0, 10.0])
+    def test_edge_atoms_and_flat_inside(self, k):
+        fee = k * REF.sigma * math.sqrt(REF.delta_t / 2.0)
+        u = np.random.default_rng(1).random(self.N)
+        self.assert_law(self.start(fee, REF, u), fee, kappa(fee, REF))
+
+    @pytest.mark.parametrize("k", [0.5, 2.0, 10.0])
+    def test_one_chain_step_keeps_the_law(self, k):
+        fee = k * REF.sigma * math.sqrt(REF.delta_t / 2.0)
+        state = self.start(fee, REF, np.random.default_rng(2).random(self.N))
+        _, eps = sample_blocks(REF, self.N, block_rng(3))
+        self.assert_law(np.clip(state + eps, -fee, fee), fee, kappa(fee, REF))
+
+    def test_zero_fee_starts_on_price(self):
+        u = np.random.default_rng(4).random(1_000)
+        zero_sigma = MarketParams(sigma=0.0, delta_t=0.01, r=1e-4, f_max=0.05)
+        for params in (REF, zero_sigma):
+            assert (self.start(0.0, params, u) == 0.0).all()
+
+    def test_zero_sigma_starts_uniform_in_the_band(self):
+        # kappa is infinite: no edge mass, the band stretched over u
+        params = MarketParams(sigma=0.0, delta_t=0.01, r=1e-4, f_max=0.05)
+        u = np.random.default_rng(5).random(1_000)
+        assert self.start(0.003, params, u).tolist() == (0.003 * (2.0 * u - 1.0)).tolist()
+
+    # sigma^2 delta_t is under 8 there, but sigma * sqrt(delta_t / 2) rounds
+    # to 2, so the least subnormal fee's kappa rounds to 0
+    @pytest.mark.parametrize(
+        "fee, params",
+        [(5e-324, MarketParams(sigma=4.216175460150635, delta_t=0.4500415737239494,
+                               r=1e-4, f_max=0.05)),
+         (1e-300, REF)],
+        ids=["kappa-zero", "one-plus-kappa-is-one"],
+    )
+    def test_vanishing_kappa_starts_on_an_edge(self, fee, params):
+        k = float(kappa(fee, params))
+        assert 1.0 + k == 1.0 and (k == 0.0) == (fee == 5e-324)
+        u = np.random.default_rng(6).random(1_000)
+        states = self.start(fee, params, u)
+        assert states.tolist() == np.where(u < 0.5, -fee, fee).tolist()
+        est = mc_rates(fee, params, 10_000)
+        for name in ("ap0_hat", "ap0_se", "ae0_hat", "ae0_se"):
+            assert np.isfinite(getattr(est, name)).all(), name
+
+
 class TestBlockedChain:
     """``mc_rates`` draws its chain in blocks; the per-step loop is the oracle."""
 
@@ -458,8 +533,7 @@ class TestBlockedChain:
     def block(chains):
         return max(1, market.CHAIN_BLOCKS // chains)
 
-    # unsorted, with zero, a duplicate and a fee at the warmup cap (kappa 25
-    # at REF): the fees' chains end on different steps of the shared stream
+    # unsorted, with zero, a duplicate and a wide band (kappa 25 at REF)
     VECTOR_FEES = (0.01, 0.0, 0.003, 0.003, 25.0 * REF.sigma * math.sqrt(REF.delta_t / 2.0))
 
     @classmethod
@@ -472,7 +546,7 @@ class TestBlockedChain:
             for name in ("ap0_hat", "ap0_se", "ae0_hat", "ae0_se"):
                 assert getattr(got, name)[i].hex() == getattr(want, name)[0].hex(), (fee, name)
 
-    @pytest.mark.parametrize("chains", [2, 7, 1000])  # 250: the warmup tests below
+    @pytest.mark.parametrize("chains", [2, 7, 1000])  # 250: the window tests below
     def test_chains_match_reference(self, chains):
         self.assert_same(0.003, REF, 20_000, chains=chains)
 
@@ -491,19 +565,18 @@ class TestBlockedChain:
         assert 20_001 % 7 != 0
         self.assert_same(0.003, REF, 20_001, chains=7)
 
-    def test_warmup_ends_inside_a_block(self):
-        assert chain_warmup(0.003, REF) % self.block(250) != 0
+    def test_window_ends_inside_a_block(self, monkeypatch):
+        # 80 steps in blocks of 3: the last block holds two
+        monkeypatch.setattr(market, "CHAIN_BLOCKS", 3 * 250)
+        assert 20_000 // 250 % self.block(250) == 2
         self.assert_same(0.003, REF, 20_000, chains=250)
 
-    def test_warmup_ends_on_a_block_boundary(self):
-        chains = market.CHAIN_BLOCKS // chain_warmup(0.003, REF)
-        assert chain_warmup(0.003, REF) % self.block(chains) == 0
-        self.assert_same(0.003, REF, 20_000, chains=chains)
-
-    def test_warmup_cap(self):
-        fee = 25.0 * REF.sigma * math.sqrt(REF.delta_t / 2.0)  # kappa = 25
-        assert chain_warmup(fee, REF) == 20_000
-        self.assert_same(fee, REF, 10_000, chains=250)
+    def test_window_ends_on_a_block_boundary(self, monkeypatch):
+        # 80 steps in blocks of 8; the first block's carry row holds only
+        # the start, which is never counted
+        monkeypatch.setattr(market, "CHAIN_BLOCKS", 8 * 250)
+        assert 20_000 // 250 % self.block(250) == 0
+        self.assert_same(0.003, REF, 20_000, chains=250)
 
     def test_zero_fee(self):
         self.assert_same(0.0, REF, 20_000, chains=250)
@@ -523,9 +596,6 @@ class TestBlockedChain:
     def test_zero_sigma(self, fee):
         params = MarketParams(sigma=0.0, delta_t=0.01, r=1e-4, f_max=0.05)
         self.assert_same(fee, params, 20_000, chains=250)
-
-    def test_vector_warmups_differ(self):
-        assert {chain_warmup(fee, REF) for fee in self.VECTOR_FEES} == {512, 20_000}
 
     @pytest.mark.parametrize("chains", [7, 1000])
     def test_fee_vector_matches_reference(self, chains):

@@ -213,3 +213,15 @@ def abs_bound(field: str, cfg: SimConfig, value: float) -> float:
 def test_fuzzed_configs_match_scalar_reference(cfg):
     value = 2.0 * _setup(cfg)[1]
     assert_matches_reference(cfg, lambda field: abs_bound(field, cfg, value), 1e-12 * value)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: at fee 0 run_sim counts trades that come from rounding "
+    "alone; here it reads 916 no-trade blocks where the reference reads 996",
+)
+def test_zero_fee_counts_no_trade_where_the_reserves_show_none():
+    # a mispricing of about 1e-17 rounds away in the reserves the reference
+    # builds, so those blocks are on-price and cannot trade
+    cfg = SimConfig(1_024, 0, replace(REF, sigma=4e-16), default_fee=0.0)
+    assert run_sim(cfg).no_trade_blocks == reference_sim(cfg).no_trade_blocks
