@@ -13,7 +13,7 @@ reproduced from its artifacts alone. Exit codes are a stable contract for CI:
     2  usage, config, or parse error (``simulate`` needs ``horizon_blocks``
        of at least 2), an unusable path, a simulation report with a
        non-finite field (no ``report.json`` is written), a value too large
-       to compute (a fee that overflows the closed forms), or a sample count
+       to compute (a fee that overflows the closed forms), or a chain count
        whose buffers cannot be allocated
     3  no positive finite equilibrium
 """

@@ -18,9 +18,10 @@ price motion, is possible but vanishingly rare; nothing needs to guard it.
 
 :func:`mc_rates` draws with the same sampler on ``block_rng(seed)``: the
 i.i.d. mispricings first, then the profit chain's start and steps. Both its
-estimators read the streams in blocks of about :data:`CHAIN_BLOCKS` draws,
-bit for bit the one-call i.i.d. draw and the chain drawn one step at a time,
-so its memory is two float64 per i.i.d. sample plus a bounded block.
+estimators read the streams in blocks of about :data:`CHAIN_BLOCKS` draws:
+the i.i.d. excesses are merged into running moments one block at a time and
+the chain is bit for bit the chain drawn one step at a time, so its memory is
+a bounded block whatever the sample count.
 
 :func:`kappa`, :func:`ap0`, :func:`ae0`, their slopes :func:`ap0_slope` and
 :func:`ae0_slope`, :func:`excess_ratio` and :func:`noise_volume_per_value`
@@ -334,11 +335,38 @@ def _stationary_start(fees: np.ndarray, params: MarketParams, u: np.ndarray) -> 
     return fees[:, None] * (2.0 * np.clip(x, 0.0, 1.0) - 1.0)
 
 
+class _Moments:
+    """Running mean and sample standard deviation, fed one chunk at a time
+    and merged with the pairwise update of Chan, Golub and LeVeque. The
+    simulator's report and :func:`mc_rates`' excess estimator both use it."""
+
+    def __init__(self) -> None:
+        self.n = 0
+        self.mean = 0.0
+        self.m2 = 0.0  # sum of squared deviations from the mean
+
+    def add(self, x: np.ndarray) -> None:
+        """Merge in the non-empty chunk ``x``."""
+        n_x = len(x)
+        mean_x = float(x.mean())
+        m2_x = float(np.square(x - mean_x).sum())
+        n = self.n + n_x
+        delta = mean_x - self.mean
+        self.mean += delta * n_x / n
+        self.m2 += m2_x + delta * delta * self.n * n_x / n
+        self.n = n
+
+    def std(self) -> float:
+        return math.sqrt(self.m2 / (self.n - 1)) if self.n > 1 else math.nan
+
+
 # Draws per block in both estimators of :func:`mc_rates`: large enough that
 # numpy's per-call overhead is small per draw, small enough that a block's
-# arrays stay about a megabyte whatever ``n_samples`` (a chain block is one
-# step when ``chains`` exceeds it).
-CHAIN_BLOCKS = 1 << 16
+# arrays and the excess kernel's temporaries stay well under a megabyte
+# whatever ``n_samples`` (a chain block is one step when ``chains`` exceeds
+# it). The i.i.d. excess sums merge one block at a time, so it fixes their
+# bits; the chain's bits do not depend on it.
+CHAIN_BLOCKS = 1 << 13
 
 
 def mc_rates(
@@ -360,10 +388,9 @@ def mc_rates(
     on-price (the manager corrects it for free), so the pre-trade mispricing
     is exactly N(0, sigma^2 tau) and the per-block excess is averaged
     directly. It draws the ``n_samples`` mispricings :data:`CHAIN_BLOCKS` at a
-    time into one float64 buffer, then for each fee fills a second buffer
-    with the per-block excesses and takes their mean and standard deviation,
-    the latter in place: bit for bit the one-call draw and ``numpy``'s
-    ``mean``/``std``, at two float64 per sample whatever the number of fees.
+    time and merges each block's excesses into one running mean and variance
+    per fee (:class:`_Moments`), so its memory is one block's whatever
+    ``n_samples`` and the number of fees.
 
     The profit estimator simulates the fixed-fee pool in stationarity: the
     mispricing carries over between blocks, clamped to the fee band whenever
@@ -397,27 +424,16 @@ def mc_rates(
     dt = params.delta_t
     ap0_hat, ap0_se, ae0_hat, ae0_se = np.empty((4, len(fees)))
 
-    # Excess: i.i.d. per-block draws, CHAIN_BLOCKS at a time; every step is
-    # element-wise in stream order, so ``z`` and ``vals`` hold the one-call
-    # bits. ``vals`` is filled in eighths of a draw block so that the
-    # kernel's temporaries stay small beside the two buffers.
-    z = np.empty(n_samples)
+    # Excess: i.i.d. per-block draws, CHAIN_BLOCKS at a time, each block's
+    # excesses merged into every fee's running moments
+    moments = [_Moments() for _ in fee_list]
     for start in range(0, n_samples, CHAIN_BLOCKS):
-        stop = min(start + CHAIN_BLOCKS, n_samples)
-        z[start:stop] = sample_blocks(params, stop - start, rng)[1]
-    vals = np.empty(n_samples)
-    sub = max(1, CHAIN_BLOCKS // 8)
-    for i, f in enumerate(fee_list):
-        for start in range(0, n_samples, sub):
-            vals[start : start + sub] = excess_fraction(z[start : start + sub], f)
-        mean = vals.mean()
-        ae0_hat[i] = float(mean) / dt
-        # vals.std(ddof=1)'s steps, in place of its n-sized temporary
-        vals -= mean
-        vals *= vals
-        std = math.sqrt(float(np.add.reduce(vals)) / (n_samples - 1))
-        ae0_se[i] = std / math.sqrt(n_samples) / dt
-    del z, vals
+        _, z = sample_blocks(params, min(CHAIN_BLOCKS, n_samples - start), rng)
+        for mom, f in zip(moments, fee_list):
+            mom.add(excess_fraction(z, f))
+    for i, mom in enumerate(moments):
+        ae0_hat[i] = mom.mean / dt
+        ae0_se[i] = mom.std() / math.sqrt(n_samples) / dt
 
     # Profit: stationary band-clamped chains, vectorized across fees and
     # replicas and drawn in blocks of about CHAIN_BLOCKS chain blocks. The
@@ -428,12 +444,9 @@ def mc_rates(
     # order: maximum, minimum, add.
     steps = -(-n_samples // chains)
     block = max(1, CHAIN_BLOCKS // chains)
-    # the bounds share the path's allocation: two separate 8 KB arrays move
-    # glibc's heap layout so that a later call's peak RSS rises by ~2 MB
-    rows = np.zeros((min(block, steps) + 3, len(fees), chains))
-    upper, lower, path = rows[0], rows[1], rows[2:]
-    upper[:] = fees[:, None]
-    np.negative(upper, out=lower)
+    upper = np.repeat(fees[:, None], chains, axis=1)
+    lower = -upper
+    path = np.empty((min(block, steps) + 1, len(fees), chains))
     path[0] = _stationary_start(fees, params, rng[0].random(chains))
     totals = np.zeros((len(fees), chains))
     for start in range(0, steps, block):

@@ -49,7 +49,7 @@ from . import equilibrium, market
 from ._numpy import np
 from .auction import AuctionParams, AuctionState, Bid, _to_fraction
 from .auction import check_field_types, read_json_object
-from .market import MarketParams
+from .market import MarketParams, _Moments
 from .pool import strategic_withdrawal_values, trade_to_band, withdrawal_fee_required
 
 # ammbench/spans.py wraps this name; the kernel below calls trade_to_band
@@ -394,30 +394,6 @@ def _pool_kernel(z: np.ndarray, fee: np.ndarray, managed: np.ndarray, liquidity:
     adverse = (x0 + y0) - (x2 + y2)
     z_end = -np.log(y2 / x2)
     return traded, excess, arb_fee, mgr_arb, adverse, z_end
-
-
-class _Moments:
-    """Running mean and sample standard deviation, fed one chunk at a time
-    and merged with the pairwise update of Chan, Golub and LeVeque."""
-
-    def __init__(self) -> None:
-        self.n = 0
-        self.mean = 0.0
-        self.m2 = 0.0  # sum of squared deviations from the mean
-
-    def add(self, x: np.ndarray) -> None:
-        """Merge in the non-empty chunk ``x``."""
-        n_x = len(x)
-        mean_x = float(x.mean())
-        m2_x = float(np.square(x - mean_x).sum())
-        n = self.n + n_x
-        delta = mean_x - self.mean
-        self.mean += delta * n_x / n
-        self.m2 += m2_x + delta * delta * self.n * n_x / n
-        self.n = n
-
-    def std(self) -> float:
-        return math.sqrt(self.m2 / (self.n - 1)) if self.n > 1 else math.nan
 
 
 def _format_run(

@@ -179,16 +179,19 @@ class TestBadFees:
         assert captured.out == ""
         assert captured.err == "error: too large to compute: overflow encountered in cosh\n"
 
-    def test_unallocatable_sample_count_exit_2(self, capsys):
-        # 10^13 samples ask for a 73 TiB buffer, which is refused at once. The
-        # address-space cap of 64 TiB makes sure of that on a machine that
-        # overcommits memory; the run itself uses a tiny part of it.
+    def test_unallocatable_chain_count_exit_2(self, capsys):
+        # 10^13 chains ask for a 73 TiB row of clip bounds, which is refused
+        # at once. The address-space cap of 64 TiB makes sure of that on a
+        # machine that overcommits memory; the run itself uses a tiny part of
+        # it. (A large --samples count allocates nothing that grows with it:
+        # it only runs long.)
         soft, hard = resource.getrlimit(resource.RLIMIT_AS)
         cap = 2**46
         if soft == resource.RLIM_INFINITY or soft > cap:
             resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
         try:
-            code = main(["mc-validate", "--samples", "10000000000000", "--fees", "0.003"])
+            code = main(["mc-validate", "--samples", "10000", "--chains", "10000000000000",
+                         "--fees", "0.003"])
         finally:
             resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
         assert code == 2
@@ -1158,7 +1161,7 @@ class TestImportCost:
         capsys.readouterr()
         want = {
             "sim/blocks.csv": "e8af1699c2d2cd8d7f1aa22c2cd44b884cc4adcef085c370cd890da65c5c9844",
-            "mc/mc_validate.csv": "59c08d1751156853b3c4eb9355641c41f401a7c94a08591f0e26b4f93303bd05",
+            "mc/mc_validate.csv": "a49553f19c314a0b35de934ee3a21c463e61e02ee493b4ce3fdabd5ede8eaf6e",
         }
         for name, digest in want.items():
             body = (tmp_path / name).read_bytes().split(b"\n", 1)[1]

@@ -33,9 +33,11 @@ RARE = MarketParams(sigma=0.02, delta_t=0.005, r=1e-4, f_max=0.05)
 
 
 @functools.lru_cache(maxsize=None)
-def cached_reference(fee, params, n_samples, seed, chains):
-    """The per-step oracle; it does not depend on ``CHAIN_BLOCKS``, so the
-    block-size cases share it."""
+def cached_reference(fee, params, n_samples, seed, chains, chain_blocks):
+    """The per-step oracle at ``CHAIN_BLOCKS == chain_blocks``: its excess
+    moments merge that many samples at a time, so the block size is part of
+    the key."""
+    assert chain_blocks == market.CHAIN_BLOCKS
     return reference_mc_rates(fee, params, n_samples, seed=seed, chains=chains)
 
 
@@ -376,7 +378,7 @@ class TestMCRates:
                        "0x1.0747fb1fb3703p-18", "0x1.60a1841d2e7d2p-19"],
             "ae0_hat": ["0x1.43ce19e21a822p-12", "0x1.e6ba846b4c40fp-13",
                         "0x1.12639ee0bc017p-13", "0x1.21f33433895aep-16"],
-            "ae0_se": ["0x1.3f914b9456d72p-18", "0x1.1adcb553e39a9p-18",
+            "ae0_se": ["0x1.3f914b9456d73p-18", "0x1.1adcb553e39a9p-18",
                        "0x1.b1fa3b379facbp-19", "0x1.2e6f531cd830cp-20"],
         }
         for name, hexes in want.items():
@@ -420,19 +422,21 @@ class TestMCRates:
         _, _, ae0_hat, ae0_se = one_fee(mc_rates(0.01, RARE, 1_000_000, seed=13))
         assert abs(ae0_hat - ae0(0.01, RARE)) <= 3.0 * ae0_se
 
-    def test_memory_is_one_float_per_sample(self):
-        # the i.i.d. estimator keeps two float64 per sample, the draws and
-        # one fee's excesses, whose standard deviation is taken in place; the
-        # fees share both buffers. Drawing all samples in one call costs ~57 B
-        n = 2_000_000
-        for fee in (0.003, np.array([0.0, 0.001, 0.003, 0.01])):
-            tracemalloc.start()
-            try:
-                mc_rates(fee, REF, n)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak <= 17 * n + 8e6, (fee, peak)
+    def test_memory_does_not_grow_with_samples(self):
+        # both estimators stream: the i.i.d. excesses merge one CHAIN_BLOCKS
+        # block at a time and the chain holds one block of steps, so the
+        # traced peak (about 0.6-1.4 MB) is the same at 2e5 and 2e6 samples,
+        # with one fee or four. A buffer of one float64 per sample is 16 MB
+        # at 2e6.
+        for n in (200_000, 2_000_000):
+            for fee in (0.003, np.array([0.0, 0.001, 0.003, 0.01])):
+                tracemalloc.start()
+                try:
+                    mc_rates(fee, REF, n)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 2.5e6, (n, fee, peak)
 
     def test_a_float_fee_is_a_one_fee_array(self):
         one = mc_rates(0.003, REF, 10_000)
@@ -542,7 +546,7 @@ class TestBlockedChain:
         assert got.n_samples == n_samples
         assert got.fee.tolist() == list(cls.VECTOR_FEES)
         for i, fee in enumerate(cls.VECTOR_FEES):
-            want = cached_reference(fee, params, n_samples, seed, chains)
+            want = cached_reference(fee, params, n_samples, seed, chains, market.CHAIN_BLOCKS)
             for name in ("ap0_hat", "ap0_se", "ae0_hat", "ae0_se"):
                 assert getattr(got, name)[i].hex() == getattr(want, name)[0].hex(), (fee, name)
 

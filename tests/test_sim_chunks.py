@@ -16,14 +16,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ammauction.market import MarketParams
+from ammauction.market import MarketParams, _Moments
 from ammauction.sim import (
     CHUNK_BLOCKS,
     BidSpec,
     SimConfig,
     _advance_auction,
     _carry_scan,
-    _Moments,
     _Run,
     _setup,
     run_sim,
