@@ -261,11 +261,6 @@ class AuctionState:
         live = sum((b.deposit for b in self.live_bids()), Fraction(0))
         return self.deposits_posted - (self.rent_distributed + self.refunds + live)
 
-    def lp_registered_shares(self) -> Fraction:
-        """Total registered LP shares: a running total, so reading it costs
-        the same whatever the LP count."""
-        return self._lp_shares
-
     # -- bidder actions -----------------------------------------------------
 
     def submit_bid(self, bidder: str, rent: Number, deposit: Number) -> Bid:

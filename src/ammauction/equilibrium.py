@@ -41,7 +41,6 @@ __all__ = [
     "AMEquilibrium",
     "DominanceRow",
     "DominanceReport",
-    "lp_pnl_ff",
     "solve_ff_liquidity",
     "mgr_pnl_am",
     "lp_pnl_am",
@@ -87,17 +86,6 @@ class AMEquilibrium:
     ff_best_fee: float
     lp_residual: float
     mgr_residual: float
-
-
-def lp_pnl_ff(fee: float, liquidity: float, params: MarketParams) -> float:
-    """LP profit rate in a fixed-fee pool: fee revenue less arb losses and
-    the capital charge, ``f*H(f,L) - ap0(f)*V(L) - r*V(L)``."""
-    if liquidity <= 0.0:
-        raise ValueError(f"liquidity must be positive, got {liquidity}")
-    v = pool_value(liquidity, 1.0)
-    return fee * market.noise_volume(fee, liquidity, params) - (
-        market.ap0(fee, params) + params.r
-    ) * v
 
 
 def lp_pnl_am(rent: float, liquidity: float, params: MarketParams) -> float:

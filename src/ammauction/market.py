@@ -2,8 +2,7 @@
 
 Closed-form layer: noise-trader demand ``H(f, L) = c0 * L^alpha * e^{-c1 f}``,
 the arbitrage-profit rate :func:`ap0` and arbitrage-excess rate :func:`ae0`
-(both per unit pool value per unit time), and the erf-based conditional
-expectation of the per-block excess given the interblock time.
+(both per unit pool value per unit time).
 
 Stochastic layer: block times are exponential with mean ``delta_t`` and the
 log-mispricing accumulated over a block is ``N(0, sigma^2 * tau)``. The
@@ -39,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Literal
 
 from ._numpy import np
 from .auction import _finite_real
@@ -56,13 +54,10 @@ __all__ = [
     "kappa",
     "noise_volume",
     "noise_volume_per_value",
-    "conditional_excess",
     "block_rng",
     "sample_blocks",
     "mc_rates",
 ]
-
-_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -256,39 +251,6 @@ def noise_volume_per_value(fee, liquidity: float, params: MarketParams):
     if liquidity <= 0.0:
         raise ValueError(f"liquidity must be positive, got {liquidity}")
     return _h0_factor(liquidity, params) * np.exp(-params.c1 * fee)
-
-
-def _phibar(x: float) -> float:
-    # Standard normal upper tail via erfc.
-    return 0.5 * math.erfc(x / _SQRT2)
-
-
-def conditional_excess(
-    sigma: float, tau: float, fee: float, side: Literal["plus", "minus"] = "plus"
-) -> float:
-    """Expected one-sided excess per unit pool value, given the block time.
-
-    For ``z ~ N(0, sigma^2 tau)`` this is E[A_side / V | tau], where A_plus
-    (A_minus) is the outside-arbitrage profit from a buy (sell) at mispricing
-    z. Evaluates the Gaussian tail integrals in closed form; the two sides
-    satisfy E[A_minus | tau] = e^{-f} E[A_plus | tau] by z -> -z symmetry.
-    """
-    _check_fee(fee)
-    if not (tau > 0.0 and math.isfinite(tau)):
-        raise ValueError(f"tau must be positive, got {tau}")
-    if side not in ("plus", "minus"):
-        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
-    s = sigma * math.sqrt(tau)
-    if s == 0.0:
-        return 0.0
-    growth = math.exp(s * s / 8.0)
-    tail = (
-        math.exp(-0.5 * fee) * growth * _phibar((fee - 0.5 * s * s) / s)
-        - 2.0 * _phibar(fee / s)
-        + math.exp(0.5 * fee) * growth * _phibar((fee + 0.5 * s * s) / s)
-    )
-    half_fee = 0.5 * fee if side == "plus" else -0.5 * fee
-    return 0.5 * math.exp(half_fee) * tail
 
 
 def block_rng(seed: int) -> tuple[np.random.Generator, np.random.Generator]:

@@ -78,7 +78,7 @@ def random_events(rng: random.Random, n: int) -> list[dict]:
 def check_safety(state: AuctionState) -> None:
     assert state.conservation_gap() == 0, "deposit conservation broken"
     assert 0.0 <= state.effective_fee <= FEE_CAP, "effective fee outside the cap"
-    assert state.lp_registered_shares() == sum(
+    assert state._lp_shares == sum(
         (a.shares for a in state._lps.values()), Fraction(0)
     ), "running share total drifted"
     for bid in state.live_bids():

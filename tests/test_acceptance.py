@@ -14,12 +14,13 @@ from scipy import integrate
 
 from ammauction import market
 from ammauction.equilibrium import solve_am_equilibrium, solve_ff_liquidity
-from ammauction.market import MarketParams, ae0, ap0, conditional_excess, mc_rates
+from ammauction.market import MarketParams, ae0, ap0, mc_rates
 from ammauction.pool import excess_fraction, withdrawal_fee_required
 from ammauction.sim import BidSpec, SimConfig, run_sim, run_strategic_withdrawal_attack
 
 import auction_driver
 from auction_driver import apply_events, check_lock_in, random_events
+from closed_forms import conditional_excess
 from conftest import REF
 
 SIGMAS = (0.02, 0.05)

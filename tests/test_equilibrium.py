@@ -9,7 +9,6 @@ from ammauction.equilibrium import (
     FFEquilibrium,
     dominance_report,
     lp_pnl_am,
-    lp_pnl_ff,
     manager_optimal_fee,
     mgr_pnl_am,
     revenue_optimal_fee,
@@ -19,6 +18,7 @@ from ammauction.equilibrium import (
 from ammauction.market import MarketParams
 from ammauction.pool import pool_value
 
+from closed_forms import lp_pnl_ff
 from conftest import REF
 
 

@@ -15,7 +15,6 @@ from ammauction.market import (
     ap0,
     ap0_slope,
     block_rng,
-    conditional_excess,
     excess_ratio,
     kappa,
     mc_rates,
@@ -25,6 +24,7 @@ from ammauction.market import (
 )
 from ammauction.pool import excess_fraction
 
+from closed_forms import conditional_excess
 from conftest import REF
 from mc_reference import reference_mc_rates
 
