@@ -42,8 +42,6 @@ __all__ = [
     "DominanceRow",
     "DominanceReport",
     "solve_ff_liquidity",
-    "mgr_pnl_am",
-    "lp_pnl_am",
     "manager_optimal_fee",
     "revenue_optimal_fee",
     "solve_am_equilibrium",
@@ -76,7 +74,15 @@ class FFEquilibrium:
 
 @dataclass(frozen=True)
 class AMEquilibrium:
-    """Auction-managed equilibrium and the fixed-fee benchmark beside it."""
+    """Auction-managed equilibrium and the fixed-fee benchmark beside it.
+
+    ``L_star`` and ``f_star`` are the most zero-profit liquidity any fee
+    reaches under ae0 and that fee; ``R_star = (ap0(0) + r) * V(L_star)`` is
+    the rent at which LPs break even, so the LP condition holds by
+    construction. ``L_max`` and ``ff_best_fee`` are the same maximum under
+    ap0, and ``f_opt`` the noise-revenue-optimal fee. The zero-profit
+    residuals of both parties are checked in the tests, not carried here.
+    """
 
     L_star: float
     R_star: float
@@ -84,16 +90,6 @@ class AMEquilibrium:
     f_opt: float
     L_max: float
     ff_best_fee: float
-    lp_residual: float
-    mgr_residual: float
-
-
-def lp_pnl_am(rent: float, liquidity: float, params: MarketParams) -> float:
-    """LP profit rate under a manager: rent in, fee-free adverse selection and
-    the capital charge out, ``R - (ap0(0) + r) * V(L)``."""
-    if liquidity <= 0.0:
-        raise ValueError(f"liquidity must be positive, got {liquidity}")
-    return rent - (market.ap0(0.0, params) + params.r) * pool_value(liquidity, 1.0)
 
 
 def _argmax_fee(fees: np.ndarray, values: np.ndarray, slope) -> float:
@@ -120,38 +116,34 @@ def _argmax_fee(fees: np.ndarray, values: np.ndarray, slope) -> float:
 
 
 def _zero_profit_liquidity(fee, rate, params: MarketParams):
-    """The liquidity at which ``f*H0(f,L) = rate(f) + r``, in closed form, and
-    ``|f*H0 - rate - r|`` there, element-wise over a fee array (or one fee).
+    """The liquidity at which ``f*H0(f,L) = rate(f) + r``, in closed form,
+    element-wise over a fee array (or one fee).
 
     A root that underflows to 0.0 (no revenue at fee zero, or the revenue or
-    the root itself below the smallest double) is zero liquidity, with the
-    profit gap ``rate(f) + r`` as its residual. Raises :class:`BracketError`
-    where the root is infinite or undefined. The powers are ``np.power``:
-    a numpy scalar's ``**`` calls the C library's ``pow``, which rounds
-    apart from the array kernel.
+    the root itself below the smallest double) is zero liquidity. Raises
+    :class:`BracketError` where the root is infinite or undefined. The power
+    is ``np.power``: a numpy scalar's ``**`` calls the C library's ``pow``,
+    which rounds apart from the array kernel.
     """
     revenue = fee * params.c0 * np.exp(-params.c1 * fee) / 2.0
     target = rate(fee, params) + params.r
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         root = np.power(revenue / target, 1.0 / (1.0 - params.alpha))
-        bad = np.logical_not(np.isfinite(root))
-        if np.any(bad):
-            if np.extract(bad, target)[0] > 0.0:
-                cause = (
-                    "the fee revenue over the arbitrage rate plus r, raised to "
-                    f"1/(1 - alpha) = {1.0 / (1.0 - params.alpha):g}, overflows a double"
-                )
-            else:
-                cause = (
-                    "the fee revenue vanishes, or so does the arbitrage rate plus r "
-                    "(no price motion and no capital charge)"
-                )
-            at = np.extract(bad, fee)[0]
-            raise BracketError(f"no positive finite root at fee {at:g}: {cause}")
-        positive = root > 0.0
-        safe = np.where(positive, root, 1.0)  # 0.0 ** (alpha - 1) divides by zero
-        residual = abs(revenue * np.power(safe, params.alpha - 1.0) - target)
-        return root, np.where(positive, residual, target)
+    bad = np.logical_not(np.isfinite(root))
+    if np.any(bad):
+        if np.extract(bad, target)[0] > 0.0:
+            cause = (
+                "the fee revenue over the arbitrage rate plus r, raised to "
+                f"1/(1 - alpha) = {1.0 / (1.0 - params.alpha):g}, overflows a double"
+            )
+        else:
+            cause = (
+                "the fee revenue vanishes, or so does the arbitrage rate plus r "
+                "(no price motion and no capital charge)"
+            )
+        at = np.extract(bad, fee)[0]
+        raise BracketError(f"no positive finite root at fee {at:g}: {cause}")
+    return root
 
 
 def _most_liquid_fee(rate, rate_slope, params: MarketParams) -> tuple[float, float]:
@@ -162,7 +154,7 @@ def _most_liquid_fee(rate, rate_slope, params: MarketParams) -> tuple[float, flo
     of its log is ``1/f - c1 - rate'(f) / (rate(f) + r)``.
     """
     fees = np.linspace(params.f_max / FEE_GRID, params.f_max, FEE_GRID)
-    liquidity, _ = _zero_profit_liquidity(fees, rate, params)
+    liquidity = _zero_profit_liquidity(fees, rate, params)
     if not liquidity.max() > 0.0:
         raise BracketError(
             f"no positive finite root at fee {fees[0]:g}: the fee revenue vanishes at "
@@ -173,7 +165,7 @@ def _most_liquid_fee(rate, rate_slope, params: MarketParams) -> tuple[float, flo
         return 1.0 / fee - params.c1 - rate_slope(fee, params) / (rate(fee, params) + params.r)
 
     fee = _argmax_fee(fees, liquidity, log_slope)
-    return fee, float(_zero_profit_liquidity(fee, rate, params)[0])
+    return fee, float(_zero_profit_liquidity(fee, rate, params))
 
 
 def solve_ff_liquidity(fee: float, params: MarketParams) -> FFEquilibrium:
@@ -197,8 +189,14 @@ def solve_ff_liquidity(fee: float, params: MarketParams) -> FFEquilibrium:
             residual=float(market.ap0(0.0, params) + params.r),
             boundary=True,
         )
-    root, residual = map(float, _zero_profit_liquidity(fee, market.ap0, params))
-    return FFEquilibrium(fee=fee, liquidity=root, residual=residual, boundary=root == 0.0)
+    root = float(_zero_profit_liquidity(fee, market.ap0, params))
+    target = market.ap0(fee, params) + params.r
+    if root == 0.0:
+        return FFEquilibrium(fee=fee, liquidity=0.0, residual=float(target), boundary=True)
+    revenue = fee * params.c0 * np.exp(-params.c1 * fee) / 2.0
+    with np.errstate(over="ignore"):  # a subnormal root's power can overflow
+        residual = abs(revenue * np.power(root, params.alpha - 1.0) - target)
+    return FFEquilibrium(fee=fee, liquidity=root, residual=float(residual))
 
 
 def _best_manager_fee(liquidity: float, params: MarketParams) -> tuple[float, float]:
@@ -224,21 +222,6 @@ def manager_optimal_fee(liquidity: float, params: MarketParams) -> float:
         raise ValueError(f"liquidity must be positive, got {liquidity}")
     fee, _ = _best_manager_fee(liquidity, params)
     return fee
-
-
-def mgr_pnl_am(rent: float, liquidity: float, params: MarketParams) -> tuple[float, float]:
-    """Manager profit rate at its optimal fee, and that fee.
-
-    ``max_f {f*H0(f,L) + ap0(0) - ae0(f)} * V(L) - R``: all fee revenue, plus
-    fee-free arbitrage income net of what leaks past the band, less rent.
-    """
-    if liquidity <= 0.0:
-        raise ValueError(f"liquidity must be positive, got {liquidity}")
-    if rent < 0.0:
-        raise ValueError(f"rent must be non-negative, got {rent}")
-    fee, inner = _best_manager_fee(liquidity, params)
-    value = (inner + market.ap0(0.0, params)) * pool_value(liquidity, 1.0) - rent
-    return value, fee
 
 
 def revenue_optimal_fee(params: MarketParams) -> float:
@@ -269,8 +252,6 @@ def solve_am_equilibrium(params: MarketParams) -> AMEquilibrium:
         f_opt=revenue_optimal_fee(params),
         L_max=L_max,
         ff_best_fee=ff_best_fee,
-        lp_residual=float(abs(lp_pnl_am(R_star, L_star, params))),
-        mgr_residual=float(abs(mgr_pnl_am(R_star, L_star, params)[0])),
     )
 
 
@@ -322,7 +303,7 @@ def dominance_report(params: MarketParams, n_grid: int = 64) -> DominanceReport:
     am = solve_am_equilibrium(params)
     v_max = pool_value(am.L_max, 1.0)
     fees = np.linspace(0.0, params.f_max, n_grid)
-    liquidity, _ = _zero_profit_liquidity(fees, market.ap0, params)
+    liquidity = _zero_profit_liquidity(fees, market.ap0, params)
     margins = (market.ap0(fees, params) - market.ae0(fees, params)) * v_max
     rows = [
         DominanceRow(fee=f, L_ff=L, margin=margin, dominated=am.L_star > L)

@@ -293,7 +293,6 @@ def _setup(config: SimConfig) -> tuple[AuctionState, float, float]:
     params = config.market
     auction = AuctionState(config.auction_params())
     _install_initial_bids(auction, config.initial_bids, config.k_delay)
-    auction.register_lp("lp", 1)
 
     liquidity = config.lp_liquidity()
     if config.manager_policy == "optimal":

@@ -3,14 +3,18 @@
 :func:`conditional_excess` is the per-block excess law of arXiv 2305.14604 in
 closed form, the conditional mean that ``pool.excess_fraction`` averages to;
 :func:`lp_pnl_ff` is the fixed-fee LP profit whose root
-``equilibrium.solve_ff_liquidity`` finds. No command calls either, so they
-live beside the tests that check against them.
+``equilibrium.solve_ff_liquidity`` finds. :func:`lp_pnl_am` and
+:func:`mgr_pnl_am` are the LP's and the manager's profit rates in the
+auction-managed pool, the two zero-profit conditions that
+``equilibrium.solve_am_equilibrium`` solves. No command calls any of them, so
+they live beside the tests that check against them.
 """
 
 import math
 from typing import Literal
 
 from ammauction import market
+from ammauction.equilibrium import _best_manager_fee
 from ammauction.market import MarketParams, _check_fee
 from ammauction.pool import pool_value
 
@@ -59,3 +63,26 @@ def lp_pnl_ff(fee: float, liquidity: float, params: MarketParams) -> float:
     return fee * market.noise_volume(fee, liquidity, params) - (
         market.ap0(fee, params) + params.r
     ) * v
+
+
+def lp_pnl_am(rent: float, liquidity: float, params: MarketParams) -> float:
+    """LP profit rate under a manager: rent in, fee-free adverse selection and
+    the capital charge out, ``R - (ap0(0) + r) * V(L)``."""
+    if liquidity <= 0.0:
+        raise ValueError(f"liquidity must be positive, got {liquidity}")
+    return rent - (market.ap0(0.0, params) + params.r) * pool_value(liquidity, 1.0)
+
+
+def mgr_pnl_am(rent: float, liquidity: float, params: MarketParams) -> tuple[float, float]:
+    """Manager profit rate at its optimal fee, and that fee.
+
+    ``max_f {f*H0(f,L) + ap0(0) - ae0(f)} * V(L) - R``: all fee revenue, plus
+    fee-free arbitrage income net of what leaks past the band, less rent.
+    """
+    if liquidity <= 0.0:
+        raise ValueError(f"liquidity must be positive, got {liquidity}")
+    if rent < 0.0:
+        raise ValueError(f"rent must be non-negative, got {rent}")
+    fee, inner = _best_manager_fee(liquidity, params)
+    value = (inner + market.ap0(0.0, params)) * pool_value(liquidity, 1.0) - rent
+    return value, fee

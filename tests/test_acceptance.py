@@ -20,7 +20,7 @@ from ammauction.sim import BidSpec, SimConfig, run_sim, run_strategic_withdrawal
 
 import auction_driver
 from auction_driver import apply_events, check_lock_in, random_events
-from closed_forms import conditional_excess
+from closed_forms import conditional_excess, lp_pnl_am, mgr_pnl_am
 from conftest import REF
 
 SIGMAS = (0.02, 0.05)
@@ -151,13 +151,15 @@ def test_criterion_5_liquidity_dominance():
     )
     margin = (ap0(eq.ff_best_fee, REF) - ae0(eq.ff_best_fee, REF)) * 2.0 * eq.L_max
     scale = max(1.0, eq.R_star)
-    residual_ok = eq.lp_residual <= 1e-10 * scale and eq.mgr_residual <= 1e-10 * scale
+    lp_residual = abs(lp_pnl_am(eq.R_star, eq.L_star, REF))
+    mgr_residual = abs(mgr_pnl_am(eq.R_star, eq.L_star, REF)[0])
+    residual_ok = lp_residual <= 1e-10 * scale and mgr_residual <= 1e-10 * scale
     report(
         5,
         "liquidity dominance",
         min_gap > 0.0 and margin > 0.0 and residual_ok,
         f"min(L* - L_ff) = {min_gap:.4g}, proof margin = {margin:.4g} > 0, "
-        f"zero-profit residuals ({eq.lp_residual:.1e}, {eq.mgr_residual:.1e}) "
+        f"zero-profit residuals ({lp_residual:.1e}, {mgr_residual:.1e}) "
         f"within 1e-10 x scale",
     )
 

@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from ammauction import market
+from ammauction import equilibrium, market
 from ammauction.equilibrium import (
     BracketError,
     FFEquilibrium,
     dominance_report,
-    lp_pnl_am,
     manager_optimal_fee,
-    mgr_pnl_am,
     revenue_optimal_fee,
     solve_am_equilibrium,
     solve_ff_liquidity,
@@ -18,7 +16,7 @@ from ammauction.equilibrium import (
 from ammauction.market import MarketParams
 from ammauction.pool import pool_value
 
-from closed_forms import lp_pnl_ff
+from closed_forms import lp_pnl_am, lp_pnl_ff, mgr_pnl_am
 from conftest import REF
 
 
@@ -268,8 +266,33 @@ class TestAmEquilibrium:
     def test_zero_profit_residuals(self):
         eq = solve_am_equilibrium(REF)
         scale = max(1.0, eq.R_star)
-        assert eq.lp_residual <= 1e-10 * scale
-        assert eq.mgr_residual <= 1e-10 * scale
+        assert abs(lp_pnl_am(eq.R_star, eq.L_star, REF)) <= 1e-10 * scale
+        assert abs(mgr_pnl_am(eq.R_star, eq.L_star, REF)[0]) <= 1e-10 * scale
+
+    @pytest.mark.parametrize(
+        "params", ACCEPTANCE_SETS, ids=lambda p: f"sigma{p.sigma}-dt{p.delta_t}"
+    )
+    def test_lp_condition_holds_exactly(self, params):
+        # R* is built as (ap0(0) + r) * V(L*), the very product the LP
+        # condition subtracts, so its residual is exactly zero: a solver
+        # that reported it would report a tautology
+        eq = solve_am_equilibrium(params)
+        assert lp_pnl_am(eq.R_star, eq.L_star, params) == 0.0
+
+    @pytest.mark.parametrize("solve", [solve_am_equilibrium, dominance_report])
+    def test_two_fee_maximisations(self, solve, monkeypatch):
+        # one for the managed optimum under ae0, one for the fixed-fee
+        # benchmark under ap0; the manager's own fee problem is not re-solved
+        calls = []
+        argmax_fee = equilibrium._argmax_fee
+
+        def counting(*args):
+            calls.append(args)
+            return argmax_fee(*args)
+
+        monkeypatch.setattr(equilibrium, "_argmax_fee", counting)
+        solve(REF)
+        assert len(calls) == 2
 
     def test_dominates_fixed_fee_grid(self):
         eq = solve_am_equilibrium(REF)
