@@ -174,8 +174,9 @@ def solve_ff_liquidity(fee: float, params: MarketParams) -> FFEquilibrium:
     ``G(L) = f*H0(f,L) - ap0(f) - r`` is a strictly decreasing power law in
     L, so the root is the closed form
     ``L = (f c0 e^{-c1 f} / (2 (ap0(f) + r)))^{1/(1-alpha)}`` and
-    ``residual`` is ``|G(L)|``. At fee zero there is no revenue, and where
-    the root underflows to 0.0 none that a double can show: the boundary
+    ``residual`` is ``|G(L)|``, in logs where a subnormal root's power
+    overflows. At fee zero there is no revenue, and where the root underflows
+    to 0.0 none that a double can show: the boundary
     equilibrium ``L = 0`` is reported instead. Raises :class:`BracketError`
     when ``ap0(f) + r`` is zero (no price motion and no capital charge) or
     the root overflows a double.
@@ -196,6 +197,9 @@ def solve_ff_liquidity(fee: float, params: MarketParams) -> FFEquilibrium:
     revenue = fee * params.c0 * np.exp(-params.c1 * fee) / 2.0
     with np.errstate(over="ignore"):  # a subnormal root's power can overflow
         residual = abs(revenue * np.power(root, params.alpha - 1.0) - target)
+    if np.isinf(residual):  # G = target * (revenue L^{alpha-1} / target - 1), in logs
+        log_ratio = np.log(revenue / target) + (params.alpha - 1.0) * np.log(root)
+        residual = target * abs(np.expm1(log_ratio))
     return FFEquilibrium(fee=fee, liquidity=root, residual=float(residual))
 
 

@@ -308,10 +308,11 @@ class _Moments:
         self.m2 = 0.0  # sum of squared deviations from the mean
 
     def add(self, x: np.ndarray) -> None:
-        """Merge in the non-empty chunk ``x``."""
+        """Merge in the non-empty float chunk ``x``, which it consumes (overwrites)."""
         n_x = len(x)
         mean_x = float(x.mean())
-        m2_x = float(np.square(x - mean_x).sum())
+        x -= mean_x
+        m2_x = float(np.square(x, out=x).sum())
         n = self.n + n_x
         delta = mean_x - self.mean
         self.mean += delta * n_x / n
@@ -367,11 +368,12 @@ def mc_rates(
     start's uniforms, in blocks of about :data:`CHAIN_BLOCKS` chain blocks,
     one draw call per block shared by every fee's chain. The states are
     stored step-major, one contiguous ``(fees, chains)`` row per step, so a
-    step is three element-wise calls whatever the number of fees. Each fee
+    step is one clip and one add whatever the number of fees. Each fee
     sums a block with one ``excess_fraction`` call on a ``(steps, chains)``
-    view, its per-replica sums in step order: every result is bit for bit
-    the chain drawn one step at a time, held in about :data:`CHAIN_BLOCKS`
-    states per fee (one step's when ``chains`` is larger).
+    view, written into an accumulator allocated once per call and reduced in
+    step order: every result is bit for bit the chain drawn one step at a
+    time, held in about :data:`CHAIN_BLOCKS` states per fee (one step's when
+    ``chains`` is larger).
     """
     fees = np.array([fee] if isinstance(fee, float) else fee, dtype=float)
     if fees.ndim != 1 or fees.size == 0:
@@ -401,9 +403,8 @@ def mc_rates(
     # replicas and drawn in blocks of about CHAIN_BLOCKS chain blocks. The
     # layout is step-major: ``path[j]`` is the ``(fees, chains)`` state at
     # step start + j, one contiguous row, and ``path[0]`` carries the state
-    # between blocks. The clip bounds are full rows too, so a step is three
-    # element-wise calls over one contiguous row, in the one-step loop's
-    # order: maximum, minimum, add.
+    # between blocks. The clip bounds are full rows too, so a step is a clip
+    # and an add over one contiguous row, in the one-step loop's order.
     steps = -(-n_samples // chains)
     block = max(1, CHAIN_BLOCKS // chains)
     upper = np.repeat(fees[:, None], chains, axis=1)
@@ -411,22 +412,20 @@ def mc_rates(
     path = np.empty((min(block, steps) + 1, len(fees), chains))
     path[0] = _stationary_start(fees, params, rng[0].random(chains))
     totals = np.zeros((len(fees), chains))
+    acc = np.empty((len(path), chains))
     for start in range(0, steps, block):
         m = min(block, steps - start)
         _, eps = sample_blocks(params, m * chains, rng)
         eps = eps.reshape(m, chains)
         for j in range(m):
-            row = path[j + 1]
-            np.maximum(path[j], lower, out=row)
-            np.minimum(row, upper, out=row)
-            np.add(row, eps[j], out=row)
+            row = np.clip(path[j], lower, upper, out=path[j + 1])
+            row += eps[j]
         for i, f in enumerate(fee_list):
             # running totals first, then the rows in step order: the same
             # left-to-right sum as adding one step at a time
-            acc = np.empty((m + 1, chains))
             acc[0] = totals[i]
-            acc[1:] = excess_fraction(path[1 : m + 1, i], f)
-            totals[i] = np.add.reduce(acc, axis=0)
+            excess_fraction(path[1 : m + 1, i], f, out=acc[1 : m + 1])
+            np.add.reduce(acc[: m + 1], axis=0, out=totals[i])
         path[0] = path[m]
     for i, row in enumerate(totals):
         means = row / steps / dt

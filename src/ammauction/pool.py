@@ -68,7 +68,7 @@ def trade_to_band(x, y, price, fee):
     return new_x, new_y, fee_paid, traded
 
 
-def excess_fraction(z, fee: float):
+def excess_fraction(z, fee: float, out=None):
     """Outside-arbitrageur profit per unit pool value at mispricing ``z``.
 
     Zero inside the band ``|z| <= fee``; otherwise the profit from trading
@@ -76,16 +76,31 @@ def excess_fraction(z, fee: float):
     ``e^{sign(z) f/2} (e^{g/2} - 2 + e^{-g/2}) / 2`` with ``g = |z| - f``, in
     ``sinh`` form against cancellation. At ``fee = 0`` this is the fee-free
     correction's ``cosh(z/2) - 1``, the hedged value the pool loses to the
-    correcting trader. Element-wise in ``z``, with numpy; a NaN ``z`` gives NaN.
+    correcting trader. Element-wise in ``z``, with numpy; a NaN ``z`` gives
+    NaN, and a float ``z`` a ``np.float64``. For an array ``z``, ``out`` (a
+    float array of its shape) may take the result, and is then returned.
+
+    The kernel works in place on two arrays, the gap and the fee factor, and
+    selects nothing by band: inside it the gap clamps to 0, so the factor
+    multiplies ``2 sinh(0)^2 = +0.0``. Past a fee of about 1418.2, where
+    ``2 e^{f/2}`` overflows, the in-band factor is ``e^0``, as in
+    :func:`trade_to_band`, so that no ``inf * 0`` gives NaN.
     """
     if fee < 0.0:
         raise ValueError(f"fee must be non-negative, got {fee}")
-    # no branch on the band: inside it the gap clamps to 0 and the fee factor
-    # takes e^0, as in trade_to_band, so a fee whose e^{f/2} overflows still
-    # gives 1 * 2 sinh(0)^2 = +0.0; ``maximum`` keeps a NaN
-    gap = np.maximum(abs(z) - fee, 0.0)
-    half_fee = np.where(gap > 0.0, np.copysign(0.5 * fee, z), 0.0)
-    return np.exp(half_fee) * 2.0 * np.square(np.sinh(0.25 * gap))
+    z = np.asarray(z, dtype=float)
+    if z.ndim == 0:  # one lane of an array, so a float gets that lane's bits
+        return excess_fraction(z.reshape(1), fee)[0]
+    gap = np.abs(z)
+    gap -= fee
+    np.maximum(gap, 0.0, out=gap)  # ``maximum`` keeps a NaN
+    factor = np.copysign(0.5 * fee, z, out=out)
+    if fee > 1418.0:
+        factor *= gap > 0.0
+    np.exp(factor, out=factor)
+    factor *= 2.0
+    factor *= np.square(np.sinh(np.multiply(gap, 0.25, out=gap), out=gap), out=gap)
+    return factor
 
 
 def withdrawal_fee_required(ratio: float) -> float:

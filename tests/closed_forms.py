@@ -6,12 +6,16 @@ closed form, the conditional mean that ``pool.excess_fraction`` averages to;
 ``equilibrium.solve_ff_liquidity`` finds. :func:`lp_pnl_am` and
 :func:`mgr_pnl_am` are the LP's and the manager's profit rates in the
 auction-managed pool, the two zero-profit conditions that
-``equilibrium.solve_am_equilibrium`` solves. No command calls any of them, so
-they live beside the tests that check against them.
+``equilibrium.solve_am_equilibrium`` solves. :func:`excess_fraction_select`
+is ``pool.excess_fraction`` as it was before its in-place kernel, frozen as a
+bit oracle. No command calls any of them, so they live beside the tests that
+check against them.
 """
 
 import math
 from typing import Literal
+
+import numpy as np
 
 from ammauction import market
 from ammauction.equilibrium import _best_manager_fee
@@ -52,6 +56,15 @@ def conditional_excess(
     )
     half_fee = 0.5 * fee if side == "plus" else -0.5 * fee
     return 0.5 * math.exp(half_fee) * tail
+
+
+def excess_fraction_select(z, fee: float):
+    """``pool.excess_fraction`` with the band chosen by ``np.where`` and every
+    temporary allocated: the kernel's earlier body, kept unchanged so that the
+    in-place kernel can be checked against it bit for bit."""
+    gap = np.maximum(abs(z) - fee, 0.0)
+    half_fee = np.where(gap > 0.0, np.copysign(0.5 * fee, z), 0.0)
+    return np.exp(half_fee) * 2.0 * np.square(np.sinh(0.25 * gap))
 
 
 def lp_pnl_ff(fee: float, liquidity: float, params: MarketParams) -> float:

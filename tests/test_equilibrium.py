@@ -1,4 +1,6 @@
 import math
+import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -177,6 +179,24 @@ class TestSolveFFLiquidity:
         assert solve_ff_liquidity(fee, params) == FFEquilibrium(
             fee=fee, liquidity=0.0, residual=market.ap0(fee, params) + params.r, boundary=True
         )
+
+    def test_subnormal_root_has_a_finite_residual(self):
+        # the root, about 9.19e-313, is a double and no boundary result, and
+        # its power L^{alpha - 1} overflows a double
+        params = MarketParams(sigma=0.05, delta_t=0.01, r=1e-4, f_max=0.05, c0=1e-300, alpha=0.01)
+        fee = 1e-12
+        eq = solve_ff_liquidity(fee, params)
+        assert not eq.boundary and 0.0 < eq.liquidity < sys.float_info.min
+        target = float(market.ap0(fee, params) + params.r)
+        # G(L) = f c0 L^{alpha-1} e^{-c1 f} / 2 - ap0 - r at that root, to 50 digits
+        with localcontext() as ctx:
+            ctx.prec = 50
+            power = (Decimal(params.alpha - 1.0) * Decimal(eq.liquidity).ln()).exp()
+            revenue = Decimal(fee) * Decimal(params.c0) * (-Decimal(params.c1) * Decimal(fee)).exp()
+            g = float(abs(revenue * power / 2 - Decimal(target)))
+        assert eq.residual <= 1e-10
+        # the subnormal root and revenue carry about 37 bits
+        assert abs(eq.residual - g) <= 1e-11 * target
 
     def test_negative_fee_rejected(self):
         with pytest.raises(ValueError):

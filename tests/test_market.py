@@ -522,6 +522,33 @@ class TestStationaryStart:
             assert np.isfinite(getattr(est, name)).all(), name
 
 
+class TestMoments:
+    """``_Moments.add`` overwrites its chunk with the squared deviations; the
+    merge keeps the bits of the copying formula."""
+
+    @pytest.mark.parametrize("sizes", [(1, 7, 4096, 3, 1000), (2, 8193, 1), (5000,)])
+    def test_consuming_add_matches_the_copying_merge(self, sizes):
+        rng = np.random.default_rng(len(sizes))
+        x = rng.normal(0.0, 1.0, sum(sizes)) * 10.0 ** rng.integers(-8, 8, sum(sizes))
+        moments = market._Moments()
+        n_seen, mean, m2, lo = 0, 0.0, 0.0, 0
+        for size in sizes:
+            chunk = x[lo : lo + size]
+            lo += size
+            consumed = chunk.copy()
+            moments.add(consumed)
+            # the merge as it was written before add consumed its chunk
+            mean_x = float(chunk.mean())
+            deviations = np.square(chunk - mean_x)
+            total = n_seen + size
+            delta = mean_x - mean
+            mean += delta * size / total
+            m2 += float(deviations.sum()) + delta * delta * n_seen * size / total
+            n_seen = total
+            assert consumed.tobytes() == deviations.tobytes()
+        assert (moments.n, moments.mean.hex(), moments.m2.hex()) == (len(x), mean.hex(), m2.hex())
+
+
 class TestBlockedChain:
     """``mc_rates`` draws its chain in blocks; the per-step loop is the oracle."""
 

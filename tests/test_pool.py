@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ammauction.pool import (
     withdrawal_fee_required,
 )
 
+from closed_forms import excess_fraction_select
 from sim_reference import band_trade
 
 
@@ -326,10 +328,63 @@ class TestExcessFraction:
         assert not np.signbit(values).any() and not values.any()
 
     def test_huge_fee_inside_the_band_is_zero(self):
-        # e^{f/2} overflows past f ~ 1420; inside the band it is never taken
+        # 2 e^{f/2} overflows past f ~ 1418.2; inside the band it is never taken
         assert excess_fraction(0.01, 2000.0) == 0.0
         values = excess_fraction(np.array([0.01, -1999.0, -0.0, 2000.0]), 2000.0)
         assert values.tolist() == [0.0] * 4
+        z, out = np.array([0.01, -1499.0, -0.0, 1500.0, -1500.0]), np.full(5, np.nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = excess_fraction(z, 1500.0, out=out)
+        assert values is out
+        assert values.tolist() == [0.0] * 5 and not np.signbit(values).any()
+
+    def test_out_is_the_buffer_returned(self):
+        z = np.array([[0.01, -0.002], [0.0, -0.02]])
+        out = np.empty((2, 2))
+        assert excess_fraction(z, 0.003, out=out) is out
+        assert out.tobytes() == excess_fraction(z, 0.003).tobytes()
+
+    @pytest.mark.parametrize("z", [0.01, -0.0, math.nan, np.float64(-0.02), np.array(0.02)])
+    def test_a_float_gives_a_numpy_float(self, z):
+        assert type(excess_fraction(z, 0.003)) is np.float64
+
+
+# z values a property draws on top of the general floats: signed zeros, NaN,
+# the subnormal and normal range edges and mispricings of +-1e3
+EDGE_Z = [0.0, -0.0, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308, 1e3, -1e3]
+# fees around where 2 e^{f/2} (about 1418.17) and e^{f/2} (about 1419.57)
+# overflow a double
+EDGE_FEES = [0.0, 1418.0, 1418.17, 1418.2, 1419.56, 1419.57, 1419.6, 1500.0, 2000.0]
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+class TestExcessFractionBits:
+    """The in-place kernel against its frozen select form, bit for bit."""
+
+    @given(
+        z=st.lists(st.one_of(st.sampled_from(EDGE_Z), st.floats()), min_size=1, max_size=40),
+        fee=st.one_of(st.sampled_from(EDGE_FEES), st.floats(min_value=0.0, max_value=2000.0)),
+    )
+    def test_matches_the_select_form(self, z, fee):
+        zs = np.array(z)
+        with np.errstate(all="ignore"):  # both forms overflow alike on a huge z
+            want = _hex(excess_fraction_select(zs, fee))
+            assert _hex(excess_fraction(zs, fee)) == want
+            out = np.full(len(z), 7.0)
+            assert excess_fraction(zs, fee, out=out) is out
+            assert _hex(out) == want
+            # a strided view, as the Monte-Carlo chain passes, into a
+            # contiguous buffer
+            wide = np.repeat(zs, 2)[::2]
+            assert _hex(excess_fraction(wide, fee, out=np.empty(len(z)))) == want
+            # a float gets the bits of its lane, and the select form's too
+            got = excess_fraction(z[0], fee)
+            assert type(got) is np.float64
+            assert _hex(got) == want[:1] == _hex(excess_fraction_select(z[0], fee))
 
 
 class TestWithdrawalFee:

@@ -166,7 +166,7 @@ class TestRows:
         n_seen, mean, m2 = 0, 0.0, 0.0
         for lo in range(0, n, CHUNK_BLOCKS):
             chunk = x[lo : lo + CHUNK_BLOCKS]
-            moments.add(chunk)
+            moments.add(chunk.copy())  # add consumes its chunk
             # the pairwise merge of Chan, Golub and LeVeque, written out
             mean_x = float(chunk.mean())
             m2_x = float(np.square(chunk - mean_x).sum())
