@@ -310,9 +310,9 @@ class _Moments:
     def add(self, x: np.ndarray) -> None:
         """Merge in the non-empty float chunk ``x``, which it consumes (overwrites)."""
         n_x = len(x)
-        mean_x = float(x.mean())
+        mean_x = float(np.add.reduce(x)) / n_x
         x -= mean_x
-        m2_x = float(np.square(x, out=x).sum())
+        m2_x = float(np.add.reduce(np.square(x, out=x)))
         n = self.n + n_x
         delta = mean_x - self.mean
         self.mean += delta * n_x / n
@@ -368,7 +368,9 @@ def mc_rates(
     start's uniforms, in blocks of about :data:`CHAIN_BLOCKS` chain blocks,
     one draw call per block shared by every fee's chain. The states are
     stored step-major, one contiguous ``(fees, chains)`` row per step, so a
-    step is one clip and one add whatever the number of fees. Each fee
+    step is a maximum, a minimum and an add whatever the number of fees, in
+    that order and through the bare ufuncs (``np.clip``'s Python wrapper
+    costs more than the step's work). Each fee
     sums a block with one ``excess_fraction`` call on a ``(steps, chains)``
     view, written into an accumulator allocated once per call and reduced in
     step order: every result is bit for bit the chain drawn one step at a
@@ -403,23 +405,25 @@ def mc_rates(
     # replicas and drawn in blocks of about CHAIN_BLOCKS chain blocks. The
     # layout is step-major: ``path[j]`` is the ``(fees, chains)`` state at
     # step start + j, one contiguous row, and ``path[0]`` carries the state
-    # between blocks. The clip bounds are full rows too, so a step is a clip
-    # and an add over one contiguous row, in the one-step loop's order.
+    # between blocks. The band bounds are full rows too, so a step is a
+    # maximum, a minimum and an add over one contiguous row: np.clip's own
+    # order (minimum first gives -0.0 at fee 0), without its Python wrapper.
     steps = -(-n_samples // chains)
     block = max(1, CHAIN_BLOCKS // chains)
     upper = np.repeat(fees[:, None], chains, axis=1)
     lower = -upper
     path = np.empty((min(block, steps) + 1, len(fees), chains))
+    rows = list(path)
     path[0] = _stationary_start(fees, params, rng[0].random(chains))
     totals = np.zeros((len(fees), chains))
     acc = np.empty((len(path), chains))
     for start in range(0, steps, block):
         m = min(block, steps - start)
         _, eps = sample_blocks(params, m * chains, rng)
-        eps = eps.reshape(m, chains)
-        for j in range(m):
-            row = np.clip(path[j], lower, upper, out=path[j + 1])
-            row += eps[j]
+        for prev, row, e in zip(rows, rows[1 : m + 1], eps.reshape(m, chains)):
+            np.maximum(prev, lower, out=row)
+            np.minimum(row, upper, out=row)
+            row += e
         for i, f in enumerate(fee_list):
             # running totals first, then the rows in step order: the same
             # left-to-right sum as adding one step at a time

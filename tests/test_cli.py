@@ -180,7 +180,7 @@ class TestBadFees:
         assert captured.err == "error: too large to compute: overflow encountered in cosh\n"
 
     def test_unallocatable_chain_count_exit_2(self, capsys):
-        # 10^13 chains ask for a 73 TiB row of clip bounds, which is refused
+        # 10^13 chains ask for a 73 TiB row of band bounds, which is refused
         # at once. The address-space cap of 64 TiB makes sure of that on a
         # machine that overcommits memory; the run itself uses a tiny part of
         # it. (A large --samples count allocates nothing that grows with it:

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate
 
 from ammauction import market
@@ -526,15 +528,12 @@ class TestMoments:
     """``_Moments.add`` overwrites its chunk with the squared deviations; the
     merge keeps the bits of the copying formula."""
 
-    @pytest.mark.parametrize("sizes", [(1, 7, 4096, 3, 1000), (2, 8193, 1), (5000,)])
-    def test_consuming_add_matches_the_copying_merge(self, sizes):
-        rng = np.random.default_rng(len(sizes))
-        x = rng.normal(0.0, 1.0, sum(sizes)) * 10.0 ** rng.integers(-8, 8, sum(sizes))
+    @staticmethod
+    def assert_merge_bits(chunks):
         moments = market._Moments()
-        n_seen, mean, m2, lo = 0, 0.0, 0.0, 0
-        for size in sizes:
-            chunk = x[lo : lo + size]
-            lo += size
+        n_seen, mean, m2 = 0, 0.0, 0.0
+        for chunk in chunks:
+            size = len(chunk)
             consumed = chunk.copy()
             moments.add(consumed)
             # the merge as it was written before add consumed its chunk
@@ -546,7 +545,57 @@ class TestMoments:
             m2 += float(deviations.sum()) + delta * delta * n_seen * size / total
             n_seen = total
             assert consumed.tobytes() == deviations.tobytes()
-        assert (moments.n, moments.mean.hex(), moments.m2.hex()) == (len(x), mean.hex(), m2.hex())
+        assert (moments.n, moments.mean.hex(), moments.m2.hex()) == (n_seen, mean.hex(), m2.hex())
+
+    # 8, 9, 127, 128 and 129: the edges of numpy's pairwise-sum unroll and block
+    @pytest.mark.parametrize(
+        "sizes", [(1, 7, 4096, 3, 1000), (2, 8193, 1), (5000,), (8, 9, 127, 128, 129)]
+    )
+    def test_consuming_add_matches_the_copying_merge(self, sizes):
+        rng = np.random.default_rng(len(sizes))
+        x = rng.normal(0.0, 1.0, sum(sizes)) * 10.0 ** rng.integers(-8, 8, sum(sizes))
+        self.assert_merge_bits(np.split(x, np.cumsum(sizes)[:-1]))
+
+    def test_consuming_add_matches_the_copying_merge_at_special_values(self):
+        rng = np.random.default_rng(0)
+        special = rng.normal(0.0, 1.0, 129)
+        special[[0, 9, 64, 128]] = [-0.0, math.inf, -math.inf, math.nan]
+        chunks = [rng.normal(0.0, 1.0, 128), np.full(9, -0.0), special, rng.normal(0.0, 1.0, 8)]
+        with np.errstate(invalid="ignore"):  # inf - inf, in both merges alike
+            self.assert_merge_bits(chunks)
+
+
+# lanes the chain-step property draws on top of the general floats: signed
+# zeros, infinities, NaN and the subnormal and normal range edges
+EDGE_LANES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308]
+
+
+class TestChainStepBits:
+    """``mc_rates`` steps its chain with ``np.maximum`` then ``np.minimum``
+    into ``out=``; the per-step oracle uses ``np.clip``. This pins numpy
+    giving both the same bits. The order matters only at signed zeros, which
+    no output shows: a +-0.0 state has a +0.0 excess."""
+
+    @given(
+        fees=st.lists(st.floats(min_value=0.0, allow_infinity=False), max_size=3),
+        lanes=st.lists(st.floats(), max_size=8),
+    )
+    def test_maximum_then_minimum_is_clip(self, fees, lanes):
+        # fee 0 always, so that lower holds -0.0; every fee row holds the
+        # edge lanes, its own band edges and one ulp past each
+        fee = np.array([0.0, *fees])
+        rows = [
+            [*EDGE_LANES, f, -f, math.nextafter(f, math.inf), math.nextafter(-f, -math.inf), *lanes]
+            for f in fee.tolist()
+        ]
+        x = np.array(rows)
+        upper = np.repeat(fee[:, None], x.shape[1], axis=1)
+        lower = -upper
+        assert np.signbit(lower[0]).all()
+        row = np.full_like(x, 7.0)
+        np.maximum(x, lower, out=row)
+        np.minimum(row, upper, out=row)
+        assert row.tobytes() == np.clip(x, lower, upper).tobytes()
 
 
 class TestBlockedChain:
