@@ -41,7 +41,7 @@ from decimal import Decimal
 from fractions import Fraction
 from numbers import Integral, Real
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 Number = Union[int, float, str, Fraction]
 
@@ -207,8 +207,10 @@ class Bid:
         return {**asdict(self), "rent": str(self.rent), "deposit": str(self.deposit)}
 
 
-@dataclass(frozen=True)
-class AuctionEvent:
+class AuctionEvent(NamedTuple):
+    """One dated auction event: an immutable tuple, so a replay unpacks it as
+    ``block, kind, bidder, amount, reason``."""
+
     block: int
     kind: str  # activated | next-replaced | usurped | demoted | rent | depleted
     bidder: str | None = None
@@ -494,8 +496,10 @@ class AuctionState:
             return soon
         candidates = [bid.active_from for bid in self.pending]
         if self.top is not None:
-            # the exact ceiling of the runway, from one floor division
-            candidates.append(self.current_block - (-self.top.deposit // self.top.rent))
+            # the exact ceiling of the runway, from one integer floor division
+            d, r = self.top.deposit, self.top.rent
+            runway = -(-d.numerator * r.denominator // (d.denominator * r.numerator))
+            candidates.append(self.current_block + runway)
         return max(soon, min(candidates)) if candidates else None
 
     def advance_to(
@@ -532,13 +536,16 @@ class AuctionState:
             if lp_total_shares is not None
             else self._lp_shares
         )
-        if shares <= 0:
+        if shares.numerator <= 0:  # a Fraction's sign, without a comparison's ABC check
             shares = Fraction(1)
-        rent = n * self.top.rent
-        self.top.deposit -= rent
+        top = self.top
+        # Fraction * int, not int * Fraction: the reflected operator also
+        # checks numbers.Rational
+        rent = top.rent if n == 1 else top.rent * n
+        top.deposit -= rent
         self.rent_distributed += rent
         self.rent_per_share += rent if shares == 1 else rent / shares
-        return AuctionEvent(self.current_block, "rent", self.top.bidder, rent)
+        return AuctionEvent(self.current_block, "rent", top.bidder, rent)
 
     def _refund(self, bid: Bid) -> None:
         self.refunds += bid.deposit

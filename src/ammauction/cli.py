@@ -327,7 +327,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         "replay", {"scenario_sha256": trace.scenario_sha256}, None, ["trace.csv"], libraries=()
     )
     out = _out_dir(args)
-    path = _emit_csv(out, "trace.csv", manifest, TRACE_HEADER, trace.to_csv_rows())
+    path = _emit_csv(out, "trace.csv", manifest, TRACE_HEADER, trace.rows)
     if path is not None:
         (out / "final_state.json").write_text(trace.final_state_json + "\n", encoding="utf-8")
         print(f"wrote {path}")

@@ -16,11 +16,12 @@ import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .auction import AuctionParams, AuctionRejection, AuctionState, _to_fraction
 from .auction import _decode_utf8, read_json_object
 
-__all__ = ["ReplayParseError", "ReplayTrace", "TRACE_HEADER", "replay_auction"]
+__all__ = ["ReplayParseError", "ReplayTrace", "TRACE_HEADER", "TraceRow", "replay_auction"]
 
 
 class ReplayParseError(ValueError):
@@ -44,39 +45,35 @@ _REPLAY_ACTIONS = {
     "advance": (None, ()),
 }
 
-TRACE_HEADER = (
-    "line",
-    "block",
-    "origin",
-    "action",
-    "bidder",
-    "rent",
-    "deposit",
-    "fee",
-    "amount",
-    "shares",
-    "status",
-    "detail",
-)
-_BLANK_ROW = dict.fromkeys(TRACE_HEADER, "")
+
+class TraceRow(NamedTuple):
+    """One ``trace.csv`` row, its fields in the header's order; ``""`` is a
+    blank field, and no field is ``None``."""
+
+    line: int
+    block: int
+    origin: str  # scenario | auction
+    action: str  # the scenario action, or the auction event's kind
+    # bidder to shares: a scenario row echoes its line's values as given; an
+    # event row fills bidder and amount (a string) only
+    bidder: object  # the bidder, else the LP
+    rent: object
+    deposit: object
+    fee: object
+    amount: object
+    shares: object
+    status: str  # ok | rejected:<code> | event
+    detail: str
+
+
+TRACE_HEADER = TraceRow._fields
 
 
 @dataclass(frozen=True)
 class ReplayTrace:
-    rows: tuple[dict, ...]
+    rows: tuple[TraceRow, ...]  # written to trace.csv as they are
     final_state_json: str
     scenario_sha256: str  # of the scenario file's bytes, as read for the replay
-
-    def to_csv_rows(self) -> list[tuple]:
-        # every row holds the header's keys in the header's order
-        return [tuple(row.values()) for row in self.rows]
-
-
-def _trace_row(**kw) -> dict:
-    """A trace row: the given ``TRACE_HEADER`` fields, blank where missing or None."""
-    row = _BLANK_ROW.copy()
-    row.update({k: v for k, v in kw.items() if v is not None})
-    return row
 
 
 def _parse_scenario(
@@ -149,8 +146,8 @@ def _parse_scenario(
 # a lone surrogate (a JSON escape such as "\ud800") has no UTF-8 form, so
 # the trace would stop part-written
 _ECHOED_FIELDS = ("bidder", "lp", "rent", "deposit", "fee", "amount", "shares")
-_CONTROL_CHAR = re.compile(r"[\x00-\x1f\x7f]")
-_SURROGATE = re.compile(r"[\ud800-\udfff]")
+_UNECHOABLE = re.compile(r"[\x00-\x1f\x7f\ud800-\udfff]")  # one scan of each string
+_CONTROL_CHAR = re.compile(r"[\x00-\x1f\x7f]")  # only to word the error
 
 
 def _check_fields(obj: dict, line_no: int) -> None:
@@ -170,35 +167,41 @@ def _check_fields(obj: dict, line_no: int) -> None:
             raise ReplayParseError(line_no, f"fee must be a number, got {value!r}")
     for key in _ECHOED_FIELDS:
         value = obj.get(key)
-        if not isinstance(value, str):
+        if not isinstance(value, str) or not _UNECHOABLE.search(value):
             continue
         if _CONTROL_CHAR.search(value):
             raise ReplayParseError(
                 line_no, f"{key} must not contain control characters, got {value!r}"
             )
-        if _SURROGATE.search(value):
-            raise ReplayParseError(
-                line_no, f"{key} must not contain a lone surrogate, got {value!r}"
-            )
+        raise ReplayParseError(line_no, f"{key} must not contain a lone surrogate, got {value!r}")
 
 
-def _check_totals(auction: AuctionState, line_no: int) -> None:
+def _digit_bound() -> tuple[int, float]:
+    """Python's digit limit for integer strings, and the bit length past
+    which a total may outgrow it: infinite when there is no limit."""
+    limit = sys.get_int_max_str_digits()
+    # a b-bit integer has < b log10(2) + 1 digits
+    return limit, (int(limit * math.log2(10)) if limit else math.inf)
+
+
+def _check_totals(auction: AuctionState, line_no: int, bound: tuple[int, float]) -> None:
     """Refuse the line after which an exact running total has more digits
     than Python converts to a string, as ``final_state.json`` must. Bit
-    lengths bound the digits without building a string, so a total of
-    exactly the limit's digits may be refused too."""
-    limit = sys.get_int_max_str_digits()
-    if limit == 0:  # no limit
-        return
-    max_bits = int(limit * math.log2(10))  # a b-bit integer has < b log10(2) + 1 digits
+    lengths (against ``bound``, from :func:`_digit_bound`) bound the digits
+    without building a string, so a total of exactly the limit's digits may
+    be refused too."""
+    limit, max_bits = bound
     for name in ("rent_per_share", "claims_paid"):
         total = getattr(auction, name)
         if max(total.numerator.bit_length(), total.denominator.bit_length()) > max_bits:
             raise ReplayParseError(line_no, f"{name} would exceed {limit} digits")
 
 
-def _apply_action(auction: AuctionState, line_no: int, obj: dict) -> dict:
-    """Apply one scenario action at the current block; its trace row."""
+def _apply_action(
+    auction: AuctionState, line_no: int, obj: dict, bound: tuple[int, float]
+) -> TraceRow:
+    """Apply one scenario action at the current block; its trace row.
+    ``bound`` is :func:`_digit_bound`'s, taken once per replay."""
     action = obj["action"]
     method, keys = _REPLAY_ACTIONS[action]
     status, detail = "ok", ""
@@ -209,22 +212,25 @@ def _apply_action(auction: AuctionState, line_no: int, obj: dict) -> dict:
         status, detail = f"rejected:{exc.code}", str(exc)
     # the totals hold the rent streamed up to this line's block, and a claim
     # is in claims_paid before its amount is printed
-    _check_totals(auction, line_no)
+    _check_totals(auction, line_no, bound)
     if action == "claim_rent" and status == "ok":
         detail = str(result)
-    return _trace_row(
-        line=line_no,
-        block=obj["block"],
-        origin="scenario",
-        action=action,
-        bidder=obj.get("bidder", obj.get("lp")),
-        rent=obj.get("rent"),
-        deposit=obj.get("deposit"),
-        fee=obj.get("fee"),
-        amount=obj.get("amount"),
-        shares=obj.get("shares"),
-        status=status,
-        detail=detail,
+    get = obj.get
+    bidder, rent, deposit = get("bidder", get("lp")), get("rent"), get("deposit")
+    fee, amount, shares = get("fee"), get("amount"), get("shares")
+    return TraceRow(
+        line_no,
+        obj["block"],
+        "scenario",
+        action,
+        "" if bidder is None else bidder,
+        "" if rent is None else rent,
+        "" if deposit is None else deposit,
+        "" if fee is None else fee,
+        "" if amount is None else amount,
+        "" if shares is None else shares,
+        status,
+        detail,
     )
 
 
@@ -245,27 +251,36 @@ def replay_auction(scenario_path: str) -> ReplayTrace:
     whatever the number of registered LPs. Each rent-only stretch leaves one
     ``rent`` row: its last block, payer and total, its span in ``detail`` as
     ``first-last``; an event block's rent row spans that one block.
+
+    The trace's rows are :class:`TraceRow` tuples, each built once in
+    ``TRACE_HEADER`` order with ``""`` for a blank field, so ``trace.csv``
+    writes them as they are.
     """
     params, shares, actions, digest = _parse_scenario(scenario_path)
     auction = AuctionState(params)
-    rows: list[dict] = []
+    bound = _digit_bound()
+    rows: list[TraceRow] = []
     for line_no, obj in actions:
         for blocks, events in auction.advance_to(obj["block"], shares):
             first = auction.current_block - blocks + 1
             rows.extend(
-                _trace_row(
-                    line=line_no,
-                    block=ev.block,
-                    origin="auction",
-                    action=ev.kind,
-                    bidder=ev.bidder,
-                    amount=None if ev.amount is None else str(ev.amount),
-                    detail=f"{first}-{ev.block}" if ev.kind == "rent" else ev.reason,
-                    status="event",
+                TraceRow(
+                    line_no,
+                    block,
+                    "auction",
+                    kind,
+                    "" if bidder is None else bidder,
+                    "",
+                    "",
+                    "",
+                    "" if amount is None else str(amount),
+                    "",
+                    "event",
+                    f"{first}-{block}" if kind == "rent" else ("" if reason is None else reason),
                 )
-                for ev in events
+                for block, kind, bidder, amount, reason in events
             )
-        rows.append(_apply_action(auction, line_no, obj))
+        rows.append(_apply_action(auction, line_no, obj, bound))
     return ReplayTrace(
         rows=tuple(rows), final_state_json=auction.to_json(), scenario_sha256=digest
     )

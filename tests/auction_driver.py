@@ -221,3 +221,36 @@ def check_lock_in(manager_log) -> None:
             assert submitted_at <= block - K_DELAY, (
                 f"manager {bidder} at block {block} was submitted at {submitted_at}"
             )
+
+
+def every_action_scenario() -> list[dict]:
+    """Scenario lines in which every action kind that can be refused is both
+    applied and refused, under a header ``lp_total_shares`` of 3.
+
+    The trace holds an ``advance``, a ``claim_rent`` paying 8/3, events with
+    a ``reason`` (usurped, next-replaced) and without one (activated,
+    demoted, depleted), echoed fields that are null, a ``bidder`` echoed
+    beside an ``lp``, and amounts given as integers, floats and strings: every
+    way a trace row's field can be blank or filled.
+    """
+    return [
+        {"k_delay": 2, "fee_cap": 0.05, "lp_total_shares": 3},
+        {"block": 0, "action": "register_lp", "lp": "lp1", "shares": 1},
+        {"block": 0, "action": "register_lp", "lp": "lp2", "shares": -1},
+        {"block": 0, "action": "submit_bid", "bidder": "a", "rent": 1, "deposit": 10},
+        {"block": 0, "action": "submit_bid", "bidder": "b", "rent": 1, "deposit": 1},
+        {"block": 1, "action": "claim_rent", "lp": "nobody"},
+        {"block": 3, "action": "set_fee", "bidder": "a", "fee": 0.01},
+        {"block": 3, "action": "set_fee", "bidder": "b", "fee": 0.01},
+        {"block": 4, "action": "top_up", "bidder": "a", "amount": "2"},
+        {"block": 4, "action": "top_up", "bidder": "a", "amount": 0.5},
+        {"block": 5, "action": "submit_bid", "bidder": "b", "rent": "1.5", "deposit": 6},
+        {"block": 5, "action": "reduce_deposit", "bidder": "zz", "amount": 1},
+        {"block": 8, "action": "claim_rent", "lp": "lp1"},
+        {"block": 9, "action": "reduce_deposit", "bidder": "a", "amount": 1, "rent": None},
+        {"block": 10, "action": "advance", "bidder": None},
+        {"block": 12, "action": "submit_bid", "bidder": "c", "rent": 2, "deposit": 20},
+        {"block": 12, "action": "submit_bid", "bidder": "d", "rent": 3, "deposit": 30},
+        {"block": 15, "action": "register_lp", "lp": "lp2", "shares": "0.5", "bidder": "shown"},
+        {"block": 20, "action": "claim_rent", "lp": "lp1"},
+    ]

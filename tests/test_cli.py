@@ -22,7 +22,7 @@ from ammauction.equilibrium import FEE_GRID
 from ammauction.pool import withdrawal_fee_required
 from ammauction.replay import replay_auction
 
-from auction_driver import many_lp_scenario
+from auction_driver import every_action_scenario, many_lp_scenario
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -735,6 +735,8 @@ class TestReplay:
         # trace.csv below its manifest line, and final_state.json, pinned
         many = tmp_path / "many_lps.jsonl"
         many.write_text("".join(json.dumps(line) + "\n" for line in many_lp_scenario()))
+        every = tmp_path / "every_action.jsonl"
+        every.write_text("".join(json.dumps(line) + "\n" for line in every_action_scenario()))
         want = {
             DATA / "depletion.jsonl": (
                 "a57dc8300b3e94c35b571e1cb81af1adb581dcfef3cecff881c3c454676b18b2",
@@ -747,6 +749,10 @@ class TestReplay:
             many: (
                 "5ab072088ed6da4e84ae033220fc30b41ddd7e914411118e65017196031b90f2",
                 "d7bcedbd3c79c7688f449b3b919b4360ade5743dec9cb5bd0dc02a7c3a6f9224",
+            ),
+            every: (
+                "a511ab69e083e9e1355825cbaa2a4f6ca178eecd1a4d3786743966853f850a01",
+                "19f5f50da037e5050ca9356e7dbc5fd736a5f58606e99ff64bc314a61025c776",
             ),
         }
         for scenario, (trace, final) in want.items():

@@ -18,9 +18,15 @@ from fractions import Fraction
 import pytest
 
 from ammauction.auction import AuctionState
-from ammauction.replay import ReplayParseError, replay_auction
+from ammauction.replay import TRACE_HEADER, ReplayParseError, TraceRow, replay_auction
 
-from auction_driver import FEE_CAP, K_DELAY, many_lp_scenario, random_jump_events
+from auction_driver import (
+    FEE_CAP,
+    K_DELAY,
+    every_action_scenario,
+    many_lp_scenario,
+    random_jump_events,
+)
 from replay_reference import reference_replay
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -62,19 +68,19 @@ def write_scenario(path: pathlib.Path, header: dict, events: list[dict]) -> None
     path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
 
 
-def is_rent(row: dict) -> bool:
-    return row["origin"] == "auction" and row["action"] == "rent"
+def is_rent(row: TraceRow) -> bool:
+    return row.origin == "auction" and row.action == "rent"
 
 
-def span(row: dict) -> tuple[int, int]:
-    first, last = map(int, row["detail"].split("-"))
+def span(row: TraceRow) -> tuple[int, int]:
+    first, last = map(int, row.detail.split("-"))
     return first, last
 
 
 def rent_totals(rows) -> Counter:
     totals: Counter = Counter()
     for row in filter(is_rent, rows):
-        totals[row["line"], row["bidder"]] += Fraction(row["amount"])
+        totals[row.line, row.bidder] += Fraction(row.amount)
     return totals
 
 
@@ -85,19 +91,39 @@ def assert_equivalent(path: pathlib.Path):
     assert [r for r in fast.rows if not is_rent(r)] == [r for r in ref.rows if not is_rent(r)]
     assert rent_totals(fast.rows) == rent_totals(ref.rows)
 
-    ref_rent = {row["block"]: row for row in filter(is_rent, ref.rows)}
+    ref_rent = {row.block: row for row in filter(is_rent, ref.rows)}
     blocks_paid: Counter = Counter()
     last_paid = 0
     for row in filter(is_rent, fast.rows):
         first, last = span(row)
-        assert last == row["block"] and last_paid < first <= last  # ascending, disjoint
+        assert last == row.block and last_paid < first <= last  # ascending, disjoint
         last_paid = last
         covered = [ref_rent[b] for b in range(first, last + 1)]
-        assert {(r["line"], r["bidder"]) for r in covered} == {(row["line"], row["bidder"])}
-        assert sum(Fraction(r["amount"]) for r in covered) == Fraction(row["amount"])
-        blocks_paid[row["bidder"]] += last - first + 1
-    assert blocks_paid == Counter(r["bidder"] for r in ref_rent.values())
+        assert {(r.line, r.bidder) for r in covered} == {(row.line, row.bidder)}
+        assert sum(Fraction(r.amount) for r in covered) == Fraction(row.amount)
+        blocks_paid[row.bidder] += last - first + 1
+    assert blocks_paid == Counter(r.bidder for r in ref_rent.values())
     return fast, ref
+
+
+@pytest.mark.parametrize(
+    "scenario", ["depletion.jsonl", "k_delay.jsonl", "every-action", "random-stream"]
+)
+def test_every_row_is_a_whole_trace_row(tmp_path, scenario):
+    # csv.writer writes None as it writes "", so no pinned trace.csv can show
+    # a None in a row: the rows themselves are checked, both replays' rows
+    path = DATA / scenario
+    if scenario == "every-action":
+        path = tmp_path / "every_action.jsonl"
+        path.write_text("".join(json.dumps(line) + "\n" for line in every_action_scenario()))
+    elif scenario == "random-stream":
+        path = tmp_path / "random.jsonl"
+        write_scenario(path, HEADERS["fixed_shares"], random_jump_events(random.Random(5), 250))
+    for trace in (replay_auction(str(path)), reference_replay(str(path))):
+        assert len(trace.rows) > 10
+        for row in trace.rows:
+            assert type(row) is TraceRow and len(row) == len(TRACE_HEADER)
+            assert all(value is not None for value in row), row
 
 
 @pytest.mark.parametrize("header", sorted(HEADERS))
@@ -109,7 +135,7 @@ def test_random_streams_match_single_steps(tmp_path, header):
         write_scenario(path, HEADERS[header], random_jump_events(random.Random(seed), 250))
         fast, ref = assert_equivalent(path)
         statuses.update(
-            (r["action"], r["status"].split(":")[0]) for r in ref.rows if r["origin"] == "scenario"
+            (r.action, r.status.split(":")[0]) for r in ref.rows if r.origin == "scenario"
         )
         coalesced += len(ref.rows) - len(fast.rows)
     # the streams reach rejections and fee requests that stay pending a block
@@ -169,17 +195,17 @@ def test_jump_to_block_1e9_costs_events_not_blocks(tmp_path, monkeypatch):
 
     distributed = Fraction(state["rent_distributed"])
     assert distributed == 3 * 10**6 + 4 * 10**6
-    assert sum(Fraction(r["amount"]) for r in trace.rows if is_rent(r)) == distributed
+    assert sum(Fraction(r.amount) for r in trace.rows if is_rent(r)) == distributed
     live = sum((Fraction(b["deposit"]) for b in state["pending"]), Fraction(0))
     assert Fraction(state["deposits_posted"]) == distributed + Fraction(state["refunds"]) + live
 
     blocks_paid: Counter = Counter()
     for row in filter(is_rent, trace.rows):
         first, last = span(row)
-        blocks_paid[row["bidder"]] += last - first + 1
+        blocks_paid[row.bidder] += last - first + 1
     assert blocks_paid == {"alice": 10**6, "bob": 10**6}
-    claim = next(r for r in trace.rows if r["action"] == "claim_rent")
-    assert Fraction(claim["detail"]) == distributed * Fraction(3, 7)
+    claim = next(r for r in trace.rows if r.action == "claim_rent")
+    assert Fraction(claim.detail) == distributed * Fraction(3, 7)
 
 
 class _WalkCountingDict(dict):

@@ -31,6 +31,7 @@ from ammauction.replay import (
     TRACE_HEADER,
     ReplayParseError,
     _check_totals,
+    _digit_bound,
     replay_auction,
 )
 
@@ -135,8 +136,8 @@ class TestBoundedInput:
         begin = time.perf_counter()
         trace = replay_auction(str(path))
         assert time.perf_counter() - begin < 0.5
-        assert trace.rows[-1]["status"] == "rejected:invalid-amount"
-        assert "out of range" in trace.rows[-1]["detail"]
+        assert trace.rows[-1].status == "rejected:invalid-amount"
+        assert "out of range" in trace.rows[-1].detail
 
     def test_amounts_at_the_bounds_are_taken(self, tmp_path):
         # 100 significant digits; exponents of +400 and -400
@@ -144,7 +145,7 @@ class TestBoundedInput:
         for amount in ("9" * 100, '"1e400"', '"1e-400"', '"' + "1" * 100 + 'e-300"'):
             lines.append(f'{{"block": 2, "action": "register_lp", "lp": "p", "shares": {amount}}}\n')
         trace = replay_auction(str(write(tmp_path, "".join(lines))))
-        assert [row["status"] for row in trace.rows[-4:]] == ["ok"] * 4
+        assert [row.status for row in trace.rows[-4:]] == ["ok"] * 4
 
     def test_header_shares_out_of_range_names_the_line(self, tmp_path):
         path = write(tmp_path, '\n{"k_delay": 2, "fee_cap": 0.05, "lp_total_shares": "1e1000000"}\n')
@@ -200,11 +201,12 @@ class TestBoundedInput:
     def test_running_totals_are_bounded_by_bit_length(self, monkeypatch):
         # at the smallest limit Python allows, 640 digits
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 640)
+        bound = _digit_bound()
         auction = AuctionState(AuctionParams(k_delay=2, fee_cap=0.05))
         auction.rent_per_share = Fraction(10**639, 3)
-        _check_totals(auction, 7)
+        _check_totals(auction, 7, bound)
         auction.claims_paid = Fraction(1, 10**640)
         with pytest.raises(ReplayParseError, match="line 7: claims_paid would exceed 640 digits"):
-            _check_totals(auction, 7)
+            _check_totals(auction, 7, bound)
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # no limit
-        _check_totals(auction, 7)
+        _check_totals(auction, 7, _digit_bound())

@@ -373,26 +373,26 @@ class TestReplay:
         usurps = [
             row
             for row in trace.rows
-            if row["origin"] == "auction" and row["action"] == "usurped"
+            if row.origin == "auction" and row.action == "usurped"
         ]
-        assert [(u["block"], u["bidder"]) for u in usurps] == [(4, "alice"), (13, "bob")]
-        assert usurps[1]["detail"] == "outbid"
+        assert [(u.block, u.bidder) for u in usurps] == [(4, "alice"), (13, "bob")]
+        assert usurps[1].detail == "outbid"
 
     def test_rejections_surface_in_trace(self):
         trace = replay_auction(str(DATA / "k_delay.jsonl"))
-        rejected = [row for row in trace.rows if row["status"].startswith("rejected")]
+        rejected = [row for row in trace.rows if row.status.startswith("rejected")]
         assert len(rejected) == 1
-        assert rejected[0]["bidder"] == "carol"
-        assert rejected[0]["status"] == "rejected:increment-too-small"
+        assert rejected[0].bidder == "carol"
+        assert rejected[0].status == "rejected:increment-too-small"
 
     def test_depletion_scenario_promotes_at_computed_block(self):
         # bob usurps at 8 with three blocks of deposit and depletes at 10;
         # alice's remaining 60 then carries her exactly to block 16
         trace = replay_auction(str(DATA / "depletion.jsonl"))
-        depleted = [r for r in trace.rows if r["action"] == "depleted"]
-        assert [(r["block"], r["bidder"]) for r in depleted] == [(10, "bob"), (16, "alice")]
-        promoted = [r for r in trace.rows if r["action"] == "usurped" and r["detail"] == "depletion"]
-        assert [(r["block"], r["bidder"]) for r in promoted] == [(10, "alice")]
+        depleted = [r for r in trace.rows if r.action == "depleted"]
+        assert [(r.block, r.bidder) for r in depleted] == [(10, "bob"), (16, "alice")]
+        promoted = [r for r in trace.rows if r.action == "usurped" and r.detail == "depletion"]
+        assert [(r.block, r.bidder) for r in promoted] == [(10, "alice")]
 
     def test_malformed_line_reports_line_number(self):
         with pytest.raises(ReplayParseError, match="line 3"):
@@ -489,9 +489,9 @@ class TestReplay:
         # end stretches; bob outbids her at 13 and pays to the end at 16
         trace = replay_auction(str(DATA / "k_delay.jsonl"))
         rent = [
-            (r["line"], r["block"], r["bidder"], r["amount"], r["detail"])
+            (r.line, r.block, r.bidder, r.amount, r.detail)
             for r in trace.rows
-            if r["action"] == "rent"
+            if r.action == "rent"
         ]
         assert rent == [
             (3, 4, "alice", "10", "4-4"),
