@@ -6,11 +6,10 @@ value of the reserves at an external price ``P`` is ``2 * sqrt(P) * L``.
 
 Swap fees accrue to a fee recipient *outside* the curve (normally the pool
 manager), so no trade ever changes ``L``. The fee is log-space: arbitrageurs
-trade the pool to the edge of the band ``|ln(P / spot)| <= f``, with the
-numeraire leg scaled by ``e^{+f}`` on buys and ``e^{-f}`` on sells (the
-fee-band model of Milionis et al., arXiv 2305.14604). Under it the profit of
-:func:`trade_to_band` equals ``pool_value * excess_fraction``, the closed
-form, exactly; a zero fee is the fee-free correction to the true price.
+trade the pool to the edge of the band ``|ln(P / spot)| <= f`` (the fee-band
+model of Milionis et al., arXiv 2305.14604), and the profit of
+:func:`trade_to_band` is ``pool_value * excess_fraction``, the closed form,
+exactly; a zero fee is the fee-free correction to the true price.
 
 The pool is its reserves: the functions return new values, and are safe to
 call from any number of threads, numpy's execution on first use included
@@ -25,6 +24,9 @@ import math
 
 from ._numpy import np
 
+__all__ = ["pool_value", "trade_to_band", "excess_fraction", "withdrawal_fee_required",
+           "strategic_withdrawal_values"]
+
 
 def pool_value(liquidity: float, price: float) -> float:
     """Numeraire value ``2 * sqrt(price) * liquidity`` of pool reserves."""
@@ -35,28 +37,26 @@ def pool_value(liquidity: float, price: float) -> float:
     return 2.0 * math.sqrt(price) * liquidity
 
 
-def trade_to_band(x, y, price, fee):
-    """Trade reserves ``(x, y)`` to the edge of the fee band around ``price``.
+def trade_to_band(x, y, z, fee):
+    """Trade reserves ``(x, y)`` at mispricing ``z`` to the edge of the fee band.
 
-    With ``z = ln(price / spot)``: inside the no-trade band (``|z| <= fee``)
-    the reserves stay. Otherwise the implied price moves to
-    ``price * e^{-fee}`` (``z > fee``, the arbitrageur buys ``x``) or
-    ``price * e^{+fee}`` (``z < -fee``, sells ``x``), at constant liquidity.
-    The numeraire leg carries the log-space fee factor: ``e^{+fee}`` grosses
-    up what a buyer pays and ``e^{-fee}`` scales what a seller receives, the
-    difference going to the fee recipient. The arbitrageur's profit at
-    ``price`` is then the closed form
-    ``pool_value(liquidity, price) * excess_fraction(z, fee)`` exactly.
+    The true price is 1, and ``z = ln(x / y)``, as the caller holds it, alone
+    decides the trade: inside the band (``|z| <= fee``) the reserves stay,
+    otherwise the implied price moves to ``e^{-fee}`` (``z > fee``, the
+    arbitrageur buys ``x``) or ``e^{+fee}`` (``z < -fee``, sells ``x``) at
+    constant liquidity. The numeraire leg carries the log-space fee factor:
+    ``e^{+fee}`` grosses up what a buyer pays and ``e^{-fee}`` scales what a
+    seller receives, the difference going to the fee recipient. The reserves
+    give every size; the profit is the closed form
+    ``pool_value(liquidity, 1) * excess_fraction(z, fee)`` exactly.
 
-    Element-wise, with numpy; unchecked. Returns
-    ``(new_x, new_y, fee_paid, traded)``.
+    Element-wise, with numpy; unchecked. Returns ``(new_x, new_y, fee_paid, traded)``.
     """
-    z = np.log(price / (y / x))
     buy = z > fee
     traded = buy | (z < -fee)
     # each exponential's argument is chosen before the call, so a lane whose
     # result is discarded computes e^0 rather than overflowing at a huge fee
-    sqrt_edge = np.sqrt(price * np.exp(np.where(buy, -fee, np.where(traded, fee, 0.0))))
+    sqrt_edge = np.sqrt(np.exp(np.where(buy, -fee, np.where(traded, fee, 0.0))))
     liquidity = np.sqrt(x * y)
     new_x = np.where(traded, liquidity / sqrt_edge, x)
     new_y = np.where(traded, liquidity * sqrt_edge, y)

@@ -372,20 +372,20 @@ def _pool_kernel(z: np.ndarray, fee: np.ndarray, managed: np.ndarray, liquidity:
     """Each block's trades on explicit reserve arrays, one block per element.
 
     The true price is rebased to 1 and the pool opens at price ``e^{-z}``.
-    Outside arbitrageurs trade to the fee band's edge through
-    :func:`pool.trade_to_band`; on managed blocks the manager then closes the
-    rest of the gap for free. Profits, fees and the pool's loss all come from
-    reserve changes, and the end mispricing from the end reserves.
+    ``z`` alone decides each trade: outside arbitrageurs trade to the fee
+    band's edge through :func:`pool.trade_to_band`, then on managed blocks
+    the manager closes the rest, ``clip(z, -fee, fee)``, for free. Profits,
+    fees and the pool's loss come from reserve changes, as does ``z_end``.
 
     Returns ``(traded, excess, arb_fee, mgr_arb, adverse, z_end)``.
     """
     sqrt_p = np.sqrt(np.exp(-z))
     x0 = liquidity / sqrt_p
     y0 = liquidity * sqrt_p
-    x1, y1, arb_fee, traded = trade_to_band(x0, y0, 1.0, fee)
+    x1, y1, arb_fee, traded = trade_to_band(x0, y0, z, fee)
     excess = (x0 - x1) + (y0 - y1) - arb_fee
 
-    correct = managed & (np.log(1.0 / (y1 / x1)) != 0.0)
+    correct = managed & (np.clip(z, -fee, fee) != 0.0)
     liq1 = np.sqrt(x1 * y1)
     x2 = np.where(correct, liq1, x1)
     y2 = np.where(correct, liq1, y1)

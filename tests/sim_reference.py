@@ -17,18 +17,18 @@ from ammauction import market
 from ammauction.sim import BLOCK_LOG_HEADER, SimReport, _setup
 
 
-def band_trade(x, y, fee):
-    """Arbitrage reserves ``(x, y)`` at the true price 1 to the edge of the
-    fee band: ``None`` when the mispricing ``z = ln(x / y)`` has
-    ``|z| <= fee``, else ``(new_x, new_y, fee_paid)``.
+def band_trade(x, y, z, fee):
+    """Arbitrage reserves ``(x, y)`` at the true price 1 and mispricing ``z``
+    to the edge of the fee band: ``None`` when ``|z| <= fee``, else
+    ``(new_x, new_y, fee_paid)``.
 
     The pool of liquidity ``L`` at mispricing ``z`` holds ``L e^{z/2}`` and
-    ``L e^{-z/2}``; the trade leaves it at ``z = +-fee``. A buyer of ``x``
-    pays the numeraire ``dy`` into the pool and ``(e^f - 1) dy`` in fees; a
-    seller takes ``dy`` out and pays ``(1 - e^{-f}) dy``, each factor from
+    ``L e^{-z/2}``; the trade leaves it at ``z = +-fee``. ``z`` alone decides
+    the trade; the reserves give its size. A buyer of ``x`` pays the
+    numeraire ``dy`` into the pool and ``(e^f - 1) dy`` in fees; a seller
+    takes ``dy`` out and pays ``(1 - e^{-f}) dy``, each factor from
     ``expm1``, which keeps its digits at a small fee.
     """
-    z = math.log(x / y)
     if abs(z) <= fee:
         return None
     liquidity = math.sqrt(x * y)
@@ -86,15 +86,16 @@ def reference_sim(config, block_log=None) -> SimReport:
         start_value = x + y  # true price is 1
 
         excess = arb_fee = mgr_arb = 0.0
-        trade = band_trade(x, y, fee)
+        trade = band_trade(x, y, z, fee)
         if trade is None:
             no_trade += 1
         else:
             new_x, new_y, arb_fee = trade
             excess = (x - new_x) + (y - new_y) - arb_fee
             x, y = new_x, new_y
+        z_left = min(max(z, -fee), fee)  # the mispricing the trade leaves
         if manager is not None:
-            correction = band_trade(x, y, 0.0)
+            correction = band_trade(x, y, z_left, 0.0)
             if correction is not None:
                 new_x, new_y, _ = correction
                 mgr_arb = (x - new_x) + (y - new_y)
@@ -106,12 +107,11 @@ def reference_sim(config, block_log=None) -> SimReport:
         residual = mgr_arb + arb_fee + excess - adverse
         drift += residual
         max_resid = max(max_resid, abs(residual))
-        z_end = math.log(x / y)
         if manager is not None:
-            max_end_z = max(max_end_z, abs(z_end))
+            max_end_z = max(max_end_z, abs(math.log(x / y)))
             z_carry = 0.0
         else:
-            z_carry = z_end
+            z_carry = z_left
 
         noise_vol = market.noise_volume(fee, liquidity, params) * tau
         noise_fee = fee * noise_vol

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, assume
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from ammauction.pool import (
@@ -69,59 +69,78 @@ class TestPoolValue:
             pool_value(1.0, price)
 
 
+def reserves_at(liquidity, z):
+    """The reserves ``(x, y)`` of liquidity ``liquidity`` at mispricing ``z``
+    against the true price 1, built as the simulator's kernel builds them."""
+    sqrt_spot = math.sqrt(math.exp(-z))
+    return liquidity / sqrt_spot, liquidity * sqrt_spot
+
+
+def band_edges(fee):
+    """Mispricings at the band's edges ``+-fee`` and one ulp to either side."""
+    return [
+        w
+        for edge in (fee, -fee)
+        for w in (edge, math.nextafter(edge, math.inf), math.nextafter(edge, -math.inf))
+    ]
+
+
 class TestArbTradeToBand:
     """``trade_to_band`` on one pool's float reserves."""
 
     def test_no_trade_at_exact_boundary(self):
-        true_price = 1.02
-        z = math.log(true_price / (1.0 / 1.0))
-        assert trade_to_band(1.0, 1.0, true_price, z) == (1.0, 1.0, 0.0, False)
+        for z in (0.02, -0.02):
+            x, y = reserves_at(1.0, z)
+            assert trade_to_band(x, y, z, 0.02) == (x, y, 0.0, False)
 
     def test_no_trade_at_zero_mispricing(self):
-        assert trade_to_band(2.0, 3.0, 3.0 / 2.0, 0.005) == (2.0, 3.0, 0.0, False)
+        assert trade_to_band(2.0, 2.0, 0.0, 0.005) == (2.0, 2.0, 0.0, False)
 
     def test_trade_to_band_buy_side(self):
-        true_price = math.exp(0.02)
-        *result, traded = trade_to_band(1.0, 1.0, true_price, 0.005)
+        x, y = reserves_at(1.0, 0.02)
+        *result, traded = trade_to_band(x, y, 0.02, 0.005)
         assert traded
         new_x, new_y, _ = result
-        target = true_price * math.exp(-0.005)
-        assert new_y / new_x == pytest.approx(target, rel=1e-12)
-        profit = trade_profit(1.0, 1.0, result, true_price)
-        oracle = raw_excess_oracle(1.0, true_price, 0.02, 0.005)
+        assert new_y / new_x == pytest.approx(math.exp(-0.005), rel=1e-12)
+        profit = trade_profit(x, y, result, 1.0)
+        oracle = raw_excess_oracle(1.0, 1.0, 0.02, 0.005)
         assert profit == pytest.approx(oracle, rel=1e-9)
-        assert profit == pytest.approx(
-            closed_form_excess(1.0, true_price, 0.02, 0.005), rel=1e-9
-        )
+        assert profit == pytest.approx(closed_form_excess(1.0, 1.0, 0.02, 0.005), rel=1e-9)
 
     def test_trade_to_band_sell_side(self):
-        true_price = math.exp(-0.02)
-        *result, traded = trade_to_band(1.0, 1.0, true_price, 0.005)
+        x, y = reserves_at(1.0, -0.02)
+        *result, traded = trade_to_band(x, y, -0.02, 0.005)
         assert traded
         new_x, new_y, _ = result
-        assert new_y / new_x == pytest.approx(true_price * math.exp(0.005), rel=1e-12)
-        profit = trade_profit(1.0, 1.0, result, true_price)
-        assert profit == pytest.approx(
-            closed_form_excess(1.0, true_price, -0.02, 0.005), rel=1e-9
-        )
+        assert new_y / new_x == pytest.approx(math.exp(0.005), rel=1e-12)
+        profit = trade_profit(x, y, result, 1.0)
+        assert profit == pytest.approx(closed_form_excess(1.0, 1.0, -0.02, 0.005), rel=1e-9)
         assert profit > 0.0
 
     def test_liquidity_unchanged(self):
-        new_x, new_y, _, _ = trade_to_band(1.0, 1.0, math.exp(0.04), 0.01)
+        new_x, new_y, _, _ = trade_to_band(*reserves_at(1.0, 0.04), 0.04, 0.01)
         assert math.sqrt(new_x * new_y) == pytest.approx(1.0, rel=1e-12)
 
-    @given(
-        z=st.floats(min_value=-0.4, max_value=0.4),
-        fee=st.floats(min_value=0.0, max_value=0.05),
-    )
-    def test_no_trade_iff_inside_band(self, z, fee):
-        assume(abs(abs(z) - fee) > 1e-9)  # stay clear of the knife edge
-        _, _, _, traded = trade_to_band(1.0, 1.0, math.exp(z), fee)
+    @given(data=st.data(), fee=st.floats(min_value=0.0, max_value=0.05))
+    def test_no_trade_iff_inside_band(self, data, fee):
+        # the mispricing passed in decides, on the band's edge too
+        z = data.draw(st.one_of(st.floats(-0.4, 0.4), st.sampled_from(band_edges(fee))))
+        _, _, _, traded = trade_to_band(*reserves_at(1.0, z), z, fee)
         assert traded == (abs(z) > fee)
+
+    @pytest.mark.parametrize("fee", [0.0, 5e-324, 1e-17, 0.003, 0.05])
+    def test_the_band_edge_is_inside_and_one_ulp_past_it_trades(self, fee):
+        outward = (math.nextafter(fee, math.inf), math.nextafter(-fee, -math.inf))
+        for z, trades in ((fee, False), (-fee, False), *((w, True) for w in outward)):
+            x, y = reserves_at(1.0, z)
+            new_x, new_y, fee_paid, traded = trade_to_band(x, y, z, fee)
+            assert traded == trades, z
+            if not trades:
+                assert (new_x, new_y, fee_paid) == (x, y, 0.0)
 
     def test_huge_fee_inside_band_is_no_trade(self):
         # e^1000 overflows a float; a lane that does not trade never computes it
-        assert trade_to_band(1.0, 1.0, 1.0, 1000.0) == (1.0, 1.0, 0.0, False)
+        assert trade_to_band(1.0, 1.0, 0.0, 1000.0) == (1.0, 1.0, 0.0, False)
 
 
 class TestTradeToBand:
@@ -137,29 +156,31 @@ class TestTradeToBand:
         z[::50] = 0.0
         fee = rng.uniform(0.0, 0.05, self.N)
         fee[::10] = 0.0
-        price = np.exp(rng.normal(0.0, 2.0, self.N))
+        # lanes on the band's edges and one ulp to either side
+        for k, edge in enumerate((fee, -fee)):
+            for j, w in enumerate((edge, np.nextafter(edge, np.inf), np.nextafter(edge, -np.inf))):
+                lanes = slice(7 + 2 * (3 * k + j), None, 97)
+                z[lanes] = w[lanes]
         liquidity = 1.7
-        sqrt_spot = np.sqrt(price * np.exp(-z))  # the pool opens at mispricing z
+        sqrt_spot = np.sqrt(np.exp(-z))  # the pool opens at mispricing z
         x, y = liquidity / sqrt_spot, liquidity * sqrt_spot
-        return z, fee, price, liquidity, x, y, trade_to_band(x, y, price, fee)
+        return z, fee, liquidity, x, y, trade_to_band(x, y, z, fee)
 
     def test_profit_is_the_closed_form_excess(self, trades):
-        z, fee, price, liquidity, x, y, (new_x, new_y, fee_paid, traded) = trades
-        profit = price * (x - new_x) + (y - new_y) - fee_paid
-        value = 2.0 * np.sqrt(price) * liquidity
+        z, fee, liquidity, x, y, (new_x, new_y, fee_paid, traded) = trades
+        profit = (x - new_x) + (y - new_y) - fee_paid
+        value = 2.0 * liquidity
         excess = np.array([excess_fraction(a, f) for a, f in zip(z.tolist(), fee.tolist())])
         assert np.all(np.abs(profit - value * excess) <= 1e-14 * value)
-        clear = np.abs(np.abs(z) - fee) > 1e-12  # off the knife edge the trade reads z
-        assert np.array_equal(traded[clear], np.abs(z[clear]) > fee[clear])
+        assert np.array_equal(traded, np.abs(z) > fee)  # every lane, the edges included
         assert np.all(fee_paid[~traded] == 0.0)
         np.testing.assert_allclose(np.sqrt(new_x * new_y), liquidity, rtol=1e-15)
 
     def test_arrays_agree_with_floats(self, trades):
         # one numpy path: a trade on its own has its array lane's bits
-        _, fee, price, liquidity, x, y, (new_x, new_y, fee_paid, traded) = trades
+        z, fee, _, x, y, (new_x, new_y, fee_paid, traded) = trades
         scalar = [
-            trade_to_band(*args) for args in zip(x.tolist(), y.tolist(), price.tolist(),
-                                                 fee.tolist())
+            trade_to_band(*args) for args in zip(x.tolist(), y.tolist(), z.tolist(), fee.tolist())
         ]
         assert [bool(s[3]) for s in scalar] == traded.tolist()
         for i, column in enumerate((new_x, new_y, fee_paid)):
@@ -169,11 +190,10 @@ class TestTradeToBand:
         # reference: the same formula with every lane's exponentials taken at
         # the lane's own fee; selecting the arguments per lane moves no bit
         # of a lane that trades
-        _, fee, price, _, x, y, (new_x, new_y, fee_paid, traded) = trades
+        z, fee, _, x, y, (new_x, new_y, fee_paid, traded) = trades
         with np.errstate(over="ignore", invalid="ignore"):
-            z = np.log(price / (y / x))
             buy = z > fee
-            sqrt_edge = np.sqrt(price * np.exp(np.where(buy, -fee, fee)))
+            sqrt_edge = np.sqrt(np.exp(np.where(buy, -fee, fee)))
             liquidity = np.sqrt(x * y)
             want_y = liquidity * sqrt_edge
             want = (
@@ -185,9 +205,9 @@ class TestTradeToBand:
             assert got[traded].tobytes() == column[traded].tobytes()
 
     def test_huge_fee_warns_nothing(self, trades):
-        _, _, price, _, x, y, _ = trades
+        z, _, _, x, y, _ = trades
         with np.errstate(all="raise"):
-            new_x, new_y, fee_paid, traded = trade_to_band(x, y, price, np.full(self.N, 1000.0))
+            new_x, new_y, fee_paid, traded = trade_to_band(x, y, z, np.full(self.N, 1000.0))
         assert not traded.any() and not fee_paid.any()
         assert new_x.tobytes() == x.tobytes() and new_y.tobytes() == y.tobytes()
 
@@ -198,21 +218,23 @@ class TestReferenceBandTrade:
 
     def test_agrees_with_trade_to_band_and_the_raw_excess(self):
         rng = np.random.default_rng(21)
-        for _ in range(2000):
+        for i in range(2000):
             fee = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 0.05))
-            z = float(rng.uniform(-0.5, 0.5))
-            clear = abs(abs(z) - fee) > 1e-9  # off the knife edge
+            # every tenth draw on a band edge or one ulp to either side
+            edge = i % 10 == 0
+            z = band_edges(fee)[i // 10 % 6] if edge else float(rng.uniform(-0.5, 0.5))
             liquidity = float(np.exp(rng.uniform(-5.0, 14.0)))
             x, y = liquidity * math.exp(z / 2.0), liquidity * math.exp(-z / 2.0)
-            ours = band_trade(x, y, fee)
-            new_x, new_y, fee_paid, traded = trade_to_band(x, y, 1.0, fee)
-            if clear:
-                assert (ours is None) == (abs(z) <= fee) == (not traded)
+            ours = band_trade(x, y, z, fee)
+            new_x, new_y, fee_paid, traded = trade_to_band(x, y, z, fee)
+            assert (ours is None) == (abs(z) <= fee) == (not traded)
             if ours is None:
                 continue
             theirs = tuple(map(float, (new_x, new_y, fee_paid)))
-            assert ours == pytest.approx(theirs, rel=1e-12, abs=0.0)
             value = pool_value(liquidity, 1.0)
+            # one ulp past an edge the fee paid is rounding-sized, and the
+            # two formulas round it differently
+            assert ours == pytest.approx(theirs, rel=1e-12, abs=1e-15 * value if edge else 0.0)
             profit = trade_profit(x, y, ours, 1.0)
             oracle = raw_excess_oracle(liquidity, 1.0, z, fee)
             assert abs(profit - oracle) <= 1e-12 * value
@@ -220,13 +242,15 @@ class TestReferenceBandTrade:
                 assert profit == pytest.approx(oracle, rel=1e-12)
 
     def test_none_exactly_inside_the_band(self):
-        for x, y in ((1.0, 1.0), (2.0, 3.0), (3.0, 2.0), (1e6, 7e-6)):
-            z = math.log(x / y)
-            assert band_trade(x, y, abs(z)) is None
-            assert band_trade(x, y, abs(z) * 2.0) is None
+        for z in (0.0, -0.0, 0.4, -0.4, 13.6):
+            x, y = math.exp(z / 2.0), math.exp(-z / 2.0)
+            assert band_trade(x, y, z, abs(z)) is None
+            assert band_trade(x, y, z, abs(z) * 2.0) is None
             if z:
-                assert band_trade(x, y, math.nextafter(abs(z), 0.0)) is not None
-        assert band_trade(1.0, 1.0, 0.0) is None
+                assert band_trade(x, y, z, math.nextafter(abs(z), 0.0)) is not None
+        # at fee 0 the smallest mispricing trades, though the reserves it
+        # builds read on-price
+        assert band_trade(1.0, 1.0, 5e-324, 0.0) is not None
 
 
 class TestArbExcessInstant:

@@ -9,17 +9,16 @@ numpy instead of libm, which may round differently in the last ulp, so:
   rounding residuals, whose value is set by those last ulps; both runs must
   keep them at rounding size instead of agreeing with each other;
 * the profit columns agree to 1e-14 of pool value;
-* an unmanaged pool's carried mispricing is the exact band clamp here, but
-  the reference re-derives it from the reserves every block, one more
-  rounding per block that random-walks over a stretch without trades, so
-  ``z`` agrees to 1e-12.
+* both carry the band clamp of the pre-trade mispricing, not a value
+  re-derived from the reserves, so ``z`` agrees exactly, and so does
+  ``no_trade_blocks`` with the count of ``|z| <= fee`` in the block log.
 
 A Hypothesis test then draws configs of at most 8,196 blocks: horizons and
 bid lives near the 4,096/8,192-block chunk edges, 0-2 bids, delays 1-8,
-sigma 0-0.1, default fees 0 to the cap, both manager and LP policies, and
-liquidities over twelve decades. Its float bounds are in pool-value units,
-as rounding sets them: a few ulps of the pool value ``2L`` per block,
-summed over the run, and the drift bound above scaled by ``2L``.
+sigma 0 or 1e-17 to 0.1, default fees 0 to the cap, both manager and LP
+policies, and liquidities over twelve decades. Its float bounds are in
+pool-value units, as rounding sets them: a few ulps of the pool value ``2L``
+per block, summed over the run, and the drift bound above scaled by ``2L``.
 """
 
 import csv
@@ -133,10 +132,13 @@ def assert_matches_reference(cfg, abs_bound=lambda field: 0.0, noise_bound=1e-12
             assert got == pytest.approx(want, rel=1e-9, abs=abs_bound(field)), field
 
     assert fast_cols.keys() == ref_cols.keys()
-    for col in ("block", "tau", "fee", "noise_fees", "rent"):
+    for col in ("block", "tau", "z", "fee", "noise_fees", "rent"):
         assert fast_cols[col] == ref_cols[col], col
+    # a block trades exactly when its pre-trade mispricing leaves the band
+    inside = sum(abs(float(z)) <= float(f) for z, f in zip(fast_cols["z"], fast_cols["fee"]))
+    assert fast.no_trade_blocks == inside
     value = 2.0 * _setup(cfg)[1]  # pool value at the rebased price
-    for col, tol in (("arb_profit", 1e-14 * value), ("excess", 1e-14 * value), ("z", 1e-12)):
+    for col, tol in (("arb_profit", 1e-14 * value), ("excess", 1e-14 * value)):
         worst = max(abs(float(a) - float(b)) for a, b in zip(fast_cols[col], ref_cols[col]))
         assert worst <= tol, (col, worst)
     return fast
@@ -158,11 +160,9 @@ NEAR_EDGE = st.builds(
     int.__add__, st.sampled_from([CHUNK_BLOCKS, 2 * CHUNK_BLOCKS]), st.integers(-4, 4)
 )
 BLOCKS = st.one_of(NEAR_EDGE, st.integers(2, 4_500))
-# no price motion, or enough that each block's mispricing shows in the
-# reserves: one under about 1e-15 is lost to their rounding, and whether a
-# zero fee trades on it then turns on how each simulator rounds the
-# reserves it builds
-SIGMAS = st.one_of(st.just(0.0), st.floats(1e-3, 0.1))
+SIGMAS = st.one_of(
+    st.just(0.0), st.floats(1e-3, 0.1), st.floats(-17.0, -1.0).map(lambda e: 10.0**e)
+)
 
 
 @st.composite
@@ -215,13 +215,23 @@ def test_fuzzed_configs_match_scalar_reference(cfg):
     assert_matches_reference(cfg, lambda field: abs_bound(field, cfg, value), 1e-12 * value)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known defect: at fee 0 run_sim counts trades that come from rounding "
-    "alone; here it reads 916 no-trade blocks where the reference reads 996",
-)
-def test_zero_fee_counts_no_trade_where_the_reserves_show_none():
-    # a mispricing of about 1e-17 rounds away in the reserves the reference
-    # builds, so those blocks are on-price and cannot trade
-    cfg = SimConfig(1_024, 0, replace(REF, sigma=4e-16), default_fee=0.0)
-    assert run_sim(cfg).no_trade_blocks == reference_sim(cfg).no_trade_blocks
+@pytest.mark.parametrize("managed", [False, True], ids=["unmanaged", "managed"])
+@pytest.mark.parametrize("sigma", [4e-16, 1e-15, 4e-15])
+def test_zero_fee_trades_every_nonzero_mispricing(sigma, managed):
+    # a mispricing of about 1e-17 rounds away in the reserves built from it,
+    # but it is outside the band |z| <= 0, so the block trades: no drawn
+    # increment is exactly 0 here, so no block goes without a trade
+    bids = config(0).initial_bids if managed else ()
+    cfg = config(
+        0,
+        horizon_blocks=1_024,
+        market=replace(REF, sigma=sigma),
+        default_fee=0.0,
+        manager_fee=0.0,
+        initial_bids=bids,
+    )
+    # every profit here is rounding-sized, so the fuzz's bounds apply
+    value = 2.0 * _setup(cfg)[1]
+    fast = assert_matches_reference(cfg, lambda field: abs_bound(field, cfg, value), 1e-12 * value)
+    assert fast.no_trade_blocks == 0
+    assert fast.unmanaged_blocks == (0 if managed else 1_024)
