@@ -46,8 +46,8 @@ def trade_to_band(x, y, z, fee):
     arbitrageur buys ``x``) or ``e^{+fee}`` (``z < -fee``, sells ``x``) at
     constant liquidity. The numeraire leg carries the log-space fee factor:
     ``e^{+fee}`` grosses up what a buyer pays and ``e^{-fee}`` scales what a
-    seller receives, the difference going to the fee recipient. The reserves
-    give every size; the profit is the closed form
+    seller receives, the difference going to the fee recipient; it is never
+    negative. The reserves give every size; the profit is the closed form
     ``pool_value(liquidity, 1) * excess_fraction(z, fee)`` exactly.
 
     Element-wise, with numpy; unchecked. Returns ``(new_x, new_y, fee_paid, traded)``.
@@ -65,7 +65,9 @@ def trade_to_band(x, y, z, fee):
         np.expm1(np.where(buy, fee, 0.0)) * (new_y - y),
         np.where(traded, -np.expm1(-fee) * (y - new_y), 0.0),
     )
-    return new_x, new_y, fee_paid, traded
+    # one ulp past the band's edge the start and edge reserves round apart
+    # either way, so the leg's size can come out a rounding error below zero
+    return new_x, new_y, np.maximum(fee_paid, 0.0), traded
 
 
 def excess_fraction(z, fee: float, out=None):

@@ -17,7 +17,8 @@ blocks are drawn from the one seeded stream and pushed through one numpy
 kernel on explicit reserve arrays; memory stays flat at any horizon. Every
 reported sum adds one partial sum per chunk, in block order, so the chunk
 fixes the float sum order and the report's bits. The block log is
-formatted and written one run at a time.
+formatted by an array kernel, the same bytes as ``repr``, in batches of at
+most :data:`BATCH_ROWS` rows that may span runs, one write per batch.
 
 A managed pool restarts on-price every block, so its blocks are independent.
 An unmanaged run carries its mispricing from block to block inside the fee
@@ -43,9 +44,9 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import asdict, astuple, dataclass, fields, replace
-from typing import IO, Iterable, Iterator, Optional, Sequence
+from typing import IO, Iterable, Optional, Sequence
 
-from . import equilibrium, market
+from . import _floatrepr, equilibrium, market
 from ._numpy import np
 from .auction import AuctionParams, AuctionState, Bid, _to_fraction
 from .auction import check_field_types, read_json_object
@@ -78,6 +79,11 @@ BLOCK_LOG_HEADER = ("block", "tau", "z", "fee", "arb_profit", "excess", "noise_f
 # Large enough that numpy's per-call overhead is small per block, small
 # enough that the chunk arrays stay well under a megabyte each.
 CHUNK_BLOCKS = 4096
+
+# The block log's rows per write: large enough that the formatting kernel's
+# per-call overhead is small per row, small enough that its arrays stay
+# well under a megabyte.
+BATCH_ROWS = 512
 
 # The LPs' liquidity L, as given or as zero_profit derives it. The pool kernel
 # forms the product of the two reserves, about L^2, and the pool value is
@@ -395,29 +401,24 @@ def _pool_kernel(z: np.ndarray, fee: np.ndarray, managed: np.ndarray, liquidity:
     return traded, excess, arb_fee, mgr_arb, adverse, z_end
 
 
-def _format_run(
-    first: int,
-    run: _Run,
-    tau: np.ndarray,
-    z: np.ndarray,
-    mgr_arb: np.ndarray,
-    excess: np.ndarray,
-    noise_fee: np.ndarray,
-) -> Iterator[str]:
-    """CSV rows for the blocks of ``run`` from block ``first`` on, one at a
-    time, floats as ``repr``; the run's fee and rent are formatted once."""
-    fee, rent = repr(run.fee), repr(run.rent)
-    return (
-        f"{b},{t!r},{zi!r},{fee},{mgr!r},{exc!r},{nf!r},{rent}\n"
-        for b, t, zi, mgr, exc, nf in zip(
-            range(first, first + run.blocks),
-            tau.tolist(),
-            z.tolist(),
-            mgr_arb.tolist(),
-            excess.tolist(),
-            noise_fee.tolist(),
-        )
-    )
+def _write_block_log(
+    block_log: IO[str], first: int, runs: list[_Run], columns: tuple[np.ndarray, ...]
+) -> None:
+    """Write the rows of a chunk's blocks, from block ``first`` on, as
+    ``repr`` writes them, one write per :data:`BATCH_ROWS` rows; each run's
+    fee and rent are formatted once. ``columns`` are those of
+    :meth:`_Books.book`."""
+    fee = _floatrepr.text_cells([repr(run.fee) for run in runs])
+    rent = _floatrepr.text_cells([repr(run.rent) for run in runs])
+    which = np.repeat(np.arange(len(runs)), [run.blocks for run in runs])
+    tau, z, arb_profit, excess, noise_fees = columns
+    for lo in range(0, len(which), BATCH_ROWS):
+        rows = slice(lo, lo + BATCH_ROWS)
+        run = which[rows]
+        block_log.write(_floatrepr.csv_rows(first + lo, [
+            tau[rows], z[rows], fee[run], arb_profit[rows], excess[rows],
+            noise_fees[rows], rent[run],
+        ]))
 
 
 def _abs_max(running: float, x: np.ndarray) -> float:
@@ -532,11 +533,7 @@ def run_sim(config: SimConfig, block_log: Optional[IO[str]] = None) -> SimReport
         runs = _advance_auction(auction, n, policy_fee, books.counts)
         columns = books.book(runs, rng)
         if block_log is not None:
-            lo = 0
-            for run in runs:  # a row at a time, never a whole run's text
-                hi = lo + run.blocks
-                block_log.writelines(_format_run(start + lo + 1, run, *(c[lo:hi] for c in columns)))
-                lo = hi
+            _write_block_log(block_log, start + 1, runs, columns)
         del columns  # freed before the next chunk is drawn
 
     n = float(horizon)

@@ -184,3 +184,21 @@ def carry_scan_reference(eps, fee, managed, carry):
         z.append(zi)
         carry = 0.0 if m else min(max(zi, -f), f)
     return np.array(z), carry
+
+
+def block_log_rows(chunks) -> list[str]:
+    """The block log, header included, of the chunks ``run_sim`` books,
+    each ``(runs, columns)`` as ``_Books.book`` takes and returns them: one
+    f-string of ``repr`` fields per block, as the log was written before it
+    had a formatting kernel."""
+    rows = [",".join(BLOCK_LOG_HEADER)]
+    block = 1
+    for runs, columns in chunks:
+        lo = 0
+        for run in runs:
+            hi = lo + run.blocks
+            for t, z, mgr, exc, nf in zip(*(c[lo:hi].tolist() for c in columns)):
+                rows.append(f"{block},{t!r},{z!r},{run.fee!r},{mgr!r},{exc!r},{nf!r},{run.rent!r}")
+                block += 1
+            lo = hi
+    return rows

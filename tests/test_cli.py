@@ -940,7 +940,8 @@ IMPORT_GRAPH = {
     "pool": {"_numpy", "pool"},
     "market": _NUMERIC,
     "equilibrium": _NUMERIC | {"equilibrium"},
-    "sim": _NUMERIC | {"equilibrium", "sim"},
+    "_floatrepr": {"_numpy", "_floatrepr"},
+    "sim": _NUMERIC | {"equilibrium", "_floatrepr", "sim"},
 }
 
 

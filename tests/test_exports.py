@@ -3,7 +3,7 @@ import importlib
 import pytest
 
 
-@pytest.mark.parametrize("module", ["market", "equilibrium", "sim", "auction", "replay", "pool"])
+@pytest.mark.parametrize("module", ["market", "equilibrium", "sim", "auction", "replay", "pool", "_floatrepr"])
 def test_every_name_in_all_exists_and_star_imports(module):
     # a name deleted from a module but left in its __all__ breaks
     # `import *` only when someone runs it; this runs it

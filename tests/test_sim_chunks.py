@@ -2,7 +2,8 @@
 per-chunk references, bit for bit.
 
 ``run_sim`` scans the carried mispricing once per run, merges its moments
-one 4,096-block chunk at a time, and formats each run's fee and rent once.
+one 4,096-block chunk at a time, and formats its block log in batches of
+512 rows, each run's fee and rent once.
 None of that may move a bit: the references below are the per-block clamp
 and the pairwise merge written out, and the pinned case crosses chunk edges
 with a depletion and an unmanaged carry.
@@ -18,10 +19,12 @@ import pytest
 
 from ammauction.market import MarketParams, _Moments
 from ammauction.sim import (
+    BATCH_ROWS,
     CHUNK_BLOCKS,
     BidSpec,
     SimConfig,
     _advance_auction,
+    _Books,
     _carry_scan,
     _Run,
     _setup,
@@ -29,7 +32,7 @@ from ammauction.sim import (
 )
 
 from conftest import REF
-from sim_reference import carry_scan_reference
+from sim_reference import block_log_rows, carry_scan_reference
 
 SPECIAL_DRAWS = (0.0, -0.0, math.nan, 1.0, -1.0)
 
@@ -266,3 +269,63 @@ class TestIntegerFees:
         assert logs[0].getvalue() == logs[1].getvalue()
         fees = {line.split(",")[3] for line in logs[0].getvalue().splitlines()[1:]}
         assert fees == {"0.0"}
+
+
+class TestBlockLogBatches:
+    """The block log against one f-string of ``repr`` fields per block, made
+    from the very columns ``run_sim`` books, where the 512-row batches cut
+    runs and chunks."""
+
+    CONFIGS = {
+        # "a" manages blocks 1-512 and ends on a batch edge, "b" manages
+        # 513-1,112 across one; each starts and ends with a one-block run,
+        # and the unmanaged rest crosses the chunk edge
+        "edges": SimConfig(
+            horizon_blocks=CHUNK_BLOCKS + 700,
+            seed=5,
+            market=REF,
+            k_delay=1,
+            manager_fee=0.003,
+            default_fee=0.01,
+            initial_bids=(BidSpec("a", 1e-6, 512e-6), BidSpec("b", 1e-7, 6e-05)),
+        ),
+        # one-block runs whose rents print 0.0, 0.1 and 17 digits
+        "one-block": SimConfig(
+            horizon_blocks=10,
+            seed=5,
+            market=REF,
+            k_delay=1,
+            manager_fee=0.003,
+            initial_bids=(BidSpec("a", 0.30000000000000004, 0.30000000000000004),
+                          BidSpec("b", 0.1, 0.1)),
+        ),
+        "horizon-2": SimConfig(
+            horizon_blocks=2, seed=5, market=REF, initial_bids=(BidSpec("a", 1e-6, 1e-5),)
+        ),
+        "one-batch": SimConfig(horizon_blocks=BATCH_ROWS, seed=6, market=REF),
+        "one-batch-and-a-row": SimConfig(horizon_blocks=BATCH_ROWS + 1, seed=6, market=REF),
+    }
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_rows_are_the_repr_rows(self, name, monkeypatch):
+        chunks = []
+        book = _Books.book
+
+        def booked(books, runs, rng):
+            columns = book(books, runs, rng)
+            chunks.append((runs, columns))
+            return columns
+
+        monkeypatch.setattr(_Books, "book", booked)
+        log = io.StringIO()
+        run_sim(self.CONFIGS[name], block_log=log)
+        assert log.getvalue().splitlines() == block_log_rows(chunks)
+        assert log.getvalue().endswith("\n")
+        if name == "edges":
+            ends = np.cumsum([run.blocks for runs, _ in chunks for run in runs]).tolist()
+            assert BATCH_ROWS in ends  # a run ends on a batch edge
+            assert any(lo < 2 * BATCH_ROWS < hi for lo, hi in zip(ends, ends[1:]))  # one crosses
+            assert len(chunks) == 2
+        if name == "one-block":
+            rents = [run.rent for run in chunks[0][0]]
+            assert rents == [0.30000000000000004, 0.1, 0.0]
