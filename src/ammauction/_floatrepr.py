@@ -79,11 +79,12 @@ def _consts() -> SimpleNamespace:
     g1 = [x >> 63 for x in g]
     g0 = [x & (1 << 63) - 1 for x in g]
     return SimpleNamespace(
-        # one row per factor, a lane's k picking the column: g1 and g0,
-        # then their high and their low 32-bit halves
-        g=np.array(
-            [g1, g0, [x >> 32 for x in g1], [x >> 32 for x in g0],
-             [x & 0xFFFFFFFF for x in g1], [x & 0xFFFFFFFF for x in g0]],
+        # a lane's k picks a column: g1 and g0, then their high and their
+        # low 32-bit halves
+        g=np.array([g1, g0], dtype=np.uint64),
+        g_halves=np.array(
+            [[[x >> 32 for x in g1], [x >> 32 for x in g0]],
+             [[x & 0xFFFFFFFF for x in g1], [x & 0xFFFFFFFF for x in g0]]],
             dtype=np.uint64,
         ),
         u0=u(0), u1=u(1), u2=u(2), u8=u(8), u64=u(64), u10=u(10), u16=u(16), u19=u(19),
@@ -112,29 +113,32 @@ def _consts() -> SimpleNamespace:
     )
 
 
-def _mulhi(a1, a0, b1, b0):
-    """The high 64 bits of ``a b``, from the 32-bit halves ``a1 a0``, ``b1 b0``."""
+def _mulhi(a1, a0, b1, b0, out):
+    """The high 64 bits of ``a b`` into ``out``, from the 32-bit halves
+    ``a1 a0`` and ``b1 b0``."""
     k = _consts()
-    lo_lo = a0 * b0
+    np.multiply(a1, b1, out=out)
     lo_hi = a0 * b1
     hi_lo = a1 * b0
-    lo_lo >>= k.u32
-    lo_lo += lo_hi & k.m32
-    lo_lo += hi_lo & k.m32
-    lo_lo >>= k.u32
+    mid = a0 * b0
+    mid >>= k.u32
+    part = lo_hi & k.m32
+    mid += part
+    np.bitwise_and(hi_lo, k.m32, out=part)
+    mid += part
+    mid >>= k.u32
+    out += mid
     lo_hi >>= k.u32
+    out += lo_hi
     hi_lo >>= k.u32
-    hi = a1 * b1
-    hi += lo_hi
-    hi += hi_lo
-    hi += lo_lo
-    return hi
+    out += hi_lo
 
 
-def _rop3(g, cp, shifts):
-    """Schubfach's ``rop(g, cp)``, ``g cp / 2^127`` rounded to odd, of
-    ``cp``, ``cp - 2^s`` and ``cp + 2^s'`` for ``shifts = (s, s')``: the
-    lanes' rounded ``v``, left end and right end, ``vb, vbl, vbr``.
+def _rop3(at, cp, shifts):
+    """Schubfach's ``rop(g, cp)``, ``g cp / 2^127`` rounded to odd, with
+    ``g`` the table's entry ``at`` of each lane, of ``cp``, ``cp - 2^s`` and
+    ``cp + 2^s'`` for ``shifts = (s, s')``: the lanes' rounded ``v``, left
+    end and right end, ``vb, vbl, vbr``.
 
     ``rop`` forms its value from the halves ``y1 y0`` of ``g1 cp`` and the
     high half ``x1`` of ``g0 cp``, with ``g = g1 2^63 + g0``. The ends'
@@ -142,22 +146,35 @@ def _rop3(g, cp, shifts):
     those of ``cp`` less or plus ``g1`` and ``g0`` shifted, in 128-bit
     arithmetic: the same bits as two more full products."""
     k = _consts()
-    factors, halves = g[:2], g[2:].reshape(2, 2, -1)
-    # high and low words of (g1 cp, g0 cp), for cp and for each end
-    high = np.empty((3, 2, len(cp)), dtype=np.uint64)
-    low = np.empty_like(high)
-    high[0] = _mulhi(*halves, cp >> k.u32, cp & k.m32)
-    np.multiply(factors, cp, out=low[0])
-    out = factors[:, None] >> k.u64 - shifts  # the words shifted out, and in
-    into = factors[:, None] << shifts
-    np.subtract(low[0], into[:, 0], out=low[1])
-    np.subtract(high[0], out[:, 0], out=high[1])
-    high[1] -= low[0] < into[:, 0]  # the borrow
-    np.add(low[0], into[:, 1], out=low[2])
-    np.add(high[0], out[:, 1], out=high[2])
-    high[2] += low[2] < low[0]  # the carry
+    n = len(cp)
+    # the high words of (g1 cp, g0 cp) for cp, the left and the right end
+    high = np.empty((3, 2, n), dtype=np.uint64)
+    cp_hi, cp_lo = cp >> k.u32, cp & k.m32
+    for i in range(2):
+        _mulhi(*np.take(k.g_halves[:, i], at, axis=1), cp_hi, cp_lo, out=high[0, i])
+    del cp_hi, cp_lo
+    factors = np.take(k.g, at, axis=1)
+    low = factors * cp
+    y0 = np.empty((3, n), dtype=np.uint64)  # the low words of g1 cp
+    y0[0] = low[0]
+    # the left end: less g 2^s, with the borrow out of the low words
+    word = factors << shifts[0]
+    np.subtract(low[0], word[0], out=y0[1])
+    borrow = low < word
+    np.right_shift(factors, k.u64 - shifts[0], out=word)
+    np.subtract(high[0], word, out=high[1])
+    high[1] -= borrow
+    # the right end: plus g 2^s', with the carry out of the low words
+    np.left_shift(factors, shifts[1], out=word)
+    low += word
+    y0[2] = low[0]
+    np.less(low, word, out=borrow)
+    np.right_shift(factors, k.u64 - shifts[1], out=word)
+    np.add(high[0], word, out=high[2])
+    high[2] += borrow
+    del factors, low, word, borrow
     # rop: z = (y0 >> 1) + x1, vbp = y1 + (z >> 63), odd if z's low bits are not 0
-    vbp, z = high[:, 0], low[:, 0]
+    vbp, z = high[:, 0], y0
     z >>= k.u1
     z += high[:, 1]
     vbp += z >> k.u63
@@ -173,28 +190,35 @@ def _to_decimal(bits):
     ``(f, e)``, the shortest decimal ``f 10^e`` in the rounding interval,
     the closest to the double where several are, ties to an even ``f``."""
     k = _consts()
-    t = bits & k.t_mask
-    c = t | k.c_min
-    bq = ((bits >> k.u52) & k.bq_mask).astype(np.int64)
-    q = bq - 1075
+    q = ((bits >> k.u52) & k.bq_mask).astype(np.int64)
+    q -= 1075
+    c = bits & k.t_mask
     # c == C_MIN has a rounding interval half as wide below, but at q == Q_MIN
-    irregular = (t == k.u0) & (q != _Q_MIN)
+    irregular = c == k.u0
+    irregular &= q != _Q_MIN
+    c |= k.c_min
     # e = flog10pow2(q) = floor(q log10 2), or where irregular
     # flog10threeQuartersPow2(q) = floor(log10(3/4 2^q))
     e = q * 661_971_961_083
     e -= irregular * 274_743_187_321
     e >>= 41
-    h = (q + _flog2pow10(-e) + 2).astype(np.uint64)
+    h = _flog2pow10(-e)
+    h += q
+    h += 2
+    h = h.astype(np.uint64)
     # rop of cb = 4c, cbl = cb - 2 (cb - 1 where irregular) and cbr = cb + 2,
     # each shifted by h: cbl << h = (cb << h) - (1 << h + 1 - irregular)
     shifts = np.empty((2, len(bits)), dtype=np.uint64)
     np.add(h, k.u1, out=shifts[1])
     np.subtract(shifts[1], irregular, out=shifts[0])
+    del irregular
     h += k.u2
-    vb, vbl, vbr = _rop3(np.take(k.g, e - _K_MIN, axis=1), c << h, shifts)
+    vb, vbl, vbr = _rop3(e - _K_MIN, c << h, shifts)
+    del h, shifts
     out = c & k.u1
     vbl += out  # the interval holds its ends when c is even
     vbr -= out
+    del out
 
     s = vb >> k.u2
     # u' = 10 floor(s / 10) and w' = u' + 10, one digit shorter than u = s
@@ -215,9 +239,10 @@ def _to_decimal(bits):
     np.copyto(f, sp10 + k.u10 * wpin, where=shorter)
 
     # an integer below 2^53 is its own shortest decimal
-    mq = 1075 - bq
+    mq = -q
     fast = (mq > 0) & (mq < 53)
-    shift = (mq * fast).astype(np.uint64)
+    mq *= fast
+    shift = mq.astype(np.uint64)
     whole = c >> shift
     fast &= (whole << shift) == c
     np.copyto(f, whole, where=fast)
