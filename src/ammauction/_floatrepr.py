@@ -28,12 +28,17 @@ on first use, so importing this module executes no numpy.
 from __future__ import annotations
 
 from functools import cache
+from itertools import accumulate
 from types import SimpleNamespace
 from typing import Sequence
 
 from ._numpy import np
 
 __all__ = ["csv_rows", "float_cells", "text_cells"]
+
+# The bytes of a word are those of a little-endian uint64 ("<u8"), on any
+# host: the first byte of a text is the word's lowest.
+_WORD = "<u8"
 
 # A float's cell, in words: the sign and a "0.000" prefix, then the first
 # digit in the top byte; digits 2-9; digits 10-17 (the digits before the
@@ -96,6 +101,7 @@ def _consts() -> SimpleNamespace:
         zero=u(ord("0")), zeros=u(0x3030303030303030), minus=u(ord("-")),
         point=u(ord(".")),
         pow10=np.array([10**i for i in range(20)], dtype=np.uint64),
+        count_words=np.array([[0], [8], [16]]),
         # keep[m + _KEEP_AT]: the first m bytes of a word, m < 0 for none
         keep=np.array(
             [(1 << 8 * min(max(m, 0), 8)) - 1 for m in range(-_KEEP_AT, 24)], dtype=np.uint64
@@ -280,8 +286,9 @@ def float_cells(x):
     of a ``(len(x), CELL_WORDS)`` uint64 array whose unused bytes are 0;
     the last byte of each row is left free for a separator."""
     k = _consts()
+    x = np.ascontiguousarray(x, dtype=np.float64)
     n = len(x)
-    bits = np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+    bits = x.view(np.uint64)
     bq = (bits >> k.u52) & k.bq_mask
     normal = (bq != k.u0) & (bq != k.bq_mask)
     f, e = _to_decimal(bits)
@@ -339,9 +346,7 @@ def float_cells(x):
 
     for i in np.flatnonzero(~normal & ((bits & ~k.sign_mask) != k.u0)).tolist():
         # subnormals, infinities and NaNs
-        text = repr(float(x[i])).encode()
-        cells[i] = 0
-        cells[i].view(np.uint8)[: len(text)] = np.frombuffer(text, dtype=np.uint8)
+        cells[i] = text_cells([repr(float(x[i]))], CELL_WORDS)
     return cells
 
 
@@ -360,19 +365,19 @@ def _count_cells(first: int, rows: int):
     size = np.searchsorted(k.pow10, b, side="right")
     np.maximum(size, 1, out=size)
     # word j keeps its bytes from 24 - size - 8j on
-    words &= ~np.take(k.keep, (_KEEP_AT + 24 - size) - np.array([[0], [8], [16]]))
+    words &= ~np.take(k.keep, (_KEEP_AT + 24 - size) - k.count_words)
     cells = np.zeros((rows, _COUNT_WORDS), dtype=np.uint64)
     cells[:, :3] = words.T
     return cells
 
 
-def text_cells(texts: Sequence[str]):
-    """Each of ``texts`` as the bytes of a row of uint64 words, zero-padded,
-    with the row's last byte left free for a separator."""
+def text_cells(texts: Sequence[str], words: int = 0):
+    """Each of ``texts`` as the bytes of a row of at least ``words`` uint64
+    words, zero-padded, with the row's last byte left free for a separator."""
     raw = [t.encode("ascii") for t in texts]
-    size = 8 * (max(map(len, raw), default=0) // 8 + 1)
+    size = 8 * max(words, max(map(len, raw), default=0) // 8 + 1)
     cells = b"".join(t.ljust(size, b"\0") for t in raw)
-    return np.frombuffer(cells, dtype=np.uint64).reshape(len(raw), size // 8)
+    return np.frombuffer(cells, dtype=_WORD).reshape(len(raw), size // 8)
 
 
 def csv_rows(first: int, columns: Sequence) -> str:
@@ -382,22 +387,14 @@ def csv_rows(first: int, columns: Sequence) -> str:
     :func:`text_cells`, one row per CSV row."""
     rows = len(columns[0])
     widths = [_COUNT_WORDS] + [CELL_WORDS if col.ndim == 1 else col.shape[1] for col in columns]
-    ends = np.cumsum(widths).tolist()
-    table = np.empty((rows, ends[-1]), dtype=np.uint64)
+    ends = list(accumulate(widths))
+    table = np.empty((rows, ends[-1]), dtype=_WORD)
     table[:, :_COUNT_WORDS] = _count_cells(first, rows)
 
     floats = [col for col in columns if col.ndim == 1]
-    values = np.empty((rows, len(floats)))
-    for j, col in enumerate(floats):
-        values[:, j] = col
-    cells = float_cells(values.reshape(-1)).reshape(rows, len(floats), CELL_WORDS)
-    j = 0
+    cells = iter(float_cells(np.concatenate(floats)).reshape(len(floats), rows, CELL_WORDS))
     for col, lo, hi in zip(columns, ends, ends[1:]):
-        if col.ndim == 1:
-            table[:, lo:hi] = cells[:, j]
-            j += 1
-        else:
-            table[:, lo:hi] = col
+        table[:, lo:hi] = next(cells) if col.ndim == 1 else col
 
     text = table.view(np.uint8)
     text[:, np.multiply(ends[:-1], 8) - 1] = ord(",")
