@@ -220,7 +220,7 @@ def _to_decimal(bits):
     del irregular
     h += k.u2
     vb, vbl, vbr = _rop3(e - _K_MIN, c << h, shifts)
-    del h, shifts
+    del h, shifts  # each temporary freed early lowers the kernel's peak memory
     out = c & k.u1
     vbl += out  # the interval holds its ends when c is even
     vbr -= out
@@ -346,7 +346,8 @@ def float_cells(x):
 
     for i in np.flatnonzero(~normal & ((bits & ~k.sign_mask) != k.u0)).tolist():
         # subnormals, infinities and NaNs
-        cells[i] = text_cells([repr(float(x[i]))], CELL_WORDS)
+        text = repr(float(x[i])).encode().ljust(8 * CELL_WORDS, b"\0")
+        cells[i] = np.frombuffer(text, dtype=_WORD)
     return cells
 
 
@@ -371,11 +372,11 @@ def _count_cells(first: int, rows: int):
     return cells
 
 
-def text_cells(texts: Sequence[str], words: int = 0):
-    """Each of ``texts`` as the bytes of a row of at least ``words`` uint64
-    words, zero-padded, with the row's last byte left free for a separator."""
+def text_cells(texts: Sequence[str]):
+    """Each of ``texts`` as the bytes of a row of uint64 words, zero-padded,
+    with the row's last byte left free for a separator."""
     raw = [t.encode("ascii") for t in texts]
-    size = 8 * max(words, max(map(len, raw), default=0) // 8 + 1)
+    size = 8 * (max(map(len, raw), default=0) // 8 + 1)
     cells = b"".join(t.ljust(size, b"\0") for t in raw)
     return np.frombuffer(cells, dtype=_WORD).reshape(len(raw), size // 8)
 

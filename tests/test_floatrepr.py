@@ -94,9 +94,9 @@ class TestCsvRows:
         n = 37
         a, b = rng.normal(0.0, 1e-3, n), rng.exponential(1e-5, n)
         b[::4] = 0.0
-        tags = text_cells(["x", "0.30000000000000004", ""])
-        which = rng.integers(0, 3, n)
         names = ["x", "0.30000000000000004", ""]
+        tags = text_cells(names)
+        which = rng.integers(0, 3, n)
         want = "".join(
             f"{i},{u!r},{names[w]},{v!r}\n"
             for i, u, v, w in zip(range(9, 9 + n), a.tolist(), b.tolist(), which.tolist())
