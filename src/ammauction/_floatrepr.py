@@ -2,8 +2,8 @@
 
 ``repr`` of a float is the shortest decimal that reads back as that float,
 the one closest to it where several are as short, laid out by the ``'r'``
-format: positional from 1e-4 up to 1e16, exponent form outside. Called per
-value it costs about 0.6 µs, most of what a CSV of floats costs to write.
+format: positional from 1e-4 up to 1e16, exponent form outside. Called once
+per value, it is most of what writing a CSV of floats costs.
 
 Here the decimal comes from Schubfach's ``toDecimal`` (R. Giulietti, "The
 Schubfach way to render doubles", 2020; JDK 19's ``Double.toString``),
