@@ -11,8 +11,10 @@ ported to uint64 lanes, each high 64-bit product formed from 32-bit halves.
 The layout then writes each value's bytes into a fixed-width cell of seven
 uint64 words, eight bytes each, in slots that are 0 where the value has no
 byte, and :func:`csv_rows` drops the zero bytes of a whole batch of rows at
-once. A word holds eight ASCII digits, formed with a few multiplies
-(SWAR), and a table of byte masks keeps the digits a value's layout shows.
+once. A word holds eight ASCII digits, formed with a few multiplies (SWAR),
+and a table of byte masks keeps the digits a value's layout shows. The row
+numbers are lanes of the same kernel, float64 integers with their point and
+fraction cleared, so they must stay below 2^53.
 
 Normal values and zeros take the kernel. A subnormal, an infinity or a NaN
 takes ``repr`` itself: Java's rule asks for two digits where a subnormal's
@@ -46,9 +48,6 @@ _WORD = "<u8"
 # 2-9 and 10-17 again (the digits after the point); the exponent. The last
 # byte is the field's separator.
 CELL_WORDS = 7
-# A row number's cell: 24 digits right-aligned in three words, then a word
-# for the separator
-_COUNT_WORDS = 4
 
 # Schubfach's constants for binary64
 _Q_MIN = -1074
@@ -84,14 +83,8 @@ def _consts() -> SimpleNamespace:
     g1 = [x >> 63 for x in g]
     g0 = [x & (1 << 63) - 1 for x in g]
     return SimpleNamespace(
-        # a lane's k picks a column: g1 and g0, then their high and their
-        # low 32-bit halves
+        # a lane's k picks a column: g1 and g0
         g=np.array([g1, g0], dtype=np.uint64),
-        g_halves=np.array(
-            [[[x >> 32 for x in g1], [x >> 32 for x in g0]],
-             [[x & 0xFFFFFFFF for x in g1], [x & 0xFFFFFFFF for x in g0]]],
-            dtype=np.uint64,
-        ),
         u0=u(0), u1=u(1), u2=u(2), u8=u(8), u64=u(64), u10=u(10), u16=u(16), u19=u(19),
         u32=u(32), u52=u(52), u56=u(56), u63=u(63), u100=u(100), u103=u(103),
         u5243=u(5243), e4=u(10**4), e8=u(10**8),
@@ -101,7 +94,6 @@ def _consts() -> SimpleNamespace:
         zero=u(ord("0")), zeros=u(0x3030303030303030), minus=u(ord("-")),
         point=u(ord(".")),
         pow10=np.array([10**i for i in range(20)], dtype=np.uint64),
-        count_words=np.array([[0], [8], [16]]),
         # keep[m + _KEEP_AT]: the first m bytes of a word, m < 0 for none
         keep=np.array(
             [(1 << 8 * min(max(m, 0), 8)) - 1 for m in range(-_KEEP_AT, 24)], dtype=np.uint64
@@ -155,11 +147,8 @@ def _rop3(at, cp, shifts):
     n = len(cp)
     # the high words of (g1 cp, g0 cp) for cp, the left and the right end
     high = np.empty((3, 2, n), dtype=np.uint64)
-    cp_hi, cp_lo = cp >> k.u32, cp & k.m32
-    for i in range(2):
-        _mulhi(*np.take(k.g_halves[:, i], at, axis=1), cp_hi, cp_lo, out=high[0, i])
-    del cp_hi, cp_lo
     factors = np.take(k.g, at, axis=1)
+    _mulhi(factors >> k.u32, factors & k.m32, cp >> k.u32, cp & k.m32, out=high[0])
     low = factors * cp
     y0 = np.empty((3, n), dtype=np.uint64)  # the low words of g1 cp
     y0[0] = low[0]
@@ -194,7 +183,11 @@ def _rop3(at, cp, shifts):
 def _to_decimal(bits):
     """Schubfach's ``toDecimal`` for the normal doubles with raw ``bits``:
     ``(f, e)``, the shortest decimal ``f 10^e`` in the rounding interval,
-    the closest to the double where several are, ties to an even ``f``."""
+    the closest to the double where several are, ties to an even ``f``.
+
+    JDK's integer fast path is left out: below 2^53 an integer's rounding
+    interval is narrower than 1, so the search returns that integer, as
+    ``f`` with trailing zeros that the layout drops."""
     k = _consts()
     q = ((bits >> k.u52) & k.bq_mask).astype(np.int64)
     q -= 1075
@@ -243,16 +236,6 @@ def _to_decimal(bits):
     up = np.where(uin == win, (vb > mid) | ((vb == mid) & (s & k.u1).astype(bool)), win)
     f = s + up
     np.copyto(f, sp10 + k.u10 * wpin, where=shorter)
-
-    # an integer below 2^53 is its own shortest decimal
-    mq = -q
-    fast = (mq > 0) & (mq < 53)
-    mq *= fast
-    shift = mq.astype(np.uint64)
-    whole = c >> shift
-    fast &= (whole << shift) == c
-    np.copyto(f, whole, where=fast)
-    e *= ~fast
     return f, e
 
 
@@ -351,27 +334,6 @@ def float_cells(x):
     return cells
 
 
-def _count_cells(first: int, rows: int):
-    """The numbers ``first`` to ``first + rows - 1`` as the rows of a
-    ``(rows, _COUNT_WORDS)`` uint64 array whose unused bytes are 0."""
-    k = _consts()
-    b = np.arange(first, first + rows, dtype=np.uint64)
-    parts = np.empty((3, rows), dtype=np.uint64)
-    np.floor_divide(b, k.e8, out=parts[1])
-    np.subtract(b, parts[1] * k.e8, out=parts[2])
-    np.floor_divide(parts[1], k.e8, out=parts[0])
-    parts[1] -= parts[0] * k.e8
-    words = _eight_digits(parts)
-    words += k.zeros
-    size = np.searchsorted(k.pow10, b, side="right")
-    np.maximum(size, 1, out=size)
-    # word j keeps its bytes from 24 - size - 8j on
-    words &= ~np.take(k.keep, (_KEEP_AT + 24 - size) - k.count_words)
-    cells = np.zeros((rows, _COUNT_WORDS), dtype=np.uint64)
-    cells[:, :3] = words.T
-    return cells
-
-
 def text_cells(texts: Sequence[str]):
     """Each of ``texts`` as the bytes of a row of uint64 words, zero-padded,
     with the row's last byte left free for a separator."""
@@ -385,19 +347,23 @@ def csv_rows(first: int, columns: Sequence) -> str:
     """The CSV text of the columns' rows, each row its number, counting
     from ``first``, then a field from each column. A float column is a
     float64 array, written as ``repr``; a text column is the array of
-    :func:`text_cells`, one row per CSV row."""
+    :func:`text_cells`, one row per CSV row. The row numbers are written
+    as float64 lanes, exact only below 2^53: a number at or past it raises
+    ``ValueError``."""
     rows = len(columns[0])
-    widths = [_COUNT_WORDS] + [CELL_WORDS if col.ndim == 1 else col.shape[1] for col in columns]
-    ends = list(accumulate(widths))
+    if first + rows > 2**53:
+        raise ValueError(f"row numbers must stay below 2^53, got up to {first + rows - 1}")
+    columns = [np.arange(first, first + rows, dtype=np.float64), *columns]
+    ends = list(accumulate((CELL_WORDS if col.ndim == 1 else col.shape[1] for col in columns),
+                           initial=0))
     table = np.empty((rows, ends[-1]), dtype=_WORD)
-    table[:, :_COUNT_WORDS] = _count_cells(first, rows)
-
     floats = [col for col in columns if col.ndim == 1]
     cells = iter(float_cells(np.concatenate(floats)).reshape(len(floats), rows, CELL_WORDS))
     for col, lo, hi in zip(columns, ends, ends[1:]):
         table[:, lo:hi] = next(cells) if col.ndim == 1 else col
+    table[:, 3:6] = 0  # a row number's point and fraction: 7.0 is written 7
 
     text = table.view(np.uint8)
-    text[:, np.multiply(ends[:-1], 8) - 1] = ord(",")
+    text[:, np.multiply(ends[1:-1], 8) - 1] = ord(",")
     text[:, -1] = ord("\n")
     return text[text != 0].tobytes().decode("ascii")

@@ -138,7 +138,7 @@ def _load_params(args: argparse.Namespace) -> MarketParams:
 
 
 def _parse_fees(args: argparse.Namespace, params: MarketParams) -> list[float]:
-    if args.fees:
+    if args.fees is not None:
         tokens = [tok.strip() for tok in args.fees.split(",") if tok.strip()]
         try:
             fees = [float(tok) for tok in tokens]

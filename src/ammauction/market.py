@@ -341,7 +341,7 @@ def mc_rates(
 ) -> MCRates:
     """Monte-Carlo estimates of the profit and excess rates at fees.
 
-    ``fee`` is a 1-D array (a float is one fee), and the :class:`MCRates`
+    ``fee`` is a 1-D array (a scalar is one fee), and the :class:`MCRates`
     rate fields are arrays in its order; ``n_samples`` is the sample count
     per fee. One :func:`block_rng` pair serves every fee of a call: each
     fee's estimates are bit for bit those of a call at that fee alone, and
@@ -377,7 +377,7 @@ def mc_rates(
     time, held in about :data:`CHAIN_BLOCKS` states per fee (one step's when
     ``chains`` is larger).
     """
-    fees = np.array([fee] if isinstance(fee, float) else fee, dtype=float)
+    fees = np.array(fee, dtype=float, ndmin=1 if np.isscalar(fee) else 0)
     if fees.ndim != 1 or fees.size == 0:
         raise ValueError(f"fee array must be 1-D and non-empty, got shape {fees.shape}")
     _check_fee(fees)

@@ -128,7 +128,7 @@ def _parse_scenario(
         # floats once checked, as final_state.json and rejection details print them
         params = replace(params, fee_cap=float(params.fee_cap),
                          min_increment_factor=float(params.min_increment_factor),
-                         default_fee=header.get("default_fee"))
+                         default_fee=float(params.default_fee))
     except ValueError as exc:
         raise ReplayParseError(header_no, f"bad auction params: {exc}")
     if shares is not None:

@@ -159,6 +159,13 @@ class TestBadFees:
         assert main(["formulas", "--fees", " , "]) == 2
         assert_one_line_error(capsys, "--fees must list at least one fee")
 
+    @pytest.mark.parametrize("argv", [["formulas"], ["mc-validate", "--samples", "20000"]],
+                             ids=["formulas", "mc-validate"])
+    def test_empty_string_exit_2(self, argv, capsys):
+        # an empty --fees lists no fee; it does not fall back to the --grid fees
+        assert main([*argv, "--fees", ""]) == 2
+        assert_one_line_error(capsys, "--fees must list at least one fee")
+
     @pytest.mark.parametrize(
         "argv",
         [["formulas", "--fees", "1e308"],
@@ -763,6 +770,17 @@ class TestReplay:
             digest = hashlib.sha256((out / "final_state.json").read_bytes()).hexdigest()
             assert digest == final, scenario.name
         capsys.readouterr()
+
+    def test_integer_default_fee_reads_as_a_float(self, tmp_path, capsys):
+        states = []
+        for default_fee in ("0", "0.0"):
+            path = tmp_path / f"{default_fee}.jsonl"
+            path.write_text(f'{{"k_delay": 2, "fee_cap": 1, "default_fee": {default_fee}}}\n')
+            assert main(["replay", str(path), "--out", str(tmp_path / default_fee)]) == 0
+            states.append((tmp_path / default_fee / "final_state.json").read_text())
+        capsys.readouterr()
+        assert states[0] == states[1]
+        assert '"default_fee":0.0' in states[0] and '"effective_fee":0.0' in states[0]
 
     @pytest.mark.parametrize("name", ["depletion.jsonl", "k_delay.jsonl", "crlf"])
     def test_manifest_hashes_the_scenario_bytes(self, tmp_path, capsys, name):

@@ -87,6 +87,21 @@ class TestFloatRepr:
         rng = np.random.default_rng(34)
         assert_reprs(rng.integers(0, 2**64, 50_000, dtype=np.uint64).view(np.float64))
 
+    # JDK's integer fast path is left out of the port: these are the values
+    # it took, which the search must return as the integer itself
+
+    def test_small_integers_read_as_their_reprs(self):
+        for lo in range(0, 2**20 + 1, 2**16):
+            assert_reprs(np.arange(lo, min(lo + 2**16, 2**20 + 1), dtype=np.float64))
+
+    def test_integers_near_2_52_and_2_53_read_as_their_reprs(self):
+        k = np.arange(4096)
+        assert_reprs(np.concatenate([(2**53 - k).astype(np.float64),
+                                     (2**52 + k).astype(np.float64)]))
+
+    def test_integers_with_trailing_zeros_read_as_their_reprs(self):
+        assert_reprs([float(m * 10**j) for m in range(1000) for j in range(23)])
+
 
 class TestCsvRows:
     def test_rows_are_the_repr_rows(self):
@@ -103,8 +118,19 @@ class TestCsvRows:
         )
         assert csv_rows(9, [a, tags[which], b]) == want
 
-    @pytest.mark.parametrize("first", [0, 1, 9, 99_999_990, 10**16 - 3, 2**64 - 4])
+    @pytest.mark.parametrize("first", [0, 1, 9, 99_999_990, 2**53 - 4])
     def test_row_numbers_cross_powers_of_ten(self, first):
         x = np.zeros(4)
         want = "".join(f"{i},0.0\n" for i in range(first, first + 4))
         assert csv_rows(first, [x]) == want
+
+    @given(st.integers(0, 2**53 - 600), st.integers(1, 600))
+    def test_row_numbers_are_their_str(self, first, rows):
+        lines = csv_rows(first, [np.zeros(rows)]).splitlines()
+        assert [line.split(",")[0] for line in lines] == [str(i) for i in range(first, first + rows)]
+
+    @pytest.mark.parametrize("first, rows", [(2**53 - 3, 4), (2**53, 1), (2**64 - 4, 4)])
+    def test_row_numbers_past_2_53_raise(self, first, rows):
+        # a float64 lane no longer holds every integer there
+        with pytest.raises(ValueError, match="below 2\\^53"):
+            csv_rows(first, [np.zeros(rows)])

@@ -449,6 +449,14 @@ class TestMCRates:
             assert value.shape == (1,) and getattr(many, name).shape == (2,), name
             assert value[0] == getattr(many, name)[0], name
 
+    @pytest.mark.parametrize("fee", [0, np.float32(0.0)], ids=["int", "float32"])
+    def test_any_scalar_fee_is_one_fee(self, fee):
+        # a 0-d array is still rejected below, as any array that is not 1-D
+        want = mc_rates(0.0, REF, 10_000)
+        got = mc_rates(fee, REF, 10_000)
+        for name in ("fee", "ap0_hat", "ap0_se", "ae0_hat", "ae0_se"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
     @pytest.mark.parametrize("fee", [np.array([]), np.array(0.003), np.zeros((2, 2)),
                                      np.array([0.003, -0.001]), np.array([0.003, np.nan])],
                              ids=["empty", "0-d", "2-d", "negative", "nan"])
