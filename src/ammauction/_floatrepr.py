@@ -20,15 +20,36 @@ Normal values and zeros take the kernel. A subnormal, an infinity or a NaN
 takes ``repr`` itself: Java's rule asks for two digits where a subnormal's
 shortest form has one, and ``repr`` does not.
 
+A :class:`Workspace` holds every array the kernel writes: the lanes'
+values, the temporaries of the decimal search and of the layout, the cells,
+the CSV table, the text-cell gathers and the compaction mask. Each is sized
+on first use and written through ``out=`` from then on, and a call with
+fewer lanes uses the front of each buffer. A caller that formats batch
+after batch through one workspace, as ``run_sim``'s block log does, so
+allocates no array per batch but the compacted text that becomes the
+returned ``str``: numpy has no compaction into a given array
+(``np.compress`` takes ``out=``, but builds an index array eight times the
+text's size first). Temporaries allocated and freed per batch would go back
+to the C allocator, which returns the top of its heap to the OS past a
+threshold, and the next batch would fault the same pages in again.
+:func:`float_cells` and :func:`csv_rows` build a workspace for one call.
+
 Every uint64 constant is an ``np.uint64``, so numpy promotes the same way
 under NEP 50 and under numpy 1.x's value-based rules, and the lanes stay
 arrays, even one lane, since arrays wrap on uint64 overflow where numpy
-scalars warn. The constants and the 617-entry table of ``10^-k`` are built
-on first use, so importing this module executes no numpy.
+scalars warn. No ufunc takes a bool operand beside an integer one, which
+costs a cast buffer the size of the operand: ``np.copyto``, which casts
+without one, turns a bool into lanes of 0 or 1 that select by multiplying
+(a ufunc's ``where=`` runs a masked loop several times slower).
+``np.take`` writes into a contiguous buffer with ``mode="clip"``, the only
+way it does not copy its output (every index is in range). The constants
+and the 617-entry table of ``10^-k`` are built on first use, so importing
+this module executes no numpy.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cache
 from itertools import accumulate
 from types import SimpleNamespace
@@ -36,7 +57,7 @@ from typing import Sequence
 
 from ._numpy import np
 
-__all__ = ["csv_rows", "float_cells", "text_cells"]
+__all__ = ["Workspace", "csv_rows", "float_cells", "text_cells"]
 
 # The bytes of a word are those of a little-endian uint64 ("<u8"), on any
 # host: the first byte of a text is the word's lowest.
@@ -44,9 +65,10 @@ _WORD = "<u8"
 
 # A float's cell, in words: the sign and a "0.000" prefix, then the first
 # digit in the top byte; digits 2-9; digits 10-17 (the digits before the
-# point); the point, then the first digit again in the top byte; digits
-# 2-9 and 10-17 again (the digits after the point); the exponent. The last
-# byte is the field's separator.
+# point); the point or the first digit in the top byte; digits 2-9 and
+# 10-17 again (the digits after the point); the exponent, up to the last
+# byte, the field's separator. Bytes of one field that touch make one run
+# for the compaction to copy, and it costs by the run.
 CELL_WORDS = 7
 
 # Schubfach's constants for binary64
@@ -56,6 +78,44 @@ _K_MIN, _K_MAX = -324, 292
 _E_MIN = -324  # the least decimal exponent of the exponent word table
 _KEEP_AT = 12  # the most bytes a mask index falls below zero
 _PREFIX_AT = 14  # the most 2 - decpt falls below zero
+
+# The kernel's buffers: names -> (shape, dtype), None in a shape standing
+# for the lane count; names that share a buffer hold it at different times.
+# The kept buffers live through a call. The decimal search's and the
+# layout's temporaries live one phase each, so the two phases share the
+# workspace's scratch storage, as does the CSV table after them.
+_KEPT = {
+    "x": ((None,), "f8"),  # the lanes' values
+    "cells": ((CELL_WORDS, None), "u8"),  # word by word
+    "special": ((None,), "?"),  # zeros, subnormals, infinities and NaNs
+    "f": ((None,), "u8"),  # the decimal f 10^e
+    "e": ((None,), "i8"),
+}
+_SEARCH = {
+    **dict.fromkeys(("q", "irregular", "h"), ((None,), "i8")),
+    **dict.fromkeys(("c", "cp", "b1", "b0", "s", "sp10", "mid", "pick"), ((None,), "u8")),
+    "at": ((None,), "p"),
+    **dict.fromkeys(("shifts", "factors", ("a1", "low"), ("a0", "word"), "lo_hi", "part",
+                     "borrow"), ((2, None), "u8")),
+    "y0": ((3, None), "u8"),
+    "high": ((3, 2, None), "u8"),
+    "less": ((2, None), "?"),
+    **dict.fromkeys(("flag", "flag2", "upin", "wpin", "shorter", "uin", "win", "up"),
+                    ((None,), "?")),
+}
+_LAYOUT = {
+    **dict.fromkeys(("on", "scale", "hi", "first", "lead", "lead0"), ((None,), "u8")),
+    **dict.fromkeys(("size", "digits", "decpt", "pos", "point", "last"), ((None,), "i8")),
+    "g": ((None,), "f8"),
+    "exp2": ((None,), "i4"),
+    **dict.fromkeys(("words", "quot", "d"), ((2, None), "u8")),
+    "wf": ((2, None), "f8"),
+    "exp2s": ((2, None), "i4"),
+    "used": ((2, None), "i8"),
+    "index": ((4, None), "p"),
+    "keep": ((4, None), "u8"),
+    **dict.fromkeys(("positional", "lead_before", "lane"), ((None,), "?")),
+}
 
 
 def _flog2pow10(e):
@@ -89,10 +149,10 @@ def _consts() -> SimpleNamespace:
         u32=u(32), u52=u(52), u56=u(56), u63=u(63), u100=u(100), u103=u(103),
         u5243=u(5243), e4=u(10**4), e8=u(10**8),
         m32=u(0xFFFFFFFF), m63=u((1 << 63) - 1), t_mask=u(_C_MIN - 1),
-        c_min=u(_C_MIN), bq_mask=u(0x7FF), sign_mask=u(1 << 63),
+        c_min=u(_C_MIN), bq_mask=u(0x7FF),
         hundreds=u(0x0000007F0000007F), tens=u(0x000F000F000F000F),
         zero=u(ord("0")), zeros=u(0x3030303030303030), minus=u(ord("-")),
-        point=u(ord(".")),
+        point=u(_word(b".", 7)),
         pow10=np.array([10**i for i in range(20)], dtype=np.uint64),
         # keep[m + _KEEP_AT]: the first m bytes of a word, m < 0 for none
         keep=np.array(
@@ -104,23 +164,25 @@ def _consts() -> SimpleNamespace:
             [0] * (_PREFIX_AT + 2) + [_word(b"0." + b"0" * z, 1) for z in range(4)],
             dtype=np.uint64,
         ),
-        # exponent[x - _E_MIN]: "e", the sign, two or three digits
+        # exponent[x - _E_MIN]: "e", the sign, two or three digits, up to
+        # byte 6
         exponent=np.array(
-            [_word(b"e%+03d" % x) for x in range(_E_MIN, -_E_MIN)], dtype=np.uint64
+            [_word(b"e%+03d" % x, 3 - (abs(x) > 99)) for x in range(_E_MIN, -_E_MIN)],
+            dtype=np.uint64,
         ),
     )
 
 
-def _mulhi(a1, a0, b1, b0, out):
+def _mulhi(t, a1, a0, b1, b0, out):
     """The high 64 bits of ``a b`` into ``out``, from the 32-bit halves
-    ``a1 a0`` and ``b1 b0``."""
+    ``a1 a0`` and ``b1 b0``; ``a1`` and ``a0`` are overwritten."""
     k = _consts()
     np.multiply(a1, b1, out=out)
-    lo_hi = a0 * b1
-    hi_lo = a1 * b0
-    mid = a0 * b0
+    lo_hi = np.multiply(a0, b1, out=t.lo_hi)
+    hi_lo = np.multiply(a1, b0, out=a1)
+    mid = np.multiply(a0, b0, out=a0)
     mid >>= k.u32
-    part = lo_hi & k.m32
+    part = np.bitwise_and(lo_hi, k.m32, out=t.part)
     mid += part
     np.bitwise_and(hi_lo, k.m32, out=part)
     mid += part
@@ -132,7 +194,7 @@ def _mulhi(a1, a0, b1, b0, out):
     out += hi_lo
 
 
-def _rop3(at, cp, shifts):
+def _rop3(t, at, cp, shifts):
     """Schubfach's ``rop(g, cp)``, ``g cp / 2^127`` rounded to odd, with
     ``g`` the table's entry ``at`` of each lane, of ``cp``, ``cp - 2^s`` and
     ``cp + 2^s'`` for ``shifts = (s, s')``: the lanes' rounded ``v``, left
@@ -144,35 +206,39 @@ def _rop3(at, cp, shifts):
     those of ``cp`` less or plus ``g1`` and ``g0`` shifted, in 128-bit
     arithmetic: the same bits as two more full products."""
     k = _consts()
-    n = len(cp)
     # the high words of (g1 cp, g0 cp) for cp, the left and the right end
-    high = np.empty((3, 2, n), dtype=np.uint64)
-    factors = np.take(k.g, at, axis=1)
-    _mulhi(factors >> k.u32, factors & k.m32, cp >> k.u32, cp & k.m32, out=high[0])
-    low = factors * cp
-    y0 = np.empty((3, n), dtype=np.uint64)  # the low words of g1 cp
+    high = t.high
+    factors = np.take(k.g, at, axis=1, out=t.factors, mode="clip")
+    np.right_shift(factors, k.u32, out=t.a1)
+    np.bitwise_and(factors, k.m32, out=t.a0)
+    np.right_shift(cp, k.u32, out=t.b1)
+    np.bitwise_and(cp, k.m32, out=t.b0)
+    _mulhi(t, t.a1, t.a0, t.b1, t.b0, out=high[0])
+    low = np.multiply(factors, cp, out=t.low)
+    y0 = t.y0  # the low words of g1 cp
     y0[0] = low[0]
     # the left end: less g 2^s, with the borrow out of the low words
-    word = factors << shifts[0]
+    word, shift = t.word, t.b1  # b1 is spent
+    np.left_shift(factors, shifts[0], out=word)
     np.subtract(low[0], word[0], out=y0[1])
-    borrow = low < word
-    np.right_shift(factors, k.u64 - shifts[0], out=word)
+    borrow = t.borrow
+    np.copyto(borrow, np.less(low, word, out=t.less))
+    np.right_shift(factors, np.subtract(k.u64, shifts[0], out=shift), out=word)
     np.subtract(high[0], word, out=high[1])
     high[1] -= borrow
     # the right end: plus g 2^s', with the carry out of the low words
     np.left_shift(factors, shifts[1], out=word)
     low += word
     y0[2] = low[0]
-    np.less(low, word, out=borrow)
-    np.right_shift(factors, k.u64 - shifts[1], out=word)
+    np.copyto(borrow, np.less(low, word, out=t.less))
+    np.right_shift(factors, np.subtract(k.u64, shifts[1], out=shift), out=word)
     np.add(high[0], word, out=high[2])
     high[2] += borrow
-    del factors, low, word, borrow
     # rop: z = (y0 >> 1) + x1, vbp = y1 + (z >> 63), odd if z's low bits are not 0
-    vbp, z = high[:, 0], y0
+    vbp, x1, z = high[:, 0], high[:, 1], y0
     z >>= k.u1
-    z += high[:, 1]
-    vbp += z >> k.u63
+    z += x1
+    vbp += np.right_shift(z, k.u63, out=x1)
     z &= k.m63
     z += k.m63
     z >>= k.u63
@@ -180,158 +246,324 @@ def _rop3(at, cp, shifts):
     return vbp
 
 
-def _to_decimal(bits):
-    """Schubfach's ``toDecimal`` for the normal doubles with raw ``bits``:
-    ``(f, e)``, the shortest decimal ``f 10^e`` in the rounding interval,
-    the closest to the double where several are, ties to an even ``f``.
+def _to_decimal(t, bits, q):
+    """Schubfach's ``toDecimal`` for the normal doubles with raw ``bits``
+    and unbiased exponents ``q``: ``(f, e)``, the shortest decimal
+    ``f 10^e`` in the rounding interval, the closest to the double where
+    several are, ties to an even ``f``.
 
     JDK's integer fast path is left out: below 2^53 an integer's rounding
     interval is narrower than 1, so the search returns that integer, as
     ``f`` with trailing zeros that the layout drops."""
     k = _consts()
-    q = ((bits >> k.u52) & k.bq_mask).astype(np.int64)
-    q -= 1075
-    c = bits & k.t_mask
+    c = np.bitwise_and(bits, k.t_mask, out=t.c)
     # c == C_MIN has a rounding interval half as wide below, but at q == Q_MIN
-    irregular = c == k.u0
-    irregular &= q != _Q_MIN
+    flag = np.equal(c, k.u0, out=t.flag)
+    flag &= np.not_equal(q, _Q_MIN, out=t.flag2)
+    irregular = t.irregular  # 1 where irregular, else 0
+    np.copyto(irregular, flag)
     c |= k.c_min
     # e = flog10pow2(q) = floor(q log10 2), or where irregular
     # flog10threeQuartersPow2(q) = floor(log10(3/4 2^q))
-    e = q * 661_971_961_083
-    e -= irregular * 274_743_187_321
+    e = np.multiply(q, 661_971_961_083, out=t.e)
+    h = np.multiply(irregular, 274_743_187_321, out=t.h)
+    e -= h
     e >>= 41
-    h = _flog2pow10(-e)
+    np.multiply(e, -913_124_641_741, out=h)  # flog2pow10(-e)
+    h >>= 38
     h += q
     h += 2
-    h = h.astype(np.uint64)
+    h = h.view(np.uint64)
     # rop of cb = 4c, cbl = cb - 2 (cb - 1 where irregular) and cbr = cb + 2,
     # each shifted by h: cbl << h = (cb << h) - (1 << h + 1 - irregular)
-    shifts = np.empty((2, len(bits)), dtype=np.uint64)
+    shifts = t.shifts
     np.add(h, k.u1, out=shifts[1])
-    np.subtract(shifts[1], irregular, out=shifts[0])
-    del irregular
+    np.subtract(shifts[1], irregular.view(np.uint64), out=shifts[0])
     h += k.u2
-    vb, vbl, vbr = _rop3(e - _K_MIN, c << h, shifts)
-    del h, shifts  # each temporary freed early lowers the kernel's peak memory
-    out = c & k.u1
-    vbl += out  # the interval holds its ends when c is even
-    vbr -= out
-    del out
+    cp = np.left_shift(c, h, out=t.cp)
+    vb, vbl, vbr = _rop3(t, np.subtract(e, _K_MIN, out=t.at), cp, shifts)
+    even = np.bitwise_and(c, k.u1, out=cp)
+    vbl += even  # the interval holds its ends when c is even
+    vbr -= even
 
-    s = vb >> k.u2
+    s = np.right_shift(vb, k.u2, out=t.s)
     # u' = 10 floor(s / 10) and w' = u' + 10, one digit shorter than u = s
     # and w = s + 1; the paper's mulhi(s, 115292150460684698 << 4) is s // 10
-    sp10 = s // k.u10
+    sp10 = np.floor_divide(s, k.u10, out=t.sp10)
     sp10 *= k.u10
-    upin = vbl <= sp10 << k.u2
-    wpin = sp10 + k.u10 << k.u2 <= vbr
-    shorter = (s >= k.u100) & (upin != wpin)
-    uin = vbl <= s << k.u2
-    win = s + k.u1 << k.u2 <= vbr
-    mid = s << k.u2
+    mid = t.mid
+    upin = np.less_equal(vbl, np.left_shift(sp10, k.u2, out=mid), out=t.upin)
+    np.add(sp10, k.u10, out=mid)
+    mid <<= k.u2
+    wpin = np.less_equal(mid, vbr, out=t.wpin)
+    shorter = np.greater_equal(s, k.u100, out=t.shorter)
+    shorter &= np.not_equal(upin, wpin, out=t.flag)
+    uin = np.less_equal(vbl, np.left_shift(s, k.u2, out=mid), out=t.uin)
+    np.add(s, k.u1, out=mid)
+    mid <<= k.u2
+    win = np.less_equal(mid, vbr, out=t.win)
+    np.left_shift(s, k.u2, out=mid)
     mid += k.u2
     # w when it alone is in the interval, or both are and v is nearer w, or
     # halfway and s is odd
-    up = np.where(uin == win, (vb > mid) | ((vb == mid) & (s & k.u1).astype(bool)), win)
-    f = s + up
-    np.copyto(f, sp10 + k.u10 * wpin, where=shorter)
+    up = np.greater(vb, mid, out=t.up)
+    halfway = np.equal(vb, mid, out=t.flag)
+    halfway &= np.not_equal(np.bitwise_and(s, k.u1, out=mid), k.u0, out=t.flag2)
+    up |= halfway
+    alone = np.not_equal(uin, win, out=t.flag)
+    np.greater(up, alone, out=up)  # up & ~alone
+    up |= np.logical_and(alone, win, out=alone)
+    np.copyto(mid, up)
+    f = np.add(s, mid, out=t.f)
+    # one digit shorter where u' or w' is in the interval: f + (u' or w' - f)
+    np.copyto(mid, wpin)
+    mid *= k.u10
+    mid += sp10
+    mid -= f
+    pick = t.pick
+    np.copyto(pick, shorter)
+    mid *= pick
+    f += mid
     return f, e
 
 
-def _eight_digits(v):
-    """The eight decimal digits of each lane of ``v`` (below 10^8), one per
-    byte, the first in the lowest byte: split in halves of four digits, of
-    two and of one, each division a multiply and a shift on all the parts
-    of a word at once."""
+def _eight_digits(t, x):
+    """In place, the eight decimal digits of each lane of ``x`` (below
+    10^8), one per byte, the first in the lowest byte: split in halves of
+    four digits, of two and of one, each division a multiply and a shift on
+    all the parts of a word at once."""
     k = _consts()
-    hi = v // k.e4
-    x = v - hi * k.e4
+    hi = np.floor_divide(x, k.e4, out=t.quot)
+    d = np.multiply(hi, k.e4, out=t.d)
+    x -= d
     x <<= k.u32
     x |= hi
-    d = x * k.u5243
+    np.multiply(x, k.u5243, out=d)
     d >>= k.u19
     d &= k.hundreds
-    x -= d * k.u100
+    x -= np.multiply(d, k.u100, out=hi)
     x <<= k.u16
     x |= d
-    d = x * k.u103
+    np.multiply(x, k.u103, out=d)
     d >>= k.u10
     d &= k.tens
-    x -= d * k.u10
+    x -= np.multiply(d, k.u10, out=hi)
     x <<= k.u8
     x |= d
     return x
+
+
+def _float_cells(t):
+    """The cells of the values ``t.x`` (see :func:`float_cells`), into
+    ``t.cells`` word by word: row ``w`` holds word ``w`` of every lane."""
+    k = _consts()
+    bits = t.x.view(np.uint64)
+    q, special = t.q, t.special
+    np.right_shift(bits, k.u52, out=q.view(np.uint64))
+    np.bitwise_and(q.view(np.uint64), k.bq_mask, out=q.view(np.uint64))
+    np.equal(q, 0, out=special)
+    special |= np.equal(q, 0x7FF, out=t.flag)
+    q -= 1075
+    f, e = _to_decimal(t, bits, q)
+    # the decimal search's buffers are free from here on
+    lane = t.lane
+    on = t.on  # 0 or 1 per lane, as uint64 and, in on_i, as int64
+    on_i = on.view(np.int64)
+    np.copyto(on, np.logical_not(special, out=lane))
+    f *= on  # a zero, or a lane repr writes below
+    e *= on_i
+
+    # the significand, left-aligned on 17 digits: the first, then two words.
+    # f < 2^E with E frexp's exponent of float(f), so f has t or t + 1
+    # digits, t = floor(E log10 2) = E * 1233 >> 12 for E <= 64: one
+    # comparison with 10^t settles it
+    scale, size = t.scale, t.size
+    np.copyto(t.g, f)
+    np.frexp(t.g, out=(t.g, t.exp2))
+    t.exp2 *= 1233
+    t.exp2 >>= 12
+    np.copyto(size, t.exp2)
+    np.take(k.pow10, size, out=scale, mode="clip")
+    np.copyto(on, np.greater_equal(f, scale, out=lane))
+    size += on_i
+    np.maximum(size, 1, out=size)  # a zero has one digit
+    decpt = np.add(e, size, out=t.decpt)  # the point's place after the first digit
+    f *= np.take(k.pow10, np.subtract(17, size, out=size), out=scale, mode="clip")
+    hi = np.floor_divide(f, k.e8, out=t.hi)
+    words = t.words
+    np.subtract(f, np.multiply(hi, k.e8, out=scale), out=words[1])
+    first = np.floor_divide(hi, k.e8, out=t.first)
+    np.subtract(hi, np.multiply(first, k.e8, out=scale), out=words[0])
+    _eight_digits(t, words)
+    # each word's bytes up to its last nonzero digit, then the digits shown
+    np.copyto(t.wf, words)
+    np.frexp(t.wf, out=(t.wf, t.exp2s))
+    used = t.used
+    np.copyto(used, t.exp2s)
+    used += 7
+    used >>= 3
+    digits = np.add(used[1], 9, out=t.digits)
+    np.copyto(on, np.greater(used[1], 0, out=lane))
+    digits *= on_i
+    np.copyto(on, np.greater(used[0], 0, out=lane))
+    used[0] += on_i
+    np.maximum(digits, used[0], out=digits)
+    np.copyto(on, np.greater(first, k.u0, out=lane))
+    np.maximum(digits, on_i, out=digits)
+    words += k.zeros
+    first += k.zero
+
+    # repr's 'r' rules: positional for decpt in [-3, 16], else d.ddde+XX;
+    # the digits before the point are [0, point), those after [point, last)
+    positional = np.greater(decpt, -4, out=t.positional)
+    positional &= np.less_equal(decpt, 16, out=lane)
+    pos = t.pos  # positional as 0 or 1
+    np.copyto(pos, positional)
+    point = np.subtract(decpt, 1, out=t.point)  # decpt if positional, else 1
+    point *= pos
+    point += 1
+    last = np.add(point, 1, out=t.last)  # max(digits, point + 1) if positional
+    last *= pos
+    np.maximum(last, digits, out=last)
+    index = t.index
+    np.add(point, _KEEP_AT - 1, out=index[0])
+    np.add(point, _KEEP_AT - 9, out=index[1])
+    np.add(last, _KEEP_AT - 1, out=index[2])
+    np.add(last, _KEEP_AT - 9, out=index[3])
+    keep = np.take(k.keep, index, out=t.keep, mode="clip")
+    before = keep[:2]
+    after = keep[2:]
+    after ^= before  # after & ~before: last >= point, so after covers before
+    lead_before = np.greater(point, 0, out=t.lead_before)
+    np.copyto(on, lead_before)
+    lead = np.left_shift(first, k.u56, out=t.lead)
+    lead_at_0 = np.multiply(lead, on, out=t.lead0)  # the first digit before the point
+    lead -= lead_at_0  # or after it
+
+    cells = t.cells
+    np.take(k.prefix, np.subtract(_PREFIX_AT + 2, point, out=index[0]), out=scale, mode="clip")
+    scale |= lead_at_0
+    np.multiply(np.right_shift(bits, k.u63, out=hi), k.minus, out=hi)
+    np.bitwise_or(scale, hi, out=cells[0])
+    np.bitwise_and(words, before, out=cells[1:3])
+    np.copyto(scale, np.logical_and(lead_before, np.greater(last, point, out=lane), out=lane))
+    scale *= k.point
+    np.bitwise_or(scale, lead, out=cells[3])
+    np.bitwise_and(words, after, out=cells[4:6])
+    np.take(k.exponent, np.subtract(decpt, 1 + _E_MIN, out=index[0]), out=scale, mode="clip")
+    np.copyto(on, np.logical_not(positional, out=lane))
+    np.multiply(scale, on, out=cells[6])
+
+    # subnormals, infinities and NaNs
+    special &= np.not_equal(np.bitwise_and(bits, k.m63, out=scale), k.u0, out=lane)
+    if special.any():
+        for i in np.flatnonzero(special).tolist():
+            text = repr(float(t.x[i])).encode().ljust(8 * CELL_WORDS, b"\0")
+            cells[:, i] = np.frombuffer(text, dtype=_WORD)
+    return cells
+
+
+def _extent(spec: dict, n: int) -> int:
+    """The bytes :func:`_carve` lays ``spec``'s buffers of ``n`` lanes in."""
+    stride = -(-n // 8) * 8  # every buffer starts 8-byte aligned
+    return sum(math.prod(stride if d is None else d for d in dims) * np.dtype(dtype).itemsize
+               for dims, dtype in spec.values())
+
+
+def _carve(store, spec: dict, n: int) -> dict:
+    """Views of ``n`` lanes for each of ``spec``'s buffers, end to end in
+    the uint8 array ``store``."""
+    stride = -(-n // 8) * 8
+    views, at = {}, 0
+    for names, (dims, dtype) in spec.items():
+        dtype = np.dtype(dtype)
+        shape = tuple(n if d is None else d for d in dims)
+        view = store[at : at + math.prod(shape) * dtype.itemsize].view(dtype).reshape(shape)
+        views.update(dict.fromkeys(names if isinstance(names, tuple) else (names,), view))
+        at += math.prod(stride if d is None else d for d in dims) * dtype.itemsize
+    return views
+
+
+class Workspace:
+    """The arrays the kernel writes, kept from call to call.
+
+    A run that formats its rows batch by batch makes one and calls
+    :meth:`csv_rows` on it for each batch, so nothing of it outlives the
+    run. It serves one call at a time.
+    """
+
+    def __init__(self) -> None:
+        self._stores: dict = {}
+        self._views: SimpleNamespace | None = None
+        self._count = np.zeros(0)  # 0, 1, 2, ... for the row numbers
+
+    def _bytes(self, name, size: int):
+        """The first ``size`` bytes of the store ``name``, which grows on
+        demand; a grown store drops the lane views carved from it."""
+        store = self._stores.get(name)
+        if store is None or len(store) < size:
+            store = self._stores[name] = np.empty(size, dtype=np.uint8)
+            self._views = None
+        return store[:size]
+
+    def _lanes(self, n: int) -> SimpleNamespace:
+        """The kernel's buffers for ``n`` lanes, by name."""
+        t = self._views
+        if t is None or t.n != n:
+            kept = self._bytes("kept", _extent(_KEPT, n))
+            scratch = self._bytes("scratch", max(_extent(_SEARCH, n), _extent(_LAYOUT, n)))
+            t = self._views = SimpleNamespace(
+                n=n, **_carve(kept, _KEPT, n), **_carve(scratch, _SEARCH, n),
+                **_carve(scratch, _LAYOUT, n),
+            )
+        return t
+
+    def csv_rows(self, first: int, columns: Sequence) -> str:
+        """:func:`csv_rows`, through this workspace."""
+        rows = len(columns[0][1] if isinstance(columns[0], tuple) else columns[0])
+        if first + rows > 2**53:
+            raise ValueError(f"row numbers must stay below 2^53, got up to {first + rows - 1}")
+        floats = [col for col in columns if not isinstance(col, tuple) and col.ndim == 1]
+        t = self._lanes((1 + len(floats)) * rows)
+        x = t.x.reshape(1 + len(floats), rows)
+        if len(self._count) < rows:
+            self._count = np.arange(rows, dtype=np.float64)
+        np.add(self._count[:rows], first, out=x[0])
+        for lanes, col in zip(x[1:], floats):
+            np.copyto(lanes, col)
+        cells = iter(_float_cells(t).reshape(CELL_WORDS, len(x), rows).transpose(1, 2, 0))
+
+        parts = [next(cells)]  # the row numbers, then each column's cells
+        for i, col in enumerate(columns):
+            if isinstance(col, tuple):
+                texts, which = col
+                gathered = self._bytes(("text", i), 8 * rows * texts.shape[1])
+                col = np.take(texts, which, axis=0, mode="clip",
+                              out=gathered.view(_WORD).reshape(rows, texts.shape[1]))
+            parts.append(next(cells) if col.ndim == 1 else col)
+        ends = list(accumulate((part.shape[1] for part in parts), initial=0))
+        size = rows * ends[-1] * 8
+        store = self._bytes("scratch", 2 * size)  # the table, then the mask
+        table = store[:size].view(_WORD).reshape(rows, ends[-1])
+        for part, lo, hi in zip(parts, ends, ends[1:]):
+            table[:, lo:hi] = part
+        table[:, 3:6] = 0  # a row number's point and fraction: 7.0 is written 7
+
+        text = table.view(np.uint8)
+        text[:, np.multiply(ends[1:-1], 8) - 1] = ord(",")
+        text[:, -1] = ord("\n")
+        text = text.reshape(-1)
+        mask = np.not_equal(text, 0, out=store[size:].view(np.bool_))
+        return str(text[mask], "ascii")
 
 
 def float_cells(x):
     """The ``repr`` of each value of the float64 array ``x``, as the rows
     of a ``(len(x), CELL_WORDS)`` uint64 array whose unused bytes are 0;
     the last byte of each row is left free for a separator."""
-    k = _consts()
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    n = len(x)
-    bits = x.view(np.uint64)
-    bq = (bits >> k.u52) & k.bq_mask
-    normal = (bq != k.u0) & (bq != k.bq_mask)
-    f, e = _to_decimal(bits)
-    f *= normal  # a zero, or a lane repr writes below
-    e *= normal
-
-    # the significand, left-aligned on 17 digits: the first, then two words
-    size = np.searchsorted(k.pow10, f, side="right")
-    np.maximum(size, 1, out=size)  # a zero has one digit
-    f *= np.take(k.pow10, 17 - size)
-    decpt = e + size  # the point's place after the first digit
-    hi = f // k.e8
-    words = np.empty((2, n), dtype=np.uint64)
-    np.subtract(f, hi * k.e8, out=words[1])
-    first = hi // k.e8
-    np.subtract(hi, first * k.e8, out=words[0])
-    words = _eight_digits(words)
-    # each word's bytes up to its last nonzero digit, then the digits shown
-    used = np.frexp(words.astype(np.float64))[1]
-    used += 7
-    used >>= 3
-    digits = used[1] + 9
-    digits *= used[1] > 0
-    np.maximum(digits, used[0] + (used[0] > 0), out=digits)
-    np.maximum(digits, first > k.u0, out=digits)
-    words += k.zeros
-    first += k.zero
-
-    # repr's 'r' rules: positional for decpt in [-3, 16], else d.ddde+XX;
-    # the digits before the point are [0, point), those after [point, last)
-    positional = (decpt > -4) & (decpt <= 16)
-    point = np.where(positional, decpt, 1)
-    last = np.where(positional, np.maximum(digits, point + 1), digits)
-    at = np.empty((4, n), dtype=np.intp)
-    np.add(point, _KEEP_AT - 1, out=at[0])
-    np.add(point, _KEEP_AT - 9, out=at[1])
-    np.add(last, _KEEP_AT - 1, out=at[2])
-    np.add(last, _KEEP_AT - 9, out=at[3])
-    keep = np.take(k.keep, at)
-    before = keep[:2]
-    after = keep[2:]
-    after &= ~before
-    lead_before = point > 0
-    lead = first << k.u56
-
-    cells = np.empty((n, CELL_WORDS), dtype=np.uint64)
-    cells[:, 0] = np.take(k.prefix, _PREFIX_AT + 2 - point)
-    cells[:, 0] |= (bits >> k.u63) * k.minus
-    cells[:, 0] |= lead * lead_before
-    np.bitwise_and(words, before, out=cells[:, 1:3].T)
-    cells[:, 3] = lead * ~lead_before
-    cells[:, 3] |= k.point * (lead_before & (last > point))
-    np.bitwise_and(words, after, out=cells[:, 4:6].T)
-    cells[:, 6] = np.take(k.exponent, decpt - 1 - _E_MIN) * ~positional
-
-    for i in np.flatnonzero(~normal & ((bits & ~k.sign_mask) != k.u0)).tolist():
-        # subnormals, infinities and NaNs
-        text = repr(float(x[i])).encode().ljust(8 * CELL_WORDS, b"\0")
-        cells[i] = np.frombuffer(text, dtype=_WORD)
-    return cells
+    t = Workspace()._lanes(len(x))
+    np.copyto(t.x, x)
+    return _float_cells(t).T.copy()
 
 
 def text_cells(texts: Sequence[str]):
@@ -346,24 +578,9 @@ def text_cells(texts: Sequence[str]):
 def csv_rows(first: int, columns: Sequence) -> str:
     """The CSV text of the columns' rows, each row its number, counting
     from ``first``, then a field from each column. A float column is a
-    float64 array, written as ``repr``; a text column is the array of
-    :func:`text_cells`, one row per CSV row. The row numbers are written
-    as float64 lanes, exact only below 2^53: a number at or past it raises
-    ``ValueError``."""
-    rows = len(columns[0])
-    if first + rows > 2**53:
-        raise ValueError(f"row numbers must stay below 2^53, got up to {first + rows - 1}")
-    columns = [np.arange(first, first + rows, dtype=np.float64), *columns]
-    ends = list(accumulate((CELL_WORDS if col.ndim == 1 else col.shape[1] for col in columns),
-                           initial=0))
-    table = np.empty((rows, ends[-1]), dtype=_WORD)
-    floats = [col for col in columns if col.ndim == 1]
-    cells = iter(float_cells(np.concatenate(floats)).reshape(len(floats), rows, CELL_WORDS))
-    for col, lo, hi in zip(columns, ends, ends[1:]):
-        table[:, lo:hi] = next(cells) if col.ndim == 1 else col
-    table[:, 3:6] = 0  # a row number's point and fraction: 7.0 is written 7
-
-    text = table.view(np.uint8)
-    text[:, np.multiply(ends[1:-1], 8) - 1] = ord(",")
-    text[:, -1] = ord("\n")
-    return text[text != 0].tobytes().decode("ascii")
+    float64 array, written as ``repr``. A text column is an array of
+    :func:`text_cells`, one row per CSV row, or a pair ``(cells, which)``
+    of such an array and the index of each CSV row's text in it. The row
+    numbers are written as float64 lanes, exact only below 2^53: a number
+    at or past it raises ``ValueError``."""
+    return Workspace().csv_rows(first, columns)

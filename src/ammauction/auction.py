@@ -102,6 +102,13 @@ def _to_fraction(value: Number, what: str) -> Fraction:
     )
 
 
+def _exact_float(value):
+    """``value`` as a float where a float holds it exactly, so that a JSON
+    integer and its float spelling make the same record, and hash the same;
+    a larger integer is kept, as no float spells it."""
+    return float(value) if float(value) == value else value
+
+
 def _finite_real(value) -> bool:
     """A finite real number, not a boolean: the check for numbers read from JSON."""
     # abs() <= the largest float: false for NaN and inf, and safe on a huge int
@@ -121,12 +128,15 @@ _JSON_KINDS = {
 def check_field_types(record, error: type[Exception] = ValueError) -> None:
     """Check each ``int``, ``float``, ``float | None`` and ``str`` field of a
     dataclass record as JSON delivers it: a boolean is not a number, NaN and
-    infinity are not floats, and a string is not a number."""
+    infinity are not floats, and a string is not a number. A float field's
+    number is then stored through :func:`_exact_float`."""
     for field in fields(record):
         kind = _JSON_KINDS.get(field.type)
         value = getattr(record, field.name)
         if kind is not None and not kind[0](value):
             raise error(f"{field.name} must be {kind[1]}, got {value!r}")
+        if field.type in ("float", "float | None") and value is not None:
+            object.__setattr__(record, field.name, _exact_float(value))
 
 
 def read_json_object(raw, cls, what: str, extra=(), required=None) -> None:
@@ -424,24 +434,19 @@ class AuctionState:
         block = self.current_block
         events: list[AuctionEvent] = []
 
-        # 1. activations contend for the next slot
+        # 1. activations take the next slot: an activating bid outranks the
+        # bid there, since it outbid every live bid when submitted, and every
+        # bid seated since was submitted before it
         due = [b for b in self.pending if b.active_from <= block] if self.pending else ()
         for bid in due:
             self.pending.remove(bid)
             events.append(AuctionEvent(block, "activated", bid.bidder, bid.deposit))
-            if self.next is None:
-                self.next = bid
-            elif bid.rent > self.next.rent:  # ties keep the earlier bid
+            if self.next is not None:
                 self._refund(self.next)
                 events.append(
                     AuctionEvent(block, "next-replaced", self.next.bidder, reason=bid.bidder)
                 )
-                self.next = bid
-            else:
-                self._refund(bid)
-                events.append(
-                    AuctionEvent(block, "next-replaced", bid.bidder, reason=self.next.bidder)
-                )
+            self.next = bid
 
         # 2. a strictly higher activated bid usurps the manager; the outbid
         # manager keeps its deposit and demotes into the runner-up slot

@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass, fields
 
 from ._numpy import np
-from .auction import _finite_real
+from .auction import _exact_float, _finite_real
 from .pool import excess_fraction
 
 __all__ = [
@@ -85,6 +85,7 @@ class MarketParams:
             value = getattr(self, field.name)
             if not _finite_real(value):
                 raise ValueError(f"{field.name} must be a finite real number, got {value!r}")
+            object.__setattr__(self, field.name, _exact_float(value))
         if self.sigma < 0.0:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
         if self.delta_t <= 0.0:

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import IO, Iterable, Optional, Sequence
 
 from . import _floatrepr, equilibrium, market
@@ -218,11 +218,9 @@ class SimConfig:
             for i, b in enumerate(raw_bids):
                 read_json_object(b, BidSpec, f"initial_bids[{i}]")
                 try:
-                    spec = BidSpec(**b)
+                    bids.append(BidSpec(**b))
                 except ValueError as exc:
                     raise ValueError(f"initial_bids[{i}].{exc}")
-                # JSON integers become floats, as config_hash has always read them
-                bids.append(replace(spec, rent=float(spec.rent), deposit=float(spec.deposit)))
             values = dict(raw, seed=raw.get("seed", 0), market=mkt, initial_bids=tuple(bids))
             del values["schema_version"]
             return cls(**values)
@@ -402,12 +400,13 @@ def _pool_kernel(z: np.ndarray, fee: np.ndarray, managed: np.ndarray, liquidity:
 
 
 def _write_block_log(
-    block_log: IO[str], first: int, runs: list[_Run], columns: tuple[np.ndarray, ...]
+    block_log: IO[str], workspace: _floatrepr.Workspace, first: int, runs: list[_Run],
+    columns: tuple[np.ndarray, ...],
 ) -> None:
     """Write the rows of a chunk's blocks, from block ``first`` on, as
-    ``repr`` writes them, one write per :data:`BATCH_ROWS` rows; each run's
-    fee and rent are formatted once. ``columns`` are those of
-    :meth:`_Books.book`."""
+    ``repr`` writes them, one write per :data:`BATCH_ROWS` rows formatted
+    in the run's ``workspace``; each run's fee and rent are formatted once.
+    ``columns`` are those of :meth:`_Books.book`."""
     fee = _floatrepr.text_cells([repr(run.fee) for run in runs])
     rent = _floatrepr.text_cells([repr(run.rent) for run in runs])
     which = np.repeat(np.arange(len(runs)), [run.blocks for run in runs])
@@ -415,9 +414,9 @@ def _write_block_log(
     for lo in range(0, len(which), BATCH_ROWS):
         rows = slice(lo, lo + BATCH_ROWS)
         run = which[rows]
-        block_log.write(_floatrepr.csv_rows(first + lo, [
-            tau[rows], z[rows], fee[run], arb_profit[rows], excess[rows],
-            noise_fees[rows], rent[run],
+        block_log.write(workspace.csv_rows(first + lo, [
+            tau[rows], z[rows], (fee, run), arb_profit[rows], excess[rows],
+            noise_fees[rows], (rent, run),
         ]))
 
 
@@ -527,13 +526,14 @@ def run_sim(config: SimConfig, block_log: Optional[IO[str]] = None) -> SimReport
 
     if block_log is not None:
         block_log.write(",".join(BLOCK_LOG_HEADER) + "\n")
+        workspace = _floatrepr.Workspace()  # the log's arrays, reused batch after batch
 
     for start in range(0, horizon, CHUNK_BLOCKS):
         n = min(CHUNK_BLOCKS, horizon - start)
         runs = _advance_auction(auction, n, policy_fee, books.counts)
         columns = books.book(runs, rng)
         if block_log is not None:
-            _write_block_log(block_log, start + 1, runs, columns)
+            _write_block_log(block_log, workspace, start + 1, runs, columns)
         del columns  # freed before the next chunk is drawn
 
     n = float(horizon)

@@ -5,6 +5,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ammauction.auction import (
     AuctionParams,
@@ -256,6 +258,45 @@ class TestAdvanceBlock:
         assert state.manager is None  # b is still pending
         state.advance_block(1)
         assert state.manager == "b"  # activation, not promotion
+
+    @given(
+        st.sampled_from([1.0, 1.1]),
+        st.lists(
+            st.one_of(
+                st.just(("advance",)),
+                st.tuples(st.just("submit"), st.sampled_from("abc"),
+                          st.sampled_from([1, 2, 3, 5, 8]), st.integers(1, 8)),
+                st.tuples(st.sampled_from(["reduce", "top_up"]), st.sampled_from("abc"),
+                          st.sampled_from([1, 2, 5, 10])),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_an_activating_bid_outranks_next(self, increment, actions):
+        # advance_block seats each activating bid in the next slot, refunding
+        # the bid there: whatever the bids, cuts and top-ups before, the
+        # activating bid must outrank it
+        state = make_state(k_delay=3, increment=increment)
+        for op, *args in actions:
+            if op == "advance":
+                runner_up = state.next
+                for bid in state.pending:
+                    if bid.active_from <= state.current_block + 1:
+                        assert runner_up is None or bid.rent > runner_up.rent
+                        runner_up = bid
+                state.advance_block(1)
+                continue
+            try:
+                if op == "submit":
+                    bidder, rent, blocks = args
+                    state.submit_bid(bidder, rent, rent * blocks)
+                elif op == "reduce":
+                    state.reduce_deposit(*args)
+                else:
+                    state.top_up_deposit(*args)
+            except AuctionRejection:
+                pass
+            check_safety(state)
 
 
 class TestSetFee:

@@ -202,3 +202,41 @@ def test_increment_the_auction_cannot_keep_exact_is_refused_before_any_output(tm
         "error: invalid-amount: min_increment_factor is out of range"
     )
     assert not (tmp_path / "out").exists()
+
+
+# each float field of a sim config, and of its market, spelled as a JSON
+# integer that the config allows
+WHOLE = {"manager_fee": "0", "default_fee": "0", "withdrawal_fee": "0",
+         "min_increment_factor": "2", "initial_liquidity": "3"}
+MARKET_WHOLE = {"sigma": "0", "delta_t": "1", "r": "0", "f_max": "1", "c0": "25", "c1": "120"}
+
+
+@pytest.mark.parametrize(
+    "key, whole", [*WHOLE.items(), *((f"market.{k}", v) for k, v in MARKET_WHOLE.items())]
+)
+def test_an_integer_and_its_float_spelling_hash_the_same(tmp_path, capsys, key, whole):
+    # the manifest hashes a config's values: 0 and 0.0, 25 and 25.0 are one
+    hashes = []
+    for spelling in (whole, whole + ".0"):
+        fields, market = dict(SIM_CONFIG), dict(MARKET)
+        if key.startswith("market."):
+            market[key.removeprefix("market.")] = spelling
+        else:
+            fields[key] = spelling
+        fields["market"] = json_object(market)
+        path = tmp_path / "config.json"
+        path.write_text(json_object(fields), encoding="utf-8")
+        assert main(["simulate", str(path)]) == 0
+        hashes.append(json.loads(capsys.readouterr().out)["manifest"]["config_hash"])
+    assert hashes[0] == hashes[1]
+
+
+def test_a_params_file_integer_hashes_as_its_float(tmp_path, capsys):
+    # market parameters reach every command's manifest, a params file's too
+    manifests = []
+    for c0 in ("25", "25.0"):
+        path = tmp_path / "params.json"
+        path.write_text(json_object({**MARKET, "c0": c0}), encoding="utf-8")
+        assert main(["formulas", "--config", str(path), "--fees", "0.003"]) == 0
+        manifests.append(capsys.readouterr().out.splitlines()[0])
+    assert manifests[0] == manifests[1]

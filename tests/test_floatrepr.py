@@ -4,6 +4,7 @@ and on the edges of the shortest-decimal search and of the layout."""
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ammauction._floatrepr import csv_rows, float_cells, text_cells
+from ammauction._floatrepr import Workspace, csv_rows, float_cells, text_cells
+from ammauction.sim import BATCH_ROWS
 
 
 def kernel_text(values) -> list[str]:
@@ -134,3 +136,58 @@ class TestCsvRows:
         # a float64 lane no longer holds every integer there
         with pytest.raises(ValueError, match="below 2\\^53"):
             csv_rows(first, [np.zeros(rows)])
+
+
+class TestWorkspace:
+    def test_batches_leave_no_stale_bytes(self):
+        # one workspace over batches of random sizes, whose values and text
+        # cells turn long and short by turns: each batch reads as its own
+        # repr rows, with nothing left over from the batch before
+        rng = np.random.default_rng(36)
+        workspace = Workspace()
+        names = {True: ["-1.2345678901234567e-300", "0.30000000000000004", "x"], False: ["7"]}
+        first = 1
+        for batch in range(40):
+            long = batch % 2 == 1
+            rows = int(rng.integers(1, BATCH_ROWS + 1))
+            if long:  # 17 digits, signs and exponents
+                a = -rng.random(rows) * 10.0 ** rng.integers(-300, 300, rows)
+                b = rng.normal(0.0, 1e-5, rows)
+            else:  # one digit
+                a = rng.integers(0, 10, rows).astype(np.float64)
+                b = np.zeros(rows)
+            which = rng.integers(0, len(names[long]), rows)
+            want = "".join(
+                f"{i},{u!r},{names[long][w]},{v!r}\n"
+                for i, u, v, w in zip(range(first, first + rows), a.tolist(), b.tolist(),
+                                      which.tolist())
+            )
+            assert workspace.csv_rows(first, [a, (text_cells(names[long]), which), b]) == want
+            first += rows
+
+    def test_a_warm_batch_allocates_little_but_its_text(self):
+        # a block-log batch, 512 rows of 7 columns, writes about 60 KB of
+        # text; through a warm workspace it allocates that text and little
+        # else (about 1 MiB when each batch allocated its temporaries)
+        rng = np.random.default_rng(7)
+        rows = BATCH_ROWS
+        fee, rent = text_cells(["0.003"]), text_cells(["1.2345678901234567e-05"])
+        run = np.zeros(rows, dtype=np.intp)
+        columns = [rng.exponential(0.01, rows), rng.normal(0.0, 0.05, rows), (fee, run),
+                   rng.normal(0.0, 1e-4, rows), rng.exponential(1e-5, rows),
+                   rng.exponential(1e-3, rows), (rent, run)]
+        workspace = Workspace()
+        workspace.csv_rows(1, columns)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            text = workspace.csv_rows(1 + rows, columns)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(text) > 50_000
+        assert peak < 256 * 1024

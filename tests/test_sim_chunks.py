@@ -329,3 +329,26 @@ class TestBlockLogBatches:
         if name == "one-block":
             rents = [run.rent for run in chunks[0][0]]
             assert rents == [0.30000000000000004, 0.1, 0.0]
+
+    def test_two_runs_in_one_process_write_the_repr_rows(self, monkeypatch, tmp_path):
+        # each run formats through a workspace of its own: a second run in
+        # the process, into a file as simulate writes, repeats the first's
+        # bytes, both the repr rows, though the horizon ends on a short batch
+        config = self.CONFIGS["edges"]
+        assert config.horizon_blocks % BATCH_ROWS != 0
+        book = _Books.book
+        logs = []
+        for name in ("a.csv", "b.csv"):
+            chunks = []
+
+            def booked(books, runs, rng):
+                columns = book(books, runs, rng)
+                chunks.append((runs, columns))
+                return columns
+
+            monkeypatch.setattr(_Books, "book", booked)
+            with open(tmp_path / name, "w", encoding="utf-8", newline="\n") as fh:
+                run_sim(config, block_log=fh)
+            logs.append((tmp_path / name).read_text(encoding="utf-8"))
+            assert logs[-1].splitlines() == block_log_rows(chunks)
+        assert logs[0] == logs[1]
