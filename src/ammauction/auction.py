@@ -53,7 +53,13 @@ __all__ = [
     "AuctionEvent",
     "Bid",
     "AuctionState",
+    "ConfigError",
 ]
+
+
+class ConfigError(ValueError):
+    """A configuration (a simulation config, a params file, a command-line
+    value) failed validation."""
 
 
 class AuctionRejection(ValueError):

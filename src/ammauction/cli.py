@@ -31,15 +31,17 @@ import sys
 from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
 
 from . import __version__, market
 from ._numpy import np
-from .auction import read_json_object, read_utf8
-from .equilibrium import BracketError, DominanceReport, dominance_report
-from .market import MarketParams
-from .replay import TRACE_HEADER, replay_auction
-from .sim import ConfigError, SimConfig, check_seed, run_sim, run_strategic_withdrawal_attack
+from .auction import ConfigError, read_json_object, read_utf8
+from .market import BracketError, MarketParams
+
+if TYPE_CHECKING:  # main imports a command's own module (see _SETUP_IMPORTS)
+    from .equilibrium import DominanceReport
+    from .replay import ReplayTrace
+    from .sim import SimConfig, SimReport
 
 _DEFAULTS = {
     "sigma": 0.05,
@@ -204,7 +206,7 @@ def cmd_mc_validate(args: argparse.Namespace) -> int:
     if args.chains < 2:  # the profit estimator's SE is taken across chains
         raise ConfigError(f"--chains must be at least 2, got {args.chains}")
     fees = _parse_fees(args, params)
-    check_seed(args.seed)
+    market.check_seed(args.seed)
     closed = params
     if args.corrupt_closed_form:  # negative-control hook: skews the reference only
         closed = replace(params, sigma=params.sigma * 1.5)
@@ -251,8 +253,7 @@ def cmd_equilibrium(args: argparse.Namespace) -> int:
         "equilibrium", {"params": params.__dict__, "grid": args.grid}, None, ["equilibrium.csv"]
     )
     _emit_csv(
-        _out_dir(args), "equilibrium.csv", manifest, DominanceReport.CSV_HEADER,
-        report.to_csv_rows(),
+        _out_dir(args), "equilibrium.csv", manifest, report.CSV_HEADER, report.to_csv_rows()
     )
     am = report.am
     print(
@@ -265,7 +266,29 @@ def cmd_equilibrium(args: argparse.Namespace) -> int:
     return 0 if report.dominated else 1
 
 
-def _report_json(manifest: dict, report) -> str:
+# The work of simulate, replay and equilibrium, called through these names on
+# this module: ammbench/child.py marks the first call of one of them (or of
+# market.mc_rates) as the end of a run's set-up, and ammbench/spans.py traces
+# them. Each calls its command's module, which main has already imported.
+def run_sim(config: SimConfig, block_log: TextIO | None = None) -> SimReport:
+    from .sim import run_sim
+
+    return run_sim(config, block_log=block_log)
+
+
+def replay_auction(scenario_path: str) -> ReplayTrace:
+    from .replay import replay_auction
+
+    return replay_auction(scenario_path)
+
+
+def dominance_report(params: MarketParams, n_grid: int) -> DominanceReport:
+    from .equilibrium import dominance_report
+
+    return dominance_report(params, n_grid=n_grid)
+
+
+def _report_json(manifest: dict, report: SimReport) -> str:
     """``simulate``'s JSON payload; a non-finite report field is an error
     naming the field, as strict JSON has no NaN or infinity."""
     fields = report.to_dict()
@@ -278,6 +301,8 @@ def _report_json(manifest: dict, report) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .sim import SimConfig
+
     raw = _read_json_file(args.config_path)
     config = SimConfig.from_dict(raw)
     if args.seed is not None:
@@ -303,6 +328,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
+    from .sim import SimConfig, run_strategic_withdrawal_attack
+
     raw = _read_json_file(args.config_path)
     config = SimConfig.from_dict(raw)
     report = run_strategic_withdrawal_attack(config)
@@ -320,6 +347,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
+    from .replay import TRACE_HEADER
+
     trace = replay_auction(args.scenario_path)
     # keyed by the scenario's content, not its path: a copy elsewhere hashes
     # the same. Exact Fraction arithmetic: numpy computes nothing in a replay
@@ -386,26 +415,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The module each command computes with, executed by main in set-up so that
-# its import does not count as the command's work. The package binds numpy
-# unexecuted (see _numpy), and numpy loads numpy.random on first use; the two
-# commands that sample, simulate and mc-validate, draw with it. replay
-# computes with Fractions alone, so it never executes numpy.
+# Every module each command loads beyond cli's own (auction, pool and market,
+# which all commands share), imported by main in set-up, in this order, so
+# that no import counts as the command's work. A package module comes before
+# numpy executes, so that its compile temporaries do not land on top of
+# numpy's heap and raise the peak RSS. The package binds numpy unexecuted
+# (see _numpy), and numpy loads numpy.random on first use; the two commands
+# that sample, simulate and mc-validate, draw with it. replay computes with
+# Fractions alone, so it never executes numpy.
 _SETUP_IMPORTS = {
-    "formulas": "numpy",
-    "mc-validate": "numpy.random",
-    "equilibrium": "numpy",
-    "simulate": "numpy.random",
-    "attack": "numpy",
+    "formulas": ("numpy",),
+    "mc-validate": ("numpy.random",),
+    "equilibrium": (".equilibrium", "numpy"),
+    "simulate": (".sim", "numpy.random"),
+    "attack": (".sim", "numpy"),
+    "replay": (".replay",),
 }
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    module = _SETUP_IMPORTS.get(args.command)
-    if module is not None:
-        importlib.import_module(module)
+    for module in _SETUP_IMPORTS[args.command]:
+        importlib.import_module(module, __package__)
     # Freeze the import-time heap, once per process: the cyclic collector,
     # interpreter shutdown's collections included, then skips the tens of
     # thousands of objects numpy leaves tracked. A later call must not freeze

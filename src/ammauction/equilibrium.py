@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from . import market
 from ._numpy import np
-from .market import MarketParams
+from .market import BracketError, MarketParams
 from .pool import pool_value
 
 __all__ = [
@@ -50,10 +50,6 @@ __all__ = [
 
 # Points of the fee grid every maximization scans before it refines.
 FEE_GRID = 2048
-
-
-class BracketError(RuntimeError):
-    """No positive finite equilibrium exists; carries diagnostics."""
 
 
 @dataclass(frozen=True)

@@ -40,10 +40,11 @@ import math
 from dataclasses import dataclass, fields
 
 from ._numpy import np
-from .auction import _exact_float, _finite_real
+from .auction import ConfigError, _exact_float, _finite_real
 from .pool import excess_fraction
 
 __all__ = [
+    "BracketError",
     "MarketParams",
     "MCRates",
     "ap0",
@@ -55,9 +56,16 @@ __all__ = [
     "noise_volume",
     "noise_volume_per_value",
     "block_rng",
+    "check_seed",
     "sample_blocks",
     "mc_rates",
 ]
+
+
+class BracketError(RuntimeError):
+    """No positive finite equilibrium exists; carries diagnostics. Raised by
+    the :mod:`equilibrium` solvers, defined here so that a caller can catch it
+    without importing them."""
 
 
 @dataclass(frozen=True)
@@ -252,6 +260,12 @@ def noise_volume_per_value(fee, liquidity: float, params: MarketParams):
     if liquidity <= 0.0:
         raise ValueError(f"liquidity must be positive, got {liquidity}")
     return _h0_factor(liquidity, params) * np.exp(-params.c1 * fee)
+
+
+def check_seed(seed: int) -> None:
+    """Refuse a seed that cannot key the Philox stream: an integer in [0, 2**128)."""
+    if not 0 <= seed < 2**128:
+        raise ConfigError(f"seed must be in [0, 2**128), got {seed}")
 
 
 def block_rng(seed: int) -> tuple[np.random.Generator, np.random.Generator]:

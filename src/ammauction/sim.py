@@ -48,9 +48,9 @@ from typing import IO, Iterable, Optional, Sequence
 
 from . import _floatrepr, equilibrium, market
 from ._numpy import np
-from .auction import AuctionParams, AuctionState, Bid, _to_fraction
+from .auction import AuctionParams, AuctionState, Bid, ConfigError, _to_fraction
 from .auction import check_field_types, read_json_object
-from .market import MarketParams, _Moments
+from .market import MarketParams, _Moments, check_seed
 from .pool import strategic_withdrawal_values, trade_to_band, withdrawal_fee_required
 
 # ammbench/spans.py wraps this name; the kernel below calls trade_to_band
@@ -91,16 +91,6 @@ BATCH_ROWS = 512
 # for the price factor, where the float limits would make the report NaN or
 # silently wrong.
 LIQUIDITY_RANGE = (1e-150, 1e150)
-
-
-class ConfigError(ValueError):
-    """A simulation config failed validation."""
-
-
-def check_seed(seed: int) -> None:
-    """Refuse a seed that cannot key the Philox stream: an integer in [0, 2**128)."""
-    if not 0 <= seed < 2**128:
-        raise ConfigError(f"seed must be in [0, 2**128), got {seed}")
 
 
 @dataclass(frozen=True)
@@ -150,6 +140,10 @@ class SimConfig:
             raise ConfigError(
                 f"manager_fee {self.manager_fee} outside [0, {self.market.f_max}]"
             )
+        # a share of the withdrawn value: a negative fee pays the LP to leave,
+        # and a fee of one or more takes the whole position
+        if self.withdrawal_fee is not None and not 0.0 <= self.withdrawal_fee < 1.0:
+            raise ConfigError(f"withdrawal_fee {self.withdrawal_fee} outside [0, 1)")
         if len(self.initial_bids) > 2:
             raise ConfigError("at most two initial bids are supported (top and runner-up)")
         if self.lp_policy == "zero_profit":

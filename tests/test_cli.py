@@ -340,6 +340,23 @@ class TestBadSimConfig:
         assert_one_line_error(capsys, needle)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "patch, message",
+        [
+            ({"initial_bids": [{"bidder": name, "rent": 1e-6, "deposit": 0.01}
+                               for name in ("a", "b", "c")]},
+             "at most two initial bids are supported (top and runner-up)"),
+            ({"manager_policy": "greedy"}, "unknown manager_policy 'greedy'"),
+            ({"lp_policy": "dynamic"}, "unknown lp_policy 'dynamic'"),
+        ],
+        ids=["three-bids", "manager-policy", "lp-policy"],
+    )
+    def test_bid_count_and_policy_names_exit_2(self, patch, message, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**sim_config_dict(), **patch}))
+        assert main(["simulate", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("seed", ["-1", str(2**128)])
     def test_seed_override_out_of_range_writes_nothing(self, seed, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -645,6 +662,25 @@ class TestAttack:
         assert main(["attack", str(path)]) == 1
         gain = re.search(r"max_net_gain=(\S+)", capsys.readouterr().out).group(1)
         assert float(gain) > 0.0
+
+    @pytest.mark.parametrize("fee", [-0.5, -5e-324, 1.0, 1.5])
+    @pytest.mark.parametrize("command", ["attack", "simulate"])
+    def test_withdrawal_fee_outside_zero_one_exit_2_writes_nothing(self, command, fee,
+                                                                   tmp_path, capsys):
+        # a negative fee paid the LP to withdraw, and a fee of 1.5 booked 3.0
+        # on a position worth 2.0
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**sim_config_dict(horizon=10), "withdrawal_fee": fee}))
+        out = tmp_path / "out"
+        assert main([command, str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: withdrawal_fee {fee} outside [0, 1)\n"
+        assert not out.exists()
+
+    def test_withdrawal_fee_just_under_one_exit_0(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**sim_config_dict(horizon=10), "withdrawal_fee": 0.999}))
+        assert main(["attack", str(path)]) == 0
+        assert "withdrawal_fee=0.999 " in capsys.readouterr().out
 
 
 class TestReplay:
@@ -960,6 +996,7 @@ IMPORT_GRAPH = {
     "equilibrium": _NUMERIC | {"equilibrium"},
     "_floatrepr": {"_numpy", "_floatrepr"},
     "sim": _NUMERIC | {"equilibrium", "_floatrepr", "sim"},
+    "cli": _NUMERIC | {"cli"},
 }
 
 
@@ -974,12 +1011,10 @@ class TestImportCost:
         code = "import sys, ammauction.cli; print('scipy.special' in sys.modules)"
         assert run_python(code).strip() == "False"
 
-    @pytest.mark.parametrize("module", [*IMPORT_GRAPH, "cli"])
+    @pytest.mark.parametrize("module", IMPORT_GRAPH)
     def test_a_module_loads_only_its_own_imports(self, module):
         # the package root imports no module, and a numeric module binds
-        # numpy unexecuted; cli imports every module
-        package = pathlib.Path(__file__).resolve().parent.parent / "src" / "ammauction"
-        every = {path.stem for path in package.glob("*.py")} - {"__init__"}
+        # numpy unexecuted; cli imports only the modules every command shares
         code = (
             "import json, sys\n"
             f"import ammauction.{module}\n"
@@ -987,7 +1022,39 @@ class TestImportCost:
             "print(json.dumps([sorted(loaded), 'numpy._core' in sys.modules]))\n"
         )
         loaded, executed = json.loads(run_python(code))
-        assert (set(loaded), executed) == (IMPORT_GRAPH.get(module, every), False)
+        assert (set(loaded), executed) == (IMPORT_GRAPH[module], False)
+
+    @pytest.mark.parametrize(
+        "argv, own, executed",
+        [
+            (["replay", str(DATA / "depletion.jsonl")], {"replay"}, False),
+            (["formulas"], set(), True),
+            (["mc-validate", "--samples", "10000", "--fees", "0"], set(), True),
+            (["equilibrium", "--grid", "16"], {"equilibrium"}, True),
+            (["simulate", "{config}"], {"sim", "equilibrium", "_floatrepr"}, True),
+            (["attack", "{config}"], {"sim", "equilibrium", "_floatrepr"}, True),
+            (["--version"], set(), False),
+        ],
+        ids=["replay", "formulas", "mc-validate", "equilibrium", "simulate", "attack", "version"],
+    )
+    def test_a_command_loads_only_its_own_modules(self, argv, own, executed, tmp_path):
+        # main imports a command's own modules in set-up, beyond cli's; replay
+        # executes no numpy, and --version exits before any command module loads
+        (tmp_path / "config.json").write_text(json.dumps(sim_config_dict(horizon=10)))
+        argv = [a.format(config=tmp_path / "config.json") for a in argv]
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from ammauction.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            f"        rc = main({argv!r})\n"
+            "    except SystemExit as exc:\n"
+            "        rc = exc.code\n"
+            "loaded = [m.split('.', 1)[1] for m in sys.modules if m.startswith('ammauction.')]\n"
+            "print(json.dumps([rc, sorted(loaded), 'numpy._core' in sys.modules]))\n"
+        )
+        rc, loaded, numpy_executed = json.loads(run_python(code))
+        assert (rc, set(loaded), numpy_executed) == (0, IMPORT_GRAPH["cli"] | own, executed)
 
     def test_replay_module_loads_neither_numpy_nor_the_simulator(self):
         # nor does a replay load them
@@ -1209,6 +1276,38 @@ class TestTracerHooks:
             assert callable(getattr(cli, name)), name
         assert cli.market is market
         assert callable(cli.market.mc_rates)
+
+    def test_benchmark_child_marks_load_no_command_module(self, tmp_path):
+        # ammbench/child.py marks these names in set-up, as below: the lookups
+        # must not load a command's own module, and each command must then
+        # call its marked name, so that the mark ends the set-up
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(sim_config_dict(horizon=10)))
+        argvs = [["replay", str(DATA / "depletion.jsonl")], ["equilibrium", "--grid", "16"],
+                 ["simulate", str(config)], ["mc-validate", "--samples", "10000", "--fees", "0"]]
+        code = (
+            "import contextlib, io, json, sys\n"
+            "import ammauction.cli as cli\n"
+            "called = []\n"
+            "def mark(owner, attr):\n"
+            "    fn = getattr(owner, attr)\n"
+            "    def marked(*args, **kwargs):\n"
+            "        called.append(attr)\n"
+            "        return fn(*args, **kwargs)\n"
+            "    setattr(owner, attr, marked)\n"
+            "for attr in ('run_sim', 'replay_auction', 'dominance_report'):\n"
+            "    mark(cli, attr)\n"
+            "mark(cli.market, 'mc_rates')\n"
+            "names = ('sim', '_floatrepr', 'equilibrium', 'replay')\n"
+            "loaded = [m for m in names if 'ammauction.' + m in sys.modules]\n"
+            f"for argv in {argvs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0\n"
+            "print(json.dumps([loaded, called]))\n"
+        )
+        loaded, called = json.loads(run_python(code))
+        assert loaded == []
+        assert called == ["replay_auction", "dominance_report", "run_sim", "mc_rates"]
 
     def test_benchmark_tracer_finds_every_wrapped_name(self):
         # ammbench/spans.py rebinds package functions by name; a refactor that
