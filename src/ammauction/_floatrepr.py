@@ -10,11 +10,12 @@ Schubfach way to render doubles", 2020; JDK 19's ``Double.toString``),
 ported to uint64 lanes, each high 64-bit product formed from 32-bit halves.
 The layout then writes each value's bytes into a fixed-width cell of seven
 uint64 words, eight bytes each, in slots that are 0 where the value has no
-byte, and :func:`csv_rows` drops the zero bytes of a whole batch of rows at
-once. A word holds eight ASCII digits, formed with a few multiplies (SWAR),
-and a table of byte masks keeps the digits a value's layout shows. The row
-numbers are lanes of the same kernel, float64 integers with their point and
-fraction cleared, so they must stay below 2^53.
+byte, and :meth:`Workspace.csv_rows` drops the zero bytes of a whole batch
+of rows at once. A word holds eight ASCII digits, formed with a few
+multiplies (SWAR), and a table of byte masks keeps the digits a value's
+layout shows. The row numbers are lanes of the same kernel, float64
+integers with their point and fraction cleared, so they must stay below
+2^53.
 
 Normal values and zeros take the kernel. A subnormal, an infinity or a NaN
 takes ``repr`` itself: Java's rule asks for two digits where a subnormal's
@@ -22,17 +23,16 @@ shortest form has one, and ``repr`` does not.
 
 A :class:`Workspace` holds every array the kernel writes: the lanes'
 values, the temporaries of the decimal search and of the layout, the cells,
-the CSV table, the text-cell gathers and the compaction mask. Each is sized
-on first use and written through ``out=`` from then on, and a call with
-fewer lanes uses the front of each buffer. A caller that formats batch
-after batch through one workspace, as ``run_sim``'s block log does, so
-allocates no array per batch but the compacted text that becomes the
-returned ``str``: numpy has no compaction into a given array
-(``np.compress`` takes ``out=``, but builds an index array eight times the
-text's size first). Temporaries allocated and freed per batch would go back
-to the C allocator, which returns the top of its heap to the OS past a
-threshold, and the next batch would fault the same pages in again.
-:func:`float_cells` and :func:`csv_rows` build a workspace for one call.
+the CSV table, the text-cell gathers and the compaction mask. It makes them
+once, for one batch shape, and writes them through ``out=`` from then on. A
+caller that formats batch after batch through one workspace, as
+``run_sim``'s block log does, so allocates no array per batch but the
+compacted text that becomes the returned ``str``: numpy has no compaction
+into a given array (``np.compress`` takes ``out=``, but builds an index
+array eight times the text's size first). Temporaries allocated and freed
+per batch would go back to the C allocator, which returns the top of its
+heap to the OS past a threshold, and the next batch would fault the same
+pages in again.
 
 Every uint64 constant is an ``np.uint64``, so numpy promotes the same way
 under NEP 50 and under numpy 1.x's value-based rules, and the lanes stay
@@ -57,7 +57,7 @@ from typing import Sequence
 
 from ._numpy import np
 
-__all__ = ["Workspace", "csv_rows", "float_cells", "text_cells"]
+__all__ = ["Workspace", "text_cells"]
 
 # The bytes of a word are those of a little-endian uint64 ("<u8"), on any
 # host: the first byte of a text is the word's lowest.
@@ -354,8 +354,9 @@ def _eight_digits(t, x):
 
 
 def _float_cells(t):
-    """The cells of the values ``t.x`` (see :func:`float_cells`), into
-    ``t.cells`` word by word: row ``w`` holds word ``w`` of every lane."""
+    """The ``repr`` of each value ``t.x``, into ``t.cells`` word by word:
+    row ``w`` holds word ``w`` of every lane, and a lane's unused bytes are
+    0, its last byte left free for a separator."""
     k = _consts()
     bits = t.x.view(np.uint64)
     q, special = t.q, t.special
@@ -485,66 +486,73 @@ def _carve(store, spec: dict, n: int) -> dict:
 
 
 class Workspace:
-    """The arrays the kernel writes, kept from call to call.
+    """The arrays the kernel writes for batches of up to ``rows`` rows of
+    ``floats`` float columns, all made here, once.
 
     A run that formats its rows batch by batch makes one and calls
     :meth:`csv_rows` on it for each batch, so nothing of it outlives the
     run. It serves one call at a time.
     """
 
-    def __init__(self) -> None:
-        self._stores: dict = {}
-        self._views: SimpleNamespace | None = None
-        self._count = np.zeros(0)  # 0, 1, 2, ... for the row numbers
-
-    def _bytes(self, name, size: int):
-        """The first ``size`` bytes of the store ``name``, which grows on
-        demand; a grown store drops the lane views carved from it."""
-        store = self._stores.get(name)
-        if store is None or len(store) < size:
-            store = self._stores[name] = np.empty(size, dtype=np.uint8)
-            self._views = None
-        return store[:size]
-
-    def _lanes(self, n: int) -> SimpleNamespace:
-        """The kernel's buffers for ``n`` lanes, by name."""
-        t = self._views
-        if t is None or t.n != n:
-            kept = self._bytes("kept", _extent(_KEPT, n))
-            scratch = self._bytes("scratch", max(_extent(_SEARCH, n), _extent(_LAYOUT, n)))
-            t = self._views = SimpleNamespace(
-                n=n, **_carve(kept, _KEPT, n), **_carve(scratch, _SEARCH, n),
-                **_carve(scratch, _LAYOUT, n),
-            )
-        return t
+    def __init__(self, rows: int, floats: int) -> None:
+        self.rows, self.floats = rows, floats
+        n = (1 + floats) * rows  # the lanes: the row numbers, then each float column
+        kept = np.empty(_extent(_KEPT, n), dtype=np.uint8)
+        self._scratch = np.empty(max(_extent(_SEARCH, n), _extent(_LAYOUT, n)), dtype=np.uint8)
+        self._t = SimpleNamespace(
+            **_carve(kept, _KEPT, n), **_carve(self._scratch, _SEARCH, n),
+            **_carve(self._scratch, _LAYOUT, n),
+        )
+        self._x = self._t.x.reshape(1 + floats, rows)
+        self._count = np.arange(rows, dtype=np.float64)  # 0, 1, 2, ... for the row numbers
 
     def csv_rows(self, first: int, columns: Sequence) -> str:
-        """:func:`csv_rows`, through this workspace."""
+        """The CSV text of the columns' rows, each row its number, counting
+        from ``first``, then a field from each column. A float column is a
+        float64 array, written as ``repr``. A text column is a pair
+        ``(cells, which)`` of :func:`text_cells` and the index of each CSV
+        row's text in them.
+
+        The kernel runs on every lane: a batch of fewer rows than the
+        workspace's zeroes the lanes past its own and reads the front of
+        the cells. The table, its mask and, in the mask's place until the
+        table is filled, the text gathers use the front of the scratch.
+        Raises ``ValueError`` for a row number at or past 2^53, which a
+        float64 lane no longer holds exactly, and for a batch that does
+        not fit: more rows, another number of float columns, or text
+        columns too wide for the scratch."""
         rows = len(columns[0][1] if isinstance(columns[0], tuple) else columns[0])
+        floats = [col for col in columns if not isinstance(col, tuple)]
+        widths = [col[0].shape[1] if isinstance(col, tuple) else CELL_WORDS for col in columns]
+        ends = list(accumulate([CELL_WORDS, *widths], initial=0))
+        size = rows * ends[-1] * 8
+        if rows > self.rows or len(floats) != self.floats or 2 * size > len(self._scratch):
+            raise ValueError(
+                f"a batch of {rows} rows, {len(floats)} float columns and {ends[-1]} words a "
+                f"row does not fit a workspace of {self.rows} rows and {self.floats} float "
+                "columns"
+            )
         if first + rows > 2**53:
             raise ValueError(f"row numbers must stay below 2^53, got up to {first + rows - 1}")
-        floats = [col for col in columns if not isinstance(col, tuple) and col.ndim == 1]
-        t = self._lanes((1 + len(floats)) * rows)
-        x = t.x.reshape(1 + len(floats), rows)
-        if len(self._count) < rows:
-            self._count = np.arange(rows, dtype=np.float64)
-        np.add(self._count[:rows], first, out=x[0])
+        x = self._x
+        x[:, rows:] = 0.0
+        np.add(self._count[:rows], first, out=x[0, :rows])
         for lanes, col in zip(x[1:], floats):
-            np.copyto(lanes, col)
-        cells = iter(_float_cells(t).reshape(CELL_WORDS, len(x), rows).transpose(1, 2, 0))
+            np.copyto(lanes[:rows], col)
+        cells = _float_cells(self._t).reshape(CELL_WORDS, len(x), self.rows)
+        cells = iter(cells[:, :, :rows].transpose(1, 2, 0))
 
-        parts = [next(cells)]  # the row numbers, then each column's cells
-        for i, col in enumerate(columns):
+        parts, at = [next(cells)], size  # the row numbers, then each column's cells
+        for col in columns:
             if isinstance(col, tuple):
                 texts, which = col
-                gathered = self._bytes(("text", i), 8 * rows * texts.shape[1])
-                col = np.take(texts, which, axis=0, mode="clip",
-                              out=gathered.view(_WORD).reshape(rows, texts.shape[1]))
-            parts.append(next(cells) if col.ndim == 1 else col)
-        ends = list(accumulate((part.shape[1] for part in parts), initial=0))
-        size = rows * ends[-1] * 8
-        store = self._bytes("scratch", 2 * size)  # the table, then the mask
-        table = store[:size].view(_WORD).reshape(rows, ends[-1])
+                gathered = self._scratch[at : at + 8 * rows * texts.shape[1]]
+                at += len(gathered)
+                parts.append(np.take(texts, which, axis=0, mode="clip",
+                                     out=gathered.view(_WORD).reshape(rows, texts.shape[1])))
+            else:
+                parts.append(next(cells))
+        table = self._scratch[:size].view(_WORD).reshape(rows, ends[-1])
         for part, lo, hi in zip(parts, ends, ends[1:]):
             table[:, lo:hi] = part
         table[:, 3:6] = 0  # a row number's point and fraction: 7.0 is written 7
@@ -553,17 +561,8 @@ class Workspace:
         text[:, np.multiply(ends[1:-1], 8) - 1] = ord(",")
         text[:, -1] = ord("\n")
         text = text.reshape(-1)
-        mask = np.not_equal(text, 0, out=store[size:].view(np.bool_))
+        mask = np.not_equal(text, 0, out=self._scratch[size : 2 * size].view(np.bool_))
         return str(text[mask], "ascii")
-
-
-def float_cells(x):
-    """The ``repr`` of each value of the float64 array ``x``, as the rows
-    of a ``(len(x), CELL_WORDS)`` uint64 array whose unused bytes are 0;
-    the last byte of each row is left free for a separator."""
-    t = Workspace()._lanes(len(x))
-    np.copyto(t.x, x)
-    return _float_cells(t).T.copy()
 
 
 def text_cells(texts: Sequence[str]):
@@ -573,14 +572,3 @@ def text_cells(texts: Sequence[str]):
     size = 8 * (max(map(len, raw), default=0) // 8 + 1)
     cells = b"".join(t.ljust(size, b"\0") for t in raw)
     return np.frombuffer(cells, dtype=_WORD).reshape(len(raw), size // 8)
-
-
-def csv_rows(first: int, columns: Sequence) -> str:
-    """The CSV text of the columns' rows, each row its number, counting
-    from ``first``, then a field from each column. A float column is a
-    float64 array, written as ``repr``. A text column is an array of
-    :func:`text_cells`, one row per CSV row, or a pair ``(cells, which)``
-    of such an array and the index of each CSV row's text in it. The row
-    numbers are written as float64 lanes, exact only below 2^53: a number
-    at or past it raises ``ValueError``."""
-    return Workspace().csv_rows(first, columns)

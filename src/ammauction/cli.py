@@ -261,8 +261,6 @@ def cmd_equilibrium(args: argparse.Namespace) -> int:
         f"f_opt={am.f_opt!r} L_max={am.L_max!r} ff_best_fee={am.ff_best_fee!r}"
     )
     print(f"proof_margin={report.proof_margin!r} dominated={report.dominated}")
-    if report.flagged:
-        print("note: best fixed fee is zero; strict dominance not asserted")
     return 0 if report.dominated else 1
 
 

@@ -27,6 +27,7 @@ price 1, where the pool value is ``V(L) = 2L``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import market
@@ -147,7 +148,8 @@ def _most_liquid_fee(rate, rate_slope, params: MarketParams) -> tuple[float, flo
     ``rate`` (whose derivative is ``rate_slope``), and that liquidity.
 
     The liquidity is a power of ``f e^{-c1 f} / (rate(f) + r)``, so the slope
-    of its log is ``1/f - c1 - rate'(f) / (rate(f) + r)``.
+    of its log is ``1/f - c1 - rate'(f) / (rate(f) + r)``, +inf at fee 0,
+    where the grid of a subnormal ``f_max`` starts.
     """
     fees = np.linspace(params.f_max / FEE_GRID, params.f_max, FEE_GRID)
     liquidity = _zero_profit_liquidity(fees, rate, params)
@@ -158,6 +160,8 @@ def _most_liquid_fee(rate, rate_slope, params: MarketParams) -> tuple[float, flo
         )
 
     def log_slope(fee: float) -> float:
+        if fee == 0.0:
+            return math.inf
         return 1.0 / fee - params.c1 - rate_slope(fee, params) / (rate(fee, params) + params.r)
 
     fee = _argmax_fee(fees, liquidity, log_slope)
@@ -270,15 +274,13 @@ class DominanceReport:
     ``proof_margin`` is the manager's surplus at the fixed-fee-optimal fee
     when paying the rent that sustains L_max; it being positive is what
     forces the managed pool's equilibrium liquidity above every fixed-fee
-    level. ``flagged`` marks the degenerate case where the best fixed fee
-    comes out zero, in which case strict dominance is not asserted.
+    level.
     """
 
     am: AMEquilibrium
     rows: tuple[DominanceRow, ...]
     proof_margin: float
     dominated: bool
-    flagged: bool
 
     CSV_HEADER = ("f", "L_ff", "L_star", "R_star", "f_star", "f_opt", "margin")
 
@@ -312,12 +314,7 @@ def dominance_report(params: MarketParams, n_grid: int = 64) -> DominanceReport:
     proof_margin = float(
         market.ap0(am.ff_best_fee, params) - market.ae0(am.ff_best_fee, params)
     ) * v_max
-    flagged = am.ff_best_fee <= 0.0
-    dominated = all(r.dominated for r in rows) and (flagged or proof_margin > 0.0)
+    dominated = all(r.dominated for r in rows) and proof_margin > 0.0
     return DominanceReport(
-        am=am,
-        rows=tuple(rows),
-        proof_margin=proof_margin,
-        dominated=dominated,
-        flagged=flagged,
+        am=am, rows=tuple(rows), proof_margin=proof_margin, dominated=dominated
     )

@@ -520,7 +520,8 @@ def run_sim(config: SimConfig, block_log: Optional[IO[str]] = None) -> SimReport
 
     if block_log is not None:
         block_log.write(",".join(BLOCK_LOG_HEADER) + "\n")
-        workspace = _floatrepr.Workspace()  # the log's arrays, reused batch after batch
+        # the log's arrays, for a batch of the five float columns of _Books.book
+        workspace = _floatrepr.Workspace(BATCH_ROWS, floats=5)
 
     for start in range(0, horizon, CHUNK_BLOCKS):
         n = min(CHUNK_BLOCKS, horizon - start)

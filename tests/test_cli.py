@@ -1,4 +1,5 @@
 import builtins
+import contextlib
 import csv
 import hashlib
 import io
@@ -15,6 +16,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ammauction import cli, market
 from ammauction.cli import main
@@ -108,6 +111,23 @@ class TestFormulas:
         cfg.write_text(json.dumps({"schema_version": 1, "sgima": 0.02}))
         assert main(["formulas", "--config", str(cfg)]) == 2
         assert "sgima" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--delta-t", "0"], "delta_t must be positive, got 0.0"),
+            (["--f-max=-1"], "f_max must be non-negative, got -1.0"),
+            (["--fees", "a"], "--fees must be a comma-separated float list, got 'a'"),
+            (["--config", "{params}"], "schema_version must be 1, got 2"),
+        ],
+        ids=["delta-t", "f-max", "fees", "schema-version"],
+    )
+    def test_bad_input_exit_2_with_its_message(self, flags, message, tmp_path, capsys):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"schema_version": 2}))
+        argv = [flag.replace("{params}", str(params)) for flag in flags]
+        assert main(["formulas", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def assert_one_line_error(capsys, needle):
@@ -380,6 +400,34 @@ class TestBadSimConfig:
         assert main(["simulate", str(path)]) == 0
 
 
+# each market flag at the edges of the double range, at any magnitude from
+# 1e-320 to 1e300, or negative
+MARKET_FLAGS = st.dictionaries(
+    st.sampled_from([f"--{name.replace('_', '-')}" for name in cli._DEFAULTS]),
+    st.one_of(
+        st.sampled_from([0.0, 5e-324, 1e-320, 1e308]),
+        st.floats(-320.0, 300.0).map(lambda e: 10.0**e),
+        st.sampled_from([-5e-324, -1.0, -1e308]),
+    ),
+)
+
+
+class TestExitCodeContract:
+    @given(st.sampled_from([["formulas"], ["equilibrium", "--grid", "16"]]), MARKET_FLAGS)
+    # a fee grid that starts at 0.0 once f_max / FEE_GRID underflows
+    @example(["equilibrium", "--grid", "16"],
+             {"--f-max": 5e-324, "--c0": 1e200, "--sigma": 1e-100, "--r": 0.0})
+    def test_market_flags_give_a_contract_code(self, command, flags):
+        # whatever the market, main returns a code of the contract and
+        # raises nothing. numpy's RuntimeWarnings stay warnings here, as they
+        # are on the command line, instead of the errors the suite makes them
+        argv = command + [f"{flag}={value!r}" for flag, value in flags.items()]
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(argv) in (0, 1, 2, 3)
+
+
 class TestMCValidate:
     def test_sample_floor_is_usage_error(self, capsys):
         assert main(["mc-validate", "--samples", "5000"]) == 2
@@ -466,6 +514,21 @@ class TestMCValidate:
         assert rows == singles
         assert not any("np.float64(" in cell for row in rows for cell in row)
 
+    def test_no_price_motion_passes_on_zero_errors(self, tmp_path, capsys):
+        # at sigma 0 every estimate and standard error is 0, and a zero
+        # error with an exact estimate scores z = 0
+        argv = ["mc-validate", "--sigma", "0", "--samples", "10000", "--chains", "2",
+                "--fees", "0,0.003", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.count("z_ap0= +0.00 z_ae0= +0.00 [pass]") == 2
+        _, header, rows = read_csv(tmp_path / "mc_validate.csv")
+        for row in rows:
+            fields = dict(zip(header, row))
+            assert float(fields["ap0_se"]) == float(fields["ae0_se"]) == 0.0
+            assert float(fields["z_ap0"]) == float(fields["z_ae0"]) == 0.0
+            assert fields["pass"] == "1"
+
 
 class TestEquilibrium:
     def test_dominance_pass(self, tmp_path, capsys):
@@ -503,6 +566,16 @@ class TestEquilibrium:
         _, _, rows = read_csv(tmp_path / "equilibrium.csv")
         assert float(rows[-1][0]) == 0.05 and float(rows[-1][1]) == 0.0
 
+    def test_subnormal_f_max_solves(self, capsys):
+        # the fee grid starts at 0.0 when f_max / FEE_GRID underflows; both
+        # designs take the one positive fee, so the margin is 0: not dominated
+        argv = ["equilibrium", "--f-max", "5e-324", "--c0", "1e200", "--sigma", "1e-100",
+                "--r", "0"]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "f_star=5e-324" in out and "ff_best_fee=5e-324" in out
+        assert "proof_margin=0.0 dominated=False" in out
+
 
 class TestSimulate:
     def test_missing_config_exit_2(self, capsys):
@@ -521,6 +594,18 @@ class TestSimulate:
         del raw["schema_version"]
         path.write_text(json.dumps(raw))
         assert main(["simulate", str(path)]) == 2
+
+    def test_zero_profit_without_bids_exit_2(self, tmp_path, capsys):
+        raw = sim_config_dict()
+        raw["lp_policy"] = "zero_profit"
+        raw["initial_bids"] = []
+        del raw["manager_fee"]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert main(["simulate", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: zero_profit lp_policy needs an initial bid to price rent\n"
+        )
 
     def test_seed_repetition_reproduces_bytes(self, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -766,6 +851,36 @@ class TestReplay:
         assert main(["replay", str(path), "--out", str(out)]) == 2
         assert_one_line_error(capsys, f"line 2: {needle}")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"k_delay": 2, "fee_cap": -1}\n',
+             "bad auction params: fee_cap must be >= 0, got -1.0"),
+            ("", "empty scenario: missing header line"),
+            ("[1]\n", "each line must be a JSON object"),
+        ],
+        ids=["negative-fee-cap", "empty", "not-an-object"],
+    )
+    def test_bad_scenario_exit_2_names_line_1(self, text, message, tmp_path, capsys):
+        path = tmp_path / "scenario.jsonl"
+        path.write_text(text)
+        assert main(["replay", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: line 1: {message}\n"
+
+    def test_zero_top_up_is_a_rejected_row(self, tmp_path, capsys):
+        path = tmp_path / "scenario.jsonl"
+        path.write_text(
+            '{"k_delay": 2, "fee_cap": 0.05}\n'
+            '{"block": 0, "action": "submit_bid", "bidder": "a", "rent": 1, "deposit": 10}\n'
+            '{"block": 1, "action": "top_up", "bidder": "a", "amount": 0}\n'
+        )
+        assert main(["replay", str(path), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        _, header, rows = read_csv(tmp_path / "trace.csv")
+        row = dict(zip(header, rows[-1]))
+        assert row["action"] == "top_up" and row["status"] == "rejected:invalid-amount"
+        assert row["detail"] == "invalid-amount: amount must be positive, got 0"
 
     def test_manifest_names_no_library(self, tmp_path, capsys):
         # exact Fraction arithmetic computes a replay: numpy computes nothing

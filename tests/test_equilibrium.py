@@ -4,6 +4,8 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ammauction import equilibrium, market
 from ammauction.equilibrium import (
@@ -28,6 +30,24 @@ ACCEPTANCE_SETS = [
     for sigma in (0.02, 0.05)
     for delta_t in (0.005, 0.01)
 ]
+
+
+def log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@st.composite
+def market_params(draw) -> MarketParams:
+    """Market parameters over many decades, the subnormal f_max included."""
+    return MarketParams(
+        sigma=draw(st.just(0.0) | log_uniform(1e-100, 1.0)),
+        delta_t=draw(log_uniform(1e-6, 1.0)),
+        r=draw(st.just(0.0) | log_uniform(1e-12, 0.1)),
+        f_max=draw(st.sampled_from([5e-324, 1e-320]) | log_uniform(1e-300, 0.1)),
+        c0=draw(log_uniform(1e-3, 1e200)),
+        c1=draw(log_uniform(1.0, 1e4)),
+        alpha=draw(st.floats(0.05, 0.95)),
+    )
 
 
 def bisect_ff_root(fee: float, params: MarketParams) -> float:
@@ -234,6 +254,10 @@ class TestManagerProblem:
         L = 5000.0
         assert manager_optimal_fee(L, REF) == mgr_pnl_am(0.0, L, REF)[1]
 
+    def test_manager_fee_needs_positive_liquidity(self):
+        with pytest.raises(ValueError, match=r"^liquidity must be positive, got 0\.0$"):
+            manager_optimal_fee(0.0, REF)
+
 
 class TestLpPnlAM:
     def test_zero_profit_rent(self):
@@ -345,6 +369,24 @@ class TestAmEquilibrium:
         with pytest.raises(BracketError, match="at fee 0: the fee revenue vanishes"):
             solve_am_equilibrium(params)
 
+    def test_subnormal_f_max_solves(self):
+        # f_max / FEE_GRID underflows, so the fee grid starts at fee 0, where
+        # the log liquidity's slope is +inf, not a division by zero
+        params = MarketParams(sigma=1e-100, delta_t=0.01, r=0.0, f_max=5e-324, c0=1e200)
+        eq = solve_am_equilibrium(params)
+        assert eq.f_star == eq.ff_best_fee == 5e-324
+        assert eq.L_star == eq.L_max > 0.0
+
+    @given(market_params())
+    def test_best_fees_are_positive(self, params):
+        # both solves scan fees in (0, f_max] and raise where none has
+        # positive liquidity, so a solve that returns has positive fees
+        try:
+            eq = solve_am_equilibrium(params)
+        except BracketError:
+            return
+        assert eq.ff_best_fee > 0.0 and eq.f_star > 0.0
+
     @pytest.mark.parametrize(
         "params",
         ACCEPTANCE_SETS + [MarketParams(sigma=0.0, delta_t=0.01, r=1e-4, f_max=0.05)],
@@ -362,7 +404,7 @@ class TestAmEquilibrium:
 class TestDominanceReport:
     def test_margins_positive_and_dominated(self):
         report = dominance_report(REF, n_grid=32)
-        assert report.dominated and not report.flagged
+        assert report.dominated
         assert report.proof_margin > 0.0
         for row in report.rows:
             assert row.dominated

@@ -12,15 +12,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ammauction._floatrepr import Workspace, csv_rows, float_cells, text_cells
+from ammauction._floatrepr import Workspace, text_cells
 from ammauction.sim import BATCH_ROWS
 
 
 def kernel_text(values) -> list[str]:
-    """Each value's cell with its unused bytes dropped."""
+    """Each value's field in the CSV rows of one float column, formatted
+    batch by batch through one workspace."""
     x = np.asarray(values, dtype=np.float64)
-    cells = float_cells(x).view(np.uint8).reshape(len(x), -1)
-    return [bytes(row).replace(b"\0", b"").decode("ascii") for row in cells]
+    batch = 4096
+    workspace = Workspace(min(len(x), batch), 1)
+    text = "".join(workspace.csv_rows(0, [x[lo : lo + batch]]) for lo in range(0, len(x), batch))
+    return [line.split(",")[1] for line in text.splitlines()]
 
 
 def assert_reprs(values) -> None:
@@ -118,24 +121,24 @@ class TestCsvRows:
             f"{i},{u!r},{names[w]},{v!r}\n"
             for i, u, v, w in zip(range(9, 9 + n), a.tolist(), b.tolist(), which.tolist())
         )
-        assert csv_rows(9, [a, tags[which], b]) == want
+        assert Workspace(n, 2).csv_rows(9, [a, (tags, which), b]) == want
 
     @pytest.mark.parametrize("first", [0, 1, 9, 99_999_990, 2**53 - 4])
     def test_row_numbers_cross_powers_of_ten(self, first):
         x = np.zeros(4)
         want = "".join(f"{i},0.0\n" for i in range(first, first + 4))
-        assert csv_rows(first, [x]) == want
+        assert Workspace(4, 1).csv_rows(first, [x]) == want
 
     @given(st.integers(0, 2**53 - 600), st.integers(1, 600))
     def test_row_numbers_are_their_str(self, first, rows):
-        lines = csv_rows(first, [np.zeros(rows)]).splitlines()
+        lines = Workspace(rows, 1).csv_rows(first, [np.zeros(rows)]).splitlines()
         assert [line.split(",")[0] for line in lines] == [str(i) for i in range(first, first + rows)]
 
     @pytest.mark.parametrize("first, rows", [(2**53 - 3, 4), (2**53, 1), (2**64 - 4, 4)])
     def test_row_numbers_past_2_53_raise(self, first, rows):
         # a float64 lane no longer holds every integer there
         with pytest.raises(ValueError, match="below 2\\^53"):
-            csv_rows(first, [np.zeros(rows)])
+            Workspace(rows, 1).csv_rows(first, [np.zeros(rows)])
 
 
 class TestWorkspace:
@@ -144,7 +147,7 @@ class TestWorkspace:
         # cells turn long and short by turns: each batch reads as its own
         # repr rows, with nothing left over from the batch before
         rng = np.random.default_rng(36)
-        workspace = Workspace()
+        workspace = Workspace(BATCH_ROWS, 2)
         names = {True: ["-1.2345678901234567e-300", "0.30000000000000004", "x"], False: ["7"]}
         first = 1
         for batch in range(40):
@@ -165,29 +168,61 @@ class TestWorkspace:
             assert workspace.csv_rows(first, [a, (text_cells(names[long]), which), b]) == want
             first += rows
 
-    def test_a_warm_batch_allocates_little_but_its_text(self):
-        # a block-log batch, 512 rows of 7 columns, writes about 60 KB of
-        # text; through a warm workspace it allocates that text and little
-        # else (about 1 MiB when each batch allocated its temporaries)
+    @pytest.mark.parametrize(
+        "rows, floats, text",
+        [(BATCH_ROWS + 1, 2, "x"), (8, 1, "x"), (8, 3, "x"), (BATCH_ROWS, 2, "x" * 800)],
+        ids=["more-rows", "fewer-floats", "more-floats", "wide-text"],
+    )
+    def test_a_batch_that_does_not_fit_raises(self, rows, floats, text):
+        # nothing grows: the workspace is made for one batch shape
+        workspace = Workspace(BATCH_ROWS, 2)
+        columns = [np.zeros(rows) for _ in range(floats)]
+        columns.append((text_cells([text]), np.zeros(rows, dtype=np.intp)))
+        with pytest.raises(ValueError, match="does not fit a workspace of 512 rows"):
+            workspace.csv_rows(1, columns)
+
+    # a block-log batch, 512 rows of 7 columns, writes about 60 KB of text;
+    # through a workspace it allocates that text and little else (about
+    # 1 MiB when each batch allocated its temporaries)
+
+    @staticmethod
+    def block_log_batch():
         rng = np.random.default_rng(7)
         rows = BATCH_ROWS
         fee, rent = text_cells(["0.003"]), text_cells(["1.2345678901234567e-05"])
         run = np.zeros(rows, dtype=np.intp)
-        columns = [rng.exponential(0.01, rows), rng.normal(0.0, 0.05, rows), (fee, run),
-                   rng.normal(0.0, 1e-4, rows), rng.exponential(1e-5, rows),
-                   rng.exponential(1e-3, rows), (rent, run)]
-        workspace = Workspace()
-        workspace.csv_rows(1, columns)
+        return [rng.exponential(0.01, rows), rng.normal(0.0, 0.05, rows), (fee, run),
+                rng.normal(0.0, 1e-4, rows), rng.exponential(1e-5, rows),
+                rng.exponential(1e-3, rows), (rent, run)]
+
+    @staticmethod
+    def peak_allocation(call) -> tuple[object, int]:
+        """``call()``'s result and the most it held allocated at once."""
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            text = workspace.csv_rows(1 + rows, columns)
-            peak = tracemalloc.get_traced_memory()[1] - held
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1] - held
         finally:
             if not tracing:
                 tracemalloc.stop()
+
+    def test_a_warm_batch_allocates_little_but_its_text(self):
+        columns = self.block_log_batch()
+        workspace = Workspace(BATCH_ROWS, 5)
+        workspace.csv_rows(1, columns)
+        text, peak = self.peak_allocation(lambda: workspace.csv_rows(1 + BATCH_ROWS, columns))
+        assert len(text) > 50_000
+        assert peak < 256 * 1024
+
+    def test_a_first_batch_allocates_little_but_its_text(self):
+        # every buffer is made in the constructor, none at the first batch
+        columns = self.block_log_batch()
+        Workspace(BATCH_ROWS, 5).csv_rows(1, columns)  # builds the kernel's constants
+        workspace = Workspace(BATCH_ROWS, 5)
+        text, peak = self.peak_allocation(lambda: workspace.csv_rows(1, columns))
         assert len(text) > 50_000
         assert peak < 256 * 1024

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -61,6 +62,21 @@ def quadrature_excess(sigma, tau, fee, side):
 
     value, _ = integrate.quad(integrand, fee, fee + 60.0 * s, limit=400, epsabs=1e-13)
     return value
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: sample_blocks(REF, 0, block_rng(0)), "n must be positive, got 0"),
+        (lambda: mc_rates(0.003, REF, 10_000, chains=1), "chains must be at least 2, got 1"),
+        (lambda: noise_volume(0.003, -1.0, REF), "liquidity must be non-negative, got -1.0"),
+        (lambda: noise_volume_per_value(0.003, 0.0, REF), "liquidity must be positive, got 0.0"),
+    ],
+    ids=["sample_blocks-n", "mc_rates-chains", "noise_volume", "noise_volume_per_value"],
+)
+def test_bad_argument_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestMarketParams:

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -51,6 +52,25 @@ def trade_profit(x, y, trade, price):
     from the pool, net of the fee."""
     new_x, new_y, fee_paid = trade
     return price * (x - new_x) + (y - new_y) - fee_paid
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: pool_value(-1.0, 1.0), "liquidity must be non-negative, got -1.0"),
+        (lambda: excess_fraction(0.01, -0.001), "fee must be non-negative, got -0.001"),
+        (lambda: strategic_withdrawal_values(0.0, 1.0, 2.0),
+         "liquidity must be positive, got 0.0"),
+        (lambda: strategic_withdrawal_values(1.0, 0.0, 2.0),
+         "pool_price must be positive, got 0.0"),
+        (lambda: strategic_withdrawal_values(1.0, 1.0, 0.9), "ratio must be >= 1, got 0.9"),
+    ],
+    ids=["pool_value", "excess_fraction", "withdrawal-liquidity", "withdrawal-price",
+         "withdrawal-ratio"],
+)
+def test_bad_argument_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestPoolValue:
