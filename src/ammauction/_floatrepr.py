@@ -8,31 +8,28 @@ per value, it is most of what writing a CSV of floats costs.
 Here the decimal comes from Schubfach's ``toDecimal`` (R. Giulietti, "The
 Schubfach way to render doubles", 2020; JDK 19's ``Double.toString``),
 ported to uint64 lanes, each high 64-bit product formed from 32-bit halves.
-The layout then writes each value's bytes into a fixed-width cell of seven
-uint64 words, eight bytes each, in slots that are 0 where the value has no
-byte, and :meth:`Workspace.csv_rows` drops the zero bytes of a whole batch
-of rows at once. A word holds eight ASCII digits, formed with a few
-multiplies (SWAR), and a table of byte masks keeps the digits a value's
-layout shows. The row numbers are lanes of the same kernel, float64
-integers with their point and fraction cleared, so they must stay below
-2^53.
+The layout writes each text into a cell of four uint64 words, 0 bytes
+then the text, right-aligned against its separator in the last byte, so
+that :meth:`Workspace.csv_rows`, which drops a batch's zero bytes at once,
+copies one run a field. A word holds eight digits, formed with a few
+multiplies (SWAR); table lookups by the point's place and by the last
+nonzero digit's give the '0's, the point, the sign and the shift that
+right-aligns the text. The row numbers are lanes of the same layout that
+skip the search, each its own ``f`` with ``e = 0``.
 
 Normal values and zeros take the kernel. A subnormal, an infinity or a NaN
 takes ``repr`` itself: Java's rule asks for two digits where a subnormal's
 shortest form has one, and ``repr`` does not.
 
-A :class:`Workspace` holds every array the kernel writes: the lanes'
-values, the temporaries of the decimal search and of the layout, the cells,
-the CSV table, the text-cell gathers and the compaction mask. It makes them
-once, for one batch shape, and writes them through ``out=`` from then on. A
-caller that formats batch after batch through one workspace, as
-``run_sim``'s block log does, so allocates no array per batch but the
-compacted text that becomes the returned ``str``: numpy has no compaction
-into a given array (``np.compress`` takes ``out=``, but builds an index
-array eight times the text's size first). Temporaries allocated and freed
-per batch would go back to the C allocator, which returns the top of its
-heap to the OS past a threshold, and the next batch would fault the same
-pages in again.
+A :class:`Workspace` makes every array the kernel writes once, for one
+batch shape, and writes them through ``out=`` from then on. A caller that
+formats batch after batch through one workspace, as ``run_sim``'s block log
+does, so allocates no array per batch but the compacted text that becomes
+the returned ``str``: numpy has no compaction into a given array
+(``np.compress`` takes ``out=``, but builds an index array eight times the
+text's size first). Temporaries allocated and freed per batch would go back
+to the C allocator, which returns the top of its heap to the OS past a
+threshold, and the next batch would fault the same pages in again.
 
 Every uint64 constant is an ``np.uint64``, so numpy promotes the same way
 under NEP 50 and under numpy 1.x's value-based rules, and the lanes stay
@@ -63,33 +60,34 @@ __all__ = ["Workspace", "text_cells"]
 # host: the first byte of a text is the word's lowest.
 _WORD = "<u8"
 
-# A float's cell, in words: the sign and a "0.000" prefix, then the first
-# digit in the top byte; digits 2-9; digits 10-17 (the digits before the
-# point); the point or the first digit in the top byte; digits 2-9 and
-# 10-17 again (the digits after the point); the exponent, up to the last
-# byte, the field's separator. Bytes of one field that touch make one run
-# for the compaction to copy, and it costs by the run.
-CELL_WORDS = 7
+# A cell, in words: a text of up to 24 bytes ending at byte 30, then the
+# separator's. The layout builds the text in three words, the significand's
+# digits from byte 6 with a 0 for the point, and moves it up by 2-23 bytes.
+CELL_WORDS = 4
 
 # Schubfach's constants for binary64
 _Q_MIN = -1074
 _C_MIN = 1 << 52
 _K_MIN, _K_MAX = -324, 292
-_E_MIN = -324  # the least decimal exponent of the exponent word table
-_KEEP_AT = 12  # the most bytes a mask index falls below zero
-_PREFIX_AT = 14  # the most 2 - decpt falls below zero
+_E_MIN = -324  # the least decimal exponent of the exponent tables
+# A lane's slot: decpt + 3 for a float of decpt in [-3, 16], positional;
+# 20 and 21 for the exponent form with a 2- and a 3-digit exponent; a row
+# number's positional slot + _ROW_SLOT, its decpt its digit count
+_SLOTS, _ROW_SLOT = 38, 18
 
 # The kernel's buffers: names -> (shape, dtype), None in a shape standing
 # for the lane count; names that share a buffer hold it at different times.
-# The kept buffers live through a call. The decimal search's and the
-# layout's temporaries live one phase each, so the two phases share the
-# workspace's scratch storage, as does the CSV table after them.
+# The kept buffers live through a call. The decimal search's temporaries,
+# on the float lanes, and the layout's, on every lane, live one phase each,
+# so the two phases share the workspace's scratch storage, as does the CSV
+# table after them. Past the layout's own, the digits' temporaries and then
+# the move's share the storage.
 _KEPT = {
-    "x": ((None,), "f8"),  # the lanes' values
+    "x": ((None,), "f8"),  # the lanes' values, 0 on the row lanes
     "cells": ((CELL_WORDS, None), "u8"),  # word by word
     "special": ((None,), "?"),  # zeros, subnormals, infinities and NaNs
-    "f": ((None,), "u8"),  # the decimal f 10^e
-    "e": ((None,), "i8"),
+    "f": ((None,), "u8"), "e": ((None,), "i8"),  # the decimal f 10^e
+    "lanes": ((None,), "p"),  # 0, 1, 2, ...
 }
 _SEARCH = {
     **dict.fromkeys(("q", "irregular", "h"), ((None,), "i8")),
@@ -104,17 +102,19 @@ _SEARCH = {
                     ((None,), "?")),
 }
 _LAYOUT = {
-    **dict.fromkeys(("on", "scale", "hi", "first", "lead", "lead0"), ((None,), "u8")),
-    **dict.fromkeys(("size", "digits", "decpt", "pos", "point", "last"), ((None,), "i8")),
-    "g": ((None,), "f8"),
-    "exp2": ((None,), "i4"),
-    **dict.fromkeys(("words", "quot", "d"), ((2, None), "u8")),
-    "wf": ((2, None), "f8"),
-    "exp2s": ((2, None), "i4"),
-    "used": ((2, None), "i8"),
-    "index": ((4, None), "p"),
-    "keep": ((4, None), "u8"),
-    **dict.fromkeys(("positional", "lead_before", "lane"), ((None,), "?")),
+    **dict.fromkeys(("on", "scale"), ((None,), "u8")),
+    **dict.fromkeys(("at", "slot", "hop"), ((None,), "i8")),
+    "lane": ((None,), "?"), "digits": ((3, None), "u8"), "shift": ((2, None), "u8"),
+}
+_DIGITS = {
+    **dict.fromkeys(("hi", "top", "gap"), ((None,), "u8")),
+    **dict.fromkeys(("size", "h"), ((None,), "i8")),
+    **dict.fromkeys(("g", "gm"), ((None,), "f8")), "exp2": ((None,), "i4"),
+    **dict.fromkeys(("quot", "d"), ((2, None), "u8")),
+}
+_MOVE = {
+    "sign": ((None,), "i8"), ("mark", "carry"): ((3, None), "u8"), "moved": ((6, None), "u8"),
+    "index": ((CELL_WORDS, None), "p"), "exponent": ((2, None), "u8"),
 }
 
 
@@ -131,45 +131,67 @@ def _g(k: int) -> int:
     return (10**-k << -r if r < 0 else 10**-k >> r) + 1
 
 
-def _word(text: bytes, at: int = 0) -> int:
-    """The uint64 whose bytes, in memory order, hold ``text`` from byte ``at``."""
-    return int.from_bytes(text, "little") << 8 * at
-
-
 @cache
 def _consts() -> SimpleNamespace:
     u = np.uint64
     g = [_g(k) for k in range(_K_MIN, _K_MAX + 1)]
     g1 = [x >> 63 for x in g]
     g0 = [x & (1 << 63) - 1 for x in g]
+    # by decpt - 1 - _E_MIN: the slot; the end of the cell's last word, the
+    # exponent form's "e", sign and digits up to byte 6, then the separator;
+    # and the bytes kept before the end
+    x = range(_E_MIN, -_E_MIN)
+    ends = [b"," if -4 <= v < 16 else b"e%+03d," % v for v in x]
+    top = np.arange(100, dtype=np.uint64)  # the first two of 18 digits, in bytes 6 and 7
     return SimpleNamespace(
         # a lane's k picks a column: g1 and g0
         g=np.array([g1, g0], dtype=np.uint64),
-        u0=u(0), u1=u(1), u2=u(2), u8=u(8), u64=u(64), u10=u(10), u16=u(16), u19=u(19),
-        u32=u(32), u52=u(52), u56=u(56), u63=u(63), u100=u(100), u103=u(103),
+        u0=u(0), u1=u(1), u2=u(2), u6=u(6), u8=u(8), u9=u(9), u10=u(10), u16=u(16),
+        u19=u(19), u32=u(32), u52=u(52), u63=u(63), u64=u(64), u100=u(100), u103=u(103),
         u5243=u(5243), e4=u(10**4), e8=u(10**8),
         m32=u(0xFFFFFFFF), m63=u((1 << 63) - 1), t_mask=u(_C_MIN - 1),
         c_min=u(_C_MIN), bq_mask=u(0x7FF),
         hundreds=u(0x0000007F0000007F), tens=u(0x000F000F000F000F),
-        zero=u(ord("0")), zeros=u(0x3030303030303030), minus=u(ord("-")),
-        point=u(_word(b".", 7)),
         pow10=np.array([10**i for i in range(20)], dtype=np.uint64),
-        # keep[m + _KEEP_AT]: the first m bytes of a word, m < 0 for none
-        keep=np.array(
-            [(1 << 8 * min(max(m, 0), 8)) - 1 for m in range(-_KEEP_AT, 24)], dtype=np.uint64
-        ),
-        # prefix[2 - decpt + _PREFIX_AT]: from byte 1, "0." and -decpt zeros
-        # for decpt in [-3, 0], and nothing for decpt in [1, 16]
-        prefix=np.array(
-            [0] * (_PREFIX_AT + 2) + [_word(b"0." + b"0" * z, 1) for z in range(4)],
-            dtype=np.uint64,
-        ),
-        # exponent[x - _E_MIN]: "e", the sign, two or three digits, up to
-        # byte 6
-        exponent=np.array(
-            [_word(b"e%+03d" % x, 3 - (abs(x) > 99)) for x in range(_E_MIN, -_E_MIN)],
-            dtype=np.uint64,
-        ),
+        top=top // u(10) << u(48) | top % u(10) << u(56),
+        slot=np.array([v + 4 if -4 <= v < 16 else 20 + (abs(v) > 99) for v in x]),
+        exponent=np.array([[(1 << 64 - 8 * len(end)) - 1 for end in ends],
+                           np.frombuffer(b"".join(e.rjust(8, b"\0") for e in ends), dtype=_WORD)],
+                          dtype=np.uint64),
+        **_slots(),
+    )
+
+
+def _slots() -> dict:
+    """The layout's tables. By slot: ``gap``, 10 to the digits after the
+    point (10^17 where no point falls among them), and ``mark``, the text's
+    '0's from its first byte, its point and, at the slot + _SLOTS, its sign,
+    in three words where the 18 digits with the point's 0 start at byte 6.
+    By ``used _SLOTS + slot``, ``used`` the bytes from byte 8 up to the
+    last nonzero digit (0 for none past digit 2), ``move``: how far
+    the text moves up to end at byte 30 or before the exponent, as the bits
+    each word moves plus 64 times 2 less the words it moves."""
+    floats, rows = range(-3, 17), range(1, 17)
+    # by slot: the point's byte, the text's first byte, and the text's end
+    # at least (a ".0", a row's zeros) and at most
+    point = [6 + p for p in floats] + [7, 7] + [24] * 16  # none in a row's 24 bytes
+    start = [6 if p > 0 else 5 + p for p in floats] + [6, 6] + [7] * 16
+    least = [7 + p for p in floats] + [0, 0] + [6 + p for p in rows]
+    end = np.array([30] * 20 + [26, 25] + [30] * 16)
+    gap = [10 ** (17 - p) if p > 0 else 10**17 for p in floats] + [10**16] * 2 + [10**17] * 16
+    mark = b"".join(
+        (bytes(first - 1) + b"\0-"[minus : minus + 1] + b"0" * (at - first) + b"." + b"0" * 24)[:24]
+        for minus in (0, 1) for at, first in zip(point, start)
+    )
+    # the last nonzero digit's byte; of digits 1-2 alone, 7, or 6 in the
+    # exponent form, whose point's 0 is byte 7 (elsewhere the least decides)
+    last = np.arange(7, 24).reshape(-1, 1)
+    shift = (end - np.maximum(last, least)).reshape(-1)
+    shift[20:22] += 1  # the exponent form's, digits 1-2 alone: the first is the last
+    return dict(
+        gap=np.array(gap, dtype=np.uint64),
+        mark=np.frombuffer(mark, dtype=_WORD).reshape(-1, 3).T.copy(),
+        move=(64 * (2 - (shift >> 3)) + 8 * (shift & 7)).astype(np.uint64),
     )
 
 
@@ -354,31 +376,29 @@ def _eight_digits(t, x):
 
 
 def _float_cells(t):
-    """The ``repr`` of each value ``t.x``, into ``t.cells`` word by word:
-    row ``w`` holds word ``w`` of every lane, and a lane's unused bytes are
-    0, its last byte left free for a separator."""
+    """The cell of each lane into ``t.cells``, row ``w`` holding word ``w``
+    of every lane: the ``repr`` of a float lane's value ``t.x``, or a row
+    lane's integer ``t.f``, one of the first ``t.rows``, whose ``t.e`` is 0."""
     k = _consts()
-    bits = t.x.view(np.uint64)
-    q, special = t.q, t.special
-    np.right_shift(bits, k.u52, out=q.view(np.uint64))
+    s = t.search
+    sbits = s.x.view(np.uint64)
+    q, special = s.q, t.special[t.rows :]
+    np.right_shift(sbits, k.u52, out=q.view(np.uint64))
     np.bitwise_and(q.view(np.uint64), k.bq_mask, out=q.view(np.uint64))
     np.equal(q, 0, out=special)
-    special |= np.equal(q, 0x7FF, out=t.flag)
+    special |= np.equal(q, 0x7FF, out=s.flag)
     q -= 1075
-    f, e = _to_decimal(t, bits, q)
+    _to_decimal(s, sbits, q)
     # the decimal search's buffers are free from here on
-    lane = t.lane
-    on = t.on  # 0 or 1 per lane, as uint64 and, in on_i, as int64
-    on_i = on.view(np.int64)
-    np.copyto(on, np.logical_not(special, out=lane))
+    f, e, lane, scale, size = t.f, t.e, t.lane, t.scale, t.size
+    on, on_i = t.on, t.on.view(np.int64)  # 0 or 1 per lane, as uint64 and as int64
+    np.copyto(on, np.logical_not(t.special, out=lane))
     f *= on  # a zero, or a lane repr writes below
     e *= on_i
 
-    # the significand, left-aligned on 17 digits: the first, then two words.
-    # f < 2^E with E frexp's exponent of float(f), so f has t or t + 1
-    # digits, t = floor(E log10 2) = E * 1233 >> 12 for E <= 64: one
-    # comparison with 10^t settles it
-    scale, size = t.scale, t.size
+    # the significand, left-aligned on 17 digits. f < 2^E with E frexp's
+    # exponent of float(f), so f has t or t + 1 digits, t = floor(E log10 2)
+    # = E * 1233 >> 12 for E <= 64: one comparison with 10^t settles it
     np.copyto(t.g, f)
     np.frexp(t.g, out=(t.g, t.exp2))
     t.exp2 *= 1233
@@ -388,123 +408,110 @@ def _float_cells(t):
     np.copyto(on, np.greater_equal(f, scale, out=lane))
     size += on_i
     np.maximum(size, 1, out=size)  # a zero has one digit
-    decpt = np.add(e, size, out=t.decpt)  # the point's place after the first digit
+    at = np.add(e, size, out=t.at)  # decpt, the point's place after the first digit
+    at -= 1 + _E_MIN
     f *= np.take(k.pow10, np.subtract(17, size, out=size), out=scale, mode="clip")
-    hi = np.floor_divide(f, k.e8, out=t.hi)
-    words = t.words
-    np.subtract(f, np.multiply(hi, k.e8, out=scale), out=words[1])
-    first = np.floor_divide(hi, k.e8, out=t.first)
-    np.subtract(hi, np.multiply(first, k.e8, out=scale), out=words[0])
-    _eight_digits(t, words)
-    # each word's bytes up to its last nonzero digit, then the digits shown
-    np.copyto(t.wf, words)
-    np.frexp(t.wf, out=(t.wf, t.exp2s))
-    used = t.used
-    np.copyto(used, t.exp2s)
-    used += 7
-    used >>= 3
-    digits = np.add(used[1], 9, out=t.digits)
-    np.copyto(on, np.greater(used[1], 0, out=lane))
-    digits *= on_i
-    np.copyto(on, np.greater(used[0], 0, out=lane))
-    used[0] += on_i
-    np.maximum(digits, used[0], out=digits)
-    np.copyto(on, np.greater(first, k.u0, out=lane))
-    np.maximum(digits, on_i, out=digits)
-    words += k.zeros
-    first += k.zero
+    slot = np.take(k.slot, at, out=t.slot, mode="clip")
+    slot[: t.rows] += _ROW_SLOT
+    # the point's 0 digit: f + 9 gap (f // gap) moves the digits before it up
+    gap = np.take(k.gap, slot, out=t.gap, mode="clip")
+    hi = np.floor_divide(f, gap, out=t.hi)
+    hi *= gap
+    hi *= k.u9
+    f += hi
+    # the 18 digits: the first two by the table, then two words of eight
+    digits = t.digits
+    np.floor_divide(f, k.e8, out=hi)
+    np.subtract(f, np.multiply(hi, k.e8, out=scale), out=digits[2])
+    top = np.floor_divide(hi, k.e8, out=t.top)
+    np.subtract(hi, np.multiply(top, k.e8, out=scale), out=digits[1])
+    _eight_digits(t, digits[1:])
+    np.take(k.top, top.view(np.int64), out=digits[0], mode="clip")
 
-    # repr's 'r' rules: positional for decpt in [-3, 16], else d.ddde+XX;
-    # the digits before the point are [0, point), those after [point, last)
-    positional = np.greater(decpt, -4, out=t.positional)
-    positional &= np.less_equal(decpt, 16, out=lane)
-    pos = t.pos  # positional as 0 or 1
-    np.copyto(pos, positional)
-    point = np.subtract(decpt, 1, out=t.point)  # decpt if positional, else 1
-    point *= pos
-    point += 1
-    last = np.add(point, 1, out=t.last)  # max(digits, point + 1) if positional
-    last *= pos
-    np.maximum(last, digits, out=last)
-    index = t.index
-    np.add(point, _KEEP_AT - 1, out=index[0])
-    np.add(point, _KEEP_AT - 9, out=index[1])
-    np.add(last, _KEEP_AT - 1, out=index[2])
-    np.add(last, _KEEP_AT - 9, out=index[3])
-    keep = np.take(k.keep, index, out=t.keep, mode="clip")
-    before = keep[:2]
-    after = keep[2:]
-    after ^= before  # after & ~before: last >= point, so after covers before
-    lead_before = np.greater(point, 0, out=t.lead_before)
-    np.copyto(on, lead_before)
-    lead = np.left_shift(first, k.u56, out=t.lead)
-    lead_at_0 = np.multiply(lead, on, out=t.lead0)  # the first digit before the point
-    lead -= lead_at_0  # or after it
-
-    cells = t.cells
-    np.take(k.prefix, np.subtract(_PREFIX_AT + 2, point, out=index[0]), out=scale, mode="clip")
-    scale |= lead_at_0
-    np.multiply(np.right_shift(bits, k.u63, out=hi), k.minus, out=hi)
-    np.bitwise_or(scale, hi, out=cells[0])
-    np.bitwise_and(words, before, out=cells[1:3])
-    np.copyto(scale, np.logical_and(lead_before, np.greater(last, point, out=lane), out=lane))
-    scale *= k.point
-    np.bitwise_or(scale, lead, out=cells[3])
-    np.bitwise_and(words, after, out=cells[4:6])
-    np.take(k.exponent, np.subtract(decpt, 1 + _E_MIN, out=index[0]), out=scale, mode="clip")
-    np.copyto(on, np.logical_not(positional, out=lane))
-    np.multiply(scale, on, out=cells[6])
+    # the move, by the bytes up to the last nonzero digit of digits 3-18:
+    # lo 2^64 + mid has lo's bit length plus 64, or mid's where lo is 0
+    g, h, hop, shift = t.g, t.h, t.hop, t.shift
+    np.copyto(g, digits[2])
+    g *= 2.0**64
+    np.copyto(t.gm, digits[1])
+    g += t.gm
+    np.frexp(g, out=(g, t.exp2))
+    np.copyto(h, t.exp2)
+    h += 7
+    h >>= 3
+    h *= _SLOTS
+    h += slot
+    move = np.take(k.move, h, out=hop.view(np.uint64), mode="clip")
+    np.bitwise_and(move, k.u63, out=shift[0])  # the bits up, then down
+    np.subtract(k.u64, shift[0], out=shift[1])
+    move >>= k.u6  # into hop
+    # the '0's, the point and the sign
+    sign = np.right_shift(t.x.view(np.int64), 63, out=t.sign)
+    sign &= _SLOTS
+    sign += slot
+    digits |= np.take(k.mark, sign, axis=1, out=t.mark, mode="clip")
+    # the text moved up into place, by bits within words, then by words
+    moved, carry = t.moved, t.carry
+    moved[:2] = 0
+    np.left_shift(digits, shift[0], out=moved[2:5])
+    np.right_shift(digits, shift[1], out=carry)
+    moved[3:5] |= carry[:2]
+    moved[5] = carry[2]
+    hop *= len(f)
+    hop += t.lanes
+    cells = np.take(moved.reshape(-1), np.add(hop, t.words, out=t.index), out=t.cells,
+                    mode="clip")
+    exponent = np.take(k.exponent, at, axis=1, out=t.exponent, mode="clip")
+    cells[-1] &= exponent[0]
+    cells[-1] |= exponent[1]
 
     # subnormals, infinities and NaNs
-    special &= np.not_equal(np.bitwise_and(bits, k.m63, out=scale), k.u0, out=lane)
+    special &= np.not_equal(np.bitwise_and(sbits, k.m63, out=scale[t.rows :]), k.u0,
+                            out=lane[t.rows :])
     if special.any():
         for i in np.flatnonzero(special).tolist():
-            text = repr(float(t.x[i])).encode().ljust(8 * CELL_WORDS, b"\0")
-            cells[:, i] = np.frombuffer(text, dtype=_WORD)
+            text = repr(float(s.x[i])).encode().rjust(8 * CELL_WORDS - 1, b"\0") + b","
+            cells[:, t.rows + i] = np.frombuffer(text, dtype=_WORD)
     return cells
 
 
-def _extent(spec: dict, n: int) -> int:
-    """The bytes :func:`_carve` lays ``spec``'s buffers of ``n`` lanes in."""
-    stride = -(-n // 8) * 8  # every buffer starts 8-byte aligned
-    return sum(math.prod(stride if d is None else d for d in dims) * np.dtype(dtype).itemsize
-               for dims, dtype in spec.values())
-
-
-def _carve(store, spec: dict, n: int) -> dict:
-    """Views of ``n`` lanes for each of ``spec``'s buffers, end to end in
-    the uint8 array ``store``."""
-    stride = -(-n // 8) * 8
-    views, at = {}, 0
+def _carve(store, spec: dict, n: int) -> tuple[dict, int]:
+    """Views of ``n`` lanes for each of ``spec``'s buffers, end to end and
+    8-byte aligned in the uint8 array ``store`` (none if it is None), and
+    the bytes they take."""
+    stride, views, at = -(-n // 8) * 8, {}, 0
     for names, (dims, dtype) in spec.items():
-        dtype = np.dtype(dtype)
-        shape = tuple(n if d is None else d for d in dims)
-        view = store[at : at + math.prod(shape) * dtype.itemsize].view(dtype).reshape(shape)
-        views.update(dict.fromkeys(names if isinstance(names, tuple) else (names,), view))
+        dtype, shape = np.dtype(dtype), tuple(n if d is None else d for d in dims)
+        if store is not None:
+            view = store[at : at + math.prod(shape) * dtype.itemsize].view(dtype).reshape(shape)
+            views.update(dict.fromkeys(names if isinstance(names, tuple) else (names,), view))
         at += math.prod(stride if d is None else d for d in dims) * dtype.itemsize
-    return views
+    return views, at
 
 
 class Workspace:
     """The arrays the kernel writes for batches of up to ``rows`` rows of
-    ``floats`` float columns, all made here, once.
-
-    A run that formats its rows batch by batch makes one and calls
-    :meth:`csv_rows` on it for each batch, so nothing of it outlives the
-    run. It serves one call at a time.
+    ``floats`` float columns, all made here, once. A run that formats its
+    rows batch by batch makes one and calls :meth:`csv_rows` on it for each
+    batch, so nothing of it outlives the run. It serves one call at a time.
     """
 
     def __init__(self, rows: int, floats: int) -> None:
         self.rows, self.floats = rows, floats
         n = (1 + floats) * rows  # the lanes: the row numbers, then each float column
-        kept = np.empty(_extent(_KEPT, n), dtype=np.uint8)
-        self._scratch = np.empty(max(_extent(_SEARCH, n), _extent(_LAYOUT, n)), dtype=np.uint8)
-        self._t = SimpleNamespace(
-            **_carve(kept, _KEPT, n), **_carve(self._scratch, _SEARCH, n),
-            **_carve(self._scratch, _LAYOUT, n),
+        own, digits, move = (_carve(None, spec, n)[1] for spec in (_LAYOUT, _DIGITS, _MOVE))
+        kept = np.zeros(_carve(None, _KEPT, n)[1], dtype=np.uint8)  # x, e 0 on the row lanes
+        scratch = np.empty(max(_carve(None, _SEARCH, n - rows)[1], own + max(digits, move)),
+                           dtype=np.uint8)
+        t = self._t = SimpleNamespace(
+            **_carve(kept, _KEPT, n)[0], **_carve(scratch, _LAYOUT, n)[0],
+            **_carve(scratch[own:], _DIGITS, n)[0], **_carve(scratch[own:], _MOVE, n)[0],
+            rows=rows, words=np.arange(0, CELL_WORDS * n, n, dtype=np.intp).reshape(-1, 1),
         )
-        self._x = self._t.x.reshape(1 + floats, rows)
-        self._count = np.arange(rows, dtype=np.float64)  # 0, 1, 2, ... for the row numbers
+        t.search = SimpleNamespace(**_carve(scratch, _SEARCH, n - rows)[0],
+                                   x=t.x[rows:], f=t.f[rows:], e=t.e[rows:])
+        t.lanes[:] = np.arange(n)
+        self._scratch, self._x = scratch, t.search.x.reshape(floats, rows)
 
     def csv_rows(self, first: int, columns: Sequence) -> str:
         """The CSV text of the columns' rows, each row its number, counting
@@ -517,10 +524,9 @@ class Workspace:
         workspace's zeroes the lanes past its own and reads the front of
         the cells. The table, its mask and, in the mask's place until the
         table is filled, the text gathers use the front of the scratch.
-        Raises ``ValueError`` for a row number at or past 2^53, which a
-        float64 lane no longer holds exactly, and for a batch that does
-        not fit: more rows, another number of float columns, or text
-        columns too wide for the scratch."""
+        Raises ``ValueError`` for a row number at or past 2^53 and for a
+        batch that does not fit: more rows, another number of float
+        columns, or text columns too wide for the scratch."""
         rows = len(columns[0][1] if isinstance(columns[0], tuple) else columns[0])
         floats = [col for col in columns if not isinstance(col, tuple)]
         widths = [col[0].shape[1] if isinstance(col, tuple) else CELL_WORDS for col in columns]
@@ -534,41 +540,35 @@ class Workspace:
             )
         if first + rows > 2**53:
             raise ValueError(f"row numbers must stay below 2^53, got up to {first + rows - 1}")
-        x = self._x
+        t, x = self._t, self._x
         x[:, rows:] = 0.0
-        np.add(self._count[:rows], first, out=x[0, :rows])
-        for lanes, col in zip(x[1:], floats):
+        t.f[rows : self.rows] = 0
+        np.add(t.lanes[:rows], first, out=t.f[:rows].view(np.int64))  # the row numbers
+        for lanes, col in zip(x, floats):
             np.copyto(lanes[:rows], col)
-        cells = _float_cells(self._t).reshape(CELL_WORDS, len(x), self.rows)
+        cells = _float_cells(t).reshape(CELL_WORDS, 1 + self.floats, self.rows)
         cells = iter(cells[:, :, :rows].transpose(1, 2, 0))
 
-        parts, at = [next(cells)], size  # the row numbers, then each column's cells
-        for col in columns:
-            if isinstance(col, tuple):
-                texts, which = col
-                gathered = self._scratch[at : at + 8 * rows * texts.shape[1]]
-                at += len(gathered)
-                parts.append(np.take(texts, which, axis=0, mode="clip",
-                                     out=gathered.view(_WORD).reshape(rows, texts.shape[1])))
-            else:
-                parts.append(next(cells))
         table = self._scratch[:size].view(_WORD).reshape(rows, ends[-1])
-        for part, lo, hi in zip(parts, ends, ends[1:]):
-            table[:, lo:hi] = part
-        table[:, 3:6] = 0  # a row number's point and fraction: 7.0 is written 7
+        table[:, :CELL_WORDS] = next(cells)
+        for col, lo, hi in zip(columns, ends[1:], ends[2:]):
+            if isinstance(col, tuple):  # gathered in the mask's place, then copied
+                gathered = self._scratch[size:].view(_WORD)[: rows * (hi - lo)]
+                table[:, lo:hi] = np.take(*col, axis=0, out=gathered.reshape(rows, hi - lo),
+                                          mode="clip")
+            else:
+                table[:, lo:hi] = next(cells)
+        table.view(np.uint8)[:, -1] = ord("\n")  # the row's last separator
 
-        text = table.view(np.uint8)
-        text[:, np.multiply(ends[1:-1], 8) - 1] = ord(",")
-        text[:, -1] = ord("\n")
-        text = text.reshape(-1)
+        text = table.view(np.uint8).reshape(-1)
         mask = np.not_equal(text, 0, out=self._scratch[size : 2 * size].view(np.bool_))
         return str(text[mask], "ascii")
 
 
 def text_cells(texts: Sequence[str]):
-    """Each of ``texts`` as the bytes of a row of uint64 words, zero-padded,
-    with the row's last byte left free for a separator."""
+    """Each of ``texts`` as the bytes of a row of uint64 words, right-aligned
+    against its separator ',' in the row's last byte, as a float's cell is."""
     raw = [t.encode("ascii") for t in texts]
     size = 8 * (max(map(len, raw), default=0) // 8 + 1)
-    cells = b"".join(t.ljust(size, b"\0") for t in raw)
+    cells = b"".join(t.rjust(size - 1, b"\0") + b"," for t in raw)
     return np.frombuffer(cells, dtype=_WORD).reshape(len(raw), size // 8)

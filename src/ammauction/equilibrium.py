@@ -122,9 +122,9 @@ def _zero_profit_liquidity(fee, rate, params: MarketParams):
     is ``np.power``: a numpy scalar's ``**`` calls the C library's ``pow``,
     which rounds apart from the array kernel.
     """
-    revenue = fee * params.c0 * np.exp(-params.c1 * fee) / 2.0
     target = rate(fee, params) + params.r
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        revenue = fee * params.c0 * np.exp(-params.c1 * fee) / 2.0
         root = np.power(revenue / target, 1.0 / (1.0 - params.alpha))
     bad = np.logical_not(np.isfinite(root))
     if np.any(bad):

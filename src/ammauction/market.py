@@ -150,6 +150,12 @@ def kappa(fee, params: MarketParams):
     return fee / scale
 
 
+# A slope is its rate's factor of cosh(f/2) times a bracket that holds
+# kappa(1): where that factor is 0, because kappa is infinite or sigma^2 is
+# below the smallest double, the rate reads 0 and its slope is 0 too, the
+# limit, as excess_ratio's is for infinite kappa; the product would be
+# 0 * inf there (kappa(1) is infinite when sigma sqrt(delta_t / 2) is 0).
+#
 # The closed forms evaluate cosh(f/2), and the slopes sinh(f/2), under
 # np.errstate(over="raise"): past a fee of about 1420 they overflow a double,
 # and raise FloatingPointError instead of giving inf. They come before kappa,
@@ -183,13 +189,10 @@ def ap0_slope(fee, params: MarketParams):
     with np.errstate(over="raise"):
         cosh, sinh = np.cosh(0.5 * fee), np.sinh(0.5 * fee)
         k = kappa(fee, params)
-    return (
-        params.sigma**2
-        / 8.0
-        / (1.0 + k)
-        * (0.5 * sinh - kappa(1.0, params) * cosh / (1.0 + k))
-        / _denominator(params)
-    )
+    factor = params.sigma**2 / 8.0 / (1.0 + k)
+    with np.errstate(invalid="ignore"):  # 0 * inf where the factor is 0
+        slope = factor * (0.5 * sinh - kappa(1.0, params) * cosh / (1.0 + k)) / _denominator(params)
+    return np.where(factor == 0.0, 0.0, slope)
 
 
 def ae0(fee, params: MarketParams):
@@ -218,13 +221,10 @@ def ae0_slope(fee, params: MarketParams):
     with np.errstate(over="raise"):
         cosh, sinh = np.cosh(0.5 * fee), np.sinh(0.5 * fee)
         k = kappa(fee, params)
-    return (
-        params.sigma**2
-        / 8.0
-        * np.exp(-k)
-        * (0.5 * sinh - kappa(1.0, params) * cosh)
-        / _denominator(params)
-    )
+    factor = params.sigma**2 / 8.0 * np.exp(-k)
+    with np.errstate(invalid="ignore"):  # 0 * inf where the factor is 0
+        slope = factor * (0.5 * sinh - kappa(1.0, params) * cosh) / _denominator(params)
+    return np.where(factor == 0.0, 0.0, slope)
 
 
 def excess_ratio(fee, params: MarketParams):

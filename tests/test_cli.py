@@ -576,6 +576,35 @@ class TestEquilibrium:
         assert "f_star=5e-324" in out and "ff_best_fee=5e-324" in out
         assert "proof_margin=0.0 dominated=False" in out
 
+    def test_overflowing_revenue_is_one_error_line(self, capsys):
+        # c1 f overflows at the fees near f_max = 1e308, where the revenue is
+        # 0; then ap0's cosh ends the run with one line and no numpy warning
+        argv = ["equilibrium", "--grid", "16", "--delta-t=1.5291130978641288e-133",
+                "--r=9.029501645113137e+158", "--f-max=1e+308", "--c0=8.673611725187291e-60"]
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert main(argv) == 2
+        assert [str(w.message) for w in seen] == []
+        assert capsys.readouterr().err == (
+            "error: too large to compute: overflow encountered in cosh\n"
+        )
+
+    def test_infinite_kappa_solves_without_warning(self, tmp_path, capsys):
+        # sigma sqrt(delta_t / 2) underflows to 0: kappa is inf at every
+        # positive fee, and the rate slopes the fee refinement reads take
+        # their limit 0 instead of NaN (the suite makes a warning an error)
+        argv = ["equilibrium", "--grid", "16", "--sigma=7.971726509424742e-287",
+                "--delta-t=1.3293811616760053e-234", "--f-max=7.942017999498777e-189",
+                "--c0=9.783220477371005e+265", "--c1=3.01879244038584e-310",
+                "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert "proof_margin=0.0 dominated=False" in capsys.readouterr().out
+        body = (tmp_path / "equilibrium.csv").read_bytes().split(b"\n", 1)[1]
+        # the rows the NaN slopes gave, where the grid fee stood unrefined
+        assert hashlib.sha256(body).hexdigest() == (
+            "fb792ec7fdf365be91d18177db297d4617c8a4af1c481f092eea517abef5ffda"
+        )
+
 
 class TestSimulate:
     def test_missing_config_exit_2(self, capsys):

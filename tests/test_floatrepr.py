@@ -3,8 +3,10 @@ byte for byte: on Hypothesis floats, on every bit pattern Hypothesis draws,
 and on the edges of the shortest-decimal search and of the layout."""
 
 import math
+import random
 import sys
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ammauction._floatrepr import Workspace, text_cells
+from ammauction._floatrepr import CELL_WORDS, Workspace, text_cells
 from ammauction.sim import BATCH_ROWS
 
 
@@ -44,6 +46,32 @@ def edge_values() -> np.ndarray:
     return np.concatenate([x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)])
 
 
+def repr_shape(x: float) -> tuple[int, int]:
+    """``repr(x)``'s decpt, the point's place after its first digit, and
+    its count of significant digits."""
+    _, digits, exponent = Decimal(repr(x)).normalize().as_tuple()
+    return len(digits) + exponent, len(digits)
+
+
+def layout_edge_values() -> list[float]:
+    """For every decpt in [-5, 18], at the switch from two exponent digits
+    to three and at the normal range's ends, and for every count of
+    significant digits from 1 to 17, a float whose repr has them, with both
+    signs."""
+    rng = random.Random(39)
+    values = []
+    for decpt in [*range(-5, 19), -99, -98, 100, 101, -306, 308]:
+        for size in range(1, 18):
+            while True:
+                digits = [rng.randint(1, 9), *(rng.randint(0, 9) for _ in range(size - 2)),
+                          rng.randint(1, 9)][:size]
+                x = float(f"0.{''.join(map(str, digits))}e{decpt}")
+                if repr_shape(x) == (decpt, size):
+                    break
+            values += [x, -x]
+    return values
+
+
 class TestFloatRepr:
     def test_repr_is_the_short_style(self):
         # the kernel reproduces the shortest round-trip repr; a build with
@@ -65,6 +93,14 @@ class TestFloatRepr:
     def test_edges_read_as_their_reprs(self):
         x = edge_values()
         assert_reprs(np.concatenate([x, -x]))
+
+    def test_layout_edges_read_as_their_reprs(self):
+        # every decpt of both forms and its neighbours, with every count of
+        # digits: each place where the text's moves cross a word edge, in
+        # one batch beside lanes that take repr's own cell
+        x = layout_edge_values() + [5e-324, -2.5e-320, math.inf, -math.inf, math.nan]
+        lines = Workspace(len(x), 1).csv_rows(0, [np.array(x)]).splitlines()
+        assert [line.split(",")[1] for line in lines] == [repr(v) for v in x]
 
     @pytest.mark.parametrize(
         "x, text",
@@ -217,6 +253,17 @@ class TestWorkspace:
         text, peak = self.peak_allocation(lambda: workspace.csv_rows(1 + BATCH_ROWS, columns))
         assert len(text) > 50_000
         assert peak < 256 * 1024
+
+    def test_each_field_is_one_run(self):
+        # the compaction of the table costs by the run of nonzero bytes: a
+        # layout that split a field would slow every batch down
+        columns = self.block_log_batch()
+        workspace = Workspace(BATCH_ROWS, 5)
+        workspace.csv_rows(1, columns)
+        words = 6 * CELL_WORDS + sum(col[0].shape[1] for col in columns if isinstance(col, tuple))
+        nonzero = workspace._scratch[: 8 * words * BATCH_ROWS] != 0  # the table, at the front
+        runs = np.count_nonzero(nonzero[1:] & ~nonzero[:-1]) + nonzero[0]
+        assert runs == BATCH_ROWS * (1 + len(columns))
 
     def test_a_first_batch_allocates_little_but_its_text(self):
         # every buffer is made in the constructor, none at the first batch

@@ -219,6 +219,19 @@ class TestClosedFormRates:
         assert ae0(0.01, params) == 0.0
         assert excess_ratio(0.01, params) == 0.0
 
+    def test_slopes_where_the_rates_vanish_are_their_limit(self):
+        # sigma sqrt(delta_t / 2) underflows to 0, so kappa is inf at every
+        # positive fee, and sigma^2 underflows too: the rates read 0 at every
+        # fee, and their slopes, which read 0 * inf and inf / inf, are 0
+        params = MarketParams(sigma=7.971726509424742e-287, delta_t=1.3293811616760053e-234,
+                              r=1e-4, f_max=0.05)
+        fees = np.array([0.0, 5e-324, 1e-200, 0.003, 0.05])
+        assert np.isinf(kappa(fees[1:], params)).all()
+        for rate, slope in ((ap0, ap0_slope), (ae0, ae0_slope)):
+            assert rate(fees, params).tolist() == [0.0] * len(fees)
+            assert slope(fees, params).tolist() == [0.0] * len(fees)
+            assert slope(0.003, params) == 0.0
+
 
 class TestVectorizedRates:
     SIGMA_ZERO = MarketParams(sigma=0.0, delta_t=0.01, r=1e-4, f_max=0.05)
